@@ -6,7 +6,6 @@
 
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "gateway/namespace_segments.h"
 #include "gateway/shard_merge.h"
 
 namespace learnrisk {
@@ -120,13 +119,10 @@ Result<FeaturizedBatch> FeaturePipeline::RunProbe(
 
 namespace {
 
-// Uniform row access over the two prepared-store types. Both are always
+// Uniform row access over the two prepared row sources. Both are always
 // read through these helpers so the templated bodies below stay one copy.
 inline const PreparedRecord& PreparedRow(const PreparedTable& t, size_t i) {
   return t.record(i);
-}
-inline const PreparedRecord& PreparedRow(const SideStore& t, size_t i) {
-  return t.prepared(i);
 }
 inline const PreparedRecord& PreparedRow(const ShardedSideView& t, size_t i) {
   return t.prepared(i);
@@ -139,7 +135,6 @@ inline const PreparedRecord& PreparedRow(const ShardedSideView& t, size_t i) {
 inline bool RowInRange(const PreparedTable& t, size_t i) {
   return i < t.size();
 }
-inline bool RowInRange(const SideStore& t, size_t i) { return i < t.size(); }
 inline bool RowInRange(const ShardedSideView& t, size_t i) {
   return t.InRange(i);
 }
@@ -204,18 +199,6 @@ Result<FeaturizedBatch> FeaturePipeline::RunPrepared(
 
 Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
     const PreparedRecord& probe, const PreparedTable& table,
-    const std::vector<size_t>& candidates) const {
-  return RunProbePreparedImpl(probe, table, candidates);
-}
-
-Result<FeaturizedBatch> FeaturePipeline::RunPrepared(
-    const SideStore& left, const SideStore& right,
-    const std::vector<RecordPair>& pairs) const {
-  return RunPreparedImpl(left, right, pairs);
-}
-
-Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
-    const PreparedRecord& probe, const SideStore& table,
     const std::vector<size_t>& candidates) const {
   return RunProbePreparedImpl(probe, table, candidates);
 }

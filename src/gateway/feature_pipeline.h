@@ -6,14 +6,15 @@
 // reused per-thread scratch buffer, so the hot loop allocates no per-pair
 // vectors.
 //
-// Two equivalent paths exist. Run/RunProbe evaluate raw records (the
-// reference path: every record-level artifact re-derived per pair).
-// RunPrepared/RunProbePrepared evaluate PreparedRecords — per-record caches
-// built once via PrepareRecord/PreparedTable — through the suite's prepared
-// kernels with per-thread MetricScratch. Both paths are bit-identical to the
-// offline ComputeFeatures + PredictProbaAll stages over the same pairs
-// (enforced by tests/prepared_parity_test.cc); the prepared path is what the
-// gateway serves from, since blocking emits each record in many pairs.
+// Run/RunProbe evaluate raw records: the reference path, which re-derives
+// every record-level artifact per pair. RunPrepared/RunProbePrepared
+// evaluate PreparedRecords — per-record caches built once — through the
+// suite's prepared kernels with per-thread MetricScratch, over two row
+// sources: flat PreparedTables (the parity tests and offline benches) and
+// the gateway's ShardedSideView, where an unsharded namespace is one shard.
+// Every path is bit-identical to the offline ComputeFeatures +
+// PredictProbaAll stages over the same pairs (enforced by
+// tests/prepared_parity_test.cc).
 
 #ifndef LEARNRISK_GATEWAY_FEATURE_PIPELINE_H_
 #define LEARNRISK_GATEWAY_FEATURE_PIPELINE_H_
@@ -30,7 +31,6 @@
 
 namespace learnrisk {
 
-class SideStore;
 class ShardedSideView;
 
 /// \brief Featurization output for one batch of pairs: the metric rows (the
@@ -106,22 +106,11 @@ class FeaturePipeline {
       const PreparedRecord& probe, const PreparedTable& table,
       const std::vector<size_t>& candidates) const;
 
-  /// \brief Segment-store overloads — the gateway's snapshot path. Pairs
-  /// (or candidates) index into SideStores whose prepared entries were
-  /// built under this pipeline's suite; output is bit-identical to the
-  /// PreparedTable overloads and to the raw reference path.
-  Result<FeaturizedBatch> RunPrepared(const SideStore& left,
-                                      const SideStore& right,
-                                      const std::vector<RecordPair>& pairs)
-      const;
-  Result<FeaturizedBatch> RunProbePrepared(
-      const PreparedRecord& probe, const SideStore& table,
-      const std::vector<size_t>& candidates) const;
-
-  /// \brief Sharded-view overloads — pairs (or candidates) carry *global*
-  /// record ids over a ShardedSideView of per-shard stores (see
-  /// gateway/shard_merge.h). Bit-identical to the single-store overloads on
-  /// the equivalent unsharded stores.
+  /// \brief Sharded-view overloads — the gateway's snapshot path. Pairs (or
+  /// candidates) carry *global* record ids over a ShardedSideView of
+  /// per-shard SideStores (see gateway/shard_merge.h; an unsharded
+  /// namespace is the one-shard view). Bit-identical to the PreparedTable
+  /// overloads on the equivalent flat tables.
   Result<FeaturizedBatch> RunPrepared(const ShardedSideView& left,
                                       const ShardedSideView& right,
                                       const std::vector<RecordPair>& pairs)
@@ -145,9 +134,8 @@ class FeaturePipeline {
   template <typename EvalRow>
   Result<FeaturizedBatch> RunImpl(size_t n, const EvalRow& eval_row) const;
 
-  /// \brief Shared bodies of the prepared overloads, over any store
-  /// exposing size() + prepared rows (PreparedTable or SideStore); stores
-  /// whose rows are contiguous evaluate through direct pointers.
+  /// \brief Shared bodies of the prepared overloads, over either row source;
+  /// sources whose rows are contiguous evaluate through direct pointers.
   template <typename LeftStore, typename RightStore>
   Result<FeaturizedBatch> RunPreparedImpl(
       const LeftStore& left, const RightStore& right,

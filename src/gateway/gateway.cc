@@ -18,8 +18,9 @@
 namespace learnrisk {
 namespace {
 
-// Feeds a millisecond measurement that was already taken for StageTiming
-// into a nanosecond histogram — one clock reading backing both views.
+// Feeds a millisecond measurement that was already taken (a stage slot, a
+// retrain or recovery timer) into a nanosecond histogram — one clock
+// reading backing both views.
 void RecordMs(LatencyHistogram* histogram, double ms) {
   if (histogram == nullptr) return;
   histogram->Record(ms <= 0.0 ? 0 : static_cast<uint64_t>(ms * 1e6));
@@ -32,13 +33,6 @@ uint64_t SteadyNowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-// A stage measurement taken outside a TraceSpan (featurize/classify come
-// pre-timed from the pipeline), appended to a trace's stage list.
-void SinkStage(std::vector<TraceStageSpan>* sink, const char* stage,
-               double ms) {
-  if (sink != nullptr) sink->push_back(TraceStageSpan{stage, ms});
 }
 
 // --- Sharded durable layout (docs/DURABILITY.md "Sharded namespaces") ------
@@ -133,7 +127,139 @@ std::vector<size_t> TopRiskIndices(const std::vector<double>& risk,
   return order;
 }
 
+// Checks the serving configuration that registration and recovery both
+// take (`kind` names the spec in messages) against the namespace schema.
+template <typename Spec>
+Status CheckServingSpec(const Spec& spec, const Schema& schema,
+                        const std::string& kind) {
+  if (spec.suite.num_metrics() == 0) {
+    return Status::InvalidArgument(kind + " spec has an empty metric suite");
+  }
+  if (spec.classifier == nullptr) {
+    return Status::InvalidArgument(kind + " spec has no classifier");
+  }
+  for (size_t c : spec.classifier_columns) {
+    if (c >= spec.suite.num_metrics()) {
+      return Status::InvalidArgument("classifier column out of range");
+    }
+  }
+  if (spec.blocking.key_attribute >= schema.num_attributes()) {
+    return Status::InvalidArgument("blocking key attribute out of range");
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+// The request-scoped stage record: one slot per Stage with a "ran" bit,
+// plus the request's id, trace start and end-to-end latency span. Each
+// stage is measured once, into its slot. Finish() — or the destructor, on
+// error returns — derives StageTiming and the stage histograms from the
+// slots; a captured trace derives its stage list from them.
+class Gateway::RequestScope {
+ public:
+  static constexpr const char* kStageNames[kNumStages] = {
+      "block", "shard_merge", "featurize", "classify",
+      "risk",  "review",      "wal_append", "publish"};
+
+  RequestScope(const char* api, uint64_t request_id, bool tracing,
+               LatencyHistogram* latency, const NamespaceMetrics& metrics,
+               StageTiming* timing)
+      : api_(api),
+        request_id_(request_id),
+        start_ns_(tracing ? SteadyNowNs() : 0),
+        metrics_(metrics),
+        timing_(timing),
+        request_span_(latency) {
+    timing_->request_id = request_id;
+  }
+  RequestScope(const RequestScope&) = delete;
+  RequestScope& operator=(const RequestScope&) = delete;
+  ~RequestScope() { Finish(); }
+
+  const char* api() const { return api_; }
+  uint64_t request_id() const { return request_id_; }
+  uint64_t start_ns() const { return start_ns_; }
+
+  // Marks `stage` as run and returns its slot, for a TraceSpan to time
+  // into or a pre-timed measurement to land in.
+  double* Slot(Stage stage) {
+    ran_[stage] = true;
+    return &ms_[stage];
+  }
+
+  // Ends the request (idempotent) and returns its elapsed nanoseconds.
+  uint64_t Finish() {
+    const uint64_t total_ns = request_span_.Stop();
+    if (finished_) return total_ns;
+    finished_ = true;
+    for (size_t i = 0; i < kNumStages; ++i) {
+      timing_->*kTimingFields[i] = ms_[i];
+      if (ran_[i]) RecordMs(metrics_.stages[i], ms_[i]);
+    }
+    return total_ns;
+  }
+
+  std::vector<TraceStageSpan> TraceStages() const {
+    std::vector<TraceStageSpan> stages;
+    for (size_t i = 0; i < kNumStages; ++i) {
+      if (ran_[i]) stages.push_back(TraceStageSpan{kStageNames[i], ms_[i]});
+    }
+    return stages;
+  }
+
+ private:
+  static constexpr double StageTiming::*kTimingFields[kNumStages] = {
+      &StageTiming::blocking_ms,   &StageTiming::shard_merge_ms,
+      &StageTiming::featurize_ms,  &StageTiming::classify_ms,
+      &StageTiming::score_ms,      &StageTiming::review_ms,
+      &StageTiming::wal_append_ms, &StageTiming::publish_ms};
+
+  const char* api_;
+  uint64_t request_id_;
+  uint64_t start_ns_;
+  const NamespaceMetrics& metrics_;
+  StageTiming* timing_;
+  TraceSpan request_span_;
+  std::array<double, kNumStages> ms_{};
+  std::array<bool, kNumStages> ran_{};
+  bool finished_ = false;
+};
+
+// Record ids of a request's scored rows. Resolve rows key as their
+// (left, right) pair; a probe is not a stored record, so ResolveRecord rows
+// key on the candidate alone, with left = -1.
+class Gateway::PairKeys {
+ public:
+  explicit PairKeys(const std::vector<RecordPair>& pairs) : pairs_(&pairs) {}
+  explicit PairKeys(const std::vector<size_t>& candidates)
+      : candidates_(&candidates) {}
+
+  size_t size() const {
+    return pairs_ != nullptr ? pairs_->size() : candidates_->size();
+  }
+  int64_t left(size_t row) const {
+    return pairs_ != nullptr ? static_cast<int64_t>((*pairs_)[row].left) : -1;
+  }
+  int64_t right(size_t row) const {
+    return static_cast<int64_t>(pairs_ != nullptr ? (*pairs_)[row].right
+                                                  : (*candidates_)[row]);
+  }
+
+ private:
+  const std::vector<RecordPair>* pairs_ = nullptr;
+  const std::vector<size_t>* candidates_ = nullptr;
+};
+
+struct Gateway::Scored {
+  const PairKeys& keys;
+  const FeaturizedBatch& batch;
+  const ScoreResponse& scores;
+  const ScorerSnapshot& scorer;  ///< the snapshot that produced `scores`
+  /// Risk-descending row order, long enough for both the review budget and
+  /// the trace's top_k: one ranking pass feeds both consumers.
+  const std::vector<size_t>& top_risk;
+};
 
 Gateway::Gateway(GatewayOptions options)
     : options_(std::move(options)), registry_(options_.registry) {
@@ -216,21 +342,14 @@ Gateway::NamespaceMetrics Gateway::CreateNamespaceMetrics(
           "Distribution of served feature values per metric column"));
     }
   }
-  auto stage = [&](const char* name) {
-    return metric_registry_.Latency(
+  for (size_t i = 0; i < kNumStages; ++i) {
+    if (i == kReview && !options_.review.enabled) continue;
+    m.stages[i] = metric_registry_.Latency(
         "learnrisk_gateway_stage_latency_seconds",
-        {{"namespace", ns}, {"stage", name}},
+        {{"namespace", ns}, {"stage", RequestScope::kStageNames[i]}},
         "Per-stage wall time of gateway requests (StageTiming's twin)");
-  };
-  m.stage_block = stage("block");
-  m.stage_shard_merge = stage("shard_merge");
-  m.stage_featurize = stage("featurize");
-  m.stage_classify = stage("classify");
-  m.stage_risk = stage("risk");
-  m.stage_wal_append = stage("wal_append");
-  m.stage_publish = stage("publish");
+  }
   if (options_.review.enabled) {
-    m.stage_review = stage("review");
     m.review_enqueued = metric_registry_.Counter(
         "learnrisk_gateway_review_enqueued_total", ns_labels,
         "Review offers admitted into the queue");
@@ -354,7 +473,7 @@ void Gateway::RegisterStateGauges(
         "Records visible in the namespace's current snapshot",
         records_gauge(BlockingSide::kRight));
   }
-  if (state->num_shards > 1) {
+  if (state->shards.size() > 1) {
     auto shard_records_gauge = [weak](size_t shard_idx, BlockingSide side) {
       return [weak, shard_idx, side]() -> int64_t {
         const std::shared_ptr<NamespaceState> s = weak.lock();
@@ -364,7 +483,7 @@ void Gateway::RegisterStateGauges(
                 ->index.num_records(side));
       };
     };
-    for (size_t k = 0; k < state->num_shards; ++k) {
+    for (size_t k = 0; k < state->shards.size(); ++k) {
       const std::string shard_label = std::to_string(k);
       metric_registry_.GaugeCallback(
           "learnrisk_gateway_shard_records",
@@ -503,91 +622,148 @@ Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
     return Status::InvalidArgument(
         "left and right tables have different schemas");
   }
-  if (spec.suite.num_metrics() == 0) {
-    return Status::InvalidArgument("namespace spec has an empty metric suite");
-  }
-  if (spec.classifier == nullptr) {
-    return Status::InvalidArgument("namespace spec has no classifier");
-  }
-  for (size_t c : spec.classifier_columns) {
-    if (c >= spec.suite.num_metrics()) {
-      return Status::InvalidArgument("classifier column out of range");
-    }
-  }
-  if (spec.blocking.key_attribute >= spec.left->schema().num_attributes()) {
-    return Status::InvalidArgument("blocking key attribute out of range");
-  }
+  LEARNRISK_RETURN_NOT_OK(
+      CheckServingSpec(spec, spec.left->schema(), "namespace"));
   if (HasNamespace(ns)) {
-    // Checked again at the emplace below (the build is lock-free and could
-    // race another registration); this early exit just avoids building the
-    // base segments and the blocking index for a name that's taken.
+    // Checked again at Install (the build is lock-free and could race
+    // another registration); this early exit just avoids building the base
+    // segments and the blocking index for a name that's taken.
     return Status::FailedPrecondition("namespace '" + ns +
                                       "' already registered");
   }
-
-  const size_t num_shards = std::max<size_t>(spec.shards, 1);
-  auto state = std::make_shared<NamespaceState>();
-  state->dedup = dedup;
-  state->num_shards = num_shards;
-  state->schema = spec.left->schema();
-  state->pipeline =
-      FeaturePipeline(std::move(spec.suite), std::move(spec.classifier),
-                      std::move(spec.classifier_columns));
-  state->pipeline.set_parallelism(options_.request_parallelism);
 
   // Split the base tables round-robin by global id (record i -> shard
   // i % S at local index i / S, so global ids equal the table indices
   // exactly — the invariant every cross-shard merge relies on). S == 1
   // skips the copy and builds straight from the spec's tables.
-  std::vector<Table> left_parts;
-  std::vector<Table> right_parts;
+  const size_t num_shards = std::max<size_t>(spec.shards, 1);
+  std::vector<std::pair<const Table*, const Table*>> tables = {
+      {spec.left.get(), spec.right.get()}};
+  std::vector<Table> parts;
   if (num_shards > 1) {
+    tables.clear();
+    parts.reserve(2 * num_shards);  // `tables` points into it
     for (size_t k = 0; k < num_shards; ++k) {
-      Result<Table> left_part = ShardSubTable(*spec.left, k, num_shards);
-      if (!left_part.ok()) return left_part.status();
-      left_parts.push_back(left_part.MoveValueOrDie());
+      Result<Table> left = ShardSubTable(*spec.left, k, num_shards);
+      if (!left.ok()) return left.status();
+      parts.push_back(left.MoveValueOrDie());
+      tables.emplace_back(&parts.back(), nullptr);
       if (!dedup) {
-        Result<Table> right_part = ShardSubTable(*spec.right, k, num_shards);
-        if (!right_part.ok()) return right_part.status();
-        right_parts.push_back(right_part.MoveValueOrDie());
+        Result<Table> right = ShardSubTable(*spec.right, k, num_shards);
+        if (!right.ok()) return right.status();
+        parts.push_back(right.MoveValueOrDie());
+        tables.back().second = &parts.back();
       }
     }
   }
-  auto shard_left = [&](size_t k) -> const Table& {
-    return num_shards == 1 ? *spec.left : left_parts[k];
-  };
-  auto shard_right = [&](size_t k) -> const Table& {
-    if (dedup) return shard_left(k);
-    return num_shards == 1 ? *spec.right : right_parts[k];
-  };
+  Result<std::shared_ptr<NamespaceState>> built = BuildState(
+      ns, spec.left->schema(), dedup,
+      FeaturePipeline(std::move(spec.suite), std::move(spec.classifier),
+                      std::move(spec.classifier_columns)),
+      spec.blocking, tables);
+  if (!built.ok()) return built.status();
+  const std::shared_ptr<NamespaceState> state = built.MoveValueOrDie();
 
-  // Each shard's base snapshot owns segment copies of its sub-tables, so
+  if (!options_.durability.dir.empty()) {
+    // Durable registration: commit the base tables as checkpoint 1 before
+    // the namespace serves anything, so a crash at any later point can
+    // recover at least the registered state. Fails (leaving the gateway
+    // unchanged) if committed durable state for the name already exists —
+    // that state must be recovered, not silently overwritten. The flat
+    // S == 1 layout and the shards/s<k>/ layout guard against each other.
+    const DurabilityOptions& durability = options_.durability;
+    const DurabilityOptions shard_opts = ShardDurability(durability, ns);
+    Result<size_t> prior_shards =
+        ReadShardsFile(ShardsFilePath(durability, ns));
+    if (!prior_shards.ok()) return prior_shards.status();
+    if (num_shards > 1 && NamespaceLog::Exists(durability.dir, ns)) {
+      return Status::FailedPrecondition(
+          "durable state already exists for namespace '" + ns +
+          "'; recover it instead of re-registering");
+    }
+    if (*prior_shards > 0) {
+      // A SHARDS file with every shard manifest committed is a complete
+      // sharded namespace; anything less is debris from an interrupted
+      // registration (a crash before the last manifest commit means the
+      // registration was never acknowledged) and is cleared — by
+      // NamespaceLog::Create below when S == 1, which clears the whole
+      // namespace directory.
+      bool committed = true;
+      for (size_t k = 0; k < *prior_shards && committed; ++k) {
+        committed = NamespaceLog::Exists(shard_opts.dir, ShardLogName(k));
+      }
+      if (committed) {
+        return Status::FailedPrecondition(
+            "sharded durable state already exists for namespace '" + ns +
+            "'; recover it instead of re-registering");
+      }
+      if (num_shards > 1) {
+        std::error_code ec;
+        std::filesystem::remove_all(shard_opts.dir, ec);
+        std::filesystem::remove(ShardsFilePath(durability, ns), ec);
+      }
+    }
+    if (num_shards > 1) {
+      std::error_code ec;
+      std::filesystem::create_directories(durability.dir + "/" + ns, ec);
+      if (ec) {
+        return Status::IOError("cannot create namespace directory for '" +
+                               ns + "': " + ec.message());
+      }
+      // The SHARDS marker lands before any shard log so recovery (and the
+      // debris detection above) always knows the intended layout.
+      LEARNRISK_RETURN_NOT_OK(
+          WriteShardsFile(ShardsFilePath(durability, ns), num_shards));
+    }
+    for (size_t k = 0; k < num_shards; ++k) {
+      Result<std::unique_ptr<NamespaceLog>> log =
+          num_shards == 1 ? NamespaceLog::Create(durability, ns)
+                          : NamespaceLog::Create(shard_opts, ShardLogName(k));
+      if (!log.ok()) return log.status();
+      Shard& shard = *state->shards[k];
+      shard.log = log.MoveValueOrDie();
+      shard.log->set_metrics(state->metrics.durability);
+      TraceSpan span(state->metrics.checkpoint_latency);
+      LEARNRISK_RETURN_NOT_OK(shard.log->WriteCheckpoint(
+          *tables[k].first, dedup ? nullptr : tables[k].second, 0, nullptr));
+    }
+  }
+  return Install(ns, state);
+}
+
+Result<std::shared_ptr<Gateway::NamespaceState>> Gateway::BuildState(
+    const std::string& ns, Schema schema, bool dedup,
+    FeaturePipeline pipeline, const BlockingConfig& blocking,
+    const std::vector<std::pair<const Table*, const Table*>>& tables) {
+  auto state = std::make_shared<NamespaceState>();
+  state->dedup = dedup;
+  state->schema = std::move(schema);
+  state->pipeline = std::move(pipeline);
+  state->pipeline.set_parallelism(options_.request_parallelism);
+  // Each shard's base snapshot owns segment copies of its tables, so
   // AddRecord can grow the namespace online without touching the caller's
-  // tables.
-  state->routed_left.assign(num_shards, 0);
-  state->routed_right.assign(num_shards, 0);
-  for (size_t k = 0; k < num_shards; ++k) {
-    const Table& left_k = shard_left(k);
-    const Table& right_k = shard_right(k);
-    Result<BlockingIndex> index =
-        BlockingIndex::Build(left_k, right_k, spec.blocking);
+  // tables. Writer routing starts at each shard's size.
+  for (const auto& [left_table, right_table] : tables) {
+    const Table& left = *left_table;
+    const Table& right = dedup ? left : *right_table;
+    Result<BlockingIndex> index = BlockingIndex::Build(left, right, blocking);
     if (!index.ok()) return index.status();
     auto snapshot = std::make_shared<NamespaceSnapshot>();
     snapshot->index = index.MoveValueOrDie();
-    snapshot->left = SideStore::Build(left_k, state->pipeline.suite());
+    snapshot->left = SideStore::Build(left, state->pipeline.suite());
     if (!dedup) {
-      snapshot->right = SideStore::Build(right_k, state->pipeline.suite());
+      snapshot->right = SideStore::Build(right, state->pipeline.suite());
     }
     auto shard = std::make_unique<Shard>();
-    // Registration publishes the first snapshot before the state becomes
-    // visible in the map; no reader can observe a null snapshot.
+    // The first snapshot is in place before the state becomes visible in
+    // the map; no reader can observe a null snapshot.
     shard->snapshot = std::move(snapshot);
     state->shards.push_back(std::move(shard));
-    state->routed_left[k] = left_k.num_records();
-    if (!dedup) state->routed_right[k] = right_k.num_records();
+    state->routed_left.push_back(left.num_records());
+    state->routed_right.push_back(dedup ? 0 : right.num_records());
   }
-  // Instruments are get-or-create, so a registration that loses the emplace
-  // race below simply shares the winner's instruments — nothing leaks.
+  // Instruments are get-or-create, so a build that loses the Install race
+  // simply shares the winner's instruments — nothing leaks.
   if (options_.enable_metrics) {
     state->metrics = CreateNamespaceMetrics(ns, state->pipeline.metric_names());
   }
@@ -595,102 +771,11 @@ Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
     state->review =
         std::make_shared<ReviewQueue>(options_.review.queue_capacity);
   }
+  return state;
+}
 
-  if (!options_.durability.dir.empty()) {
-    // Durable registration: commit the base tables as checkpoint 1 before
-    // the namespace serves anything, so a crash at any later point can
-    // recover at least the registered state. Fails (leaving the gateway
-    // unchanged) if committed durable state for the name already exists —
-    // that state must be recovered, not silently overwritten. The sharded
-    // and unsharded layouts guard against each other: an unsharded
-    // registration refuses to clobber committed sharded state and vice
-    // versa.
-    Result<size_t> prior_shards =
-        ReadShardsFile(ShardsFilePath(options_.durability, ns));
-    if (!prior_shards.ok()) return prior_shards.status();
-    if (num_shards == 1) {
-      if (*prior_shards > 0) {
-        const DurabilityOptions shard_opts =
-            ShardDurability(options_.durability, ns);
-        bool committed = true;
-        for (size_t k = 0; k < *prior_shards; ++k) {
-          if (!NamespaceLog::Exists(shard_opts.dir, ShardLogName(k))) {
-            committed = false;
-            break;
-          }
-        }
-        if (committed) {
-          return Status::FailedPrecondition(
-              "sharded durable state already exists for namespace '" + ns +
-              "'; recover it instead of re-registering");
-        }
-        // Interrupted sharded registration: NamespaceLog::Create below
-        // clears the whole namespace directory (no legacy MANIFEST exists).
-      }
-      Result<std::unique_ptr<NamespaceLog>> log =
-          NamespaceLog::Create(options_.durability, ns);
-      if (!log.ok()) return log.status();
-      state->shards[0]->log = log.MoveValueOrDie();
-      state->shards[0]->log->set_metrics(state->metrics.durability);
-      TraceSpan span(state->metrics.checkpoint_latency);
-      LEARNRISK_RETURN_NOT_OK(state->shards[0]->log->WriteCheckpoint(
-          *spec.left, dedup ? nullptr : spec.right.get(), 0, nullptr));
-    } else {
-      if (NamespaceLog::Exists(options_.durability.dir, ns)) {
-        return Status::FailedPrecondition(
-            "durable state already exists for namespace '" + ns +
-            "'; recover it instead of re-registering");
-      }
-      const DurabilityOptions shard_opts =
-          ShardDurability(options_.durability, ns);
-      if (*prior_shards > 0) {
-        // A SHARDS file with every shard manifest committed is a complete
-        // sharded namespace; anything less is debris from an interrupted
-        // registration (a crash before the last manifest commit means the
-        // registration was never acknowledged) and is cleared.
-        bool committed = true;
-        for (size_t k = 0; k < *prior_shards; ++k) {
-          if (!NamespaceLog::Exists(shard_opts.dir, ShardLogName(k))) {
-            committed = false;
-            break;
-          }
-        }
-        if (committed) {
-          return Status::FailedPrecondition(
-              "sharded durable state already exists for namespace '" + ns +
-              "'; recover it instead of re-registering");
-        }
-        std::error_code ec;
-        std::filesystem::remove_all(shard_opts.dir, ec);
-        std::filesystem::remove(ShardsFilePath(options_.durability, ns), ec);
-      }
-      {
-        std::error_code ec;
-        std::filesystem::create_directories(options_.durability.dir + "/" + ns,
-                                            ec);
-        if (ec) {
-          return Status::IOError("cannot create namespace directory for '" +
-                                 ns + "': " + ec.message());
-        }
-      }
-      // The SHARDS marker lands before any shard log so recovery (and the
-      // debris detection above) always knows the intended layout.
-      LEARNRISK_RETURN_NOT_OK(WriteShardsFile(
-          ShardsFilePath(options_.durability, ns), num_shards));
-      for (size_t k = 0; k < num_shards; ++k) {
-        Result<std::unique_ptr<NamespaceLog>> log =
-            NamespaceLog::Create(shard_opts, ShardLogName(k));
-        if (!log.ok()) return log.status();
-        Shard& shard = *state->shards[k];
-        shard.log = log.MoveValueOrDie();
-        shard.log->set_metrics(state->metrics.durability);
-        TraceSpan span(state->metrics.checkpoint_latency);
-        LEARNRISK_RETURN_NOT_OK(shard.log->WriteCheckpoint(
-            shard_left(k), dedup ? nullptr : &shard_right(k), 0, nullptr));
-      }
-    }
-  }
-
+Status Gateway::Install(const std::string& ns,
+                        const std::shared_ptr<NamespaceState>& state) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!namespaces_.emplace(ns, state).second) {
@@ -755,14 +840,25 @@ std::shared_ptr<const Gateway::NamespaceSnapshot> Gateway::LoadShardSnapshot(
                                    std::memory_order_acquire);
 }
 
-std::vector<std::shared_ptr<const Gateway::NamespaceSnapshot>>
-Gateway::PinSnapshots(const NamespaceState& state) {
-  std::vector<std::shared_ptr<const NamespaceSnapshot>> snaps;
-  snaps.reserve(state.shards.size());
+Gateway::PinnedView Gateway::Pin(const NamespaceState& state) {
+  const size_t num_shards = state.shards.size();
+  PinnedView view;
+  std::vector<const SideStore*> left;
+  std::vector<const SideStore*> right;
+  view.snaps.reserve(num_shards);
+  view.indexes.reserve(num_shards);
+  left.reserve(num_shards);
+  right.reserve(num_shards);
   for (const auto& shard : state.shards) {
-    snaps.push_back(LoadShardSnapshot(*shard));
+    view.snaps.push_back(LoadShardSnapshot(*shard));
+    const NamespaceSnapshot& snap = *view.snaps.back();
+    view.indexes.push_back(&snap.index);
+    left.push_back(&snap.left);
+    right.push_back(&state.right_store(snap));
   }
-  return snaps;
+  view.left = ShardedSideView(std::move(left));
+  view.right = ShardedSideView(std::move(right));
+  return view;
 }
 
 size_t Gateway::RouteShard(NamespaceState& state, BlockingSide side) {
@@ -783,12 +879,12 @@ size_t Gateway::RouteShard(NamespaceState& state, BlockingSide side) {
   return best;
 }
 
-Status Gateway::ScoreBatch(const std::string& ns,
-                           const NamespaceMetrics& metrics,
+Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
+                           RequestScope& scope, const PairKeys& keys,
                            const FeaturizedBatch& batch, size_t explain_top_k,
-                           ScoreResponse* scores, StageTiming* timing,
-                           std::vector<TraceStageSpan>* stage_sink,
-                           std::shared_ptr<const ScorerSnapshot>* scorer_out) {
+                           ShardedCounter* requests, ScoreResponse* scores) {
+  *scope.Slot(kFeaturize) = batch.featurize_ms;
+  *scope.Slot(kClassify) = batch.classify_ms;
   Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
   if (!engine.ok()) {
     // A registered namespace is only unknown to the registry before its
@@ -803,111 +899,99 @@ Status Gateway::ScoreBatch(const std::string& ns,
   request.metric_features = &batch.features;
   request.classifier_probs = batch.probs;
   request.explain_top_k = explain_top_k;
-  TraceSpan span(metrics.stage_risk, &timing->score_ms, stage_sink, "risk");
-  Result<ScoreResponse> response = (*engine)->Score(request);
-  span.Stop();
+  std::shared_ptr<const ScorerSnapshot> scorer;
+  TraceSpan risk_span(nullptr, scope.Slot(kRisk));
+  Result<ScoreResponse> response = (*engine)->Score(request, &scorer);
+  risk_span.Stop();
   if (!response.ok()) return response.status();
   *scores = response.MoveValueOrDie();
-  if (scorer_out != nullptr) {
-    // Best-effort for trace explanations: a publish landing mid-request can
-    // make this snapshot one version newer than the one that scored; trace
-    // capture re-validates column bounds before reading it.
-    *scorer_out = (*engine)->snapshot();
+  const NamespaceMetrics& m = s.metrics;
+  if (m.pairs_scored != nullptr) m.pairs_scored->Add(scores->risk.size());
+  if (m.risk_scores != nullptr) {
+    for (double risk : scores->risk) m.risk_scores->Record(risk);
   }
-  if (metrics.pairs_scored != nullptr) {
-    metrics.pairs_scored->Add(scores->risk.size());
+  if (!m.feature_values.empty()) {
+    ObserveFeatures(batch.features, m.feature_values);
   }
-  if (metrics.risk_scores != nullptr) {
-    for (double risk : scores->risk) metrics.risk_scores->Record(risk);
+
+  // One top-k pass over the decisions serves both the review enqueue and
+  // the trace capture.
+  const bool reviewing =
+      s.review != nullptr && options_.review.per_request_budget > 0;
+  const bool tracing = traces_ != nullptr;
+  std::vector<size_t> top_risk;
+  if (reviewing || tracing) {
+    top_risk = TopRiskIndices(
+        scores->risk,
+        std::max(reviewing ? options_.review.per_request_budget : size_t{0},
+                 tracing ? options_.trace.top_k : size_t{0}));
   }
+  const Scored scored{keys, batch, *scores, *scorer, top_risk};
+  if (reviewing) LEARNRISK_RETURN_NOT_OK(EnqueueReview(s, scope, scored));
+  const uint64_t total_ns = scope.Finish();
+  if (requests != nullptr) requests->Add(1);
+  if (tracing) MaybeCaptureTrace(ns, scope, total_ns, &scored);
   return Status::OK();
 }
 
-void Gateway::MaybeCaptureTrace(
-    const char* api, const std::string& ns, uint64_t request_id,
-    uint64_t start_ns, uint64_t total_ns,
-    std::vector<TraceStageSpan> stages, size_t candidates,
-    const FeaturizedBatch* batch, const ScoreResponse* scores,
-    const std::shared_ptr<const ScorerSnapshot>& scorer,
-    const std::vector<RecordPair>* pairs,
-    const std::vector<size_t>* probe_candidates,
-    const std::vector<size_t>* top_risk) {
+void Gateway::MaybeCaptureTrace(const std::string& ns,
+                                const RequestScope& scope, uint64_t total_ns,
+                                const Scored* scored) {
   const TraceOptions& t = options_.trace;
   const bool head_sampled =
-      t.sample_every > 0 && request_id % t.sample_every == 0;
+      t.sample_every > 0 && scope.request_id() % t.sample_every == 0;
   const bool slow = t.slow_request_ms > 0.0 &&
                     static_cast<double>(total_ns) >= t.slow_request_ms * 1e6;
   double max_risk = 0.0;
-  if (scores != nullptr) {
-    for (double risk : scores->risk) max_risk = std::max(max_risk, risk);
+  if (scored != nullptr) {
+    for (double risk : scored->scores.risk) max_risk = std::max(max_risk, risk);
   }
-  const bool high_risk = t.high_risk_threshold >= 0.0 && scores != nullptr &&
-                         !scores->risk.empty() &&
+  const bool high_risk = t.high_risk_threshold >= 0.0 && scored != nullptr &&
+                         !scored->scores.risk.empty() &&
                          max_risk >= t.high_risk_threshold;
   if (!head_sampled && !slow && !high_risk) return;
 
   // From here on the request is captured and allocation is fine — capture
   // is off the common path by construction (1-in-N plus tail triggers).
   auto trace = std::make_shared<RequestTrace>();
-  trace->request_id = request_id;
-  trace->api = api;
+  trace->request_id = scope.request_id();
+  trace->api = scope.api();
   trace->ns = ns;
-  trace->model_version = scores != nullptr ? scores->model_version : 0;
-  trace->start_ns = start_ns;
+  trace->start_ns = scope.start_ns();
   trace->total_ns = total_ns;
-  trace->candidates = candidates;
-  trace->pairs_scored = scores != nullptr ? scores->risk.size() : 0;
   trace->max_risk = max_risk;
   trace->head_sampled = head_sampled;
   trace->slow = slow;
   trace->high_risk = high_risk;
-  trace->stages = std::move(stages);
-
-  if (scores != nullptr && batch != nullptr && !scores->risk.empty() &&
-      t.top_k > 0) {
-    // Top-k riskiest pairs, ties broken by original order. Reuse the
-    // request's shared ranking when the caller computed one (the review
-    // enqueue needs the same top of the ranking); otherwise rank here.
-    const size_t k = std::min(t.top_k, scores->risk.size());
-    std::vector<size_t> local_order;
-    if (top_risk == nullptr || top_risk->size() < k) {
-      local_order = TopRiskIndices(scores->risk, k);
-      top_risk = &local_order;
-    }
-    const std::vector<size_t>& order = *top_risk;
-    // The scorer may be one publish newer than the one that produced
-    // `scores` (hot-swap mid-request); re-validate its column needs before
-    // reading feature rows through its compiled plan.
-    const bool can_explain =
-        scorer != nullptr &&
-        batch->features.cols() >= scorer->compiled().min_feature_columns();
+  trace->stages = scope.TraceStages();
+  if (scored != nullptr) {
+    // The top-k riskiest pairs (ties broken by original order), explained
+    // by the snapshot that scored them.
+    const ScoreResponse& scores = scored->scores;
+    const FeaturizedBatch& batch = scored->batch;
+    trace->model_version = scores.model_version;
+    trace->candidates = scored->keys.size();
+    trace->pairs_scored = scores.risk.size();
+    const size_t k = std::min(t.top_k, scores.risk.size());
     trace->top_risky.reserve(k);
     for (size_t rank = 0; rank < k; ++rank) {
-      const size_t idx = order[rank];
+      const size_t row = scored->top_risk[rank];
       TracedDecision decision;
-      if (pairs != nullptr && idx < pairs->size()) {
-        decision.left = static_cast<int64_t>((*pairs)[idx].left);
-        decision.right = static_cast<int64_t>((*pairs)[idx].right);
-      } else if (probe_candidates != nullptr &&
-                 idx < probe_candidates->size()) {
-        decision.right = static_cast<int64_t>((*probe_candidates)[idx]);
-      }
-      decision.risk = scores->risk[idx];
-      decision.classifier_prob =
-          idx < batch->probs.size() ? batch->probs[idx] : 0.0;
-      decision.machine_label = idx < scores->machine_label.size() &&
-                               scores->machine_label[idx] != 0;
-      if (can_explain) {
-        decision.active_rules =
-            scorer->compiled().ActiveRules(batch->features.row(idx));
-        const std::vector<RiskContribution> contributions = scorer->Explain(
-            decision.active_rules.data(), decision.active_rules.size(),
-            decision.classifier_prob, t.top_k);
-        decision.explanation.reserve(contributions.size());
-        for (const RiskContribution& c : contributions) {
-          decision.explanation.push_back(TraceContribution{
-              c.description, c.weight, c.expectation, c.rsd});
-        }
+      decision.left = scored->keys.left(row);
+      decision.right = scored->keys.right(row);
+      decision.risk = scores.risk[row];
+      decision.classifier_prob = batch.probs[row];
+      decision.machine_label = scores.machine_label[row] != 0;
+      decision.active_rules =
+          scored->scorer.compiled().ActiveRules(batch.features.row(row));
+      const std::vector<RiskContribution> contributions =
+          scored->scorer.Explain(decision.active_rules.data(),
+                                 decision.active_rules.size(),
+                                 decision.classifier_prob, t.top_k);
+      decision.explanation.reserve(contributions.size());
+      for (const RiskContribution& c : contributions) {
+        decision.explanation.push_back(
+            TraceContribution{c.description, c.weight, c.expectation, c.rsd});
       }
       trace->top_risky.push_back(std::move(decision));
     }
@@ -915,47 +999,31 @@ void Gateway::MaybeCaptureTrace(
   traces_->Push(std::move(trace));
 }
 
-Status Gateway::EnqueueReview(NamespaceState& s, const FeaturizedBatch& batch,
-                              const ScoreResponse& scores,
-                              uint64_t request_id,
-                              const std::vector<size_t>& top_risk,
-                              const std::vector<RecordPair>* pairs,
-                              const std::vector<size_t>* probe_candidates,
-                              StageTiming* timing,
-                              std::vector<TraceStageSpan>* stage_sink) {
+Status Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
+                              const Scored& scored) {
   const ReviewOptions& r = options_.review;
-  TraceSpan span(s.metrics.stage_review, &timing->review_ms, stage_sink,
-                 "review");
+  TraceSpan span(nullptr, scope.Slot(kReview));
   // Build the offer batch from the shared ranking: top-budget decisions at
   // or above the risk floor (the order is risk-descending, so the first
   // decision below the floor ends the scan).
+  const ScoreResponse& scores = scored.scores;
+  const FeatureMatrix& features = scored.batch.features;
   std::vector<ReviewItem> items;
-  const size_t budget = std::min(r.per_request_budget, top_risk.size());
+  const size_t budget = std::min(r.per_request_budget, scored.top_risk.size());
   items.reserve(budget);
   for (size_t rank = 0; rank < budget; ++rank) {
-    const size_t idx = top_risk[rank];
-    if (scores.risk[idx] < r.min_risk) break;
+    const size_t row = scored.top_risk[rank];
+    if (scores.risk[row] < r.min_risk) break;
     ReviewItem item;
-    if (pairs != nullptr && idx < pairs->size()) {
-      item.left = static_cast<int64_t>((*pairs)[idx].left);
-      item.right = static_cast<int64_t>((*pairs)[idx].right);
-    } else if (probe_candidates != nullptr &&
-               idx < probe_candidates->size()) {
-      // Probes are not stored records: key on the candidate side alone.
-      item.right = static_cast<int64_t>((*probe_candidates)[idx]);
-    } else {
-      continue;
-    }
-    item.risk = scores.risk[idx];
-    item.classifier_prob = idx < batch.probs.size() ? batch.probs[idx] : 0.0;
-    item.machine_label =
-        idx < scores.machine_label.size() && scores.machine_label[idx] != 0
-            ? 1
-            : 0;
+    item.left = scored.keys.left(row);
+    item.right = scored.keys.right(row);
+    item.risk = scores.risk[row];
+    item.classifier_prob = scored.batch.probs[row];
+    item.machine_label = scores.machine_label[row] != 0 ? 1 : 0;
     item.model_version = scores.model_version;
-    item.request_id = request_id;
-    const double* row = batch.features.row(idx);
-    item.features.assign(row, row + batch.features.cols());
+    item.request_id = scope.request_id();
+    const double* values = features.row(row);
+    item.features.assign(values, values + features.cols());
     items.push_back(std::move(item));
   }
   if (items.empty()) return Status::OK();
@@ -1101,7 +1169,8 @@ Result<ReviewRetrainResult> Gateway::RetrainFromReview(
     }
     return engine.status();
   }
-  const auto [serving_version, serving_snap] = (*engine)->VersionedSnapshot();
+  const std::shared_ptr<const ScorerSnapshot> serving_snap =
+      (*engine)->VersionedSnapshot().second;
   if (serving_snap == nullptr) {
     return Status::FailedPrecondition("no model published for namespace '" +
                                       ns + "'");
@@ -1140,7 +1209,6 @@ Result<ReviewRetrainResult> Gateway::RetrainFromReview(
   result.publish_ms = publish_timer.ElapsedMillis();
   RecordMs(s.metrics.retrain_publish_latency, result.publish_ms);
   if (s.metrics.review_retrains != nullptr) s.metrics.review_retrains->Add(1);
-  (void)serving_version;
   return result;
 }
 
@@ -1166,94 +1234,31 @@ Result<ResolveResponse> Gateway::Resolve(const std::string& ns,
         "empty ResolveRequest: provide pairs or set block_all");
   }
 
-  const NamespaceState& s = **state;
+  NamespaceState& s = **state;
   // One acquire load per shard pins the whole request to a frozen view;
   // writers publish successors without ever touching it.
-  const std::vector<std::shared_ptr<const NamespaceSnapshot>> snaps =
-      PinSnapshots(s);
-  const bool sharded = snaps.size() > 1;
+  const PinnedView view = Pin(s);
   ResolveResponse response;
   response.request_id = NextRequestId();
-  response.timing.request_id = response.request_id;
-  const bool tracing = traces_ != nullptr;
-  const uint64_t start_ns = tracing ? SteadyNowNs() : 0;
-  std::vector<TraceStageSpan> trace_stages;
-  std::vector<TraceStageSpan>* stage_sink = tracing ? &trace_stages : nullptr;
-  TraceSpan request_span(s.metrics.resolve_latency);
+  RequestScope scope("resolve", response.request_id, traces_ != nullptr,
+                     s.metrics.resolve_latency, s.metrics, &response.timing);
   {
-    TraceSpan block(s.metrics.stage_block, &response.timing.blocking_ms,
-                    stage_sink, "block");
-    if (!request.block_all) {
-      response.pairs = request.pairs;
-    } else if (!sharded) {
-      response.pairs = snaps[0]->index.AllCandidates();
-    } else {
-      std::vector<const BlockingIndex*> indexes;
-      indexes.reserve(snaps.size());
-      for (const auto& snap : snaps) indexes.push_back(&snap->index);
-      response.pairs =
-          MergedAllCandidates(indexes, &response.timing.shard_merge_ms);
-    }
+    // The cross-shard merge phase is a sub-span of the blocking stage,
+    // surfaced separately so shard overhead is attributable.
+    double* merge_ms =
+        view.indexes.size() > 1 ? scope.Slot(kShardMerge) : nullptr;
+    TraceSpan block(nullptr, scope.Slot(kBlock));
+    response.pairs = request.block_all
+                         ? MergedAllCandidates(view.indexes, merge_ms)
+                         : request.pairs;
   }
-  if (sharded) {
-    // The merge phase is a sub-span of the blocking stage (already inside
-    // blocking_ms), surfaced separately so shard overhead is attributable.
-    RecordMs(s.metrics.stage_shard_merge, response.timing.shard_merge_ms);
-    SinkStage(stage_sink, "shard_merge", response.timing.shard_merge_ms);
-  }
-
-  std::vector<const SideStore*> left_stores;
-  std::vector<const SideStore*> right_stores;
-  left_stores.reserve(snaps.size());
-  right_stores.reserve(snaps.size());
-  for (const auto& snap : snaps) {
-    left_stores.push_back(&snap->left);
-    right_stores.push_back(&s.right_store(*snap));
-  }
-  const ShardedSideView left_view(std::move(left_stores));
-  const ShardedSideView right_view(std::move(right_stores));
   Result<FeaturizedBatch> batch =
-      s.pipeline.RunPrepared(left_view, right_view, response.pairs);
+      s.pipeline.RunPrepared(view.left, view.right, response.pairs);
   if (!batch.ok()) return batch.status();
-  response.timing.featurize_ms = batch->featurize_ms;
-  response.timing.classify_ms = batch->classify_ms;
-  RecordMs(s.metrics.stage_featurize, batch->featurize_ms);
-  RecordMs(s.metrics.stage_classify, batch->classify_ms);
-  SinkStage(stage_sink, "featurize", batch->featurize_ms);
-  SinkStage(stage_sink, "classify", batch->classify_ms);
-
-  std::shared_ptr<const ScorerSnapshot> scorer;
-  LEARNRISK_RETURN_NOT_OK(ScoreBatch(ns, s.metrics, *batch,
-                                     request.explain_top_k, &response.scores,
-                                     &response.timing, stage_sink,
-                                     tracing ? &scorer : nullptr));
-  if (!s.metrics.feature_values.empty()) {
-    ObserveFeatures(batch->features, s.metrics.feature_values);
-  }
-  // One shared top-k pass over the decisions serves both the review
-  // enqueue and the trace capture below.
-  const bool reviewing =
-      s.review != nullptr && options_.review.per_request_budget > 0;
-  std::vector<size_t> top_risk;
-  if ((reviewing || tracing) && !response.scores.risk.empty()) {
-    const size_t k = std::max(reviewing ? options_.review.per_request_budget
-                                        : size_t{0},
-                              tracing ? options_.trace.top_k : size_t{0});
-    top_risk = TopRiskIndices(response.scores.risk, k);
-  }
-  if (reviewing) {
-    LEARNRISK_RETURN_NOT_OK(EnqueueReview(
-        *(*state), *batch, response.scores, response.request_id, top_risk,
-        &response.pairs, nullptr, &response.timing, stage_sink));
-  }
-  const uint64_t total_ns = request_span.Stop();
-  if (s.metrics.resolve_requests != nullptr) s.metrics.resolve_requests->Add(1);
-  if (tracing) {
-    MaybeCaptureTrace("resolve", ns, response.request_id, start_ns, total_ns,
-                      std::move(trace_stages), response.pairs.size(), &*batch,
-                      &response.scores, scorer, &response.pairs, nullptr,
-                      &top_risk);
-  }
+  LEARNRISK_RETURN_NOT_OK(ServeBatch(ns, s, scope, PairKeys(response.pairs),
+                                     *batch, request.explain_top_k,
+                                     s.metrics.resolve_requests,
+                                     &response.scores));
   return response;
 }
 
@@ -1262,96 +1267,40 @@ Result<ProbeResponse> Gateway::ResolveRecord(const std::string& ns,
                                              size_t explain_top_k) {
   Result<std::shared_ptr<NamespaceState>> state = State(ns);
   if (!state.ok()) return state.status();
-  const NamespaceState& s = **state;
+  NamespaceState& s = **state;
   if (probe.values.size() != s.schema.num_attributes()) {
     return Status::InvalidArgument(
         "probe record width does not match the namespace schema");
   }
-  const std::vector<std::shared_ptr<const NamespaceSnapshot>> snaps =
-      PinSnapshots(s);
-  const bool sharded = snaps.size() > 1;
-
+  const PinnedView view = Pin(s);
   ProbeResponse response;
   response.request_id = NextRequestId();
-  response.timing.request_id = response.request_id;
-  const bool tracing = traces_ != nullptr;
-  const uint64_t start_ns = tracing ? SteadyNowNs() : 0;
-  std::vector<TraceStageSpan> trace_stages;
-  std::vector<TraceStageSpan>* stage_sink = tracing ? &trace_stages : nullptr;
-  TraceSpan request_span(s.metrics.resolve_record_latency);
-  const BlockingSide target =
-      s.dedup ? BlockingSide::kLeft : BlockingSide::kRight;
+  RequestScope scope("resolve_record", response.request_id,
+                     traces_ != nullptr, s.metrics.resolve_record_latency,
+                     s.metrics, &response.timing);
   {
-    TraceSpan block(s.metrics.stage_block, &response.timing.blocking_ms,
-                    stage_sink, "block");
-    if (!sharded) {
-      response.candidates = snaps[0]->index.Candidates(probe, target);
-    } else {
-      std::vector<const BlockingIndex*> indexes;
-      indexes.reserve(snaps.size());
-      for (const auto& snap : snaps) indexes.push_back(&snap->index);
-      response.candidates = MergedCandidates(
-          indexes, probe, target, &response.timing.shard_merge_ms);
-    }
+    double* merge_ms =
+        view.indexes.size() > 1 ? scope.Slot(kShardMerge) : nullptr;
+    TraceSpan block(nullptr, scope.Slot(kBlock));
+    response.candidates = MergedCandidates(
+        view.indexes, probe,
+        s.dedup ? BlockingSide::kLeft : BlockingSide::kRight, merge_ms);
   }
-  if (sharded) {
-    RecordMs(s.metrics.stage_shard_merge, response.timing.shard_merge_ms);
-    SinkStage(stage_sink, "shard_merge", response.timing.shard_merge_ms);
-  }
-
   // Probe preparation counts toward the featurize stage: it is the same
   // per-record work the prepared cache amortizes for stored records.
   Timer timer;
   const PreparedRecord prepared_probe = s.pipeline.Prepare(probe);
   const double prepare_ms = timer.ElapsedMillis();
-  std::vector<const SideStore*> target_stores;
-  target_stores.reserve(snaps.size());
-  for (const auto& snap : snaps) {
-    target_stores.push_back(&s.right_store(*snap));
-  }
-  const ShardedSideView target_view(std::move(target_stores));
+  // The probe's target is the right view (the left side itself when dedup).
   Result<FeaturizedBatch> batch = s.pipeline.RunProbePrepared(
-      prepared_probe, target_view, response.candidates);
+      prepared_probe, view.right, response.candidates);
   if (!batch.ok()) return batch.status();
-  response.timing.featurize_ms = prepare_ms + batch->featurize_ms;
-  response.timing.classify_ms = batch->classify_ms;
-  RecordMs(s.metrics.stage_featurize, response.timing.featurize_ms);
-  RecordMs(s.metrics.stage_classify, batch->classify_ms);
-  SinkStage(stage_sink, "featurize", response.timing.featurize_ms);
-  SinkStage(stage_sink, "classify", batch->classify_ms);
-
-  std::shared_ptr<const ScorerSnapshot> scorer;
-  LEARNRISK_RETURN_NOT_OK(ScoreBatch(ns, s.metrics, *batch, explain_top_k,
-                                     &response.scores, &response.timing,
-                                     stage_sink,
-                                     tracing ? &scorer : nullptr));
-  if (!s.metrics.feature_values.empty()) {
-    ObserveFeatures(batch->features, s.metrics.feature_values);
-  }
-  const bool reviewing =
-      s.review != nullptr && options_.review.per_request_budget > 0;
-  std::vector<size_t> top_risk;
-  if ((reviewing || tracing) && !response.scores.risk.empty()) {
-    const size_t k = std::max(reviewing ? options_.review.per_request_budget
-                                        : size_t{0},
-                              tracing ? options_.trace.top_k : size_t{0});
-    top_risk = TopRiskIndices(response.scores.risk, k);
-  }
-  if (reviewing) {
-    LEARNRISK_RETURN_NOT_OK(EnqueueReview(
-        *(*state), *batch, response.scores, response.request_id, top_risk,
-        nullptr, &response.candidates, &response.timing, stage_sink));
-  }
-  const uint64_t total_ns = request_span.Stop();
-  if (s.metrics.resolve_record_requests != nullptr) {
-    s.metrics.resolve_record_requests->Add(1);
-  }
-  if (tracing) {
-    MaybeCaptureTrace("resolve_record", ns, response.request_id, start_ns,
-                      total_ns, std::move(trace_stages),
-                      response.candidates.size(), &*batch, &response.scores,
-                      scorer, nullptr, &response.candidates, &top_risk);
-  }
+  batch->featurize_ms = prepare_ms + batch->featurize_ms;
+  LEARNRISK_RETURN_NOT_OK(ServeBatch(ns, s, scope,
+                                     PairKeys(response.candidates), *batch,
+                                     explain_top_k,
+                                     s.metrics.resolve_record_requests,
+                                     &response.scores));
   return response;
 }
 
@@ -1371,11 +1320,10 @@ Status Gateway::AddRecord(const std::string& ns, BlockingSide side,
     return Status::InvalidArgument(
         "record width does not match the namespace schema");
   }
-  timing->request_id = NextRequestId();
-  const bool tracing = traces_ != nullptr;
-  const uint64_t start_ns = tracing ? SteadyNowNs() : 0;
-  std::vector<TraceStageSpan> trace_stages;
-  std::vector<TraceStageSpan>* stage_sink = tracing ? &trace_stages : nullptr;
+  // AddRecord has no latency histogram of its own; the trace's total is
+  // the sum of its measured stages plus the bookkeeping around them.
+  RequestScope scope("add_record", NextRequestId(), traces_ != nullptr,
+                     /*latency=*/nullptr, s.metrics, timing);
   // Route to the owning shard (always shard 0 when unsharded), then
   // serialize only with that shard's writers; readers keep serving the
   // current snapshots throughout, and writers to sibling shards proceed in
@@ -1393,12 +1341,10 @@ Status Gateway::AddRecord(const std::string& ns, BlockingSide side,
     entry.side = side;
     entry.entity_id = entity_id;
     entry.record = record;
-    TraceSpan span(s.metrics.stage_wal_append, &timing->wal_append_ms,
-                   stage_sink, "wal_append");
+    TraceSpan span(nullptr, scope.Slot(kWalAppend));
     LEARNRISK_RETURN_NOT_OK(shard.log->Append(entry));
   }
-  TraceSpan publish_span(s.metrics.stage_publish, &timing->publish_ms,
-                         stage_sink, "publish");
+  TraceSpan publish_span(nullptr, scope.Slot(kPublish));
   const std::shared_ptr<const NamespaceSnapshot> cur = LoadShardSnapshot(shard);
   auto next = std::make_shared<NamespaceSnapshot>();
   next->index = cur->index;  // shares posting segments
@@ -1420,14 +1366,8 @@ Status Gateway::AddRecord(const std::string& ns, BlockingSide side,
                              std::memory_order_release);
   publish_span.Stop();
   if (s.metrics.records_added != nullptr) s.metrics.records_added->Add(1);
-  if (tracing) {
-    // AddRecord has no latency histogram of its own; the trace's total is
-    // the sum of its measured stages plus the bookkeeping around them.
-    const uint64_t total_ns = SteadyNowNs() - start_ns;
-    MaybeCaptureTrace("add_record", ns, timing->request_id, start_ns,
-                      total_ns, std::move(trace_stages), /*candidates=*/0,
-                      nullptr, nullptr, nullptr, nullptr, nullptr);
-  }
+  const uint64_t total_ns = scope.Finish();
+  if (traces_ != nullptr) MaybeCaptureTrace(ns, scope, total_ns, nullptr);
   if (shard.log != nullptr &&
       options_.durability.wal_checkpoint_threshold > 0 &&
       shard.log->wal_entries_since_checkpoint() >=
@@ -1513,20 +1453,7 @@ Status Gateway::RecoverNamespace(const std::string& ns,
   if (!ModelRegistry::ValidNamespace(ns)) {
     return Status::InvalidArgument("invalid namespace '" + ns + "'");
   }
-  if (spec.suite.num_metrics() == 0) {
-    return Status::InvalidArgument("recover spec has an empty metric suite");
-  }
-  if (spec.classifier == nullptr) {
-    return Status::InvalidArgument("recover spec has no classifier");
-  }
-  for (size_t c : spec.classifier_columns) {
-    if (c >= spec.suite.num_metrics()) {
-      return Status::InvalidArgument("classifier column out of range");
-    }
-  }
-  if (spec.blocking.key_attribute >= spec.schema.num_attributes()) {
-    return Status::InvalidArgument("blocking key attribute out of range");
-  }
+  LEARNRISK_RETURN_NOT_OK(CheckServingSpec(spec, spec.schema, "recover"));
   if (HasNamespace(ns)) {
     return Status::FailedPrecondition("namespace '" + ns +
                                       "' already registered");
@@ -1565,43 +1492,24 @@ Status Gateway::RecoverNamespace(const std::string& ns,
     logs.push_back(log.MoveValueOrDie());
   }
 
-  auto state = std::make_shared<NamespaceState>();
-  state->dedup = recovered[0].dedup;
-  state->num_shards = num_shards;
-  state->schema = spec.schema;
-  state->pipeline =
+  // Writer routing starts at the recovered per-shard sizes; the
+  // least-loaded argmin naturally refills shards that recovered uneven.
+  std::vector<std::pair<const Table*, const Table*>> tables;
+  for (const RecoveredNamespace& rec : recovered) {
+    tables.emplace_back(&rec.left, &rec.right);
+  }
+  Result<std::shared_ptr<NamespaceState>> built = BuildState(
+      ns, std::move(spec.schema), recovered[0].dedup,
       FeaturePipeline(std::move(spec.suite), std::move(spec.classifier),
-                      std::move(spec.classifier_columns));
-  state->pipeline.set_parallelism(options_.request_parallelism);
-  state->routed_left.assign(num_shards, 0);
-  state->routed_right.assign(num_shards, 0);
+                      std::move(spec.classifier_columns)),
+      spec.blocking, tables);
+  if (!built.ok()) return built.status();
+  const std::shared_ptr<NamespaceState> state = built.MoveValueOrDie();
   for (size_t k = 0; k < num_shards; ++k) {
-    const RecoveredNamespace& rec = recovered[k];
-    Result<BlockingIndex> index = BlockingIndex::Build(
-        rec.left, rec.dedup ? rec.left : rec.right, spec.blocking);
-    if (!index.ok()) return index.status();
-    auto snapshot = std::make_shared<NamespaceSnapshot>();
-    snapshot->index = index.MoveValueOrDie();
-    snapshot->left = SideStore::Build(rec.left, state->pipeline.suite());
-    if (!rec.dedup) {
-      snapshot->right = SideStore::Build(rec.right, state->pipeline.suite());
-    }
-    auto shard = std::make_unique<Shard>();
-    shard->snapshot = std::move(snapshot);
-    shard->log = std::move(logs[k]);
-    state->shards.push_back(std::move(shard));
-    // Seed the writer routing at the recovered per-shard sizes; the
-    // least-loaded argmin naturally refills shards that recovered uneven.
-    state->routed_left[k] = rec.left.num_records();
-    if (!rec.dedup) state->routed_right[k] = rec.right.num_records();
+    state->shards[k]->log = std::move(logs[k]);
+    state->shards[k]->log->set_metrics(state->metrics.durability);
   }
-  if (options_.enable_metrics) {
-    state->metrics = CreateNamespaceMetrics(ns, state->pipeline.metric_names());
-    for (const auto& shard : state->shards) {
-      shard->log->set_metrics(state->metrics.durability);
-    }
-  }
-  if (options_.review.enabled) {
+  if (state->review != nullptr) {
     // Rebuild the review queue: seed the checkpointed state (shard 0 owns
     // it) with resident and outstanding items in their original stages —
     // outstanding items do not occupy resident capacity, so replay runs
@@ -1614,8 +1522,6 @@ Status Gateway::RecoverNamespace(const std::string& ns,
     // ambiguously-failed append) is tolerated and counted. Finally,
     // still-outstanding items fold back into the queue: their reviewer died
     // with the process, and re-draining beats losing them.
-    state->review =
-        std::make_shared<ReviewQueue>(options_.review.queue_capacity);
     state->review->Seed(std::move(recovered[0].review_queued),
                         std::move(recovered[0].review_outstanding),
                         std::move(recovered[0].review_labeled));
@@ -1664,15 +1570,8 @@ Status Gateway::RecoverNamespace(const std::string& ns,
     if (!published.ok()) return published.status();
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!namespaces_.emplace(ns, state).second) {
-      return Status::FailedPrecondition("namespace '" + ns +
-                                        "' already registered");
-    }
-  }
+  LEARNRISK_RETURN_NOT_OK(Install(ns, state));
   if (options_.enable_metrics) {
-    RegisterStateGauges(ns, state);
     RecordMs(state->metrics.recover_latency, recover_timer.ElapsedMillis());
     state->metrics.recoveries->Add(1);
     for (const RecoveredNamespace& rec : recovered) {

@@ -12,11 +12,13 @@
 #ifndef LEARNRISK_GATEWAY_GATEWAY_H_
 #define LEARNRISK_GATEWAY_GATEWAY_H_
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "active/incremental_retrain.h"
@@ -30,6 +32,7 @@
 #include "gateway/feature_pipeline.h"
 #include "gateway/model_registry.h"
 #include "gateway/namespace_segments.h"
+#include "gateway/shard_merge.h"
 #include "metrics/metric_suite.h"
 #include "obs/drift.h"
 #include "obs/registry.h"
@@ -412,6 +415,21 @@ class Gateway {
     BlockingIndex index;
   };
 
+  /// \brief The stages StageTiming reports, in execution order — the order
+  /// a captured trace lists them in. Indexes the request's stage record and
+  /// the per-stage histograms.
+  enum Stage : size_t {
+    kBlock,
+    kShardMerge,
+    kFeaturize,
+    kClassify,
+    kRisk,
+    kReview,
+    kWalAppend,
+    kPublish,
+    kNumStages
+  };
+
   /// \brief Per-namespace instrument bundle, cached as raw pointers so the
   /// hot paths record without touching the MetricRegistry. All null when
   /// GatewayOptions::enable_metrics is false — every recording site checks.
@@ -427,15 +445,9 @@ class Gateway {
     /// Request latency (includes failed requests; counters count successes).
     LatencyHistogram* resolve_latency = nullptr;
     LatencyHistogram* resolve_record_latency = nullptr;
-    /// Stage latencies — the histogram twins of StageTiming's fields.
-    LatencyHistogram* stage_block = nullptr;
-    LatencyHistogram* stage_shard_merge = nullptr;  ///< sub-span of block
-    LatencyHistogram* stage_featurize = nullptr;
-    LatencyHistogram* stage_classify = nullptr;
-    LatencyHistogram* stage_risk = nullptr;
-    LatencyHistogram* stage_review = nullptr;
-    LatencyHistogram* stage_wal_append = nullptr;
-    LatencyHistogram* stage_publish = nullptr;
+    /// Stage latencies, indexed by Stage — the histogram twins of
+    /// StageTiming's fields (review is null when review is off).
+    std::array<LatencyHistogram*, kNumStages> stages{};
     LatencyHistogram* checkpoint_latency = nullptr;
     LatencyHistogram* recover_latency = nullptr;
     /// Review-loop instruments (docs/REVIEW.md); null when review is off.
@@ -480,16 +492,13 @@ class Gateway {
 
   struct NamespaceState {
     bool dedup = false;
-    /// Shard count (immutable after registration). Records live on shard
-    /// (global id % num_shards) at local index (global id / num_shards);
-    /// see gateway/shard_merge.h.
-    size_t num_shards = 1;
     Schema schema;
     /// Immutable after registration; read lock-free.
     FeaturePipeline pipeline;
-    /// The shards (size num_shards, never resized after registration; the
-    /// unique_ptr indirection keeps Shard's mutex off any reallocation
-    /// path).
+    /// The S shards (never resized after registration; the unique_ptr
+    /// indirection keeps Shard's mutex off any reallocation path). Records
+    /// live on shard (global id % S) at local index (global id / S); see
+    /// gateway/shard_merge.h.
     std::vector<std::unique_ptr<Shard>> shards;
     /// Writer routing state: records assigned per shard per side so far.
     /// AddRecord routes to the least-loaded shard (lowest index on ties),
@@ -519,48 +528,59 @@ class Gateway {
     }
   };
 
+  /// \brief A request's frozen view of every shard (an unsharded namespace
+  /// is one shard): one acquire load per shard, plus the blocking indexes
+  /// and global-id side views the merge and featurize passes read.
+  struct PinnedView {
+    std::vector<std::shared_ptr<const NamespaceSnapshot>> snaps;
+    std::vector<const BlockingIndex*> indexes;
+    ShardedSideView left;
+    ShardedSideView right;
+  };
+  /// \brief The request-scoped stage record (defined in gateway.cc).
+  class RequestScope;
+  /// \brief Record ids of a request's scored rows (defined in gateway.cc).
+  class PairKeys;
+  /// \brief One scored request as review and tracing read it (gateway.cc).
+  struct Scored;
+
   Result<std::shared_ptr<NamespaceState>> State(const std::string& ns) const;
   static std::shared_ptr<const NamespaceSnapshot> LoadShardSnapshot(
       const Shard& shard);
-  /// \brief One acquire load per shard — pins a frozen view of the whole
-  /// namespace for the duration of a request (index 0 is the only entry for
-  /// unsharded namespaces).
-  static std::vector<std::shared_ptr<const NamespaceSnapshot>> PinSnapshots(
-      const NamespaceState& state);
+  static PinnedView Pin(const NamespaceState& state);
   /// \brief Picks the shard for the next AddRecord on a side (least-loaded,
   /// lowest index on ties) and claims the slot under route_mu.
   static size_t RouteShard(NamespaceState& state, BlockingSide side);
-  /// \brief Featurized batch -> engine score, shared by Resolve and
-  /// ResolveRecord. Fills scores + the risk-stage timing, and records the
-  /// stage latency / risk-score distribution into `metrics`. `stage_sink`
-  /// (optional) receives the risk stage's TraceStageSpan; `scorer_out`
-  /// (optional) receives the scorer snapshot currently published for the
-  /// namespace, which trace capture uses to recompute rule activations and
-  /// explanations for the top-k riskiest pairs.
-  Status ScoreBatch(const std::string& ns, const NamespaceMetrics& metrics,
+  /// \brief Builds a namespace's state over per-shard (left, right) tables
+  /// (right unused when dedup), shared by registration and recovery: the
+  /// feature pipeline, one base snapshot per shard, the writer routing
+  /// counts, the instruments and an empty review queue.
+  Result<std::shared_ptr<NamespaceState>> BuildState(
+      const std::string& ns, Schema schema, bool dedup,
+      FeaturePipeline pipeline, const BlockingConfig& blocking,
+      const std::vector<std::pair<const Table*, const Table*>>& tables);
+  /// \brief Adds a built namespace to the map (FailedPrecondition if the
+  /// name was taken meanwhile) and registers its gauges.
+  Status Install(const std::string& ns,
+                 const std::shared_ptr<NamespaceState>& state);
+  /// \brief The read path after featurization, shared by Resolve and
+  /// ResolveRecord: score, observe drift, one top-k pass, review enqueue,
+  /// count the request into `requests`, capture the trace.
+  Status ServeBatch(const std::string& ns, NamespaceState& s,
+                    RequestScope& scope, const PairKeys& keys,
                     const FeaturizedBatch& batch, size_t explain_top_k,
-                    ScoreResponse* scores, StageTiming* timing,
-                    std::vector<TraceStageSpan>* stage_sink = nullptr,
-                    std::shared_ptr<const ScorerSnapshot>* scorer_out =
-                        nullptr);
+                    ShardedCounter* requests, ScoreResponse* scores);
   /// \brief Checkpoint body for one shard; caller holds that shard's
   /// writer_mu and has verified shard.log is non-null. Shard 0 additionally
   /// persists the review queue (its mutations serialize on the same mutex,
   /// so the snapshot is consistent with the WAL being reset).
   Status CheckpointLocked(const std::string& ns, NamespaceState& s,
                           Shard& shard);
-  /// \brief Offers the request's top-budget riskiest decisions (from the
-  /// shared `top_risk` order) to the namespace's review queue; durable
-  /// namespaces WAL each offer first under shard 0's writer_mu. Fills
-  /// StageTiming::review_ms. Exactly one of `pairs` / `probe_candidates`
-  /// names the scored pairs (probes key as left = -1).
-  Status EnqueueReview(NamespaceState& s, const FeaturizedBatch& batch,
-                       const ScoreResponse& scores, uint64_t request_id,
-                       const std::vector<size_t>& top_risk,
-                       const std::vector<RecordPair>* pairs,
-                       const std::vector<size_t>* probe_candidates,
-                       StageTiming* timing,
-                       std::vector<TraceStageSpan>* stage_sink);
+  /// \brief Offers the request's top-budget riskiest decisions to the
+  /// namespace's review queue; durable namespaces WAL each offer first
+  /// under shard 0's writer_mu. Timed as the review stage.
+  Status EnqueueReview(NamespaceState& s, RequestScope& scope,
+                       const Scored& scored);
   /// \brief Get-or-creates the namespace's instrument bundle in
   /// metric_registry_. Only called when enable_metrics is on.
   /// `metric_names` labels the per-column drift histograms (one per metric
@@ -577,24 +597,12 @@ class Gateway {
   uint64_t NextRequestId() {
     return next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-  /// \brief Applies the capture policy to a completed request and, when it
+  /// \brief Applies the capture policy to a finished request and, when it
   /// captures, builds the RequestTrace (stages, counts, top-k riskiest
   /// decisions with activations + explanations) and pushes it into the
-  /// ring. `batch`/`scores`/`scorer` may be null (AddRecord traces carry no
-  /// decisions); `pairs` xor `candidates` names the scored pairs.
-  /// `top_risk`, when non-null and long enough, is the request's shared
-  /// risk-descending index order (one top-k pass feeds both this capture
-  /// and EnqueueReview); null = compute locally.
-  void MaybeCaptureTrace(const char* api, const std::string& ns,
-                         uint64_t request_id, uint64_t start_ns,
-                         uint64_t total_ns,
-                         std::vector<TraceStageSpan> stages,
-                         size_t candidates, const FeaturizedBatch* batch,
-                         const ScoreResponse* scores,
-                         const std::shared_ptr<const ScorerSnapshot>& scorer,
-                         const std::vector<RecordPair>* pairs,
-                         const std::vector<size_t>* probe_candidates,
-                         const std::vector<size_t>* top_risk = nullptr);
+  /// ring. `scored` is null for AddRecord, whose traces carry no decisions.
+  void MaybeCaptureTrace(const std::string& ns, const RequestScope& scope,
+                         uint64_t total_ns, const Scored* scored);
 
   GatewayOptions options_;
   /// Owns every instrument; declared before registry_ so the raw instrument

@@ -18,8 +18,7 @@
 //  - ValueHistogram: 64 linear buckets over [0, 1] (risk scores), recorded
 //    in fixed-point micro-units so the snapshot side is integer-exact.
 //  - TraceSpan: RAII span that records its elapsed wall-clock nanoseconds
-//    into a LatencyHistogram (and optionally a double-milliseconds slot,
-//    so StageTiming and the histograms are fed by the same measurement).
+//    into a LatencyHistogram and optionally a double-milliseconds slot.
 
 #ifndef LEARNRISK_OBS_METRICS_H_
 #define LEARNRISK_OBS_METRICS_H_
@@ -246,22 +245,13 @@ struct TraceStageSpan {
 
 /// \brief RAII trace span: starts a wall clock on construction and records
 /// the elapsed nanoseconds into `histogram` (when non-null) on destruction
-/// or Stop(), optionally also writing elapsed milliseconds to `out_ms` —
-/// one measurement feeding both the per-request StageTiming and the
-/// namespace histograms, so the two always agree on stage boundaries. A
-/// third out-channel (`trace_stages` + `stage`) appends the same
-/// measurement to a request-scoped trace's stage list, so captured
-/// RequestTraces, StageTiming, and the aggregate histograms can never
-/// disagree on what a stage cost.
+/// or Stop(), optionally also writing elapsed milliseconds to `out_ms`, so
+/// one measurement can feed both a per-request field and a histogram.
 class TraceSpan {
  public:
-  explicit TraceSpan(LatencyHistogram* histogram, double* out_ms = nullptr,
-                     std::vector<TraceStageSpan>* trace_stages = nullptr,
-                     const char* stage = "")
+  explicit TraceSpan(LatencyHistogram* histogram, double* out_ms = nullptr)
       : histogram_(histogram),
         out_ms_(out_ms),
-        trace_stages_(trace_stages),
-        stage_(stage),
         start_(std::chrono::steady_clock::now()) {}
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -274,8 +264,6 @@ class TraceSpan {
  private:
   LatencyHistogram* histogram_;
   double* out_ms_;
-  std::vector<TraceStageSpan>* trace_stages_;
-  const char* stage_;
   std::chrono::steady_clock::time_point start_;
   bool stopped_ = false;
   uint64_t elapsed_ns_ = 0;

@@ -32,24 +32,20 @@ uint64_t ServingEngine::version() const {
   return published == nullptr ? 0 : published->version;
 }
 
-std::shared_ptr<const ScorerSnapshot> ServingEngine::snapshot() const {
-  const auto published = Load();
-  if (published == nullptr) return nullptr;
-  // Aliasing constructor: the returned pointer shares ownership of the whole
-  // Published record, keeping version and snapshot alive together.
-  return {published, &published->snapshot};
-}
-
 std::pair<uint64_t, std::shared_ptr<const ScorerSnapshot>>
 ServingEngine::VersionedSnapshot() const {
   const auto published = Load();
   if (published == nullptr) return {0, nullptr};
+  // Aliasing constructor: the returned pointer shares ownership of the whole
+  // Published record, keeping version and snapshot alive together.
   return {published->version,
           std::shared_ptr<const ScorerSnapshot>(published,
                                                 &published->snapshot)};
 }
 
-Result<ScoreResponse> ServingEngine::Score(const ScoreRequest& request) const {
+Result<ScoreResponse> ServingEngine::Score(
+    const ScoreRequest& request,
+    std::shared_ptr<const ScorerSnapshot>* scorer) const {
   TraceSpan span(metrics_.score_ns);
   const auto published = Load();
   if (published == nullptr) {
@@ -99,6 +95,7 @@ Result<ScoreResponse> ServingEngine::Score(const ScoreRequest& request) const {
   }
   if (metrics_.score_batches != nullptr) metrics_.score_batches->Add(1);
   if (metrics_.scored_pairs != nullptr) metrics_.scored_pairs->Add(n);
+  if (scorer != nullptr) *scorer = {published, &snap};
   return response;
 }
 

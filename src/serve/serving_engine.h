@@ -97,23 +97,23 @@ class ServingEngine {
   /// \brief Version of the current snapshot (0 if none published yet).
   uint64_t version() const;
 
-  /// \brief The current snapshot, or nullptr before the first Publish. The
-  /// returned pointer keeps the snapshot alive independently of later swaps.
-  std::shared_ptr<const ScorerSnapshot> snapshot() const;
-
   /// \brief The current snapshot together with its version, read from one
-  /// atomic load — unlike calling version() and snapshot() separately, the
-  /// pair is guaranteed consistent under concurrent Publish. {0, nullptr}
-  /// before the first Publish. Checkpointing uses this to persist a model
-  /// file whose contents match the recorded version exactly.
+  /// atomic load, so the pair is consistent under concurrent Publish.
+  /// {0, nullptr} before the first Publish. The returned pointer keeps the
+  /// snapshot alive independently of later swaps. Checkpointing uses this
+  /// to persist a model file whose contents match the recorded version.
   std::pair<uint64_t, std::shared_ptr<const ScorerSnapshot>> VersionedSnapshot()
       const;
 
   /// \brief Scores a batch against the current snapshot: compiled rule
   /// activation, baked-kernel risk scores, optional top-k explanations.
   /// Fails with FailedPrecondition before the first Publish and
-  /// InvalidArgument on malformed requests.
-  Result<ScoreResponse> Score(const ScoreRequest& request) const;
+  /// InvalidArgument on malformed requests. `scorer` (optional) receives the
+  /// exact snapshot that produced the response (version
+  /// ScoreResponse::model_version), even if a publish lands mid-call.
+  Result<ScoreResponse> Score(
+      const ScoreRequest& request,
+      std::shared_ptr<const ScorerSnapshot>* scorer = nullptr) const;
 
   /// \brief Persists the current snapshot's model via model_io (text format;
   /// survives a save/load roundtrip bit-exactly).

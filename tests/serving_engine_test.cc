@@ -93,7 +93,7 @@ TEST(ServingEngineTest, RejectsBeforePublishAndValidatesRequests) {
   ServingEngine engine;
   EXPECT_FALSE(engine.has_model());
   EXPECT_EQ(engine.version(), 0u);
-  EXPECT_EQ(engine.snapshot(), nullptr);
+  EXPECT_EQ(engine.VersionedSnapshot().second, nullptr);
 
   const FeatureMatrix features = MakeFeatures(1, 10);
   ScoreRequest request;
