@@ -2,13 +2,21 @@
 //
 // Micro-benchmarks (google-benchmark): throughput of the similarity /
 // difference metrics, rule evaluation and VaR scoring — the inner loops of
-// feature generation and risk ranking.
+// feature generation and risk ranking. The *Fast kernels and the prepared
+// Monge-Elkan are the ones the serving path runs; each sits next to its
+// similarity.h reference. The /50 and /100 arguments select a title pair of
+// that length: after common-end stripping the 100-char pair leaves a
+// remainder longer than 64 chars, so it runs the multi-word kernels.
+
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
 #include "common/math_util.h"
 #include "metrics/difference.h"
+#include "metrics/metric_suite.h"
 #include "metrics/similarity.h"
+#include "metrics/string_kernels.h"
 #include "risk/risk_model.h"
 
 namespace learnrisk {
@@ -18,6 +26,18 @@ const char* kTitleA = "towards interpretable and learnable risk analysis";
 const char* kTitleB = "toward interpretble and lernable risk analysis for er";
 const char* kAuthorsA = "zhaoqiang chen, qun chen, boyi hou, tianyi duan";
 const char* kAuthorsB = "z chen, q chen, b hou, g li";
+const char* kLongTitleA =
+    "towards interpretable and learnable risk analysis for entity resolution "
+    "with rule based risk features";
+const char* kLongTitleB =
+    "toward interpretble and lernable risk analysis of er: learning "
+    "rule-based risk features for matching";
+
+// The title pair of (about) state.range(0) chars: 50 or 100.
+std::pair<const char*, const char*> TitlePair(const benchmark::State& state) {
+  if (state.range(0) >= 100) return {kLongTitleA, kLongTitleB};
+  return {kTitleA, kTitleB};
+}
 
 void BM_EditDistance(benchmark::State& state) {
   for (auto _ : state) {
@@ -26,12 +46,30 @@ void BM_EditDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_EditDistance);
 
+void BM_NormalizedEditSimilarityFast(benchmark::State& state) {
+  const auto [a, b] = TitlePair(state);
+  MetricScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(NormalizedEditSimilarityFast(a, b, &scratch));
+  }
+}
+BENCHMARK(BM_NormalizedEditSimilarityFast)->Arg(50)->Arg(100);
+
 void BM_JaroWinkler(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(JaroWinklerSimilarity(kTitleA, kTitleB));
   }
 }
 BENCHMARK(BM_JaroWinkler);
+
+void BM_JaroWinklerSimilarityFast(benchmark::State& state) {
+  const auto [a, b] = TitlePair(state);
+  MetricScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(JaroWinklerSimilarityFast(a, b, &scratch));
+  }
+}
+BENCHMARK(BM_JaroWinklerSimilarityFast)->Arg(50)->Arg(100);
 
 void BM_TokenJaccard(benchmark::State& state) {
   for (auto _ : state) {
@@ -47,12 +85,40 @@ void BM_LcsRatio(benchmark::State& state) {
 }
 BENCHMARK(BM_LcsRatio);
 
+void BM_LcsRatioFast(benchmark::State& state) {
+  const auto [a, b] = TitlePair(state);
+  MetricScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LcsRatioFast(a, b, &scratch));
+  }
+}
+BENCHMARK(BM_LcsRatioFast)->Arg(50)->Arg(100);
+
 void BM_MongeElkan(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(MongeElkan(kAuthorsA, kAuthorsB));
   }
 }
 BENCHMARK(BM_MongeElkan);
+
+// Monge-Elkan as featurization serves it: both records prepared once, then
+// MetricSuite::EvaluatePrepared per pair.
+void BM_MongeElkanPrepared(benchmark::State& state) {
+  const Schema schema({{"authors", AttributeType::kText}});
+  const MetricSuite suite = MetricSuite::FromSpecs(
+      schema, {MetricSpec{0, MetricKind::kMongeElkan, "authors.monge_elkan"}});
+  Record left;
+  left.values = {kAuthorsA};
+  Record right;
+  right.values = {kAuthorsB};
+  const PreparedRecord pl = suite.PrepareRecord(left);
+  const PreparedRecord pr = suite.PrepareRecord(right);
+  MetricScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(suite.EvaluatePrepared(pl, pr, 0, &scratch));
+  }
+}
+BENCHMARK(BM_MongeElkanPrepared);
 
 void BM_DistinctEntity(benchmark::State& state) {
   for (auto _ : state) {

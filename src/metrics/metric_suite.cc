@@ -130,10 +130,6 @@ MetricSuite MetricSuite::FromSpecs(const Schema& schema,
   suite.idf_.resize(schema.num_attributes());
   suite.min_key_idf_.resize(schema.num_attributes(), 0.0);
   suite.RecomputeNeeds();
-  // Copies of this suite share the dictionary, so records prepared by any
-  // copy carry mutually comparable token ids (the gateway stores one suite
-  // per pipeline but prepares from many request threads).
-  suite.token_dict_ = std::make_shared<TokenDictionary>();
   return suite;
 }
 
@@ -411,12 +407,6 @@ double PreparedDistinctEntityCount(const PreparedValue& a,
 ///    With a 1e-9 margin absorbing FP rounding on both sides, any pair whose
 ///    bound is already <= *both* current maxima can be skipped — the real
 ///    value could not have raised either one.
-///
-/// Pairs that do reach the kernel are memoized per thread: blocking emits
-/// each record into many pairs, so hot token pairs recur. The memo keys on
-/// the tokens' dictionary ids (symmetric pack, valid because JW is bitwise
-/// symmetric) and returns the exact cached double, so it only reorders
-/// *when* a value is computed, never what it is.
 double PreparedMongeElkan(const PreparedValue& a, const PreparedValue& b,
                           MetricScratch* scratch) {
   const std::vector<std::string>& ta = a.tokens;
@@ -425,16 +415,6 @@ double PreparedMongeElkan(const PreparedValue& a, const PreparedValue& b,
   if (ta.empty() || tb.empty()) return 0.0;
   scratch->row_best.assign(ta.size(), 0.0);
   scratch->col_best.assign(tb.size(), 0.0);
-  // The memo needs both sides to carry ids from one dictionary; id vectors
-  // can be absent (default-constructed suite) or from different suites, in
-  // which case the kernel just runs uncached.
-  const bool memo = a.token_dict != nullptr && a.token_dict == b.token_dict &&
-                    a.token_ids.size() == ta.size() &&
-                    b.token_ids.size() == tb.size();
-  if (memo && scratch->jw_cache_dict != a.token_dict) {
-    scratch->jw_cache.clear();
-    scratch->jw_cache_dict = a.token_dict;
-  }
   for (size_t i = 0; i < ta.size(); ++i) {
     const uint64_t mask = a.token_masks[i];
     for (size_t j = 0; j < tb.size(); ++j) {
@@ -450,30 +430,10 @@ double PreparedMongeElkan(const PreparedValue& a, const PreparedValue& b,
           static_cast<double>(std::max(ta[i].size(), tb[j].size()));
       const double ub = 0.8 + 0.2 * (shorter / longer) + 1e-9;
       if (ub <= scratch->row_best[i] && ub <= scratch->col_best[j]) continue;
-      double s;
-      if (memo) {
-        const uint64_t ia = a.token_ids[i];
-        const uint64_t ib = b.token_ids[j];
-        const uint64_t key = ia < ib ? (ia << 32) | ib : (ib << 32) | ia;
-        // Emplace-then-fill is safe: the JW kernel never touches jw_cache,
-        // so the iterator stays valid across the computation.
-        const auto [it, inserted] = scratch->jw_cache.emplace(key, 0.0);
-        if (inserted) {
-          it->second = JaroWinklerSimilarityFast(ta[i], tb[j], scratch);
-        }
-        s = it->second;
-      } else {
-        s = JaroWinklerSimilarityFast(ta[i], tb[j], scratch);
-      }
+      const double s = JaroWinklerSimilarityFast(ta[i], tb[j], scratch);
       scratch->row_best[i] = std::max(scratch->row_best[i], s);
       scratch->col_best[j] = std::max(scratch->col_best[j], s);
     }
-  }
-  // Bound the memo's footprint across a long-lived thread: ~48 bytes/entry,
-  // so cap at 1M entries and start over (the tag stays — entries remain
-  // valid for the same dictionary, they are just recomputed on demand).
-  if (memo && scratch->jw_cache.size() >= (1u << 20)) {
-    scratch->jw_cache.clear();
   }
   double total_a = 0.0;
   for (double best : scratch->row_best) total_a += best;
@@ -571,13 +531,6 @@ PreparedRecord MetricSuite::PrepareRecord(const Record& record) const {
     if (needs & kNeedTokens) {
       v.token_masks.reserve(v.tokens.size());
       for (const std::string& t : v.tokens) v.token_masks.push_back(CharMask(t));
-      if (token_dict_ != nullptr) {
-        v.token_ids.reserve(v.tokens.size());
-        for (const std::string& t : v.tokens) {
-          v.token_ids.push_back(token_dict_->Intern(t));
-        }
-        v.token_dict = token_dict_.get();
-      }
     }
     if (needs & (kNeedTokenSet | kNeedKeyTokens)) {
       v.sorted_tokens = SortedUnique(v.tokens);

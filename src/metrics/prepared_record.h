@@ -56,15 +56,6 @@ struct PreparedValue {
   /// Jaro-Winkler similarity is exactly 0.0 — the token-overlap prefilter the
   /// Monge-Elkan kernel uses to skip provably-zero comparisons.
   std::vector<uint64_t> token_masks;
-  /// Dictionary ids of `tokens` (parallel), interned in the owning suite's
-  /// TokenDictionary. Equal ids <=> equal token strings, so the Monge-Elkan
-  /// kernel keys its per-thread Jaro-Winkler memo on id pairs instead of
-  /// hashing the strings per comparison.
-  std::vector<uint32_t> token_ids;
-  /// Identity of the dictionary `token_ids` belongs to (the suite's
-  /// TokenDictionary address). Ids are only comparable — and the memo only
-  /// usable — between values carrying the same non-null tag.
-  const void* token_dict = nullptr;
   std::vector<std::string> sorted_tokens;  ///< unique tokens, sorted
   /// Unique trigrams of ToLower(raw), packed injectively into integer keys
   /// (length tag + up to 3 bytes) and sorted; set cardinalities and

@@ -7,6 +7,8 @@
 namespace learnrisk {
 namespace {
 
+size_t Byte(char c) { return static_cast<unsigned char>(c); }
+
 /// Strips the common prefix and (non-overlapping) common suffix of two
 /// string views in place; returns {prefix_len, suffix_len}. Both edit
 /// distance and LCS decompose over this split: equal border characters never
@@ -29,104 +31,199 @@ std::pair<size_t, size_t> StripCommonEnds(std::string_view* a,
   return {prefix, suffix};
 }
 
-/// Builds the per-character match masks for pattern `a` (|a| <= 64) in
-/// scratch->char_masks. Caller must ClearMasks(a) afterwards.
-void BuildMasks(std::string_view a, MetricScratch* scratch) {
-  for (char c : a) scratch->char_masks[static_cast<unsigned char>(c)] = 0;
-  uint64_t bit = 1;
-  for (char c : a) {
-    scratch->char_masks[static_cast<unsigned char>(c)] |= bit;
-    bit <<= 1;
+size_t WordsFor(size_t len) { return (len + 63) / 64; }
+
+/// Builds the per-character match masks of pattern `a` over `words` 64-bit
+/// words: position i sets bit i % 64 of word i / 64 in its character's row,
+/// and rows start at [c * words]. Relies on block_masks being all-zero on
+/// entry; the caller must ClearBlockMasks(a, words) afterwards to restore
+/// that.
+uint64_t* BuildBlockMasks(std::string_view a, size_t words,
+                          MetricScratch* scratch) {
+  if (scratch->block_masks.size() < 256 * words) {
+    scratch->block_masks.resize(256 * words);  // new words are zero
+  }
+  uint64_t* masks = scratch->block_masks.data();
+  for (size_t i = 0; i < a.size(); ++i) {
+    masks[Byte(a[i]) * words + i / 64] |= uint64_t{1} << (i % 64);
+  }
+  return masks;
+}
+
+/// Zeroes exactly the mask words BuildBlockMasks(a, words) set.
+void ClearBlockMasks(std::string_view a, size_t words,
+                     MetricScratch* scratch) {
+  uint64_t* masks = scratch->block_masks.data();
+  for (size_t i = 0; i < a.size(); ++i) {
+    masks[Byte(a[i]) * words + i / 64] = 0;
   }
 }
 
-void ClearMasks(std::string_view a, MetricScratch* scratch) {
-  for (char c : a) scratch->char_masks[static_cast<unsigned char>(c)] = 0;
+/// The horizontal deltas leaving one word's rows, before the shift.
+struct HorizontalDeltas {
+  uint64_t hp;
+  uint64_t hn;
+};
+
+/// One 64-row word of Myers' bit-parallel Levenshtein column update
+/// (Hyyrö's formulation) for one text character: `eq` is the word's match
+/// mask, `*pv` / `*mv` its positive / negative vertical deltas, and hp_in /
+/// hn_in the horizontal deltas entering its bottom row from the row below
+/// (the boundary row D[0][j] = j enters word 0 as hp_in = 1).
+///
+/// Word w + 1 continues word w's column: it takes word w's top HP / HN bits
+/// as hp_in / hn_in, exactly as the shift feeds bit 0. The addition's carry
+/// out of word w is set iff word w's top bit has VP and D0 set, i.e. iff
+/// its top HN bit is, so OR-ing hn_in into bit 0 of X carries the addition
+/// across words as well.
+inline HorizontalDeltas MyersWordStep(uint64_t eq, uint64_t hp_in,
+                                      uint64_t hn_in, uint64_t* pv,
+                                      uint64_t* mv) {
+  const uint64_t x = eq | hn_in;
+  const uint64_t d0 = (((x & *pv) + *pv) ^ *pv) | x | *mv;
+  const uint64_t hp = *mv | ~(d0 | *pv);
+  const uint64_t hn = *pv & d0;
+  const uint64_t hp_shifted = (hp << 1) | hp_in;
+  const uint64_t hn_shifted = (hn << 1) | hn_in;
+  *pv = hn_shifted | ~(d0 | hp_shifted);
+  *mv = hp_shifted & d0;
+  return {hp, hn};
 }
 
-/// Myers' bit-parallel Levenshtein distance for |a| <= 64 (Hyyrö's
-/// formulation). Exact: maintains the vertical delta encoding of the DP
-/// column and tracks the score at the last row.
+/// Levenshtein distance by Myers' algorithm over ceil(|a| / 64) words per
+/// text character. Exact: maintains the vertical delta encoding of the DP
+/// column and tracks the score at the last row. Bits above |a| in the last
+/// word compute garbage, but shifts and carries only move upward, so it
+/// never reaches the last row. A one-word pattern keeps its column in
+/// registers.
 size_t MyersEditDistance(std::string_view a, std::string_view b,
                          MetricScratch* scratch) {
-  BuildMasks(a, scratch);
-  const uint64_t last = uint64_t{1} << (a.size() - 1);
-  uint64_t pv = ~uint64_t{0};
-  uint64_t mv = 0;
+  const size_t words = WordsFor(a.size());
+  const uint64_t* masks = BuildBlockMasks(a, words, scratch);
+  const uint64_t last = uint64_t{1} << ((a.size() - 1) % 64);
   size_t score = a.size();
-  for (char c : b) {
-    const uint64_t eq = scratch->char_masks[static_cast<unsigned char>(c)];
-    const uint64_t xv = eq | mv;
-    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
-    uint64_t ph = mv | ~(xh | pv);
-    uint64_t mh = pv & xh;
-    if (ph & last) ++score;
-    if (mh & last) --score;
-    ph = (ph << 1) | 1;
-    mh <<= 1;
-    pv = mh | ~(xv | ph);
-    mv = ph & xv;
+  auto track = [&](HorizontalDeltas top) {
+    if (top.hp & last) ++score;
+    if (top.hn & last) --score;
+  };
+  if (words == 1) {
+    uint64_t pv = ~uint64_t{0};
+    uint64_t mv = 0;
+    for (char c : b) track(MyersWordStep(masks[Byte(c)], 1, 0, &pv, &mv));
+  } else {
+    std::vector<uint64_t>& vp = scratch->vp;
+    std::vector<uint64_t>& vn = scratch->vn;
+    vp.assign(words, ~uint64_t{0});
+    vn.assign(words, 0);
+    for (char c : b) {
+      const uint64_t* eq = masks + Byte(c) * words;
+      // The boundary row's +1 enters word 0 as if it were the top HP bit of
+      // a word below it.
+      HorizontalDeltas h{uint64_t{1} << 63, 0};
+      for (size_t w = 0; w < words; ++w) {
+        h = MyersWordStep(eq[w], h.hp >> 63, h.hn >> 63, &vp[w], &vn[w]);
+      }
+      track(h);
+    }
   }
-  ClearMasks(a, scratch);
+  ClearBlockMasks(a, words, scratch);
   return score;
 }
 
-/// Two-row int32 DP fallback for remainders longer than 64 chars; identical
-/// recurrence to EditDistance() (lengths fit int32 comfortably).
-size_t DpEditDistance(std::string_view a, std::string_view b,
-                      MetricScratch* scratch) {
-  const size_t n = a.size();
-  std::vector<int32_t>& prev = scratch->dp_prev;
-  std::vector<int32_t>& cur = scratch->dp_cur;
-  prev.resize(n + 1);
-  cur.resize(n + 1);
-  for (size_t i = 0; i <= n; ++i) prev[i] = static_cast<int32_t>(i);
-  for (size_t j = 1; j <= b.size(); ++j) {
-    cur[0] = static_cast<int32_t>(j);
-    const char bc = b[j - 1];
-    for (size_t i = 1; i <= n; ++i) {
-      const int32_t sub = prev[i - 1] + (a[i - 1] == bc ? 0 : 1);
-      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, sub});
-    }
-    std::swap(prev, cur);
-  }
-  return static_cast<size_t>(prev[n]);
+/// One word of the Allison-Dix LLCS update: V' = (V + U) | (V - U) with
+/// U = V & M, taking and returning the addition's carry between words.
+inline uint64_t LcsWordStep(uint64_t v, uint64_t m, bool* carry) {
+  const uint64_t u = v & m;
+  uint64_t sum;
+  const bool carry_vu = __builtin_add_overflow(v, u, &sum);
+  const bool carry_in = __builtin_add_overflow(sum, uint64_t{*carry}, &sum);
+  *carry = carry_vu || carry_in;
+  // u's bits are a subset of v's, so v - u == v & ~u (no borrows).
+  return sum | (v - u);
 }
 
-/// Allison-Dix bit-parallel LLCS for |a| <= 64: V starts all-ones; each text
-/// character clears one bit per LCS extension. LLCS = zero bits of V among
-/// the low |a| positions.
+/// Allison-Dix bit-parallel LLCS over ceil(|a| / 64) words: V starts
+/// all-ones; each text character clears one bit per LCS extension, with the
+/// carry of V + U propagating from word to word. LLCS = zero bits of V.
+/// Bits above |a| in the last word have no match bits, so they stay set and
+/// never count. A one-word pattern keeps V in a register.
 size_t BitParallelLcs(std::string_view a, std::string_view b,
                       MetricScratch* scratch) {
-  BuildMasks(a, scratch);
-  uint64_t v = ~uint64_t{0};
-  for (char c : b) {
-    const uint64_t m = scratch->char_masks[static_cast<unsigned char>(c)];
-    const uint64_t u = v & m;
-    // u's bits are a subset of v's, so v - u == v & ~u (no borrows).
-    v = (v + u) | (v - u);
+  const size_t words = WordsFor(a.size());
+  const uint64_t* masks = BuildBlockMasks(a, words, scratch);
+  size_t lcs = 0;
+  if (words == 1) {
+    uint64_t v = ~uint64_t{0};
+    for (char c : b) {
+      bool carry = false;
+      v = LcsWordStep(v, masks[Byte(c)], &carry);
+    }
+    lcs = static_cast<size_t>(__builtin_popcountll(~v));
+  } else {
+    std::vector<uint64_t>& v = scratch->vp;
+    v.assign(words, ~uint64_t{0});
+    for (char c : b) {
+      const uint64_t* m = masks + Byte(c) * words;
+      bool carry = false;
+      for (size_t w = 0; w < words; ++w) {
+        v[w] = LcsWordStep(v[w], m[w], &carry);
+      }
+    }
+    for (uint64_t vw : v) {
+      lcs += static_cast<size_t>(__builtin_popcountll(~vw));
+    }
   }
-  ClearMasks(a, scratch);
-  const uint64_t low = a.size() == 64 ? ~uint64_t{0}
-                                      : (uint64_t{1} << a.size()) - 1;
-  return a.size() - static_cast<size_t>(__builtin_popcountll(v & low));
+  ClearBlockMasks(a, words, scratch);
+  return lcs;
 }
 
-/// Two-row int32 LCS DP fallback; identical recurrence to LcsRatio()'s.
-size_t DpLcs(std::string_view a, std::string_view b, MetricScratch* scratch) {
-  const size_t n = a.size();
-  std::vector<int32_t>& prev = scratch->dp_prev;
-  std::vector<int32_t>& cur = scratch->dp_cur;
-  prev.assign(n + 1, 0);
-  cur.assign(n + 1, 0);
-  for (size_t j = 1; j <= b.size(); ++j) {
-    const char bc = b[j - 1];
-    for (size_t i = 1; i <= n; ++i) {
-      cur[i] = a[i - 1] == bc ? prev[i - 1] + 1 : std::max(prev[i], cur[i - 1]);
-    }
-    std::swap(prev, cur);
+/// The reference Jaro formula from the integer match and transposition
+/// counts.
+double JaroFromCounts(size_t matches, size_t transpositions, size_t len_a,
+                      size_t len_b) {
+  const double m = static_cast<double>(matches);
+  return (m / static_cast<double>(len_a) + m / static_cast<double>(len_b) +
+          (m - static_cast<double>(transpositions) / 2.0) / m) /
+         3.0;
+}
+
+/// Jaro for |a|, |b| <= 64: the reference's greedy matching with one flag
+/// word per side. a[i] takes the lowest unflagged position of b inside its
+/// window holding the same character, which is exactly the first j the
+/// reference's scan accepts; the k-th flagged positions of a and b then
+/// pair up for the transposition count as in the reference's merge walk.
+double BitParallelJaro(std::string_view a, std::string_view b, size_t window,
+                       MetricScratch* scratch) {
+  const uint64_t* masks = BuildBlockMasks(b, 1, scratch);
+  uint64_t a_flags = 0;
+  uint64_t b_flags = 0;
+  size_t matches = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    // Window [lo, min(|b|, i + window + 1)); lo <= i < 64, and positions
+    // at or beyond |b| carry no mask bits, so only the upper end needs a
+    // shift guard.
+    const size_t lo = i > window ? i - window : 0;
+    const size_t hi = i + window + 1;
+    const uint64_t below_hi =
+        hi >= 64 ? ~uint64_t{0} : (uint64_t{1} << hi) - 1;
+    const uint64_t open = masks[Byte(a[i])] & below_hi &
+                          ~((uint64_t{1} << lo) - 1) & ~b_flags;
+    if (open == 0) continue;
+    b_flags |= open & (~open + 1);  // lowest set bit
+    a_flags |= uint64_t{1} << i;
+    ++matches;
   }
-  return static_cast<size_t>(prev[n]);
+  ClearBlockMasks(b, 1, scratch);
+  if (matches == 0) return 0.0;
+  size_t transpositions = 0;
+  while (a_flags != 0) {
+    const int i = __builtin_ctzll(a_flags);
+    const int j = __builtin_ctzll(b_flags);
+    if (a[i] != b[j]) ++transpositions;
+    a_flags &= a_flags - 1;
+    b_flags &= b_flags - 1;
+  }
+  return JaroFromCounts(matches, transpositions, a.size(), b.size());
 }
 
 }  // namespace
@@ -136,8 +233,7 @@ size_t EditDistanceFast(std::string_view a, std::string_view b,
   StripCommonEnds(&a, &b);
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return b.size();
-  if (a.size() <= 64) return MyersEditDistance(a, b, scratch);
-  return DpEditDistance(a, b, scratch);
+  return MyersEditDistance(a, b, scratch);
 }
 
 double NormalizedEditSimilarityFast(std::string_view a, std::string_view b,
@@ -154,8 +250,7 @@ size_t LcsLengthFast(std::string_view a, std::string_view b,
   const size_t border = prefix + suffix;
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return border;
-  if (a.size() <= 64) return border + BitParallelLcs(a, b, scratch);
-  return border + DpLcs(a, b, scratch);
+  return border + BitParallelLcs(a, b, scratch);
 }
 
 double LcsRatioFast(std::string_view a, std::string_view b,
@@ -173,6 +268,9 @@ double JaroSimilarityFast(std::string_view a, std::string_view b,
   if (a.empty() || b.empty()) return 0.0;
   const size_t window =
       a.size() > 1 || b.size() > 1 ? std::max(a.size(), b.size()) / 2 - 1 : 0;
+  if (a.size() <= 64 && b.size() <= 64) {
+    return BitParallelJaro(a, b, window, scratch);
+  }
   scratch->a_flags.assign(a.size(), 0);
   scratch->b_flags.assign(b.size(), 0);
   size_t matches = 0;
@@ -195,11 +293,7 @@ double JaroSimilarityFast(std::string_view a, std::string_view b,
     if (a[i] != b[j]) ++transpositions;
     ++j;
   }
-  const double m = static_cast<double>(matches);
-  return (m / static_cast<double>(a.size()) +
-          m / static_cast<double>(b.size()) +
-          (m - static_cast<double>(transpositions) / 2.0) / m) /
-         3.0;
+  return JaroFromCounts(matches, transpositions, a.size(), b.size());
 }
 
 double JaroWinklerSimilarityFast(std::string_view a, std::string_view b,

@@ -7,54 +7,50 @@
 // uses asymptotically faster exact algorithms where they exist:
 //
 //  - EditDistanceFast: common prefix/suffix stripping (distance-preserving),
-//    then Myers' bit-parallel algorithm (O(n) words for patterns <= 64
-//    chars), falling back to a two-row int32 DP for longer remainders.
+//    then Myers' bit-parallel algorithm in Hyyrö's formulation, over
+//    ceil(m / 64) words per text character for a pattern of m chars; the
+//    horizontal deltas and the addition's carry cross from word to word.
 //  - LcsLengthFast: prefix/suffix stripping (each stripped char is part of
-//    some LCS), then the Allison-Dix bit-parallel LLCS recurrence for
-//    patterns <= 64 chars, int32 DP otherwise.
-//  - JaroSimilarityFast / JaroWinklerSimilarityFast: the reference
-//    arithmetic verbatim, with the match flags in reusable byte buffers
-//    instead of fresh vector<bool>s.
+//    some LCS), then the Allison-Dix bit-parallel LLCS recurrence over
+//    ceil(m / 64) words, with the carry of V + U crossing words.
+//  - JaroSimilarityFast / JaroWinklerSimilarityFast: the reference's greedy
+//    matching. When both strings are <= 64 chars it runs on one flag word
+//    per side (lowest open position of b in a[i]'s window, transpositions by
+//    walking the flag words); longer inputs run the reference loop verbatim
+//    on reusable byte flags.
 //
-// Exactness is enforced by tests/prepared_parity_test.cc, which compares
-// every kernel against the reference implementation on randomized inputs
-// including lengths around the 64-char bit-parallel boundary.
+// The only selection is by input length, and every path returns the same
+// integers. Exactness is enforced by tests/prepared_parity_test.cc, which
+// compares every kernel against the reference implementation on randomized
+// inputs and on every length pair straddling the 64/128/192-char word
+// boundaries.
 
 #ifndef LEARNRISK_METRICS_STRING_KERNELS_H_
 #define LEARNRISK_METRICS_STRING_KERNELS_H_
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace learnrisk {
 
 /// \brief Per-thread scratch for the prepared metric kernels. One instance
 /// per worker thread; the kernels resize the buffers as needed and leave
-/// `char_masks` zeroed between calls, so a scratch can be reused across any
+/// `block_masks` zeroed between calls, so a scratch can be reused across any
 /// sequence of kernel invocations.
 struct MetricScratch {
-  std::vector<int32_t> dp_prev;   ///< DP row (edit distance / LCS fallback)
-  std::vector<int32_t> dp_cur;    ///< DP row
-  std::vector<uint8_t> a_flags;   ///< Jaro match flags, left side
+  std::vector<uint8_t> a_flags;   ///< Jaro match flags, left side (> 64 chars)
   std::vector<uint8_t> b_flags;   ///< Jaro match flags, right side
   std::vector<uint8_t> used;      ///< entity-matching "already paired" flags
   std::vector<double> row_best;   ///< Monge-Elkan per-left-token maxima
   std::vector<double> col_best;   ///< Monge-Elkan per-right-token maxima
-  /// Monge-Elkan's per-token-pair Jaro-Winkler memo: key packs the two
-  /// dictionary ids of a token pair (smaller id high), valid only for the
-  /// dictionary tagged below. JW is exactly symmetric, so one entry serves
-  /// both argument orders. Blocking emits each record into many pairs, so
-  /// hot token pairs recur heavily within a thread's batch.
-  std::unordered_map<uint64_t, double> jw_cache;
-  /// The TokenDictionary jw_cache's ids belong to; the kernel clears the
-  /// cache whenever it sees values prepared under a different dictionary.
-  const void* jw_cache_dict = nullptr;
-  /// Per-character match bitmasks for the bit-parallel kernels. Kernels
-  /// zero only the entries they touched, so the array stays clean without a
-  /// 2KB memset per call.
-  uint64_t char_masks[256] = {};
+  /// Per-character match bitmasks for the bit-parallel kernels: W words per
+  /// character for a W-word pattern, character c's row at [c * W]. Grown to
+  /// 256 * W on demand; kernels zero only the words they set, so the table
+  /// stays clean without a 256 * W memset per call.
+  std::vector<uint64_t> block_masks;
+  std::vector<uint64_t> vp;  ///< bit-parallel column state, one per word
+  std::vector<uint64_t> vn;  ///< Myers' negative vertical deltas
 };
 
 /// \brief Levenshtein distance; same integer as EditDistance().

@@ -127,6 +127,40 @@ MetricSuite AllKindsSuite(size_t width) {
   return MetricSuite::FromSpecs(schema, std::move(specs));
 }
 
+// `len` letters drawn from the first `alphabet` lowercase letters.
+std::string RandomLetters(Rng* rng, size_t len, size_t alphabet) {
+  std::string out(len, 'a');
+  for (char& c : out) c = static_cast<char>('a' + rng->Index(alphabet));
+  return out;
+}
+
+// Calls check(a, b) on strings whose lengths straddle the 64-, 128- and
+// 192-char word boundaries of the bit-parallel kernels (every pair of those
+// lengths, so inter-word carries and the last-row bit of a partial last
+// word are exercised), plus random lengths in 1..200, on 2- and 6-letter
+// alphabets. Every other pair gets distinct first and last characters so
+// common-end stripping leaves the lengths intact.
+template <typename Check>
+void ForWordBoundaryPairs(Rng* rng, Check check) {
+  std::vector<size_t> lengths = {1,   2,   3,   31,  32,  33,  63,  64,  65,
+                                 66,  127, 128, 129, 130, 191, 192, 193, 194};
+  for (int r = 0; r < 6; ++r) lengths.push_back(rng->Index(200) + 1);
+  int parity = 0;
+  for (const size_t alphabet : {2u, 6u}) {
+    for (const size_t la : lengths) {
+      for (const size_t lb : lengths) {
+        std::string a = RandomLetters(rng, la, alphabet);
+        std::string b = RandomLetters(rng, lb, alphabet);
+        if (++parity % 2 == 0) {
+          a.front() = a.back() = 'x';
+          b.front() = b.back() = 'y';
+        }
+        check(a, b);
+      }
+    }
+  }
+}
+
 TEST(StringKernelsTest, EditDistanceMatchesReference) {
   Rng rng(11);
   MetricScratch scratch;
@@ -147,6 +181,10 @@ TEST(StringKernelsTest, EditDistanceMatchesReference) {
           << la << "x" << lb;
     }
   }
+  ForWordBoundaryPairs(&rng, [&](const std::string& a, const std::string& b) {
+    ASSERT_EQ(EditDistanceFast(a, b, &scratch), EditDistance(a, b))
+        << "a='" << a << "' b='" << b << "'";
+  });
 }
 
 TEST(StringKernelsTest, LcsMatchesReference) {
@@ -165,6 +203,19 @@ TEST(StringKernelsTest, LcsMatchesReference) {
     for (size_t i = 0; i < la + 7; ++i) b += static_cast<char>('a' + i % 4);
     ASSERT_TRUE(BitEqual(LcsRatioFast(a, b, &scratch), LcsRatio(a, b))) << la;
   }
+  ForWordBoundaryPairs(&rng, [&](const std::string& a, const std::string& b) {
+    ASSERT_TRUE(BitEqual(LcsRatioFast(a, b, &scratch), LcsRatio(a, b)))
+        << "a='" << a << "' b='" << b << "'";
+  });
+  // A carry that crosses a whole word: the final 'c' matches in word 0 and
+  // its carry runs through word 1, where no text character occurs, to move
+  // word 2's LCS bit (set by the leading 'x'). Dense random strings almost
+  // never leave a word untouched, so this case is built by hand.
+  const std::string words3 = "c" + std::string(63, 'd') +
+                             std::string(64, 'e') + std::string(64, 'x');
+  const std::string text = "x" + std::string(200, 'z') + "c";
+  ASSERT_TRUE(
+      BitEqual(LcsRatioFast(words3, text, &scratch), LcsRatio(words3, text)));
 }
 
 TEST(StringKernelsTest, JaroWinklerMatchesReference) {
@@ -177,6 +228,13 @@ TEST(StringKernelsTest, JaroWinklerMatchesReference) {
                          JaroWinklerSimilarity(a, b)))
         << "a='" << a << "' b='" << b << "'";
   }
+  // Both sides <= 64 chars run on flag words, longer inputs on the scalar
+  // loop; the boundary pairs include one side <= 64 and the other > 64.
+  ForWordBoundaryPairs(&rng, [&](const std::string& a, const std::string& b) {
+    ASSERT_TRUE(BitEqual(JaroWinklerSimilarityFast(a, b, &scratch),
+                         JaroWinklerSimilarity(a, b)))
+        << "a='" << a << "' b='" << b << "'";
+  });
 }
 
 // The prepared Monge-Elkan kernel fills the token-pair Jaro-Winkler matrix
@@ -196,36 +254,46 @@ TEST(StringKernelsTest, JaroWinklerIsBitwiseSymmetric) {
 }
 
 // Scratch reuse across interleaved kernels must not leak state between
-// calls (char_masks hygiene).
+// calls (block_masks hygiene), including a multi-word call followed by
+// short ones: the short calls read the mask rows at a different width.
 TEST(StringKernelsTest, ScratchReuseIsClean) {
   MetricScratch scratch;
   const std::string a = "abcabcabc";
   const std::string b = "xbcabcaby";
   const size_t edit = EditDistanceFast(a, b, &scratch);
   const size_t lcs = LcsLengthFast(a, b, &scratch);
+  const double jw = JaroWinklerSimilarityFast(a, b, &scratch);
+  std::string long_a;
+  std::string long_b;
+  for (size_t i = 0; i < 150; ++i) {
+    long_a += static_cast<char>('a' + i % 3);
+    long_b += static_cast<char>('c' - i % 5);
+  }
   for (int i = 0; i < 10; ++i) {
     EditDistanceFast("zzzz", "qqqq", &scratch);
     LcsLengthFast("qzqz", "zqzq", &scratch);
     ASSERT_EQ(EditDistanceFast(a, b, &scratch), edit);
     ASSERT_EQ(LcsLengthFast(a, b, &scratch), lcs);
+    ASSERT_EQ(EditDistanceFast(long_a, long_b, &scratch),
+              EditDistance(long_a, long_b));
+    ASSERT_EQ(EditDistanceFast(a, b, &scratch), edit);
+    ASSERT_TRUE(BitEqual(LcsRatioFast(long_a, long_b, &scratch),
+                         LcsRatio(long_a, long_b)));
+    ASSERT_EQ(LcsLengthFast(a, b, &scratch), lcs);
+    ASSERT_TRUE(BitEqual(JaroWinklerSimilarityFast(a, b, &scratch), jw));
   }
 }
 
 // The prepared Monge-Elkan kernel skips token pairs whose length-difference
 // upper bound (JW <= 0.8 + 0.2 * shorter/longer) cannot raise either running
-// maximum, and memoizes Jaro-Winkler per token-id pair in the per-thread
-// scratch. Both must be exact: randomized values with duplicated tokens (so
-// equal-token 1.0 maxima arm the bound skip) and token lengths straddling
-// the 64-char bit-parallel boundary stay bit-identical to the raw reference,
-// across warm-memo re-evaluation and across suites (distinct dictionaries).
-TEST(PreparedParityTest, MongeElkanBoundAndMemoBitIdentical) {
+// maximum. The skip must be exact: randomized values with duplicated tokens
+// (so equal-token 1.0 maxima arm the bound skip) and token lengths
+// straddling the 64-char bit-parallel boundary stay bit-identical to the raw
+// reference, with one scratch reused throughout.
+TEST(PreparedParityTest, MongeElkanBoundBitIdentical) {
   const Schema schema({{"text", AttributeType::kText}});
-  auto make_suite = [&] {
-    return MetricSuite::FromSpecs(
-        schema, {MetricSpec{0, MetricKind::kMongeElkan, "text.monge_elkan"}});
-  };
-  MetricSuite suite = make_suite();
-  MetricSuite other = make_suite();  // separate TokenDictionary
+  const MetricSuite suite = MetricSuite::FromSpecs(
+      schema, {MetricSpec{0, MetricKind::kMongeElkan, "text.monge_elkan"}});
 
   Rng rng(31);
   auto random_token = [&](size_t len) {
@@ -257,7 +325,7 @@ TEST(PreparedParityTest, MongeElkanBoundAndMemoBitIdentical) {
     return v;
   };
 
-  MetricScratch scratch;  // reused throughout: the memo stays warm
+  MetricScratch scratch;  // reused throughout
   for (int iter = 0; iter < 300; ++iter) {
     Record left;
     left.values.push_back(random_value());
@@ -267,20 +335,8 @@ TEST(PreparedParityTest, MongeElkanBoundAndMemoBitIdentical) {
     const double raw = suite.Evaluate(left, right, 0);
     const PreparedRecord pl = suite.PrepareRecord(left);
     const PreparedRecord pr = suite.PrepareRecord(right);
-    // Cold then warm: the second evaluation reads memoized JW values.
     ASSERT_TRUE(BitEqual(suite.EvaluatePrepared(pl, pr, 0, &scratch), raw))
         << "'" << left.values[0] << "' vs '" << right.values[0] << "'";
-    ASSERT_TRUE(BitEqual(suite.EvaluatePrepared(pl, pr, 0, &scratch), raw));
-    // A different suite's dictionary re-tags the scratch memo; evaluating
-    // under it and then returning to the first suite must stay exact (the
-    // ids of the two dictionaries collide by construction).
-    const PreparedRecord ol = other.PrepareRecord(left);
-    const PreparedRecord orr = other.PrepareRecord(right);
-    ASSERT_TRUE(BitEqual(other.EvaluatePrepared(ol, orr, 0, &scratch), raw));
-    ASSERT_TRUE(BitEqual(suite.EvaluatePrepared(pl, pr, 0, &scratch), raw));
-    // Mixed-dictionary sides disable the memo (the values are prepared
-    // identically here — only the dictionary tags differ) but stay exact.
-    ASSERT_TRUE(BitEqual(suite.EvaluatePrepared(pl, orr, 0, &scratch), raw));
   }
 
   // Deterministic boundary sweep: a shared token arms both maxima at
