@@ -7,12 +7,15 @@
 // the gateway's built-in telemetry back out: a metrics snapshot with
 // per-stage latency histograms, the slowest captured request traces with
 // their stage spans, the per-column drift gauges (PSI vs each model's
-// training baseline), and the Prometheus rendering of it all.
+// training baseline), and the Prometheus rendering of it all. The gateway is
+// durable: one namespace is checkpointed and recovered in a fresh gateway,
+// model version included.
 //
 //   ./gateway_end_to_end
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -29,9 +32,11 @@ using namespace learnrisk;  // NOLINT
 namespace {
 
 // Fits the full LearnRisk stack on a generated dataset and registers the
-// result as a gateway namespace.
+// result as a gateway namespace. `recover` receives the code-side half of
+// the namespace that a restarted gateway needs to recover it.
 bool SetUpNamespace(Gateway* gateway, const std::string& ns,
-                    const std::string& dataset, uint64_t seed) {
+                    const std::string& dataset, uint64_t seed,
+                    RecoverNamespaceSpec* recover) {
   GeneratorOptions options;
   options.scale = 0.05;
   options.seed = seed;
@@ -54,6 +59,10 @@ bool SetUpNamespace(Gateway* gateway, const std::string& ns,
   // object can be discarded after registration.
   spec.classifier = std::make_shared<MlpClassifier>(pipeline.classifier());
   spec.classifier_columns = pipeline.classifier_columns();
+  recover->schema = workload->left().schema();
+  recover->suite = spec.suite;
+  recover->classifier = spec.classifier;
+  recover->classifier_columns = spec.classifier_columns;
   if (!gateway->RegisterNamespace(ns, std::move(spec)).ok()) return false;
   // Freeze the training-time feature and risk-score distributions into the
   // published model so the gateway's drift gauges compare live traffic
@@ -82,9 +91,16 @@ int main() {
   // sampling and arm the slow / high-risk tail thresholds instead.
   GatewayOptions gateway_options;
   gateway_options.trace.sample_every = 1;
+  // Durable namespaces: every registration commits checkpoint 1 under this
+  // directory, and every AddRecord is write-ahead-logged. Start clean so a
+  // rerun does not find the previous run's committed state.
+  gateway_options.durability.dir = "/tmp/learnrisk_gateway_durable";
+  std::filesystem::remove_all(gateway_options.durability.dir);
   Gateway gateway(gateway_options);
-  if (!SetUpNamespace(&gateway, "ds", "DS", 7) ||
-      !SetUpNamespace(&gateway, "ab", "AB", 11)) {
+  RecoverNamespaceSpec ds_recover;
+  RecoverNamespaceSpec ab_recover;
+  if (!SetUpNamespace(&gateway, "ds", "DS", 7, &ds_recover) ||
+      !SetUpNamespace(&gateway, "ab", "AB", 11, &ab_recover)) {
     std::fprintf(stderr, "namespace setup failed\n");
     return 1;
   }
@@ -141,13 +157,35 @@ int main() {
               probe_response->candidates.size(),
               probe_response->scores.risk.size());
 
-  // --- Persistence: save every namespace's model, reload elsewhere. -------
-  const std::string dir = "/tmp/learnrisk_gateway_registry";
-  if (!gateway.registry().SaveAll(dir).ok()) return 1;
-  ModelRegistry restored;
-  const auto loaded = restored.LoadAll(dir);
-  if (!loaded.ok()) return 1;
-  std::printf("\nregistry saved and reloaded: %zu namespaces\n", *loaded);
+  // --- Persistence: checkpoint, then recover in a fresh gateway. ----------
+  // The checkpoint commits the namespace's records (the online arrival
+  // included) and, on shard 0, the served model at its exact version. A
+  // fresh gateway over the same directory rebuilds the namespace and
+  // re-publishes that model under the same version (docs/DURABILITY.md).
+  if (!gateway.Checkpoint("ds").ok()) return 1;
+  {
+    GatewayOptions restart_options;
+    restart_options.durability.dir = gateway_options.durability.dir;
+    Gateway restarted(restart_options);
+    const Status recovered =
+        restarted.RecoverNamespace("ds", std::move(ds_recover));
+    if (!recovered.ok()) {
+      std::fprintf(stderr, "recover failed: %s\n",
+                   recovered.ToString().c_str());
+      return 1;
+    }
+    const auto served = gateway.registry().Engine("ds");
+    const auto restored = restarted.registry().Engine("ds");
+    const auto records = restarted.NumRecords("ds", BlockingSide::kRight);
+    if (!served.ok() || !restored.ok() || !records.ok() ||
+        (*restored)->version() != (*served)->version()) {
+      return 1;
+    }
+    std::printf("\n[ds] checkpointed and recovered in a fresh gateway: %zu "
+                "right-side records, model v%llu\n",
+                *records,
+                static_cast<unsigned long long>((*restored)->version()));
+  }
 
   // --- Telemetry: everything above left a trail in the metrics. -----------
   // One lock-free snapshot covers both namespaces: request counts, pairs

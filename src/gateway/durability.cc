@@ -390,21 +390,32 @@ Result<Manifest> ParseManifest(const std::string& text,
   return m;
 }
 
-// Loads one checkpoint segment file into `table` (which carries the schema).
-Status LoadSegmentFile(const std::string& path, size_t expected_records,
-                       Table* table) {
+// --- Checkpoint segment envelope (table and review segments alike): header
+// line, u64 payload size, u32 CRC32 of the payload, then the payload. ------
+
+std::string SealSegment(const char* header, const std::string& payload) {
+  std::string out(header);
+  PutU64(&out, payload.size());
+  PutU32(&out, Crc32(payload.data(), payload.size()));
+  out += payload;
+  return out;
+}
+
+// Reads the segment file at `path` and returns its payload once the header,
+// size and checksum all verify. `kind` names the segment in diagnostics,
+// every one of which names the file.
+Result<std::string> OpenSegment(const std::string& path, const char* header,
+                                const std::string& kind) {
   if (!std::filesystem::exists(path)) {
-    return Status::IOError("manifest references missing segment file '" +
+    return Status::IOError("manifest references missing " + kind + " '" +
                            path + "'");
   }
   Result<std::string> data = ReadFile(path);
   if (!data.ok()) return data.status();
-  const std::string& bytes = *data;
-  const size_t header_len = std::strlen(kSegmentHeader);
-  if (bytes.size() < header_len ||
-      bytes.compare(0, header_len, kSegmentHeader) != 0) {
-    return Status::IOError("corrupt checkpoint segment '" + path +
-                           "': bad header");
+  std::string bytes = data.MoveValueOrDie();
+  const size_t header_len = std::strlen(header);
+  if (bytes.size() < header_len || bytes.compare(0, header_len, header) != 0) {
+    return Status::IOError("corrupt " + kind + " '" + path + "': bad header");
   }
   const char* p = bytes.data() + header_len;
   const char* end = bytes.data() + bytes.size();
@@ -412,13 +423,25 @@ Status LoadSegmentFile(const std::string& path, size_t expected_records,
   uint32_t stored_crc = 0;
   if (!GetU64(&p, end, &payload_size) || !GetU32(&p, end, &stored_crc) ||
       static_cast<uint64_t>(end - p) != payload_size) {
-    return Status::IOError("corrupt checkpoint segment '" + path +
+    return Status::IOError("corrupt " + kind + " '" + path +
                            "': truncated or oversized payload");
   }
   if (Crc32(p, payload_size) != stored_crc) {
-    return Status::IOError("corrupt checkpoint segment '" + path +
+    return Status::IOError("corrupt " + kind + " '" + path +
                            "': payload does not match its crc");
   }
+  bytes.erase(0, static_cast<size_t>(p - bytes.data()));
+  return bytes;
+}
+
+// Loads one checkpoint segment file into `table` (which carries the schema).
+Status LoadSegmentFile(const std::string& path, size_t expected_records,
+                       Table* table) {
+  Result<std::string> payload =
+      OpenSegment(path, kSegmentHeader, "checkpoint segment");
+  if (!payload.ok()) return payload.status();
+  const char* p = payload->data();
+  const char* end = p + payload->size();
   uint64_t num_records = 0;
   if (!GetU64(&p, end, &num_records) || num_records != expected_records) {
     return Status::IOError(
@@ -445,6 +468,15 @@ Status LoadSegmentFile(const std::string& path, size_t expected_records,
 void RemoveIfExists(const std::string& path) {
   std::error_code ec;
   std::filesystem::remove(path, ec);
+}
+
+// Deletes every file checkpoint `id` may have written (best effort).
+void RemoveCheckpointFiles(const std::string& dir, uint64_t id) {
+  for (const std::string& name :
+       {SegmentFileName(id, true), SegmentFileName(id, false),
+        ModelFileName(id), ReviewSegmentFileName(id), WalFileName(id)}) {
+    RemoveIfExists(dir + "/" + name);
+  }
 }
 
 }  // namespace
@@ -590,11 +622,7 @@ std::string EncodeSegment(const Table& table) {
   for (size_t i = 0; i < table.num_records(); ++i) {
     EncodeRecord(&payload, table.record(i), table.entity_id(i));
   }
-  std::string out(kSegmentHeader);
-  PutU64(&out, payload.size());
-  PutU32(&out, Crc32(payload.data(), payload.size()));
-  out += payload;
-  return out;
+  return SealSegment(kSegmentHeader, payload);
 }
 
 // Serializes the review queue's checkpoint state (resident items, then
@@ -615,11 +643,7 @@ std::string EncodeReviewSegment(const ReviewQueue::CheckpointState& state) {
     EncodeReviewItem(&payload, label.item);
     payload.push_back(static_cast<char>(label.truth));
   }
-  std::string out(kReviewSegmentHeader);
-  PutU64(&out, payload.size());
-  PutU32(&out, Crc32(payload.data(), payload.size()));
-  out += payload;
-  return out;
+  return SealSegment(kReviewSegmentHeader, payload);
 }
 
 Status LoadReviewSegment(const std::string& path, size_t expected_queued,
@@ -627,32 +651,11 @@ Status LoadReviewSegment(const std::string& path, size_t expected_queued,
                          std::vector<ReviewItem>* queued,
                          std::vector<ReviewItem>* outstanding,
                          std::vector<LabeledReview>* labeled) {
-  if (!std::filesystem::exists(path)) {
-    return Status::IOError("manifest references missing review segment '" +
-                           path + "'");
-  }
-  Result<std::string> data = ReadFile(path);
-  if (!data.ok()) return data.status();
-  const std::string& bytes = *data;
-  const size_t header_len = std::strlen(kReviewSegmentHeader);
-  if (bytes.size() < header_len ||
-      bytes.compare(0, header_len, kReviewSegmentHeader) != 0) {
-    return Status::IOError("corrupt review segment '" + path +
-                           "': bad header");
-  }
-  const char* p = bytes.data() + header_len;
-  const char* end = bytes.data() + bytes.size();
-  uint64_t payload_size = 0;
-  uint32_t stored_crc = 0;
-  if (!GetU64(&p, end, &payload_size) || !GetU32(&p, end, &stored_crc) ||
-      static_cast<uint64_t>(end - p) != payload_size) {
-    return Status::IOError("corrupt review segment '" + path +
-                           "': truncated or oversized payload");
-  }
-  if (Crc32(p, payload_size) != stored_crc) {
-    return Status::IOError("corrupt review segment '" + path +
-                           "': payload does not match its crc");
-  }
+  Result<std::string> payload =
+      OpenSegment(path, kReviewSegmentHeader, "review segment");
+  if (!payload.ok()) return payload.status();
+  const char* p = payload->data();
+  const char* end = p + payload->size();
   auto load_items = [&](const char* section, size_t expected,
                         std::vector<ReviewItem>* out) -> Status {
     uint64_t count = 0;
@@ -799,14 +802,7 @@ Status NamespaceLog::WriteCheckpoint(const Table& left, const Table* right,
 
   // 5. The old checkpoint is now unreferenced; delete it (best effort — a
   //    crash here just leaves orphans that the next checkpoint removes).
-  const uint64_t old = checkpoint_id_;
-  if (old > 0) {
-    RemoveIfExists(ns_dir_ + "/" + SegmentFileName(old, true));
-    RemoveIfExists(ns_dir_ + "/" + SegmentFileName(old, false));
-    RemoveIfExists(ns_dir_ + "/" + ModelFileName(old));
-    RemoveIfExists(ns_dir_ + "/" + ReviewSegmentFileName(old));
-    RemoveIfExists(ns_dir_ + "/" + WalFileName(old));
-  }
+  if (checkpoint_id_ > 0) RemoveCheckpointFiles(ns_dir_, checkpoint_id_);
 
   LEARNRISK_RETURN_NOT_OK(OpenWal(ns_dir_ + "/" + m.wal_file));
   checkpoint_id_ = id;
@@ -892,7 +888,6 @@ Result<std::unique_ptr<NamespaceLog>> NamespaceLog::Recover(
   const char* end = base + bytes.size();
   const char* p = base + header_len;
   while (p < end) {
-    const char* frame_start = p;
     uint32_t payload_size = 0;
     uint32_t stored_crc = 0;
     if (!GetU32(&p, end, &payload_size) || !GetU32(&p, end, &stored_crc) ||
@@ -931,7 +926,6 @@ Result<std::unique_ptr<NamespaceLog>> NamespaceLog::Recover(
     }
     ++out.wal_entries_replayed;
     valid_end = static_cast<size_t>(p - base);
-    (void)frame_start;
   }
   out.wal_bytes_discarded = bytes.size() - valid_end;
   if (out.wal_bytes_discarded > 0) {
@@ -955,15 +949,8 @@ Result<std::unique_ptr<NamespaceLog>> NamespaceLog::Recover(
   // post-swap cleanup never ran (files of id-1). Neither is referenced by
   // the committed manifest.
   RemoveIfExists(ns_dir + "/" + kManifestTmpName);
-  for (const uint64_t other :
-       {m.checkpoint_id + 1, m.checkpoint_id - 1}) {
-    if (other == 0 || other == m.checkpoint_id) continue;
-    RemoveIfExists(ns_dir + "/" + SegmentFileName(other, true));
-    RemoveIfExists(ns_dir + "/" + SegmentFileName(other, false));
-    RemoveIfExists(ns_dir + "/" + ModelFileName(other));
-    RemoveIfExists(ns_dir + "/" + ReviewSegmentFileName(other));
-    RemoveIfExists(ns_dir + "/" + WalFileName(other));
-  }
+  RemoveCheckpointFiles(ns_dir, m.checkpoint_id + 1);
+  if (m.checkpoint_id > 1) RemoveCheckpointFiles(ns_dir, m.checkpoint_id - 1);
   *recovered = std::move(out);
   return log;
 }

@@ -5,14 +5,16 @@
 // file layout, the atomic manifest swap, recovery invariants, and the crash
 // matrix — is documented in docs/DURABILITY.md.
 //
-// Shape of the on-disk state, per namespace (`<dir>/<ns>/`):
+// Shape of one log's on-disk state (`<dir>/<ns>/`; the gateway keeps one
+// log per shard, at `<durability dir>/<namespace>/shards/s<k>/`):
 //   MANIFEST             committed state: checkpoint id, segment files +
 //                        record counts, schema fingerprint, model version,
 //                        active WAL file; body protected by a CRC32 trailer
 //                        and replaced only by an atomic rename
 //   ckpt_<id>_left.seg   immutable checkpoint segments (records + entity
 //   ckpt_<id>_right.seg  ids, length-prefixed, whole-payload CRC32)
-//   model_<id>.model     the served risk model at checkpoint time (model_io)
+//   model_<id>.model     the served risk model at checkpoint time (model_io;
+//                        the gateway saves it on shard 0 only)
 //   wal_<id>.log         CRC32-framed record appends since checkpoint <id>
 //
 // AddRecord durability: the gateway appends to the WAL *before* publishing

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -35,14 +36,15 @@ uint64_t SteadyNowNs() {
           .count());
 }
 
-// --- Sharded durable layout (docs/DURABILITY.md "Sharded namespaces") ------
-// An unsharded namespace keeps the original layout (<dir>/<ns>/MANIFEST...).
-// A sharded one marks the namespace directory with a SHARDS meta file and
-// keeps one full NamespaceLog per shard under <dir>/<ns>/shards/s<k>/, so
-// every per-shard WAL/checkpoint/manifest keeps the exact single-namespace
-// protocol. The SHARDS file is written (tmp + rename) before any shard log
-// exists; the sharded state counts as committed only once every shard's
-// manifest is committed — anything less is registration debris.
+// --- Durable namespace layout (docs/DURABILITY.md "On-disk layout") --------
+// Every durable namespace, whatever its shard count, marks its directory
+// with a SHARDS meta file and keeps one full NamespaceLog per shard under
+// <dir>/<ns>/shards/s<k>/, so every per-shard WAL/checkpoint/manifest keeps
+// the exact single-log protocol. The SHARDS file is written (tmp + rename)
+// before any shard log exists; the namespace counts as committed only once
+// every shard's manifest is committed — anything less is registration
+// debris. A top-level <ns>/MANIFEST without SHARDS is the retired flat
+// layout: it is neither wiped nor recovered.
 
 constexpr char kShardsFileName[] = "SHARDS";
 constexpr char kShardsHeader[] = "learnrisk-namespace-shards v1";
@@ -82,16 +84,36 @@ Status WriteShardsFile(const std::string& path, size_t num_shards) {
   return Status::OK();
 }
 
-// Shard count recorded for a namespace; 0 = no SHARDS file (unsharded /
-// legacy layout). The file is rename-committed, so a corrupt one is real
-// damage, not a torn write.
-Result<size_t> ReadShardsFile(const std::string& path) {
-  if (!std::filesystem::exists(path)) return size_t{0};
+// Shard count recorded for a namespace; NotFound when it has no durable
+// state, FailedPrecondition for a flat-layout directory. The file is
+// rename-committed, so anything but the header line and one decimal count
+// >= 1 is real damage, not a torn write.
+Result<size_t> ReadShardsFile(const DurabilityOptions& options,
+                              const std::string& ns) {
+  const std::string path = ShardsFilePath(options, ns);
+  if (!std::filesystem::exists(path)) {
+    if (NamespaceLog::Exists(options.dir, ns)) {
+      return Status::FailedPrecondition(
+          "namespace directory '" + options.dir + "/" + ns +
+          "' has a MANIFEST but no SHARDS file: the flat on-disk layout is "
+          "no longer supported, and the directory is left untouched");
+    }
+    return Status::NotFound("no durable state for namespace '" + ns +
+                            "' under '" + options.dir + "'");
+  }
   std::ifstream in(path);
   std::string header;
+  std::string count;
+  std::string rest;
+  const bool two_lines = in && std::getline(in, header) &&
+                         header == kShardsHeader && std::getline(in, count) &&
+                         !std::getline(in, rest);
   size_t num_shards = 0;
-  if (!in || !std::getline(in, header) || header != kShardsHeader ||
-      !(in >> num_shards) || num_shards < 2) {
+  const char* end = count.data() + count.size();
+  const std::from_chars_result digits =
+      std::from_chars(count.data(), end, num_shards);
+  if (!two_lines || digits.ec != std::errc() || digits.ptr != end ||
+      num_shards < 1) {
     return Status::IOError("corrupt shard meta file '" + path + "'");
   }
   return num_shards;
@@ -665,60 +687,46 @@ Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
   const std::shared_ptr<NamespaceState> state = built.MoveValueOrDie();
 
   if (!options_.durability.dir.empty()) {
-    // Durable registration: commit the base tables as checkpoint 1 before
-    // the namespace serves anything, so a crash at any later point can
-    // recover at least the registered state. Fails (leaving the gateway
-    // unchanged) if committed durable state for the name already exists —
-    // that state must be recovered, not silently overwritten. The flat
-    // S == 1 layout and the shards/s<k>/ layout guard against each other.
+    // Durable registration: commit the base tables as checkpoint 1 of every
+    // shard before the namespace serves anything, so a crash at any later
+    // point can recover at least the registered state. Fails (leaving the
+    // gateway unchanged) if committed durable state for the name already
+    // exists — that state must be recovered, not silently overwritten.
     const DurabilityOptions& durability = options_.durability;
     const DurabilityOptions shard_opts = ShardDurability(durability, ns);
-    Result<size_t> prior_shards =
-        ReadShardsFile(ShardsFilePath(durability, ns));
-    if (!prior_shards.ok()) return prior_shards.status();
-    if (num_shards > 1 && NamespaceLog::Exists(durability.dir, ns)) {
-      return Status::FailedPrecondition(
-          "durable state already exists for namespace '" + ns +
-          "'; recover it instead of re-registering");
-    }
-    if (*prior_shards > 0) {
-      // A SHARDS file with every shard manifest committed is a complete
-      // sharded namespace; anything less is debris from an interrupted
-      // registration (a crash before the last manifest commit means the
-      // registration was never acknowledged) and is cleared — by
-      // NamespaceLog::Create below when S == 1, which clears the whole
-      // namespace directory.
+    Result<size_t> prior_shards = ReadShardsFile(durability, ns);
+    if (prior_shards.ok()) {
+      // Every shard manifest committed = a complete namespace; anything
+      // less is debris from an interrupted registration (never
+      // acknowledged) and is cleared below. A different count is refused
+      // either way: a bogus count cannot be told apart from debris.
       bool committed = true;
       for (size_t k = 0; k < *prior_shards && committed; ++k) {
         committed = NamespaceLog::Exists(shard_opts.dir, ShardLogName(k));
       }
-      if (committed) {
+      if (committed || *prior_shards != num_shards) {
         return Status::FailedPrecondition(
-            "sharded durable state already exists for namespace '" + ns +
-            "'; recover it instead of re-registering");
+            "durable state already exists for namespace '" + ns + "' (" +
+            std::to_string(*prior_shards) +
+            " shards); recover it instead of re-registering");
       }
-      if (num_shards > 1) {
-        std::error_code ec;
-        std::filesystem::remove_all(shard_opts.dir, ec);
-        std::filesystem::remove(ShardsFilePath(durability, ns), ec);
-      }
+    } else if (!prior_shards.status().IsNotFound()) {
+      return prior_shards.status();
     }
-    if (num_shards > 1) {
-      std::error_code ec;
-      std::filesystem::create_directories(durability.dir + "/" + ns, ec);
-      if (ec) {
-        return Status::IOError("cannot create namespace directory for '" +
-                               ns + "': " + ec.message());
-      }
-      // The SHARDS marker lands before any shard log so recovery (and the
-      // debris detection above) always knows the intended layout.
-      LEARNRISK_RETURN_NOT_OK(
-          WriteShardsFile(ShardsFilePath(durability, ns), num_shards));
+    std::error_code ec;
+    std::filesystem::remove_all(shard_opts.dir, ec);
+    std::filesystem::create_directories(durability.dir + "/" + ns, ec);
+    if (ec) {
+      return Status::IOError("cannot create namespace directory for '" + ns +
+                             "': " + ec.message());
     }
+    // The SHARDS marker lands before any shard log so recovery (and the
+    // debris detection above) always knows the intended layout.
+    LEARNRISK_RETURN_NOT_OK(
+        WriteShardsFile(ShardsFilePath(durability, ns), num_shards));
     for (size_t k = 0; k < num_shards; ++k) {
       Result<std::unique_ptr<NamespaceLog>> log =
-          num_shards == 1 ? NamespaceLog::Create(durability, ns)
-                          : NamespaceLog::Create(shard_opts, ShardLogName(k));
+          NamespaceLog::Create(shard_opts, ShardLogName(k));
       if (!log.ok()) return log.status();
       Shard& shard = *state->shards[k];
       shard.log = log.MoveValueOrDie();
@@ -1394,34 +1402,34 @@ Status Gateway::CheckpointLocked(const std::string& ns, NamespaceState& s,
   Table right;
   if (!s.dedup) right = snap->right.Materialize(s.schema);
 
+  // The served model and the review state are namespace-level and ride on
+  // shard 0's log only. Review mutations all serialize on shard 0's
+  // writer_mu — held here — so the review snapshot is exactly the state
+  // whose WAL events the checkpoint retires.
   uint64_t model_version = 0;
-  std::shared_ptr<const ScorerSnapshot> model_snap;
-  Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
-  if (engine.ok()) {
-    // One consistent read: the saved model file is exactly the version the
-    // manifest records, even if a publish lands mid-checkpoint. Every shard
-    // checkpoint saves the model it observed; sharded recovery re-publishes
-    // the newest version any shard recorded.
-    std::tie(model_version, model_snap) = (*engine)->VersionedSnapshot();
-  } else if (!engine.status().IsNotFound()) {
-    return engine.status();
-  }
   NamespaceLog::ModelSaver saver;
-  if (model_version > 0 && model_snap != nullptr) {
-    saver = [model_snap](const std::string& path) {
-      return SaveRiskModel(model_snap->model(), path);
-    };
-  } else {
-    model_version = 0;
-  }
-  // Review state is namespace-level and rides on shard 0's log. Its
-  // mutations all serialize on shard 0's writer_mu — held here — so the
-  // snapshot is exactly the state whose WAL events the checkpoint retires.
   ReviewQueue::CheckpointState review_state;
   const ReviewQueue::CheckpointState* review = nullptr;
-  if (s.review != nullptr && &shard == s.shards[0].get()) {
-    review_state = s.review->Snapshot();
-    review = &review_state;
+  if (&shard == s.shards[0].get()) {
+    Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
+    if (engine.ok()) {
+      // One consistent read: the saved model file is exactly the version
+      // the manifest records, even if a publish lands mid-checkpoint.
+      std::shared_ptr<const ScorerSnapshot> model_snap;
+      std::tie(model_version, model_snap) = (*engine)->VersionedSnapshot();
+      if (model_snap == nullptr) model_version = 0;
+      if (model_version > 0) {
+        saver = [model_snap](const std::string& path) {
+          return SaveRiskModel(model_snap->model(), path);
+        };
+      }
+    } else if (!engine.status().IsNotFound()) {
+      return engine.status();
+    }
+    if (s.review != nullptr) {
+      review_state = s.review->Snapshot();
+      review = &review_state;
+    }
   }
   return shard.log->WriteCheckpoint(left, s.dedup ? nullptr : &right,
                                     model_version, saver, review);
@@ -1460,36 +1468,36 @@ Status Gateway::RecoverNamespace(const std::string& ns,
   }
 
   Timer recover_timer;
-  // The SHARDS meta file decides the layout: absent = the original
-  // single-log namespace, present = one full NamespaceLog per shard.
-  Result<size_t> shards_meta =
-      ReadShardsFile(ShardsFilePath(options_.durability, ns));
-  if (!shards_meta.ok()) return shards_meta.status();
-  const size_t num_shards = std::max<size_t>(*shards_meta, 1);
+  Result<size_t> num_shards = ReadShardsFile(options_.durability, ns);
+  if (!num_shards.ok()) return num_shards.status();
 
-  // Recover every shard's log up front (shard 0 is the whole namespace in
-  // the unsharded layout), then rebuild the snapshots from the recovered
-  // tables exactly as registration builds them from a spec's sub-tables —
-  // same base-segment bulk load, so every query output is bit-identical to
-  // a gateway that added the same records and never crashed.
+  // Recover every shard's log up front, then rebuild the snapshots from the
+  // recovered tables exactly as registration builds them from a spec's
+  // sub-tables — same base-segment bulk load, so every query output is
+  // bit-identical to a gateway that added the same records and never
+  // crashed. Shards are recovered one at a time, so a bogus SHARDS count
+  // stops at the first shard with no committed state.
   const DurabilityOptions shard_opts =
       ShardDurability(options_.durability, ns);
-  std::vector<RecoveredNamespace> recovered(num_shards);
+  std::vector<RecoveredNamespace> recovered;
   std::vector<std::unique_ptr<NamespaceLog>> logs;
-  for (size_t k = 0; k < num_shards; ++k) {
+  for (size_t k = 0; k < *num_shards; ++k) {
+    RecoveredNamespace rec;
     Result<std::unique_ptr<NamespaceLog>> log =
-        *shards_meta == 0
-            ? NamespaceLog::Recover(options_.durability, ns, spec.schema,
-                                    &recovered[k])
-            : NamespaceLog::Recover(shard_opts, ShardLogName(k), spec.schema,
-                                    &recovered[k]);
+        NamespaceLog::Recover(shard_opts, ShardLogName(k), spec.schema, &rec);
     if (!log.ok()) return log.status();
-    if (k > 0 && recovered[k].dedup != recovered[0].dedup) {
+    if (k > 0 && rec.dedup != recovered[0].dedup) {
       return Status::InvalidArgument(
           "shard manifests of namespace '" + ns +
           "' disagree on dedup semantics");
     }
+    recovered.push_back(std::move(rec));
     logs.push_back(log.MoveValueOrDie());
+  }
+  if (NamespaceLog::Exists(shard_opts.dir, ShardLogName(*num_shards))) {
+    return Status::IOError("corrupt shard meta file '" +
+                           ShardsFilePath(options_.durability, ns) +
+                           "': a shard beyond its count has committed state");
   }
 
   // Writer routing starts at the recovered per-shard sizes; the
@@ -1505,7 +1513,7 @@ Status Gateway::RecoverNamespace(const std::string& ns,
       spec.blocking, tables);
   if (!built.ok()) return built.status();
   const std::shared_ptr<NamespaceState> state = built.MoveValueOrDie();
-  for (size_t k = 0; k < num_shards; ++k) {
+  for (size_t k = 0; k < logs.size(); ++k) {
     state->shards[k]->log = std::move(logs[k]);
     state->shards[k]->log->set_metrics(state->metrics.durability);
   }
@@ -1550,22 +1558,14 @@ Status Gateway::RecoverNamespace(const std::string& ns,
     }
   }
 
-  // Re-publish the newest checkpointed model any shard recorded, under its
-  // recorded version: seeding the floor at version - 1 makes the publish
-  // below yield exactly that version, so scores keep reporting the same
-  // model_version across the restart. (A publish landing mid-checkpoint can
-  // leave shards one version apart; the newest wins.)
-  size_t model_shard = 0;
-  for (size_t k = 1; k < num_shards; ++k) {
-    if (recovered[k].model_version > recovered[model_shard].model_version) {
-      model_shard = k;
-    }
-  }
-  if (recovered[model_shard].model_version > 0) {
-    Result<RiskModel> model = LoadRiskModel(recovered[model_shard].model_path);
+  // Re-publish shard 0's checkpointed model under its recorded version:
+  // seeding the floor at version - 1 makes the publish below yield exactly
+  // that version, so scores keep reporting the same model_version across
+  // the restart.
+  if (recovered[0].model_version > 0) {
+    Result<RiskModel> model = LoadRiskModel(recovered[0].model_path);
     if (!model.ok()) return model.status();
-    registry_.EnsureVersionAtLeast(ns,
-                                   recovered[model_shard].model_version - 1);
+    registry_.EnsureVersionAtLeast(ns, recovered[0].model_version - 1);
     Result<uint64_t> published = registry_.Publish(ns, model.MoveValueOrDie());
     if (!published.ok()) return published.status();
   }

@@ -160,9 +160,11 @@ struct DriftOptions {
 struct GatewayOptions {
   ModelRegistryOptions registry;
   /// When `durability.dir` is set, every namespace is durable: registration
-  /// writes checkpoint 1, AddRecord write-ahead-logs each record before
-  /// publishing it, and RecoverNamespace rebuilds namespaces after a
-  /// restart. See docs/DURABILITY.md.
+  /// writes `<dir>/<ns>/SHARDS` and checkpoint 1 of each shard's log under
+  /// `<dir>/<ns>/shards/s<k>/` (one layout for every shard count),
+  /// AddRecord write-ahead-logs each record before publishing it, and
+  /// RecoverNamespace rebuilds namespaces after a restart. See
+  /// docs/DURABILITY.md.
   DurabilityOptions durability;
   /// Runtime telemetry (docs/OBSERVABILITY.md): per-namespace counters,
   /// per-stage latency histograms, and risk-score distributions, exposed
@@ -202,7 +204,7 @@ struct ReviewRetrainOptions {
   /// Refresh the namespace's drift baseline from the label batch's feature
   /// rows and the retrained model's risk scores at publish time.
   bool refresh_drift_baseline = true;
-  /// Checkpoint durable namespaces after the publish so the manifest
+  /// Checkpoint durable namespaces after the publish so shard 0's manifest
   /// records the new model version (no-op when durability is off).
   bool checkpoint = true;
 };
@@ -273,8 +275,9 @@ class Gateway {
   /// \brief Installs a namespace: builds its base snapshot (segmented
   /// record + prepared stores and the blocking index, all copied out of the
   /// spec's tables) and freezes its feature pipeline. Fails on invalid
-  /// specs or duplicate names. Publishing a model is a separate step
-  /// (Publish / registry()).
+  /// specs or duplicate names, and — when durable — on committed durable
+  /// state for the name (recover it instead) or a flat-layout directory.
+  /// Publishing a model is a separate step (Publish / registry()).
   Status RegisterNamespace(const std::string& ns, NamespaceSpec spec);
 
   bool HasNamespace(const std::string& ns) const;
@@ -335,10 +338,11 @@ class Gateway {
   Result<size_t> NumRecords(const std::string& ns, BlockingSide side) const;
 
   /// \brief Checkpoints a durable namespace now: materializes the current
-  /// snapshot into immutable segment files, saves the served model at its
-  /// exact version, starts a fresh WAL, and commits with one atomic
-  /// manifest swap (full protocol: docs/DURABILITY.md). Sharded namespaces
-  /// checkpoint shard by shard, each commit atomic on its own manifest.
+  /// snapshot into immutable segment files, starts a fresh WAL, and commits
+  /// with one atomic manifest swap (full protocol: docs/DURABILITY.md),
+  /// shard by shard, each commit atomic on its own manifest. Shard 0 goes
+  /// first and also saves the served model at its exact version plus the
+  /// review queue, so a published model is durable once this returns.
   /// Serializes with AddRecord on the shard writer mutexes; readers are
   /// unaffected. FailedPrecondition when durability is off.
   Status Checkpoint(const std::string& ns);
@@ -348,9 +352,12 @@ class Gateway {
   /// checksum-detected and truncated), rebuilds the snapshot — bit-identical
   /// outputs to a gateway that never crashed — and re-publishes the
   /// checkpointed model at its recorded version. The namespace continues
-  /// accepting AddRecord against the recovered WAL. NotFound when no
-  /// durable state exists; IOError/InvalidArgument (with the offending
-  /// file named) on corrupt or missing state.
+  /// accepting AddRecord against the recovered WAL. The shard count comes
+  /// from the namespace's SHARDS file. NotFound when no durable state
+  /// exists; IOError/InvalidArgument (with the offending file named) on
+  /// corrupt or missing state; FailedPrecondition for a directory in the
+  /// retired flat layout (a MANIFEST but no SHARDS file), which is left
+  /// untouched.
   Status RecoverNamespace(const std::string& ns, RecoverNamespaceSpec spec);
 
   /// \brief WAL entries appended since the namespace's last checkpoint

@@ -5,17 +5,10 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
-
-#include "risk/model_io.h"
 
 namespace learnrisk {
 namespace {
-
-constexpr char kManifestName[] = "registry.manifest";
-constexpr char kManifestHeader[] = "learnrisk-registry v1";
 
 Status EnsureDirectory(const std::string& dir) {
   std::error_code ec;
@@ -242,102 +235,6 @@ Status ModelRegistry::SpillOverCap() {
     }
     LEARNRISK_RETURN_NOT_OK(failed);
   }
-}
-
-Status ModelRegistry::SaveAll(const std::string& dir) const {
-  LEARNRISK_RETURN_NOT_OK(EnsureDirectory(dir));
-  std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream manifest;
-  manifest << kManifestHeader << "\n";
-  for (const auto& [ns, entry] : entries_) {
-    const std::string path = dir + "/" + ns + ".model";
-    if (entry.engine != nullptr && entry.engine->has_model()) {
-      LEARNRISK_RETURN_NOT_OK(entry.engine->SaveCurrent(path));
-    } else if (entry.engine == nullptr) {
-      // Spilled: the spill file is the current snapshot; copy it over.
-      std::error_code ec;
-      std::filesystem::copy_file(
-          SpillPath(ns), path, std::filesystem::copy_options::overwrite_existing,
-          ec);
-      if (ec) {
-        return Status::IOError("cannot copy spilled model for namespace '" +
-                               ns + "': " + ec.message());
-      }
-    } else {
-      continue;  // registered but never published; nothing to persist
-    }
-    manifest << "namespace " << ns << " " << entry.last_version << "\n";
-  }
-  std::ofstream out(dir + "/" + kManifestName);
-  if (!out) return Status::IOError("cannot write manifest in '" + dir + "'");
-  out << manifest.str();
-  out.close();
-  if (!out) return Status::IOError("error writing manifest in '" + dir + "'");
-  return Status::OK();
-}
-
-Result<size_t> ModelRegistry::LoadAll(const std::string& dir) {
-  // Up-front config check: with a residency cap but no spill_dir every
-  // Publish below would fail, after some namespaces had already landed.
-  if (options_.max_resident > 0 && options_.spill_dir.empty()) {
-    return Status::InvalidArgument(
-        "ModelRegistryOptions.max_resident requires a spill_dir");
-  }
-  std::ifstream in(dir + "/" + kManifestName);
-  if (!in) {
-    return Status::IOError("cannot open registry manifest in '" + dir + "'");
-  }
-  std::string header;
-  std::getline(in, header);
-  if (header != kManifestHeader) {
-    return Status::InvalidArgument("unrecognized registry manifest header '" +
-                                   header + "'");
-  }
-  // Stage everything first: parse the whole manifest and load every model
-  // file before touching registry state, so a corrupted or truncated
-  // directory cannot leave the registry partially loaded.
-  struct Staged {
-    std::string ns;
-    uint64_t version;
-    RiskModel model;
-  };
-  std::vector<Staged> staged;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line.front() == '#') continue;
-    std::istringstream fields(line);
-    std::string tag;
-    std::string ns;
-    uint64_t version = 0;
-    if (!(fields >> tag >> ns >> version) || tag != "namespace") {
-      return Status::InvalidArgument("malformed manifest line '" + line + "'");
-    }
-    if (!ValidNamespace(ns)) {
-      return Status::InvalidArgument("invalid namespace '" + ns +
-                                     "' in manifest");
-    }
-    for (const Staged& s : staged) {
-      if (s.ns == ns) {
-        return Status::InvalidArgument("duplicate namespace '" + ns +
-                                       "' in manifest");
-      }
-    }
-    Result<RiskModel> model = LoadRiskModel(dir + "/" + ns + ".model");
-    if (!model.ok()) return model.status();
-    staged.push_back(Staged{ns, version, model.MoveValueOrDie()});
-  }
-  if (in.bad()) {
-    return Status::IOError("error reading registry manifest in '" + dir + "'");
-  }
-  // Everything validated; now publish. Seed each version floor first so the
-  // publish continues the saved registry's numbering instead of restarting
-  // at 1.
-  for (Staged& s : staged) {
-    EnsureVersionAtLeast(s.ns, s.version);
-    Result<uint64_t> published = Publish(s.ns, std::move(s.model));
-    if (!published.ok()) return published.status();
-  }
-  return staged.size();
 }
 
 void ModelRegistry::EnsureVersionAtLeast(const std::string& ns,

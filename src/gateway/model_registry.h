@@ -5,8 +5,9 @@
 // touching the others. Supports an LRU-style cap on resident snapshots
 // (least-recently-used engines spill their model to disk via model_io and
 // reload lazily on next access, with version numbers staying monotonic
-// across the round trip) and save/load of the whole registry as a manifest
-// plus one model file per namespace.
+// across the round trip). Spill is a memory cap, not persistence: a
+// namespace's model is persisted by the gateway's durable checkpoint
+// (docs/DURABILITY.md), which rides on shard 0's log.
 
 #ifndef LEARNRISK_GATEWAY_MODEL_REGISTRY_H_
 #define LEARNRISK_GATEWAY_MODEL_REGISTRY_H_
@@ -89,10 +90,7 @@ struct ModelRegistryOptions {
 ///    (tests/registry_spill_test.cc). Cap enforcement is also best-effort
 ///    on the serving path: a Publish or Engine call whose own work
 ///    succeeded never fails because some namespace could not be written to
-///    disk — the registry stays over cap and retries on the next access;
-///    explicit persistence (SaveAll) surfaces IO errors.
-///  - SaveAll / LoadAll are administrative whole-registry operations and do
-///    hold the lock across their IO; they are not on the serving path.
+///    disk — the registry stays over cap and retries on the next access.
 class ModelRegistry {
  public:
   explicit ModelRegistry(ModelRegistryOptions options = {});
@@ -126,20 +124,6 @@ class ModelRegistry {
 
   /// \brief Namespaces whose snapshot is currently in memory.
   size_t resident_count() const;
-
-  /// \brief Writes a manifest plus one model file per namespace into `dir`
-  /// (created on demand). Namespaces without a published model are skipped.
-  Status SaveAll(const std::string& dir) const;
-
-  /// \brief Publishes every model of a SaveAll directory into this registry
-  /// and returns how many namespaces were loaded. Versions resume from the
-  /// manifest, so a reloaded registry never re-serves an old version number.
-  /// All-or-nothing: the manifest and every model file are parsed and
-  /// validated *before* anything is published, so a corrupted or truncated
-  /// directory fails with a diagnostic Status and leaves the registry
-  /// exactly as it was — no namespaces half-loaded, no version floors
-  /// seeded for models that never arrived.
-  Result<size_t> LoadAll(const std::string& dir);
 
   /// \brief Raises the namespace's version floor: the next Publish returns a
   /// version strictly greater than `version`. Idempotent; never lowers an

@@ -7,11 +7,16 @@
 // everything behind it); a torn tail is truncated and the log stays
 // appendable; and corrupt or incomplete durable state (manifest pointing at
 // a deleted segment file, byte-flipped manifest) fails with a diagnostic
-// Status instead of undefined behavior. The crash-injection matrix lives in
+// Status instead of undefined behavior. The on-disk layout is one shape for
+// every shard count (SHARDS + shards/s<k>/, the model on shard 0 only):
+// corrupt shard counts, re-registration with another count, interrupted
+// registrations and flat directories from the retired layout are covered
+// at the end. The crash-injection matrix lives in
 // tests/gateway_crash_recovery_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -431,6 +436,199 @@ TEST(GatewayDurabilityTest, DurableReRegistrationIsRefused) {
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
   ASSERT_TRUE(gateway.RecoverNamespace("ds", RecoverSpec()).ok());
+}
+
+// --- One on-disk layout for every shard count. ----------------------------
+
+NamespaceSpec ShardedSpec(size_t shards) {
+  NamespaceSpec spec = BaseSpec();
+  spec.shards = shards;
+  return spec;
+}
+
+// Every regular file under `root`, relative to it, sorted.
+std::vector<std::string> FilesUnder(const std::string& root) {
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (entry.is_regular_file()) {
+      files.push_back(std::filesystem::relative(entry.path(), root).string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+void WriteShardsCount(const std::string& ns_dir, const std::string& count) {
+  std::ofstream out(ns_dir + "/SHARDS", std::ios::trunc);
+  out << "learnrisk-namespace-shards v1\n" << count << "\n";
+}
+
+TEST(GatewayDurabilityTest, EveryShardCountUsesTheShardsLayout) {
+  for (const size_t shards : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE(shards);
+    const std::string dir = FreshDir("layout_" + std::to_string(shards));
+    Gateway gateway(DurableOptions(dir));
+    ASSERT_TRUE(gateway.RegisterNamespace("ds", ShardedSpec(shards)).ok());
+    const std::string ns_dir = dir + "/ds";
+    EXPECT_TRUE(std::filesystem::exists(ns_dir + "/SHARDS"));
+    EXPECT_FALSE(std::filesystem::exists(ns_dir + "/MANIFEST"));
+    for (size_t k = 0; k < shards; ++k) {
+      EXPECT_TRUE(std::filesystem::exists(ns_dir + "/shards/s" +
+                                          std::to_string(k) + "/MANIFEST"));
+    }
+    EXPECT_FALSE(std::filesystem::exists(ns_dir + "/shards/s" +
+                                         std::to_string(shards)));
+  }
+}
+
+TEST(GatewayDurabilityTest, CheckpointKeepsOneModelFileOnShardZero) {
+  const SharedSetup& s = Shared();
+  const std::string dir = FreshDir("model_on_shard0");
+  uint64_t version = 0;
+  {
+    Gateway gateway(DurableOptions(dir));
+    ASSERT_TRUE(gateway.RegisterNamespace("ds", ShardedSpec(3)).ok());
+    ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+    const Result<uint64_t> published = gateway.Publish("ds", s.model);
+    ASSERT_TRUE(published.ok());
+    version = *published;
+    ASSERT_TRUE(gateway.Checkpoint("ds").ok());
+  }
+  std::vector<std::string> models;
+  for (const std::string& file : FilesUnder(dir + "/ds")) {
+    if (std::filesystem::path(file).extension() == ".model") {
+      models.push_back(file);
+    }
+  }
+  ASSERT_EQ(models.size(), 1u);
+  EXPECT_EQ(models[0].rfind("shards/s0/", 0), 0u) << models[0];
+
+  Gateway recovered(DurableOptions(dir));
+  ASSERT_TRUE(recovered.RecoverNamespace("ds", RecoverSpec()).ok());
+  const auto engine = recovered.registry().Engine("ds");
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ((*engine)->version(), version);
+}
+
+TEST(GatewayDurabilityTest, ReRegistrationWithAnotherShardCountIsRefused) {
+  const SharedSetup& s = Shared();
+  const std::string dir = FreshDir("reregister_other_count");
+  {
+    Gateway gateway(DurableOptions(dir));
+    ASSERT_TRUE(gateway.RegisterNamespace("ds", ShardedSpec(3)).ok());
+    ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+    ASSERT_TRUE(ApplyAdds(&gateway, "ds", 7).ok());
+    ASSERT_TRUE(gateway.Checkpoint("ds").ok());
+  }
+  for (const size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+    SCOPED_TRACE(shards);
+    Gateway gateway(DurableOptions(dir));
+    const Status status =
+        gateway.RegisterNamespace("ds", ShardedSpec(shards));
+    EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+  }
+  // Recovery takes S from SHARDS (the spec carries no shard count) and
+  // serves all three shards' records.
+  Gateway recovered(DurableOptions(dir));
+  ASSERT_TRUE(recovered.RecoverNamespace("ds", RecoverSpec()).ok());
+  Gateway reference;
+  ASSERT_TRUE(reference.RegisterNamespace("ds", BaseSpec()).ok());
+  ASSERT_TRUE(reference.Publish("ds", s.model).ok());
+  ASSERT_TRUE(ApplyAdds(&reference, "ds", 7).ok());
+  ExpectBitIdentical(&recovered, &reference, "ds");
+}
+
+TEST(GatewayDurabilityTest, CorruptShardCountFailsClosed) {
+  for (const char* count : {"99999999999", "-1", "0", "3 junk", "1"}) {
+    SCOPED_TRACE(count);
+    const std::string dir = FreshDir("corrupt_shards");
+    {
+      Gateway gateway(DurableOptions(dir));
+      ASSERT_TRUE(gateway.RegisterNamespace("ds", ShardedSpec(3)).ok());
+    }
+    WriteShardsCount(dir + "/ds", count);
+    {
+      Gateway gateway(DurableOptions(dir));
+      const Status recovered = gateway.RecoverNamespace("ds", RecoverSpec());
+      EXPECT_FALSE(recovered.ok());
+      const Status registered =
+          gateway.RegisterNamespace("ds", ShardedSpec(3));
+      EXPECT_FALSE(registered.ok());
+    }
+    // Neither call wiped the committed shards: with the count repaired the
+    // namespace recovers.
+    WriteShardsCount(dir + "/ds", "3");
+    Gateway gateway(DurableOptions(dir));
+    EXPECT_TRUE(gateway.RecoverNamespace("ds", RecoverSpec()).ok());
+  }
+}
+
+TEST(GatewayDurabilityTest, InterruptedRegistrationIsClearedByTheNextOne) {
+  const std::string dir = FreshDir("interrupted_registration");
+  const std::string shards_dir = dir + "/ds/shards";
+  {
+    // Registration checkpoints shard by shard; crash at the 2nd shard's
+    // manifest swap: s0 is committed, s1 holds only a MANIFEST.tmp.
+    int countdown = 2;
+    GatewayOptions options = DurableOptions(dir);
+    options.durability.crash_hook = [&countdown](const std::string& point) {
+      return point == "manifest:before_swap" && --countdown == 0;
+    };
+    Gateway gateway(options);
+    ASSERT_FALSE(gateway.RegisterNamespace("ds", ShardedSpec(3)).ok());
+  }
+  ASSERT_TRUE(std::filesystem::exists(shards_dir + "/s0/MANIFEST"));
+  ASSERT_TRUE(std::filesystem::exists(shards_dir + "/s1/MANIFEST.tmp"));
+  ASSERT_FALSE(std::filesystem::exists(shards_dir + "/s1/MANIFEST"));
+  {
+    // The registration was never acknowledged: nothing to recover.
+    Gateway gateway(DurableOptions(dir));
+    EXPECT_FALSE(gateway.RecoverNamespace("ds", RecoverSpec()).ok());
+  }
+  {
+    Gateway gateway(DurableOptions(dir));
+    const Status status = gateway.RegisterNamespace("ds", ShardedSpec(3));
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+  std::vector<std::string> expected = {"SHARDS"};
+  for (const char* shard : {"s0", "s1", "s2"}) {
+    for (const char* file :
+         {"MANIFEST", "ckpt_1_left.seg", "ckpt_1_right.seg", "wal_1.log"}) {
+      expected.push_back(std::string("shards/") + shard + "/" + file);
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(FilesUnder(dir + "/ds"), expected);
+  Gateway recovered(DurableOptions(dir));
+  EXPECT_TRUE(recovered.RecoverNamespace("ds", RecoverSpec()).ok());
+}
+
+TEST(GatewayDurabilityTest, FlatDirectoryIsNeitherWipedNorRecovered) {
+  // The retired flat layout: one log straight under <dir>/<ns>/, no SHARDS.
+  const std::string dir = FreshDir("flat_layout");
+  DurabilityOptions durability;
+  durability.dir = dir;
+  {
+    Result<std::unique_ptr<NamespaceLog>> log =
+        NamespaceLog::Create(durability, "ds");
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    ASSERT_TRUE((*log)
+                    ->WriteCheckpoint(Shared().workload.left(),
+                                      &Shared().workload.right(), 0, nullptr)
+                    .ok());
+  }
+  const std::vector<std::string> before = FilesUnder(dir + "/ds");
+  ASSERT_NE(std::find(before.begin(), before.end(), "MANIFEST"),
+            before.end());
+
+  Gateway gateway(DurableOptions(dir));
+  const Status registered = gateway.RegisterNamespace("ds", BaseSpec());
+  EXPECT_TRUE(registered.IsFailedPrecondition()) << registered.ToString();
+  const Status recovered = gateway.RecoverNamespace("ds", RecoverSpec());
+  EXPECT_TRUE(recovered.IsFailedPrecondition()) << recovered.ToString();
+  EXPECT_FALSE(gateway.HasNamespace("ds"));
+  EXPECT_EQ(FilesUnder(dir + "/ds"), before);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // MetricSuite + ServingEngine stages run by hand, for two concurrently
 // served namespaces; multi-threaded publish/score shows no torn state;
 // unknown-namespace / empty-request error paths; online AddRecord +
-// ResolveRecord; and the model registry's LRU spill and save/load.
+// ResolveRecord; and the model registry's LRU spill.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <thread>
 
@@ -380,122 +379,6 @@ TEST(ModelRegistryTest, LruSpillReloadsWithIdenticalScoresAndNewerVersion) {
                   .status()
                   .IsInvalidArgument());
   std::filesystem::remove_all(spill_dir);
-}
-
-TEST(ModelRegistryTest, SaveAllLoadAllRoundtripPreservesScoresAndVersions) {
-  const std::string dir = ::testing::TempDir() + "/learnrisk_registry_save";
-  std::filesystem::remove_all(dir);
-
-  constexpr size_t kMetrics = 6;
-  Rng rng(9);
-  FeatureMatrix features(30, kMetrics);
-  for (size_t i = 0; i < features.rows(); ++i) {
-    for (size_t m = 0; m < kMetrics; ++m) features.set(i, m, rng.Uniform());
-  }
-  std::vector<double> probs(features.rows());
-  for (double& p : probs) p = rng.Uniform();
-  ScoreRequest request;
-  request.metric_features = &features;
-  request.classifier_probs = probs;
-
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Publish("ds", MakeModel(50, 12, kMetrics)).ok());
-  ASSERT_TRUE(registry.Publish("ab", MakeModel(51, 12, kMetrics)).ok());
-  ASSERT_TRUE(registry.Publish("ds", MakeModel(52, 12, kMetrics)).ok());
-  std::vector<std::vector<double>> expected;
-  for (const char* ns : {"ds", "ab"}) {
-    expected.push_back((*registry.Engine(ns))->Score(request)->risk);
-  }
-  ASSERT_TRUE(registry.SaveAll(dir).ok());
-
-  ModelRegistry restored;
-  const auto loaded = restored.LoadAll(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(*loaded, 2u);
-  size_t k = 0;
-  for (const char* ns : {"ds", "ab"}) {
-    const auto engine = restored.Engine(ns);
-    ASSERT_TRUE(engine.ok());
-    const auto response = (*engine)->Score(request);
-    ASSERT_TRUE(response.ok());
-    ASSERT_EQ(response->risk, expected[k++]) << ns;
-  }
-  // "ds" was at version 2 when saved; the reloaded publish continues past
-  // it instead of restarting at 1.
-  EXPECT_EQ((*restored.Engine("ds"))->version(), 3u);
-
-  EXPECT_TRUE(restored.LoadAll(dir + "/missing").status().IsIOError());
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ModelRegistryTest, LoadAllFailureLeavesRegistryUntouched) {
-  const std::string dir = ::testing::TempDir() + "/learnrisk_registry_partial";
-  std::filesystem::remove_all(dir);
-  constexpr size_t kMetrics = 6;
-
-  // A valid saved registry, corrupted a different way per scenario below.
-  {
-    ModelRegistry source;
-    ASSERT_TRUE(source.Publish("ds", MakeModel(60, 10, kMetrics)).ok());
-    ASSERT_TRUE(source.Publish("ab", MakeModel(61, 10, kMetrics)).ok());
-    ASSERT_TRUE(source.SaveAll(dir).ok());
-  }
-  const std::string manifest = "/registry.manifest";
-
-  size_t scenario = 0;
-  auto check = [&](const char* what, auto corrupt) {
-    SCOPED_TRACE(what);
-    const std::string broken = dir + "_broken" + std::to_string(scenario++);
-    std::filesystem::remove_all(broken);
-    std::filesystem::copy(dir, broken);
-    corrupt(broken);
-    // Pre-existing state must survive a failed load untouched, and nothing
-    // from the broken directory may land — staging is all-or-nothing even
-    // when the bad entry is the last one parsed.
-    ModelRegistry registry;
-    ASSERT_TRUE(registry.Publish("keep", MakeModel(62, 8, kMetrics)).ok());
-    EXPECT_FALSE(registry.LoadAll(broken).ok());
-    EXPECT_EQ(registry.Namespaces().size(), 1u);
-    EXPECT_TRUE(registry.Engine("ds").status().IsNotFound());
-    EXPECT_TRUE(registry.Engine("ab").status().IsNotFound());
-    const auto keep = registry.Engine("keep");
-    ASSERT_TRUE(keep.ok());
-    EXPECT_EQ((*keep)->version(), 1u);
-    std::filesystem::remove_all(broken);
-  };
-
-  check("bad manifest header", [&](const std::string& broken) {
-    std::ofstream out(broken + manifest);
-    out << "not a registry manifest\n";
-  });
-  check("malformed manifest line", [&](const std::string& broken) {
-    std::ofstream out(broken + manifest, std::ios::app);
-    out << "namespace missing_version_field\n";
-  });
-  check("duplicate namespace line", [&](const std::string& broken) {
-    std::ofstream out(broken + manifest, std::ios::app);
-    out << "namespace ds 5\n";
-  });
-  check("missing model file", [&](const std::string& broken) {
-    std::filesystem::remove(broken + "/ab.model");
-  });
-  check("truncated model file", [&](const std::string& broken) {
-    const std::string path = broken + "/ds.model";
-    std::filesystem::resize_file(path, std::filesystem::file_size(path) - 10);
-  });
-
-  // An empty registry stays empty after any failed load.
-  {
-    const std::string broken = dir + "_broken_empty";
-    std::filesystem::remove_all(broken);
-    std::filesystem::copy(dir, broken);
-    std::filesystem::remove(broken + "/ds.model");
-    ModelRegistry registry;
-    EXPECT_FALSE(registry.LoadAll(broken).ok());
-    EXPECT_TRUE(registry.Namespaces().empty());
-    std::filesystem::remove_all(broken);
-  }
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
