@@ -6,6 +6,8 @@
 #include <set>
 #include <utility>
 
+#include "common/timer.h"
+
 namespace learnrisk {
 
 Result<BlockingIndex> BlockingIndex::Build(const Table& left,
@@ -97,51 +99,17 @@ Status BlockingIndex::AddRecord(BlockingSide side, const Record& record,
   return Status::OK();
 }
 
-void BlockingIndex::ForEachToken(
-    BlockingSide side,
-    const std::function<void(const std::string&)>& fn) const {
-  const Side& s = side_of(side);
-  for (const auto& segment : s.segments) {
-    for (const auto& [token, ids] : segment->postings) {
-      (void)ids;
-      // The prior set answers "did an earlier segment index this token?" in
-      // one lookup, so each distinct token fires exactly once.
-      if (segment->prior.count(token) > 0) continue;
-      fn(token);
-    }
-  }
-}
-
-size_t BlockingIndex::TokenCount(BlockingSide side,
-                                 const std::string& token) const {
-  return CountToken(side_of(side), token);
-}
-
-void BlockingIndex::AppendTokenIds(BlockingSide side, const std::string& token,
-                                   std::vector<size_t>* out) const {
-  GatherIds(side_of(side), token, 0, out);
-}
-
-int64_t BlockingIndex::EntityAt(BlockingSide side, size_t id) const {
-  return EntityOf(side_of(side), id);
-}
-
-size_t BlockingIndex::CountToken(const Side& side, const std::string& token) {
+size_t BlockingIndex::Side::Gather(size_t shard, size_t from,
+                                   const std::string& token,
+                                   std::vector<ShardList>* out) const {
   size_t count = 0;
-  for (const auto& segment : side.segments) {
-    auto it = segment->postings.find(token);
-    if (it != segment->postings.end()) count += it->second.size();
+  for (size_t s = from; s < segments.size(); ++s) {
+    auto it = segments[s]->postings.find(token);
+    if (it == segments[s]->postings.end()) continue;
+    count += it->second.size();
+    if (out != nullptr) out->push_back({&it->second, shard});
   }
   return count;
-}
-
-void BlockingIndex::GatherIds(const Side& side, const std::string& token,
-                              size_t first, std::vector<size_t>* out) {
-  for (size_t s = first; s < side.segments.size(); ++s) {
-    auto it = side.segments[s]->postings.find(token);
-    if (it == side.segments[s]->postings.end()) continue;
-    out->insert(out->end(), it->second.begin(), it->second.end());
-  }
 }
 
 int64_t BlockingIndex::EntityOf(const Side& side, size_t id) {
@@ -163,107 +131,177 @@ size_t BlockingIndex::DfCapAt(size_t records) const {
 
 std::vector<size_t> BlockingIndex::Candidates(const Record& probe,
                                               BlockingSide target) const {
+  return CandidatesOver({this}, probe, target, nullptr);
+}
+
+std::vector<RecordPair> BlockingIndex::AllCandidates() const {
+  return AllCandidatesOver({this}, nullptr);
+}
+
+std::vector<size_t> BlockingIndex::CandidatesOver(
+    const std::vector<const BlockingIndex*>& shards, const Record& probe,
+    BlockingSide target, double* merge_ms) {
+  if (merge_ms != nullptr) *merge_ms = 0.0;
   std::vector<size_t> out;
-  if (config_.key_attribute >= probe.values.size()) return out;
-  const Side& target_side = side_of(target);
+  const BlockingIndex& first = *shards[0];
+  const BlockingConfig& config = first.config_;
+  if (config.key_attribute >= probe.values.size()) return out;
+  const bool dedup = first.dedup_;
+  const size_t num_shards = shards.size();
   // The probe is scored as if it were the next record appended to the
   // opposite (probe) side — dedup folds both sides onto the single table —
   // so every df / block-size cap below is exactly what TokenBlocking would
-  // evaluate over the hypothetical (probe-appended) tables.
-  const Side& probe_side = dedup_ ? target_side : side_of(OppositeSide(target));
-  const size_t probe_df_cap = DfCapAt(probe_side.num_records + 1);
+  // evaluate over the hypothetical (probe-appended) global tables.
+  const BlockingSide probe_side = dedup ? target : OppositeSide(target);
+  size_t probe_records = 0;
+  size_t target_records = 0;
+  for (const BlockingIndex* shard : shards) {
+    probe_records += shard->side_of(probe_side).num_records;
+    target_records += shard->side_of(target).num_records;
+  }
+  const size_t probe_df_cap = first.DfCapAt(probe_records + 1);
   const size_t target_df_cap =
-      dedup_ ? probe_df_cap : DfCapAt(target_side.num_records);
+      dedup ? probe_df_cap : first.DfCapAt(target_records);
 
   std::set<size_t> found;
-  std::vector<const std::vector<size_t>*> lists;  // per-segment posting refs
+  std::vector<ShardList> lists;
   for (const std::string& tok :
-       BlockingKeyTokens(probe, config_.key_attribute,
-                         config_.min_token_length)) {
-    // One pass over the target segments: count and remember the matching
-    // posting lists, so passing the caps below doesn't re-find them.
+       BlockingKeyTokens(probe, config.key_attribute,
+                         config.min_token_length)) {
+    // One pass over every shard's target segments: count and remember the
+    // matching posting lists, so passing the caps doesn't re-find them.
     lists.clear();
     size_t target_count = 0;
-    for (const auto& segment : target_side.segments) {
-      auto it = segment->postings.find(tok);
-      if (it == segment->postings.end()) continue;
-      lists.push_back(&it->second);
-      target_count += it->second.size();
+    for (size_t k = 0; k < num_shards; ++k) {
+      target_count += shards[k]->side_of(target).Gather(k, 0, tok, &lists);
     }
     if (target_count == 0) continue;
     // Block sizes with the probe appended: the probe joins its own side's
     // posting list (dedup: the single shared list).
-    const size_t probe_count =
-        (dedup_ ? target_count : CountToken(probe_side, tok)) + 1;
-    const size_t target_block = dedup_ ? target_count + 1 : target_count;
-    if (target_block > target_df_cap ||
-        target_block > config_.max_block_size) {
+    size_t probe_count = target_count + 1;
+    if (!dedup) {
+      probe_count = 1;
+      for (size_t k = 0; k < num_shards; ++k) {
+        probe_count += shards[k]->side_of(probe_side).Gather(k, 0, tok,
+                                                             nullptr);
+      }
+    }
+    const size_t target_block = dedup ? target_count + 1 : target_count;
+    if (target_block > target_df_cap || target_block > config.max_block_size) {
       continue;  // token too common on the target side
     }
-    if (probe_count > probe_df_cap || probe_count > config_.max_block_size) {
+    if (probe_count > probe_df_cap || probe_count > config.max_block_size) {
       continue;  // token too common on the probe's side
     }
-    for (const std::vector<size_t>* ids : lists) {
-      found.insert(ids->begin(), ids->end());
+    for (const ShardList& list : lists) {
+      // Each list ascends, so the end hint makes appends past the current
+      // maximum O(1), as a range insert would.
+      for (size_t local : *list.ids) {
+        found.insert(found.end(), local * num_shards + list.shard);
+      }
     }
   }
+
+  // Final phase: the deterministic ascending global ordering.
+  Timer merge_timer;
   out.assign(found.begin(), found.end());
+  if (merge_ms != nullptr) *merge_ms = merge_timer.ElapsedMillis();
   return out;
 }
 
-std::vector<RecordPair> BlockingIndex::AllCandidates() const {
-  // Mirrors TokenBlocking's batch loop over the live postings: same caps
-  // (evaluated at the current record counts), same dedup semantics, same
-  // set-ordered deterministic output. A token is processed once, at the
-  // first left segment that contains it, with its full per-side lists
-  // gathered across segments.
-  const Side& left = left_;
-  const Side& right = side_of(BlockingSide::kRight);
-  const size_t left_df_cap = DfCapAt(left.num_records);
-  const size_t right_df_cap = DfCapAt(right.num_records);
+std::vector<RecordPair> BlockingIndex::AllCandidatesOver(
+    const std::vector<const BlockingIndex*>& shards, double* merge_ms) {
+  if (merge_ms != nullptr) *merge_ms = 0.0;
+  const BlockingIndex& first = *shards[0];
+  const BlockingConfig& config = first.config_;
+  const bool dedup = first.dedup_;
+  const size_t num_shards = shards.size();
+  size_t left_records = 0;
+  size_t right_records = 0;
+  for (const BlockingIndex* shard : shards) {
+    left_records += shard->left_.num_records;
+    right_records += shard->side_of(BlockingSide::kRight).num_records;
+  }
+  const size_t left_df_cap = first.DfCapAt(left_records);
+  const size_t right_df_cap = first.DfCapAt(right_records);
 
+  // Mirrors TokenBlocking's batch loop over the live postings: same caps
+  // (evaluated at the current global record counts), same dedup semantics,
+  // same set-ordered deterministic output. A token is processed once, at
+  // its first (shard, left segment), with its full per-side lists gathered
+  // across every shard's segments. The segment's prior set answers "did an
+  // earlier segment of this shard index it?" in one lookup; only earlier
+  // shards need searching, so a single index does no extra lookups.
   std::set<std::pair<size_t, size_t>> pair_set;
-  std::vector<size_t> left_ids;
-  std::vector<size_t> right_ids;
-  for (size_t s = 0; s < left.segments.size(); ++s) {
-    for (const auto& [token, seg_ids] : left.segments[s]->postings) {
-      (void)seg_ids;
-      // The segment's prior set answers "did an earlier segment index this
-      // token?" in one lookup — no per-token walk over earlier segments.
-      if (left.segments[s]->prior.count(token) > 0) continue;
-      left_ids.clear();
-      GatherIds(left, token, s, &left_ids);
-      if (!dedup_) {
-        right_ids.clear();
-        GatherIds(right, token, 0, &right_ids);
-      }
-      const std::vector<size_t>& rids = dedup_ ? left_ids : right_ids;
-      if (rids.empty()) continue;
-      if (left_ids.size() > left_df_cap || rids.size() > right_df_cap) {
-        continue;  // token too common to be discriminating
-      }
-      if (left_ids.size() > config_.max_block_size ||
-          rids.size() > config_.max_block_size) {
-        continue;  // block purging
-      }
-      for (size_t li : left_ids) {
-        for (size_t ri : rids) {
-          if (dedup_ && li >= ri) continue;
-          pair_set.emplace(li, ri);
+  std::vector<ShardList> left_lists;
+  std::vector<ShardList> right_lists;
+  for (size_t k = 0; k < num_shards; ++k) {
+    const Side& left = shards[k]->left_;
+    for (size_t s = 0; s < left.segments.size(); ++s) {
+      for (const auto& [token, seg_ids] : left.segments[s]->postings) {
+        (void)seg_ids;
+        if (left.segments[s]->prior.count(token) > 0) continue;
+        bool seen = false;  // handled at an earlier shard?
+        for (size_t j = 0; j < k && !seen; ++j) {
+          seen = shards[j]->left_.Gather(j, 0, token, nullptr) > 0;
+        }
+        if (seen) continue;
+        left_lists.clear();
+        size_t left_count = 0;
+        for (size_t j = k; j < num_shards; ++j) {
+          left_count +=
+              shards[j]->left_.Gather(j, j == k ? s : 0, token, &left_lists);
+        }
+        size_t right_count = left_count;
+        if (!dedup) {
+          right_lists.clear();
+          right_count = 0;
+          for (size_t j = 0; j < num_shards; ++j) {
+            right_count += shards[j]->right_.Gather(j, 0, token, &right_lists);
+          }
+        }
+        const std::vector<ShardList>& rlists = dedup ? left_lists : right_lists;
+        if (right_count == 0) continue;
+        if (left_count > left_df_cap || right_count > right_df_cap) {
+          continue;  // token too common to be discriminating
+        }
+        if (left_count > config.max_block_size ||
+            right_count > config.max_block_size) {
+          continue;  // block purging
+        }
+        for (const ShardList& l : left_lists) {
+          for (size_t left_local : *l.ids) {
+            const size_t li = left_local * num_shards + l.shard;
+            for (const ShardList& r : rlists) {
+              for (size_t right_local : *r.ids) {
+                const size_t ri = right_local * num_shards + r.shard;
+                if (dedup && li >= ri) continue;
+                pair_set.emplace(li, ri);
+              }
+            }
+          }
         }
       }
     }
   }
 
+  // Final phase: the deterministic global ordering (the set's iteration
+  // order) plus equivalence tagging against the owning shards.
+  Timer merge_timer;
   std::vector<RecordPair> pairs;
   pairs.reserve(pair_set.size());
   for (const auto& [li, ri] : pair_set) {
     // Unknown entities (-1) never count as equivalent.
-    const int64_t left_entity = EntityOf(left, li);
+    const int64_t left_entity =
+        EntityOf(shards[li % num_shards]->left_, li / num_shards);
     const bool equivalent =
-        left_entity >= 0 && left_entity == EntityOf(right, ri);
+        left_entity >= 0 &&
+        left_entity ==
+            EntityOf(shards[ri % num_shards]->side_of(BlockingSide::kRight),
+                     ri / num_shards);
     pairs.push_back(RecordPair{li, ri, equivalent});
   }
+  if (merge_ms != nullptr) *merge_ms = merge_timer.ElapsedMillis();
   return pairs;
 }
 

@@ -13,7 +13,6 @@
 #define LEARNRISK_GATEWAY_BLOCKING_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -114,31 +113,33 @@ class BlockingIndex {
   /// TokenBlocking over the same records.
   std::vector<RecordPair> AllCandidates() const;
 
-  // --- Cross-shard merge support (src/gateway/shard_merge.cc) ---------------
-  // Sharded namespaces keep one BlockingIndex per shard (local record ids)
-  // and reproduce the global blocker by unioning postings across shards and
-  // applying the df / block-size caps at the *global* counts. These
-  // accessors expose exactly what that merge needs; they do not change the
-  // index's own cap semantics.
-
-  /// \brief Calls `fn(token)` exactly once per distinct token indexed on one
-  /// side (the per-segment `prior` sets dedup across segments). The
-  /// reference stays valid while this index (or a copy sharing its
-  /// segments) is alive.
-  void ForEachToken(BlockingSide side,
-                    const std::function<void(const std::string&)>& fn) const;
-
-  /// \brief Total posting count of `token` on one side (0 when absent).
-  size_t TokenCount(BlockingSide side, const std::string& token) const;
-
-  /// \brief Appends every posting id of `token` on one side, ascending.
-  void AppendTokenIds(BlockingSide side, const std::string& token,
-                      std::vector<size_t>* out) const;
-
-  /// \brief Entity id of one record of a side (-1 = unknown).
-  int64_t EntityAt(BlockingSide side, size_t id) const;
-
  private:
+  // --- Cross-shard candidate generation (MergedAllCandidates /
+  // MergedCandidates in src/gateway/shard_merge.h) ---------------------------
+  // Sharded namespaces keep one BlockingIndex per shard over *local* record
+  // ids; shard k's local id l is global id l * S + k. The two functions
+  // below are the one candidate-generation algorithm: they union postings
+  // across a shard list, apply the df / block-size caps at the *global*
+  // counts and emit global ids. A lone index is the one-shard list, so
+  // AllCandidates()/Candidates() and the merged entry points all call them.
+  friend std::vector<RecordPair> MergedAllCandidates(
+      const std::vector<const BlockingIndex*>& shards, double* merge_ms);
+  friend std::vector<size_t> MergedCandidates(
+      const std::vector<const BlockingIndex*>& shards, const Record& probe,
+      BlockingSide target, double* merge_ms);
+
+  /// \brief Every candidate pair over the shard list (see AllCandidates).
+  /// `merge_ms`, when non-null, receives the wall time of the final phase
+  /// (global ordering + equivalence tagging).
+  static std::vector<RecordPair> AllCandidatesOver(
+      const std::vector<const BlockingIndex*>& shards, double* merge_ms);
+  /// \brief A probe's candidates over the shard list (see Candidates).
+  /// `merge_ms`, when non-null, receives the wall time of the final
+  /// ascending-order phase.
+  static std::vector<size_t> CandidatesOver(
+      const std::vector<const BlockingIndex*>& shards, const Record& probe,
+      BlockingSide target, double* merge_ms);
+
   using Postings = std::unordered_map<std::string, std::vector<size_t>>;
 
   /// \brief One immutable run of indexed records: their token postings
@@ -158,11 +159,23 @@ class BlockingIndex {
     size_t num_records() const { return entities.size(); }
   };
 
+  /// \brief One shard's posting list of a token: local ids, ascending.
+  struct ShardList {
+    const std::vector<size_t>* ids;
+    size_t shard;
+  };
+
   /// \brief One side's segment list. Segments are immutable and shared
   /// across index copies; only the vector itself is per-copy.
   struct Side {
     std::vector<std::shared_ptr<const Segment>> segments;
     size_t num_records = 0;
+
+    /// \brief Appends (when `out` is non-null) this side's posting lists of
+    /// `token` from segment `from` on, tagged with `shard`; returns the
+    /// number of ids they hold.
+    size_t Gather(size_t shard, size_t from, const std::string& token,
+                  std::vector<ShardList>* out) const;
   };
 
   const Side& side_of(BlockingSide side) const {
@@ -172,12 +185,6 @@ class BlockingIndex {
     return !dedup_ && side == BlockingSide::kRight ? right_ : left_;
   }
 
-  /// \brief Total posting-list size of `token` across a side's segments.
-  static size_t CountToken(const Side& side, const std::string& token);
-  /// \brief Appends all of a side's posting ids for `token` (ascending,
-  /// segments are base-ordered) starting from segment `first`.
-  static void GatherIds(const Side& side, const std::string& token,
-                        size_t first, std::vector<size_t>* out);
   /// \brief Entity id of one global record index (binary search over the
   /// side's base-ordered segments).
   static int64_t EntityOf(const Side& side, size_t id);

@@ -150,18 +150,6 @@ Result<FeaturizedBatch> FeaturePipeline::RunPreparedImpl(
       return Status::OutOfRange("record pair index out of table range");
     }
   }
-  // Contiguous stores (flat PreparedTables, single-segment SideStores)
-  // evaluate through direct row pointers, skipping per-access resolution.
-  const PreparedRecord* left_rows = left.contiguous_prepared();
-  const PreparedRecord* right_rows = right.contiguous_prepared();
-  if (left_rows != nullptr && right_rows != nullptr) {
-    return RunImpl(pairs.size(),
-                   [&](size_t i, double* row, MetricScratch* scratch) {
-                     suite_.EvaluatePairPreparedInto(
-                         left_rows[pairs[i].left], right_rows[pairs[i].right],
-                         scratch, row);
-                   });
-  }
   return RunImpl(pairs.size(),
                  [&](size_t i, double* row, MetricScratch* scratch) {
                    suite_.EvaluatePairPreparedInto(

@@ -134,8 +134,8 @@ class FeaturePipeline {
   template <typename EvalRow>
   Result<FeaturizedBatch> RunImpl(size_t n, const EvalRow& eval_row) const;
 
-  /// \brief Shared bodies of the prepared overloads, over either row source;
-  /// sources whose rows are contiguous evaluate through direct pointers.
+  /// \brief Shared bodies of the prepared overloads, one row loop over
+  /// either row source (a PreparedTable or a ShardedSideView).
   template <typename LeftStore, typename RightStore>
   Result<FeaturizedBatch> RunPreparedImpl(
       const LeftStore& left, const RightStore& right,

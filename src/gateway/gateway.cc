@@ -870,7 +870,6 @@ Gateway::PinnedView Gateway::Pin(const NamespaceState& state) {
 }
 
 size_t Gateway::RouteShard(NamespaceState& state, BlockingSide side) {
-  if (state.shards.size() == 1) return 0;
   std::lock_guard<std::mutex> lock(state.route_mu);
   // Least-loaded shard, lowest index on ties. For sequential adds this
   // reproduces the unsharded global id sequence exactly: after n records a

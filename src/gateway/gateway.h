@@ -295,7 +295,7 @@ class Gateway {
                            std::shared_ptr<const DriftBaseline>
                                drift_baseline = nullptr);
 
-  /// \brief The embedded registry (save/load of all models, LRU stats).
+  /// \brief The embedded registry (LRU spill, engine lookup).
   ModelRegistry& registry() { return registry_; }
   const ModelRegistry& registry() const { return registry_; }
 

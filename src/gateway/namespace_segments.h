@@ -70,14 +70,6 @@ class SideStore {
   size_t size() const { return size_; }
   size_t segment_count() const { return segments_.size(); }
 
-  /// \brief Direct pointer to the prepared rows when the store is a single
-  /// contiguous segment (the common case: bulk registration with few or no
-  /// online appends); nullptr otherwise. The featurize hot loop uses this
-  /// to skip the per-access segment resolution.
-  const PreparedRecord* contiguous_prepared() const {
-    return segments_.size() == 1 ? segments_[0]->prepared.data() : nullptr;
-  }
-
   const Record& record(size_t i) const {
     const Location loc = Locate(i);
     return segments_[loc.segment]->records[loc.offset];

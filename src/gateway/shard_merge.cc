@@ -2,178 +2,17 @@
 
 #include "gateway/shard_merge.h"
 
-#include <algorithm>
-#include <set>
-#include <string_view>
-#include <unordered_set>
-#include <utility>
-
-#include "common/timer.h"
-#include "data/blocking.h"
-
 namespace learnrisk {
-
-namespace {
-
-/// \brief TokenBlocking's df cap at a record count, replicated bitwise from
-/// BlockingIndex::DfCapAt so the merged caps match the unsharded index.
-size_t DfCapAt(const BlockingConfig& config, size_t records) {
-  const auto cap = static_cast<size_t>(config.max_token_df *
-                                       static_cast<double>(records));
-  return std::max<size_t>(cap, 1);
-}
-
-/// \brief Sum of one side's record counts across shards — the *global*
-/// record count the caps must be evaluated at.
-size_t GlobalRecords(const std::vector<const BlockingIndex*>& shards,
-                     BlockingSide side) {
-  size_t total = 0;
-  for (const BlockingIndex* shard : shards) {
-    total += shard->num_records(side);
-  }
-  return total;
-}
-
-/// \brief Appends every shard's posting ids of `token` on one side,
-/// translated from local to global ids.
-void GatherGlobalIds(const std::vector<const BlockingIndex*>& shards,
-                     BlockingSide side, const std::string& token,
-                     std::vector<size_t>* out) {
-  const size_t num_shards = shards.size();
-  for (size_t k = 0; k < num_shards; ++k) {
-    const size_t before = out->size();
-    shards[k]->AppendTokenIds(side, token, out);
-    for (size_t i = before; i < out->size(); ++i) {
-      (*out)[i] = GlobalId((*out)[i], k, num_shards);
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<RecordPair> MergedAllCandidates(
     const std::vector<const BlockingIndex*>& shards, double* merge_ms) {
-  if (merge_ms != nullptr) *merge_ms = 0.0;
-  if (shards.size() == 1) return shards[0]->AllCandidates();
-
-  const BlockingConfig& config = shards[0]->config();
-  const bool dedup = shards[0]->dedup();
-  const size_t left_df_cap =
-      DfCapAt(config, GlobalRecords(shards, BlockingSide::kLeft));
-  const size_t right_df_cap =
-      DfCapAt(config, GlobalRecords(shards, BlockingSide::kRight));
-
-  // Union of distinct left-side tokens across shards, each processed once
-  // with its *global* per-side posting lists — from there the caps, dedup
-  // semantics, and set-ordered emission are verbatim
-  // BlockingIndex::AllCandidates. The string_views point into shard segment
-  // postings, which outlive this call.
-  std::set<std::pair<size_t, size_t>> pair_set;
-  std::unordered_set<std::string_view> seen;
-  std::vector<size_t> left_ids;
-  std::vector<size_t> right_ids;
-  for (const BlockingIndex* shard : shards) {
-    shard->ForEachToken(BlockingSide::kLeft, [&](const std::string& token) {
-      if (!seen.insert(std::string_view(token)).second) return;
-      left_ids.clear();
-      GatherGlobalIds(shards, BlockingSide::kLeft, token, &left_ids);
-      if (!dedup) {
-        right_ids.clear();
-        GatherGlobalIds(shards, BlockingSide::kRight, token, &right_ids);
-      }
-      const std::vector<size_t>& rids = dedup ? left_ids : right_ids;
-      if (rids.empty()) return;
-      if (left_ids.size() > left_df_cap || rids.size() > right_df_cap) {
-        return;  // token too common to be discriminating
-      }
-      if (left_ids.size() > config.max_block_size ||
-          rids.size() > config.max_block_size) {
-        return;  // block purging
-      }
-      for (size_t li : left_ids) {
-        for (size_t ri : rids) {
-          if (dedup && li >= ri) continue;
-          pair_set.emplace(li, ri);
-        }
-      }
-    });
-  }
-
-  // Merge phase proper: the deterministic global ordering (the set's
-  // iteration order) plus equivalence tagging against the owning shards.
-  Timer merge_timer;
-  const size_t num_shards = shards.size();
-  std::vector<RecordPair> pairs;
-  pairs.reserve(pair_set.size());
-  for (const auto& [li, ri] : pair_set) {
-    const int64_t left_entity =
-        shards[li % num_shards]->EntityAt(BlockingSide::kLeft,
-                                          li / num_shards);
-    const bool equivalent =
-        left_entity >= 0 &&
-        left_entity == shards[ri % num_shards]->EntityAt(BlockingSide::kRight,
-                                                         ri / num_shards);
-    pairs.push_back(RecordPair{li, ri, equivalent});
-  }
-  if (merge_ms != nullptr) *merge_ms = merge_timer.ElapsedMillis();
-  return pairs;
+  return BlockingIndex::AllCandidatesOver(shards, merge_ms);
 }
 
 std::vector<size_t> MergedCandidates(
     const std::vector<const BlockingIndex*>& shards, const Record& probe,
     BlockingSide target, double* merge_ms) {
-  if (merge_ms != nullptr) *merge_ms = 0.0;
-  if (shards.size() == 1) return shards[0]->Candidates(probe, target);
-
-  std::vector<size_t> out;
-  const BlockingConfig& config = shards[0]->config();
-  if (config.key_attribute >= probe.values.size()) return out;
-  const bool dedup = shards[0]->dedup();
-  // As in BlockingIndex::Candidates, the probe is scored as if appended next
-  // to the opposite (probe) side, with every cap evaluated at the *global*
-  // hypothetical record counts.
-  const BlockingSide probe_side = dedup ? target : OppositeSide(target);
-  const size_t probe_df_cap =
-      DfCapAt(config, GlobalRecords(shards, probe_side) + 1);
-  const size_t target_df_cap =
-      dedup ? probe_df_cap
-            : DfCapAt(config, GlobalRecords(shards, target));
-
-  std::set<size_t> found;
-  std::vector<size_t> ids;
-  for (const std::string& tok :
-       BlockingKeyTokens(probe, config.key_attribute,
-                         config.min_token_length)) {
-    size_t target_count = 0;
-    for (const BlockingIndex* shard : shards) {
-      target_count += shard->TokenCount(target, tok);
-    }
-    if (target_count == 0) continue;
-    size_t probe_count = target_count;
-    if (!dedup) {
-      probe_count = 0;
-      for (const BlockingIndex* shard : shards) {
-        probe_count += shard->TokenCount(probe_side, tok);
-      }
-    }
-    ++probe_count;  // the probe joins its own side's posting list
-    const size_t target_block = dedup ? target_count + 1 : target_count;
-    if (target_block > target_df_cap || target_block > config.max_block_size) {
-      continue;  // token too common on the target side
-    }
-    if (probe_count > probe_df_cap || probe_count > config.max_block_size) {
-      continue;  // token too common on the probe's side
-    }
-    ids.clear();
-    GatherGlobalIds(shards, target, tok, &ids);
-    found.insert(ids.begin(), ids.end());
-  }
-
-  // Merge phase: the deterministic ascending global ordering.
-  Timer merge_timer;
-  out.assign(found.begin(), found.end());
-  if (merge_ms != nullptr) *merge_ms = merge_timer.ElapsedMillis();
-  return out;
+  return BlockingIndex::CandidatesOver(shards, probe, target, merge_ms);
 }
 
 }  // namespace learnrisk

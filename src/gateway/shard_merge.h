@@ -4,13 +4,15 @@
 // A sharded namespace hashes records across S independent shards (shard of a
 // global id = id % S, local id = id / S; a record at local index l of shard
 // k has global id l * S + k). Each shard owns its own SideStore segments and
-// BlockingIndex over *local* ids. The functions here reproduce the global
-// (unsharded) blocker exactly from those per-shard indexes: postings are
-// unioned across shards, the document-frequency and block-size caps are
-// applied at the *global* counts, local ids are translated back to global
-// ids, and pairs are emitted through the same ordered-set construction the
-// unsharded BlockingIndex uses — so the output is bit-identical to an
-// unsharded index over the same records at any S (enforced by
+// BlockingIndex over *local* ids. MergedAllCandidates/MergedCandidates are
+// the entry points to BlockingIndex's one candidate-generation algorithm
+// over a shard list (blocking_index.cc): postings are unioned across shards,
+// the document-frequency and block-size caps are applied at the *global*
+// counts, local ids are translated back to global ids, and pairs are
+// emitted in one ordered-set construction. A lone BlockingIndex is the
+// one-shard list, so the output equals batch TokenBlocking over the global
+// tables at any S and any segment layout (enforced by
+// tests/blocking_index_test.cc, and end to end by
 // tests/gateway_shard_test.cc).
 //
 // ShardedSideView is the featurization counterpart: a zero-copy view
@@ -83,23 +85,17 @@ class ShardedSideView {
                                                           stores_.size());
   }
 
-  /// \brief Direct row pointer when the view degenerates to one contiguous
-  /// store (S == 1); nullptr otherwise — mirrors SideStore.
-  const PreparedRecord* contiguous_prepared() const {
-    return stores_.size() == 1 ? stores_[0]->contiguous_prepared() : nullptr;
-  }
-
  private:
   std::vector<const SideStore*> stores_;
   size_t size_ = 0;
 };
 
 /// \brief Every candidate pair implied by the union of the per-shard
-/// postings, bit-identical (same pairs, same deterministic ordering, same
-/// equivalence flags) to BlockingIndex::AllCandidates over an unsharded
-/// index holding the same records under the same global ids. All shards
-/// must share one BlockingConfig and dedup flag (they come from one
-/// namespace registration). `merge_ms`, when non-null, receives the wall
+/// postings: the same pairs, deterministic ordering and equivalence flags
+/// as BlockingIndex::AllCandidates over one index holding the same records
+/// under the same global ids (a one-element list is exactly that call).
+/// All shards must share one BlockingConfig and dedup flag (they come from
+/// one namespace registration). `merge_ms`, when non-null, receives the wall
 /// time of the final merge phase (global ordering + equivalence tagging) —
 /// the gateway's `shard_merge` stage span.
 std::vector<RecordPair> MergedAllCandidates(
@@ -107,9 +103,9 @@ std::vector<RecordPair> MergedAllCandidates(
     double* merge_ms = nullptr);
 
 /// \brief Blocking candidates of a raw probe against the target side of a
-/// sharded namespace, ascending by global id — bit-identical to
-/// BlockingIndex::Candidates on the equivalent unsharded index. `merge_ms`
-/// as in MergedAllCandidates.
+/// sharded namespace, ascending by global id — the same ids as
+/// BlockingIndex::Candidates on one index holding the same records.
+/// `merge_ms` as in MergedAllCandidates.
 std::vector<size_t> MergedCandidates(
     const std::vector<const BlockingIndex*>& shards, const Record& probe,
     BlockingSide target, double* merge_ms = nullptr);

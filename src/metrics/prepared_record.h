@@ -102,11 +102,6 @@ class PreparedTable {
   size_t size() const { return records_.size(); }
   const PreparedRecord& record(size_t i) const { return records_[i]; }
 
-  /// \brief Direct pointer to the rows (always contiguous here); mirrors
-  /// SideStore::contiguous_prepared so featurization code can treat both
-  /// prepared-store types uniformly.
-  const PreparedRecord* contiguous_prepared() const { return records_.data(); }
-
  private:
   std::vector<PreparedRecord> records_;
 };

@@ -1,17 +1,21 @@
 // Copyright 2026 The LearnRisk Authors
 // BlockingIndex tests: batch-build and incremental-add parity with the
 // offline TokenBlocking blocker on generated two-table and dedup workloads,
-// online probe semantics, and error paths.
+// online probe semantics, cross-shard candidate generation at S in 1..4,
+// and error paths.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "data/blocking.h"
 #include "data/generators.h"
 #include "gateway/blocking_index.h"
+#include "gateway/shard_merge.h"
 
 namespace learnrisk {
 namespace {
@@ -244,6 +248,162 @@ TEST(BlockingIndexTest, ProbeParityHoldsAcrossIncrementalSegments) {
     non_empty += online.empty() ? 0 : 1;
   }
   EXPECT_GT(non_empty, 0u);
+}
+
+// S per-shard indexes grown the way the gateway grows a sharded namespace:
+// the first records split round-robin (global id g at local g / S of shard
+// g % S), then each AddRecord routed to the least-loaded shard, lowest index
+// on ties. The test keeps the global tables itself, so every candidate set
+// can be checked against TokenBlocking over exactly those records.
+class ShardedIndexes {
+ public:
+  ShardedIndexes(const Table& left, const Table& right, size_t base,
+                 size_t num_shards, const BlockingConfig& config)
+      : dedup_(&left == &right),
+        left_(left.schema()),
+        right_(right.schema()),
+        left_counts_(num_shards, 0),
+        right_counts_(num_shards, 0) {
+    for (size_t k = 0; k < num_shards; ++k) {
+      Table shard_left(left.schema());
+      Table shard_right(right.schema());
+      for (size_t g = k; g < base; g += num_shards) {
+        EXPECT_TRUE(shard_left.Append(left.record(g), left.entity_id(g)).ok());
+        if (!dedup_) {
+          EXPECT_TRUE(
+              shard_right.Append(right.record(g), right.entity_id(g)).ok());
+        }
+      }
+      auto built = BlockingIndex::Build(
+          shard_left, dedup_ ? shard_left : shard_right, config);
+      EXPECT_TRUE(built.ok());
+      indexes_.push_back(built.MoveValueOrDie());
+      left_counts_[k] = shard_left.num_records();
+      right_counts_[k] = shard_right.num_records();
+    }
+    for (size_t g = 0; g < base; ++g) {
+      EXPECT_TRUE(left_.Append(left.record(g), left.entity_id(g)).ok());
+      if (!dedup_) {
+        EXPECT_TRUE(right_.Append(right.record(g), right.entity_id(g)).ok());
+      }
+    }
+  }
+
+  void Add(BlockingSide side, const Record& record, int64_t entity_id) {
+    const bool left_side = dedup_ || side == BlockingSide::kLeft;
+    std::vector<size_t>& counts = left_side ? left_counts_ : right_counts_;
+    Table& global = left_side ? left_ : right_;
+    const size_t k = static_cast<size_t>(
+        std::min_element(counts.begin(), counts.end()) - counts.begin());
+    ASSERT_TRUE(indexes_[k].AddRecord(side, record, entity_id).ok());
+    // Least-loaded routing keeps the global ids contiguous.
+    ASSERT_EQ(GlobalId(counts[k]++, k, counts.size()), global.num_records());
+    ASSERT_TRUE(global.Append(record, entity_id).ok());
+  }
+
+  std::vector<const BlockingIndex*> shards() const {
+    std::vector<const BlockingIndex*> out;
+    for (const BlockingIndex& index : indexes_) out.push_back(&index);
+    return out;
+  }
+  const Table& left() const { return left_; }
+  const Table& right() const { return dedup_ ? left_ : right_; }
+  size_t max_segments() const {
+    size_t most = 0;
+    for (const BlockingIndex& index : indexes_) {
+      most = std::max({most, index.segment_count(BlockingSide::kLeft),
+                       index.segment_count(BlockingSide::kRight)});
+    }
+    return most;
+  }
+
+ private:
+  bool dedup_;
+  Table left_;
+  Table right_;
+  std::vector<size_t> left_counts_;
+  std::vector<size_t> right_counts_;
+  std::vector<BlockingIndex> indexes_;
+};
+
+// MergedAllCandidates (pairs, order, equivalence flags) and MergedCandidates
+// (a seen and an unseen probe per target side) against the batch blocker
+// over the current global tables.
+void ExpectShardedParity(const ShardedIndexes& sharded, const Table& unseen,
+                         size_t step, const BlockingConfig& config,
+                         size_t* non_empty) {
+  const Table& left = sharded.left();
+  const Table& right = sharded.right();
+  const bool dedup = &left == &right;
+  const auto batch = TokenBlocking(left, right, config);
+  ASSERT_TRUE(batch.ok());
+  ExpectSamePairs(*batch, MergedAllCandidates(sharded.shards()));
+  for (const BlockingSide target :
+       {BlockingSide::kRight, BlockingSide::kLeft}) {
+    const Table& opposite =
+        dedup || target == BlockingSide::kRight ? left : right;
+    for (const Record* probe :
+         {&opposite.record((step * 7) % opposite.num_records()),
+          &unseen.record((step * 13) % unseen.num_records())}) {
+      const std::vector<size_t> merged =
+          MergedCandidates(sharded.shards(), *probe, target);
+      ASSERT_EQ(merged,
+                BatchProbePartners(left, right, *probe, target, config))
+          << "step " << step;
+      *non_empty += merged.empty() ? 0 : 1;
+    }
+  }
+}
+
+// The shared cross-shard algorithm against the independent batch reference
+// at every S: DS two-table and a DS dedup table (both DS sides interleaved
+// into one table, so it holds real duplicates), split round-robin and then
+// grown record by record into multi-segment shards.
+TEST(BlockingIndexTest, MergedCandidatesMatchTokenBlockingAtAnyShardCount) {
+  const Workload workload = SmallWorkload("DS");
+  const Workload unseen = [] {
+    GeneratorOptions options;
+    options.scale = 0.02;
+    options.seed = 99;
+    return GenerateDataset("DS", options).MoveValueOrDie();
+  }();
+  Table dedup_table(workload.left().schema());
+  for (size_t i = 0; i < std::max(workload.left().num_records(),
+                                   workload.right().num_records());
+       ++i) {
+    for (const Table* side : {&workload.left(), &workload.right()}) {
+      if (i >= side->num_records()) continue;
+      ASSERT_TRUE(dedup_table.Append(side->record(i), side->entity_id(i)).ok());
+    }
+  }
+  BlockingConfig config;
+  constexpr size_t kChecks = 4;
+  for (size_t num_shards = 1; num_shards <= 4; ++num_shards) {
+    for (const bool dedup : {false, true}) {
+      const Table& left = dedup ? dedup_table : workload.left();
+      const Table& right = dedup ? dedup_table : workload.right();
+      const size_t total = std::min(left.num_records(), right.num_records());
+      const size_t base = total / 2;
+      SCOPED_TRACE("S=" + std::to_string(num_shards) +
+                   (dedup ? " dedup" : " two-table"));
+      ShardedIndexes sharded(left, right, base, num_shards, config);
+      size_t non_empty = 0;
+      ExpectShardedParity(sharded, unseen.left(), 0, config, &non_empty);
+      const size_t every = std::max<size_t>((total - base) / kChecks, 1);
+      for (size_t g = base; g < total; ++g) {
+        sharded.Add(BlockingSide::kLeft, left.record(g), left.entity_id(g));
+        if (!dedup) {
+          sharded.Add(BlockingSide::kRight, right.record(g),
+                      right.entity_id(g));
+        }
+        if ((g - base + 1) % every == 0 || g + 1 == total) {
+          ExpectShardedParity(sharded, unseen.left(), g, config, &non_empty);
+        }
+      }
+      EXPECT_GT(sharded.max_segments(), 1u);
+      EXPECT_GT(non_empty, 0u);
+    }
+  }
 }
 
 TEST(BlockingIndexTest, UnknownEntitiesNeverCountAsEquivalent) {
