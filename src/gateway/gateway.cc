@@ -284,7 +284,7 @@ struct Gateway::Scored {
 };
 
 Gateway::Gateway(GatewayOptions options)
-    : options_(std::move(options)), registry_(options_.registry) {
+    : options_(std::move(options)) {
   if (options_.trace.enabled) {
     traces_ = std::make_unique<TraceBuffer>(options_.trace.buffer_capacity);
   }
@@ -299,28 +299,13 @@ Gateway::Gateway(GatewayOptions options)
         "Captured traces overwritten before a scrape (ring overflow)",
         [this]() { return static_cast<int64_t>(traces_->dropped()); });
   }
-  // Gateway-wide instruments: the registry's LRU counters, the engine-level
-  // serving counters (shared by every engine the registry creates), and the
-  // snapshot-time gauges over registry state.
+  // Gateway-wide instruments: the registry's publish counter, the
+  // engine-level serving counters (shared by every engine the registry
+  // creates), and a snapshot-time gauge over registry state.
   ModelRegistryMetrics registry_metrics;
   registry_metrics.publishes =
       metric_registry_.Counter("learnrisk_registry_publishes_total", {},
                                "Successful model publishes via the registry");
-  registry_metrics.engine_hits = metric_registry_.Counter(
-      "learnrisk_registry_engine_hits_total", {},
-      "Engine lookups served by a resident engine");
-  registry_metrics.engine_reloads = metric_registry_.Counter(
-      "learnrisk_registry_engine_reloads_total", {},
-      "Spilled engine snapshots reloaded from disk");
-  registry_metrics.spills =
-      metric_registry_.Counter("learnrisk_registry_spills_total", {},
-                               "Eviction model files written to the spill dir");
-  registry_metrics.evictions =
-      metric_registry_.Counter("learnrisk_registry_evictions_total", {},
-                               "Resident engines dropped after a spill");
-  registry_metrics.pinned_engine_waits = metric_registry_.Counter(
-      "learnrisk_registry_pinned_engine_waits_total", {},
-      "Eviction rounds left over cap because every candidate was pinned");
   ServingEngineMetrics engine_metrics;
   engine_metrics.publishes =
       metric_registry_.Counter("learnrisk_serving_publishes_total", {},
@@ -335,10 +320,6 @@ Gateway::Gateway(GatewayOptions options)
       "learnrisk_serving_score_latency_seconds", {},
       "Per-batch ServingEngine::Score wall time (all outcomes)");
   registry_.set_metrics(registry_metrics, engine_metrics);
-  metric_registry_.GaugeCallback(
-      "learnrisk_registry_resident_engines", {},
-      "Namespaces whose engine snapshot is currently in memory",
-      [this]() { return static_cast<int64_t>(registry_.resident_count()); });
   metric_registry_.GaugeCallback(
       "learnrisk_registry_namespaces", {},
       "Namespaces known to the model registry", [this]() {
@@ -562,8 +543,9 @@ void Gateway::RegisterStateGauges(
   }
   if (!state->metrics.feature_values.empty()) {
     // Per-column drift divergence, computed at snapshot time from the live
-    // feature histograms vs the baseline the last Publish supplied. Reads 0
-    // until a model is published with a baseline (docs/TRACING.md).
+    // feature histograms vs the baseline of the snapshot the namespace
+    // serves. Reads 0 while that snapshot carries no baseline
+    // (docs/TRACING.md).
     const char* psi_help =
         "PSI (micro-units) of the live distribution vs the published model's "
         "training baseline";
@@ -574,14 +556,12 @@ void Gateway::RegisterStateGauges(
       metric_registry_.GaugeCallback(
           "learnrisk_gateway_drift_psi_micros",
           {{"column", columns[c]}, {"namespace", ns}}, psi_help,
-          [weak, c]() -> int64_t {
+          [this, weak, ns, c]() -> int64_t {
             const std::shared_ptr<NamespaceState> s = weak.lock();
             if (s == nullptr) return 0;
             const std::shared_ptr<const DriftBaseline> baseline =
-                std::atomic_load_explicit(&s->drift_baseline,
-                                          std::memory_order_acquire);
-            if (baseline == nullptr || c >= baseline->columns().size() ||
-                c >= s->metrics.feature_values.size()) {
+                ServedDriftBaseline(ns);
+            if (baseline == nullptr || c >= baseline->columns().size()) {
               return 0;
             }
             return PsiMicros(baseline->columns()[c],
@@ -592,16 +572,12 @@ void Gateway::RegisterStateGauges(
       metric_registry_.GaugeCallback(
           "learnrisk_gateway_drift_psi_micros",
           {{"column", "risk_score"}, {"namespace", ns}}, psi_help,
-          [weak]() -> int64_t {
+          [this, weak, ns]() -> int64_t {
             const std::shared_ptr<NamespaceState> s = weak.lock();
             if (s == nullptr) return 0;
             const std::shared_ptr<const DriftBaseline> baseline =
-                std::atomic_load_explicit(&s->drift_baseline,
-                                          std::memory_order_acquire);
-            if (baseline == nullptr || !baseline->has_risk() ||
-                s->metrics.risk_scores == nullptr) {
-              return 0;
-            }
+                ServedDriftBaseline(ns);
+            if (baseline == nullptr || !baseline->has_risk()) return 0;
             return PsiMicros(baseline->risk(),
                              s->metrics.risk_scores->Snapshot());
           });
@@ -611,12 +587,11 @@ void Gateway::RegisterStateGauges(
         "learnrisk_gateway_drift_columns_alerted", {{"namespace", ns}},
         "Metric columns whose PSI vs the training baseline is at or above "
         "DriftOptions::alert_psi",
-        [weak, alert_psi]() -> int64_t {
+        [this, weak, ns, alert_psi]() -> int64_t {
           const std::shared_ptr<NamespaceState> s = weak.lock();
           if (s == nullptr) return 0;
           const std::shared_ptr<const DriftBaseline> baseline =
-              std::atomic_load_explicit(&s->drift_baseline,
-                                        std::memory_order_acquire);
+              ServedDriftBaseline(ns);
           if (baseline == nullptr) return 0;
           int64_t alerted = 0;
           const size_t n = std::min(baseline->columns().size(),
@@ -630,6 +605,15 @@ void Gateway::RegisterStateGauges(
           return alerted;
         });
   }
+}
+
+std::shared_ptr<const DriftBaseline> Gateway::ServedDriftBaseline(
+    const std::string& ns) {
+  Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
+  if (!engine.ok()) return nullptr;
+  const std::shared_ptr<const ScorerSnapshot> snap =
+      (*engine)->VersionedSnapshot().second;
+  return snap == nullptr ? nullptr : snap->drift_baseline();
 }
 
 Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
@@ -813,17 +797,7 @@ Result<uint64_t> Gateway::Publish(
     std::shared_ptr<const DriftBaseline> drift_baseline) {
   Result<std::shared_ptr<NamespaceState>> state = State(ns);
   if (!state.ok()) return state.status();
-  Result<uint64_t> version =
-      registry_.Publish(ns, std::move(model), drift_baseline);
-  if (version.ok() && drift_baseline != nullptr) {
-    // Cache the baseline on the namespace so the drift gauge callbacks read
-    // it with one atomic load — never through registry_.Engine(), whose
-    // spill-reload can do IO a metrics scrape must not wait on.
-    std::atomic_store_explicit(&(*state)->drift_baseline,
-                               std::move(drift_baseline),
-                               std::memory_order_release);
-  }
-  return version;
+  return registry_.Publish(ns, std::move(model), std::move(drift_baseline));
 }
 
 std::vector<std::shared_ptr<const RequestTrace>> Gateway::RecentTraces()
@@ -934,7 +908,7 @@ Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
                  tracing ? options_.trace.top_k : size_t{0}));
   }
   const Scored scored{keys, batch, *scores, *scorer, top_risk};
-  if (reviewing) LEARNRISK_RETURN_NOT_OK(EnqueueReview(s, scope, scored));
+  if (reviewing) EnqueueReview(s, scope, scored);
   const uint64_t total_ns = scope.Finish();
   if (requests != nullptr) requests->Add(1);
   if (tracing) MaybeCaptureTrace(ns, scope, total_ns, &scored);
@@ -1006,8 +980,8 @@ void Gateway::MaybeCaptureTrace(const std::string& ns,
   traces_->Push(std::move(trace));
 }
 
-Status Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
-                              const Scored& scored) {
+void Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
+                            const Scored& scored) {
   const ReviewOptions& r = options_.review;
   TraceSpan span(nullptr, scope.Slot(kReview));
   // Build the offer batch from the shared ranking: top-budget decisions at
@@ -1033,7 +1007,7 @@ Status Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
     item.features.assign(values, values + features.cols());
     items.push_back(std::move(item));
   }
-  if (items.empty()) return Status::OK();
+  if (items.empty()) return;
 
   // Review mutations serialize on shard 0's writer mutex so the WAL order
   // below equals the apply order; replay then reconstructs the same queue.
@@ -1051,13 +1025,12 @@ Status Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
       const Status append = shard0.log->AppendReview(event);
       if (!append.ok()) {
         // The offer is feedback-loop observability, not the serving answer:
-        // by default (fail_open) absorb the IO error — count it, skip the
-        // request's remaining offers — rather than failing the resolve.
-        if (!r.fail_open) return append;
+        // absorb the IO error — count it, skip the request's remaining
+        // offers — rather than failing the resolve.
         if (s.metrics.review_log_failures != nullptr) {
           s.metrics.review_log_failures->Add(1);
         }
-        return Status::OK();
+        return;
       }
     }
     switch (s.review->Offer(std::move(item))) {
@@ -1076,7 +1049,6 @@ Status Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
         break;
     }
   }
-  return Status::OK();
 }
 
 Result<std::vector<ReviewItem>> Gateway::DrainReview(const std::string& ns,
@@ -1195,20 +1167,17 @@ Result<ReviewRetrainResult> Gateway::RetrainFromReview(
   result.loss_history = std::move(retrained->loss_history);
 
   Timer publish_timer;
-  std::shared_ptr<const DriftBaseline> baseline;
-  if (options.refresh_drift_baseline) {
-    // The label batch's feature rows are the freshest labeled sample of the
-    // live distribution — they become the new drift reference, scored by
-    // the *retrained* model.
-    retrained->features.column_names = s.pipeline.metric_names();
-    baseline = std::make_shared<DriftBaseline>(DriftBaseline::FromTraining(
-        retrained->features, retrained->risk_scores));
-  }
+  // The label batch's feature rows are the freshest labeled sample of the
+  // live distribution — they become the new drift reference, scored by the
+  // *retrained* model.
+  retrained->features.column_names = s.pipeline.metric_names();
+  auto baseline = std::make_shared<DriftBaseline>(DriftBaseline::FromTraining(
+      retrained->features, retrained->risk_scores));
   Result<uint64_t> version =
       Publish(ns, std::move(retrained->model), std::move(baseline));
   if (!version.ok()) return version.status();
   result.model_version = *version;
-  if (options.checkpoint && !options_.durability.dir.empty()) {
+  if (!options_.durability.dir.empty()) {
     // Commit the new version to the manifest so a crash after this call
     // recovers the retrained model, not the one it replaced.
     LEARNRISK_RETURN_NOT_OK(Checkpoint(ns));

@@ -155,10 +155,9 @@ struct DriftOptions {
   double alert_psi = 0.2;
 };
 
-/// \brief Gateway configuration (the embedded registry's options and the
-/// per-namespace durability settings).
+/// \brief Gateway configuration (per-namespace durability, telemetry,
+/// tracing, drift, parallelism and review settings).
 struct GatewayOptions {
-  ModelRegistryOptions registry;
   /// When `durability.dir` is set, every namespace is durable: registration
   /// writes `<dir>/<ns>/SHARDS` and checkpoint 1 of each shard's log under
   /// `<dir>/<ns>/shards/s<k>/` (one layout for every shard count),
@@ -201,12 +200,6 @@ struct ReviewRetrainOptions {
   /// FailedPrecondition below this many collected labels (a one-label
   /// "batch" cannot rank mislabeled vs correct).
   size_t min_labels = 2;
-  /// Refresh the namespace's drift baseline from the label batch's feature
-  /// rows and the retrained model's risk scores at publish time.
-  bool refresh_drift_baseline = true;
-  /// Checkpoint durable namespaces after the publish so shard 0's manifest
-  /// records the new model version (no-op when durability is off).
-  bool checkpoint = true;
 };
 
 /// \brief What one retrain-and-publish cycle produced.
@@ -288,14 +281,15 @@ class Gateway {
   /// blocks in-flight Resolve calls: they finish on the snapshot they
   /// loaded at score time. `drift_baseline`, when given, freezes the
   /// training-time feature/risk distributions into the new ScorerSnapshot
-  /// and arms the namespace's drift gauges against it (docs/TRACING.md);
-  /// it is not persisted, so spill-reload and recovery serve without one
-  /// until the next Publish.
+  /// and arms the namespace's drift gauges against it (docs/TRACING.md); a
+  /// Publish without one leaves the gauges reading 0. The baseline is not
+  /// persisted, so crash recovery serves without one until the next
+  /// Publish.
   Result<uint64_t> Publish(const std::string& ns, RiskModel model,
                            std::shared_ptr<const DriftBaseline>
                                drift_baseline = nullptr);
 
-  /// \brief The embedded registry (LRU spill, engine lookup).
+  /// \brief The embedded registry (namespace -> serving engine).
   ModelRegistry& registry() { return registry_; }
   const ModelRegistry& registry() const { return registry_; }
 
@@ -384,8 +378,10 @@ class Gateway {
   /// collected so far (incremental analytic-gradient pass seeded from the
   /// serving snapshot), refreshes the drift baseline from the label batch,
   /// and hot-publishes the result under live traffic — in-flight Resolves
-  /// finish on the snapshot they loaded. FailedPrecondition when review is
-  /// off, before the first Publish, or below `min_labels`.
+  /// finish on the snapshot they loaded. Durable namespaces then
+  /// checkpoint, so shard 0's manifest records the retrained version.
+  /// FailedPrecondition when review is off, before the first Publish, or
+  /// below `min_labels`.
   Result<ReviewRetrainResult> RetrainFromReview(
       const std::string& ns, const ReviewRetrainOptions& options = {});
 
@@ -395,8 +391,8 @@ class Gateway {
 
   /// \brief Point-in-time snapshot of every runtime metric this gateway owns
   /// — request/stage latency histograms, risk-score distributions, WAL and
-  /// checkpoint counters, registry LRU stats, serving-engine counters, and
-  /// the snapshot-time gauges (record counts, resident engines). Feed it to
+  /// checkpoint counters, registry and serving-engine counters, and the
+  /// snapshot-time gauges (record counts, drift PSI). Feed it to
   /// ExportJson / ExportPrometheusText (obs/export.h). Safe to call
   /// concurrently with serving traffic: instruments are lock-free and the
   /// snapshot never tears an instrument. Empty when
@@ -517,12 +513,6 @@ class Gateway {
     std::vector<size_t> routed_right;  ///< unused when dedup
     /// Immutable after registration, like `pipeline`; read lock-free.
     NamespaceMetrics metrics;
-    /// Training baseline of the most recent Publish that carried one;
-    /// accessed only via std::atomic_load/atomic_store. Read by the drift
-    /// gauge callbacks at snapshot time, swapped by Publish — cached here
-    /// so a scrape never touches the model registry (whose Engine() call
-    /// can do spill-reload IO).
-    std::shared_ptr<const DriftBaseline> drift_baseline;
     /// The namespace's review queue; null when GatewayOptions::review is
     /// off. Internally synchronized — but in durable mode every mutation
     /// additionally serializes behind shard 0's writer_mu so WAL order
@@ -552,6 +542,11 @@ class Gateway {
   struct Scored;
 
   Result<std::shared_ptr<NamespaceState>> State(const std::string& ns) const;
+  /// \brief The drift baseline of the snapshot the namespace serves right
+  /// now; null before the first Publish or when that snapshot has none.
+  /// The drift gauge callbacks read it at scrape time.
+  std::shared_ptr<const DriftBaseline> ServedDriftBaseline(
+      const std::string& ns);
   static std::shared_ptr<const NamespaceSnapshot> LoadShardSnapshot(
       const Shard& shard);
   static PinnedView Pin(const NamespaceState& state);
@@ -585,9 +580,10 @@ class Gateway {
                           Shard& shard);
   /// \brief Offers the request's top-budget riskiest decisions to the
   /// namespace's review queue; durable namespaces WAL each offer first
-  /// under shard 0's writer_mu. Timed as the review stage.
-  Status EnqueueReview(NamespaceState& s, RequestScope& scope,
-                       const Scored& scored);
+  /// under shard 0's writer_mu, and a failed append is counted and ends the
+  /// request's offers without failing it. Timed as the review stage.
+  void EnqueueReview(NamespaceState& s, RequestScope& scope,
+                     const Scored& scored);
   /// \brief Get-or-creates the namespace's instrument bundle in
   /// metric_registry_. Only called when enable_metrics is on.
   /// `metric_names` labels the per-column drift histograms (one per metric

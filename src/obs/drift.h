@@ -34,10 +34,10 @@ struct DriftColumn {
 /// \brief Training-time reference distributions, frozen into the
 /// ScorerSnapshot when a model is published with one (Gateway::Publish /
 /// ServingEngine::Publish). Immutable after construction; shared by
-/// const shared_ptr between the scorer and the gateway's drift gauges.
-/// Not persisted by model_io: a model reloaded from disk (registry LRU
-/// spill, WAL recovery) serves without a baseline and its drift gauges
-/// read 0 until the next Publish supplies one.
+/// const shared_ptr between the scorer and the gateway's drift gauges,
+/// which read it from the served snapshot. Not persisted by model_io: a
+/// model reloaded from disk (crash recovery) serves without a baseline and
+/// its drift gauges read 0 until the next Publish supplies one.
 class DriftBaseline {
  public:
   static constexpr size_t kNumBuckets = ValueHistogram::kNumBuckets;

@@ -35,6 +35,12 @@
 namespace learnrisk {
 
 /// \brief Per-namespace review configuration (GatewayOptions::review).
+///
+/// Offers are fail-open: a review-WAL append failure during Resolve /
+/// ResolveRecord is counted (learnrisk_gateway_review_log_failures_total),
+/// the request's remaining offers are skipped, and the scored response is
+/// still returned. Drains and labels are fail-closed: they acknowledge
+/// reviewer effort, so they never succeed without their WAL frame.
 struct ReviewOptions {
   /// Master switch: when false no queue is created and Resolve/ResolveRecord
   /// skip the enqueue hook entirely.
@@ -46,14 +52,6 @@ struct ReviewOptions {
   double min_risk = 0.0;
   /// Resident-queue bound; see the displacement policy above.
   size_t queue_capacity = 1024;
-  /// When true (default) a review-WAL append failure during Resolve /
-  /// ResolveRecord degrades gracefully: the failure is counted
-  /// (learnrisk_gateway_review_log_failures_total), the remaining offers of
-  /// the request are skipped, and the scored response is still returned.
-  /// When false the IO error fails the whole request. Drains and labels are
-  /// always fail-closed: they acknowledge reviewer effort, so they never
-  /// succeed without their WAL frame.
-  bool fail_open = true;
 };
 
 /// \brief One enqueued machine decision, carrying everything retraining and

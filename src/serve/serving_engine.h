@@ -74,9 +74,9 @@ class ServingEngine {
   ServingEngine() = default;
 
   /// \brief Engine whose first published snapshot gets version
-  /// `first_version` (>= 1; 0 is treated as 1). Lets a registry that
-  /// recreates an engine — e.g. after spilling its snapshot to disk — keep
-  /// the namespace's served version monotonic across the reload.
+  /// `first_version` (>= 1; 0 is treated as 1). Lets durable-namespace
+  /// recovery re-publish a checkpointed model under the version its
+  /// manifest recorded (ModelRegistry::EnsureVersionAtLeast).
   explicit ServingEngine(uint64_t first_version)
       : next_version_(first_version == 0 ? 1 : first_version) {}
 

@@ -3,6 +3,8 @@
 // register/add/checkpoint/recover round trips are bit-identical to a
 // never-restarted reference; empty namespaces checkpoint and recover;
 // recover -> AddRecord -> recover keeps appending to the recovered WAL; a
+// review-WAL append failure is absorbed by Resolve (counted, offers
+// skipped, scores unchanged); a
 // WAL frame with a valid length but a bad checksum is discarded (along with
 // everything behind it); a torn tail is truncated and the log stays
 // appendable; and corrupt or incomplete durable state (manifest pointing at
@@ -321,6 +323,65 @@ struct DirectLog {
 
   std::string wal_path() const { return dir + "/ns/wal_1.log"; }
 };
+
+TEST(GatewayDurabilityTest, ReviewWalFailureIsAbsorbedByResolve) {
+  const SharedSetup& s = Shared();
+  GatewayOptions options = DurableOptions(FreshDir("review_offer_failure"));
+  options.review.enabled = true;
+  // Armed after registration and publish, so the first WAL append it sees
+  // is the Resolve's first review offer; it fails that append and leaves
+  // the log dead.
+  auto armed = std::make_shared<bool>(false);
+  auto fired = std::make_shared<int>(0);
+  options.durability.crash_hook = [armed, fired](const std::string& point) {
+    if (!*armed || point != "wal:before_append" || *fired > 0) return false;
+    ++*fired;
+    return true;
+  };
+  Gateway gateway(options);
+  ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+  ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+
+  GatewayOptions in_memory_options;
+  in_memory_options.review.enabled = true;
+  Gateway in_memory(in_memory_options);
+  ASSERT_TRUE(in_memory.RegisterNamespace("ds", BaseSpec()).ok());
+  ASSERT_TRUE(in_memory.Publish("ds", s.model).ok());
+
+  const MetricLabels ns_labels = {{"namespace", "ds"}};
+  const MetricsSnapshot before = gateway.MetricsSnapshot();
+  const GaugeSnapshot* depth_before =
+      before.FindGauge("learnrisk_gateway_review_queue_depth", ns_labels);
+  ASSERT_NE(depth_before, nullptr);
+  const int64_t depth = depth_before->value;
+
+  *armed = true;
+  ResolveRequest request;
+  request.block_all = true;
+  const Result<ResolveResponse> response = gateway.Resolve("ds", request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(*fired, 1);
+  const Result<ResolveResponse> reference = in_memory.Resolve("ds", request);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_FALSE(reference->pairs.empty());
+  ASSERT_EQ(response->pairs.size(), reference->pairs.size());
+  for (size_t i = 0; i < reference->pairs.size(); ++i) {
+    EXPECT_EQ(response->pairs[i].left, reference->pairs[i].left);
+    EXPECT_EQ(response->pairs[i].right, reference->pairs[i].right);
+  }
+  EXPECT_EQ(response->scores.risk, reference->scores.risk);  // bit-identical
+  EXPECT_EQ(response->scores.machine_label, reference->scores.machine_label);
+
+  const MetricsSnapshot snap = gateway.MetricsSnapshot();
+  const CounterSnapshot* failures = snap.FindCounter(
+      "learnrisk_gateway_review_log_failures_total", ns_labels);
+  ASSERT_NE(failures, nullptr);
+  EXPECT_EQ(failures->value, 1u);
+  const GaugeSnapshot* depth_after =
+      snap.FindGauge("learnrisk_gateway_review_queue_depth", ns_labels);
+  ASSERT_NE(depth_after, nullptr);
+  EXPECT_EQ(depth_after->value, depth);
+}
 
 TEST(NamespaceLogTest, BadChecksumFrameEndsReplayAndDiscardsTheRest) {
   DirectLog d("wal_badcrc");

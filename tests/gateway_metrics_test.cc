@@ -3,8 +3,8 @@
 // populate the per-namespace request counters, stage-latency histograms, and
 // risk-score distribution; AddRecord on a durable namespace fills the
 // StageTiming wal_append/publish stages and the WAL volume counters; the
-// registry's LRU machinery (hits, reloads, spills, evictions) reports
-// through the same snapshot; recovery counts replayed WAL entries; and
+// registry's publish counter and namespace gauge report through the same
+// snapshot; recovery counts replayed WAL entries; and
 // enable_metrics=false yields an empty snapshot with all recording skipped.
 
 #include <gtest/gtest.h>
@@ -157,6 +157,12 @@ TEST(GatewayMetricsTest, ResolvePopulatesCountersAndStageHistograms) {
   EXPECT_EQ(CounterValue(snap, "learnrisk_serving_scored_pairs_total", {}),
             pairs);
   EXPECT_GE(CounterValue(snap, "learnrisk_serving_publishes_total", {}), 1u);
+  // So do the registry's.
+  EXPECT_EQ(CounterValue(snap, "learnrisk_registry_publishes_total", {}), 1u);
+  const GaugeSnapshot* namespaces =
+      snap.FindGauge("learnrisk_registry_namespaces");
+  ASSERT_NE(namespaces, nullptr);
+  EXPECT_EQ(namespaces->value, 1);
 
   // A probe request lands under its own api label.
   Result<ProbeResponse> probe =
@@ -278,42 +284,6 @@ TEST(GatewayMetricsTest, RecoveryCountsReplayedWal) {
       "learnrisk_gateway_recover_latency_seconds", kNsLabels);
   ASSERT_NE(recover_latency, nullptr);
   EXPECT_EQ(recover_latency->count, 1u);
-}
-
-TEST(GatewayMetricsTest, LruStatsFlowThroughSnapshot) {
-  const SharedSetup& s = Shared();
-  GatewayOptions options;
-  options.registry.max_resident = 1;
-  options.registry.spill_dir = FreshDir("lru_spill");
-  Gateway gateway(options);
-  NamespaceSpec spec_a = BaseSpec();
-  NamespaceSpec spec_b = BaseSpec();
-  ASSERT_TRUE(gateway.RegisterNamespace("a", std::move(spec_a)).ok());
-  ASSERT_TRUE(gateway.RegisterNamespace("b", std::move(spec_b)).ok());
-  ASSERT_TRUE(gateway.Publish("a", s.model).ok());
-  ASSERT_TRUE(gateway.Publish("b", s.model).ok());  // evicts a's engine
-
-  ResolveRequest request;
-  request.block_all = true;
-  ASSERT_TRUE(gateway.Resolve("a", request).ok());  // reloads a, evicts b
-  ASSERT_TRUE(gateway.Resolve("a", request).ok());  // resident hit
-
-  const MetricsSnapshot snap = gateway.MetricsSnapshot();
-  EXPECT_EQ(CounterValue(snap, "learnrisk_registry_publishes_total", {}), 2u);
-  EXPECT_GE(CounterValue(snap, "learnrisk_registry_spills_total", {}), 1u);
-  EXPECT_GE(CounterValue(snap, "learnrisk_registry_evictions_total", {}), 1u);
-  EXPECT_GE(CounterValue(snap, "learnrisk_registry_engine_reloads_total", {}),
-            1u);
-  EXPECT_GE(CounterValue(snap, "learnrisk_registry_engine_hits_total", {}),
-            1u);
-  const GaugeSnapshot* resident =
-      snap.FindGauge("learnrisk_registry_resident_engines");
-  ASSERT_NE(resident, nullptr);
-  EXPECT_EQ(resident->value, 1);
-  const GaugeSnapshot* namespaces =
-      snap.FindGauge("learnrisk_registry_namespaces");
-  ASSERT_NE(namespaces, nullptr);
-  EXPECT_EQ(namespaces->value, 2);
 }
 
 TEST(GatewayMetricsTest, DisabledMetricsYieldEmptySnapshot) {

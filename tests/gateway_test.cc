@@ -3,8 +3,8 @@
 // classifier -> risk) is bit-identical to the offline TokenBlocking +
 // MetricSuite + ServingEngine stages run by hand, for two concurrently
 // served namespaces; multi-threaded publish/score shows no torn state;
-// unknown-namespace / empty-request error paths; online AddRecord +
-// ResolveRecord; and the model registry's LRU spill.
+// unknown-namespace / empty-request error paths; and online AddRecord +
+// ResolveRecord.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +12,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <filesystem>
 #include <memory>
 #include <thread>
 
 #include "classifier/logistic.h"
-#include "common/random.h"
 #include "data/blocking.h"
 #include "data/generators.h"
 #include "eval/experiment.h"
@@ -136,8 +134,13 @@ TEST(GatewayTest, ResolveBitIdenticalToOfflineStagesAcrossNamespaces) {
 
   const RiskModel ds_model = MakeModel(7, 48, ds.suite.num_metrics());
   const RiskModel sg_model = MakeModel(8, 32, sg.suite.num_metrics());
-  ASSERT_TRUE(gateway.Publish("ds", ds_model).ok());
-  ASSERT_TRUE(gateway.Publish("sg", sg_model).ok());
+  // Versions are per namespace: each one's first publish is version 1.
+  const auto ds_version = gateway.Publish("ds", ds_model);
+  const auto sg_version = gateway.Publish("sg", sg_model);
+  ASSERT_TRUE(ds_version.ok());
+  ASSERT_TRUE(sg_version.ok());
+  EXPECT_EQ(*ds_version, 1u);
+  EXPECT_EQ(*sg_version, 1u);
 
   struct Case {
     const char* ns;
@@ -147,6 +150,16 @@ TEST(GatewayTest, ResolveBitIdenticalToOfflineStagesAcrossNamespaces) {
   for (const Case& c : {Case{"ds", &ds, &ds_model}, Case{"sg", &sg,
                                                          &sg_model}}) {
     const std::vector<double> expected = OfflineScores(*c.prepared, *c.model);
+    // The registry's engine scores exactly like an offline ServingEngine.
+    const auto engine = gateway.registry().Engine(c.ns);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ScoreRequest offline_request;
+    offline_request.metric_features = &c.prepared->blocked_features;
+    offline_request.classifier_probs = c.prepared->blocked_probs;
+    const auto engine_scores = (*engine)->Score(offline_request);
+    ASSERT_TRUE(engine_scores.ok());
+    EXPECT_EQ(engine_scores->model_version, 1u);
+    EXPECT_EQ(engine_scores->risk, expected) << c.ns;
     ResolveRequest request;
     request.block_all = true;
     request.explain_top_k = 3;
@@ -178,6 +191,7 @@ TEST(GatewayTest, ErrorPaths) {
       gateway.Publish("nope", MakeModel(1, 8, ds.suite.num_metrics()))
           .status()
           .IsNotFound());
+  EXPECT_TRUE(gateway.registry().Engine("unknown").status().IsNotFound());
 
   ASSERT_TRUE(gateway.RegisterNamespace("ds", ds.Spec()).ok());
   EXPECT_TRUE(
@@ -318,67 +332,6 @@ TEST(GatewayTest, ConcurrentPublishAndResolveSeesNoTornState) {
 
   EXPECT_FALSE(failed.load());
   EXPECT_GT(total_reads.load(), 0u);
-}
-
-TEST(ModelRegistryTest, LruSpillReloadsWithIdenticalScoresAndNewerVersion) {
-  const std::string spill_dir =
-      ::testing::TempDir() + "/learnrisk_registry_spill";
-  std::filesystem::remove_all(spill_dir);
-
-  constexpr size_t kMetrics = 8;
-  ModelRegistryOptions options;
-  options.max_resident = 2;
-  options.spill_dir = spill_dir;
-  ModelRegistry registry(options);
-
-  // A shared scoring probe to fingerprint each namespace's model.
-  Rng rng(3);
-  FeatureMatrix features(50, kMetrics);
-  for (size_t i = 0; i < features.rows(); ++i) {
-    for (size_t m = 0; m < kMetrics; ++m) features.set(i, m, rng.Uniform());
-  }
-  std::vector<double> probs(features.rows());
-  for (double& p : probs) p = rng.Uniform();
-  ScoreRequest request;
-  request.metric_features = &features;
-  request.classifier_probs = probs;
-
-  const char* names[3] = {"alpha", "beta", "gamma"};
-  std::vector<std::vector<double>> expected;
-  for (size_t k = 0; k < 3; ++k) {
-    RiskModel model = MakeModel(40 + k, 16, kMetrics);
-    {
-      ServingEngine offline;
-      offline.Publish(model);
-      expected.push_back(offline.Score(request)->risk);
-    }
-    const auto version = registry.Publish(names[k], std::move(model));
-    ASSERT_TRUE(version.ok());
-    EXPECT_EQ(*version, 1u);
-  }
-  // Cap of 2: one namespace (the least recently touched) must be spilled.
-  EXPECT_EQ(registry.Namespaces().size(), 3u);
-  EXPECT_EQ(registry.resident_count(), 2u);
-
-  // Every namespace still scores, spilled ones reload transparently, and
-  // reloaded versions move forward (never regress).
-  for (size_t k = 0; k < 3; ++k) {
-    const auto engine = registry.Engine(names[k]);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    const auto response = (*engine)->Score(request);
-    ASSERT_TRUE(response.ok());
-    EXPECT_GE(response->model_version, 1u);
-    ASSERT_EQ(response->risk, expected[k]) << names[k];
-    EXPECT_LE(registry.resident_count(), 2u);
-  }
-  EXPECT_TRUE(registry.Engine("unknown").status().IsNotFound());
-
-  // A cap without a spill directory is rejected up front.
-  ModelRegistry capped(ModelRegistryOptions{1, ""});
-  EXPECT_TRUE(capped.Publish("alpha", MakeModel(1, 4, kMetrics))
-                  .status()
-                  .IsInvalidArgument());
-  std::filesystem::remove_all(spill_dir);
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 // the workload it serves keeps every drift gauge quiet, while a baseline
 // frozen from a shifted distribution trips learnrisk_gateway_drift_psi_micros
 // and the columns-alerted gauge — with gauge values integer-equal to PSI
-// recomputed locally from the same data.
+// recomputed locally from the same data; and the gauges follow the served
+// snapshot, so a baseline-less publish quiets them.
 
 #include <gtest/gtest.h>
 
@@ -326,6 +327,48 @@ TEST(DriftGatewayTest, ShiftedBaselineTripsGauges) {
   ASSERT_NE(alerted, nullptr);
   EXPECT_EQ(alerted->value, expected_alerted);
   EXPECT_GE(alerted->value, 1);
+}
+
+TEST(DriftGatewayTest, BaselineLessPublishQuietsGauges) {
+  const SharedSetup& s = Shared();
+  Gateway gateway;
+  ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+
+  // Arm the gauges with a baseline far from live traffic: every feature and
+  // every training risk score at 1.0.
+  FeatureMatrix ones(32, s.suite.num_metrics());
+  ones.column_names = s.suite.MetricNames();
+  for (size_t r = 0; r < ones.rows(); ++r) {
+    for (size_t c = 0; c < ones.cols(); ++c) ones.set(r, c, 1.0);
+  }
+  const std::vector<double> risk_ones(ones.rows(), 1.0);
+  ASSERT_TRUE(gateway
+                  .Publish("ds", s.model,
+                           std::make_shared<const DriftBaseline>(
+                               DriftBaseline::FromTraining(ones, risk_ones)))
+                  .ok());
+  ResolveRequest request;
+  request.block_all = true;
+  ASSERT_TRUE(gateway.Resolve("ds", request).ok());
+  const MetricsSnapshot armed = gateway.MetricsSnapshot();
+  EXPECT_GT(PsiGauge(armed, "risk_score"), 0);
+  const GaugeSnapshot* armed_alerted = armed.FindGauge(
+      "learnrisk_gateway_drift_columns_alerted", {{"namespace", "ds"}});
+  ASSERT_NE(armed_alerted, nullptr);
+  ASSERT_GE(armed_alerted->value, 1);
+
+  // The served snapshot now carries no baseline, so nothing is compared
+  // against the previous model's.
+  ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+  const MetricsSnapshot snap = gateway.MetricsSnapshot();
+  for (const std::string& column : s.suite.MetricNames()) {
+    EXPECT_EQ(PsiGauge(snap, column), 0) << column;
+  }
+  EXPECT_EQ(PsiGauge(snap, "risk_score"), 0);
+  const GaugeSnapshot* alerted = snap.FindGauge(
+      "learnrisk_gateway_drift_columns_alerted", {{"namespace", "ds"}});
+  ASSERT_NE(alerted, nullptr);
+  EXPECT_EQ(alerted->value, 0);
 }
 
 TEST(DriftGatewayTest, DisabledDriftCreatesNoInstruments) {

@@ -7,7 +7,9 @@
 #  3. orphan guard: every docs/*.md is reachable from README.md by following
 #     relative markdown links (a doc nobody links to is a doc nobody reads);
 #  4. API-coverage guard: docs/API.md documents the public serving-stack
-#     classes.
+#     classes;
+#  5. metric-family guard: the "learnrisk_..." families registered in src/
+#     and the catalog rows of docs/OBSERVABILITY.md are the same set.
 #
 # Usage: tools/check_docs.sh [repo-root]  (default: cwd)
 set -u
@@ -127,13 +129,19 @@ else
       fail=1
     fi
   done
-  # Every metric family the gateway registers must be cataloged.
-  for family in $(grep -ohE '"learnrisk_[a-z_]+"' "$root"/src/gateway/gateway.cc \
-                  | tr -d '"' | sort -u); do
-    if ! grep -q "$family" "$obs_doc"; then
-      echo "docs/OBSERVABILITY.md does not catalog metric $family"
-      fail=1
-    fi
+  # Metric-family guard, both ways: every "learnrisk_..." literal in src/
+  # has a catalog row, and every catalog row names a family src/ registers.
+  src_families=$(grep -rohE --include='*.cc' --include='*.h' \
+                   '"learnrisk_[a-z_]+"' "$root"/src | tr -d '"' | sort -u)
+  doc_families=$(grep -oE '^\| `learnrisk_[a-z_]+' "$obs_doc" \
+                   | sed 's/^| `//' | sort -u)
+  for family in $(comm -23 <(echo "$src_families") <(echo "$doc_families")); do
+    echo "docs/OBSERVABILITY.md does not catalog metric $family"
+    fail=1
+  done
+  for family in $(comm -13 <(echo "$src_families") <(echo "$doc_families")); do
+    echo "docs/OBSERVABILITY.md catalogs $family, which src/ never registers"
+    fail=1
   done
 fi
 
