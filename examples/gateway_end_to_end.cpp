@@ -11,11 +11,17 @@
 // durable: one namespace is checkpointed and recovered in a fresh gateway,
 // model version included.
 //
+// Leaves three dumps in the working directory: gateway_metrics_1.prom
+// (after the batch section), gateway_metrics_2.prom and gateway_traces.json
+// (at the end). The metrics_format_check ctest runs this walkthrough and
+// validates them with tools/check_metrics_format.sh.
+//
 //   ./gateway_end_to_end
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -83,6 +89,13 @@ bool SetUpNamespace(Gateway* gateway, const std::string& ns,
   return true;
 }
 
+// Writes one telemetry dump into the working directory.
+bool WriteDump(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  return static_cast<bool>(out);
+}
+
 }  // namespace
 
 int main() {
@@ -135,6 +148,10 @@ int main() {
       std::printf("    %-50.50s weight=%.2f mu=%.2f\n", c.description.c_str(),
                   c.weight, c.expectation);
     }
+  }
+  if (!WriteDump("gateway_metrics_1.prom",
+                 ExportPrometheusText(gateway.MetricsSnapshot()))) {
+    return 1;
   }
 
   // --- Online: a new record arrives, gets indexed, and is probed. ---------
@@ -271,5 +288,9 @@ int main() {
   const std::string prom = ExportPrometheusText(metrics);
   const size_t tail = prom.size() > 400 ? prom.size() - 400 : 0;
   std::printf("\nprometheus exposition tail:\n...%s", prom.c_str() + tail);
+  if (!WriteDump("gateway_metrics_2.prom", prom) ||
+      !WriteDump("gateway_traces.json", ExportTracesJson(traces))) {
+    return 1;
+  }
   return 0;
 }

@@ -19,6 +19,14 @@
 namespace learnrisk {
 namespace {
 
+// PSI at or above this counts a column as drifted in the
+// learnrisk_gateway_drift_columns_alerted gauge (the conventional line).
+constexpr double kDriftAlertPsi = 0.2;
+
+// RetrainFromReview refuses below this many collected labels: a one-label
+// "batch" cannot rank mislabeled vs correct.
+constexpr size_t kMinReviewLabels = 2;
+
 // Feeds a millisecond measurement that was already taken (a stage slot, a
 // retrain or recovery timer) into a nanosecond histogram — one clock
 // reading backing both views.
@@ -582,12 +590,10 @@ void Gateway::RegisterStateGauges(
                              s->metrics.risk_scores->Snapshot());
           });
     }
-    const double alert_psi = options_.drift.alert_psi;
     metric_registry_.GaugeCallback(
         "learnrisk_gateway_drift_columns_alerted", {{"namespace", ns}},
-        "Metric columns whose PSI vs the training baseline is at or above "
-        "DriftOptions::alert_psi",
-        [this, weak, ns, alert_psi]() -> int64_t {
+        "Metric columns whose PSI vs the training baseline is at or above 0.2",
+        [this, weak, ns]() -> int64_t {
           const std::shared_ptr<NamespaceState> s = weak.lock();
           if (s == nullptr) return 0;
           const std::shared_ptr<const DriftBaseline> baseline =
@@ -598,7 +604,8 @@ void Gateway::RegisterStateGauges(
                                     s->metrics.feature_values.size());
           for (size_t c = 0; c < n; ++c) {
             if (Psi(baseline->columns()[c],
-                    s->metrics.feature_values[c]->Snapshot()) >= alert_psi) {
+                    s->metrics.feature_values[c]->Snapshot()) >=
+                kDriftAlertPsi) {
               ++alerted;
             }
           }
@@ -1132,11 +1139,11 @@ Result<ReviewRetrainResult> Gateway::RetrainFromReview(
     return Status::FailedPrecondition("review is not enabled on this gateway");
   }
   const std::vector<LabeledReview> labels = s.review->Labeled();
-  if (labels.size() < std::max<size_t>(options.min_labels, 1)) {
+  if (labels.size() < kMinReviewLabels) {
     return Status::FailedPrecondition(
         "namespace '" + ns + "' holds " + std::to_string(labels.size()) +
         " review labels; RetrainFromReview needs at least " +
-        std::to_string(options.min_labels));
+        std::to_string(kMinReviewLabels));
   }
   // Seed from the serving snapshot: the retrain is incremental, tuning the
   // live parameters rather than refitting from the prior.

@@ -148,11 +148,10 @@ struct TraceOptions {
 /// enable_metrics: the live distributions are ValueHistogram instruments
 /// and the PSI divergences are snapshot-time gauges.
 struct DriftOptions {
-  /// Master switch for the per-column feature histograms + PSI gauges.
+  /// Master switch for the per-column feature histograms + PSI gauges. A
+  /// column whose PSI is at or above the conventional 0.2 counts as drifted
+  /// in the learnrisk_gateway_drift_columns_alerted gauge.
   bool enabled = true;
-  /// PSI at or above this counts a column as drifted in the
-  /// learnrisk_gateway_drift_columns_alerted gauge (conventional 0.2).
-  double alert_psi = 0.2;
 };
 
 /// \brief Gateway configuration (per-namespace durability, telemetry,
@@ -168,9 +167,9 @@ struct GatewayOptions {
   /// Runtime telemetry (docs/OBSERVABILITY.md): per-namespace counters,
   /// per-stage latency histograms, and risk-score distributions, exposed
   /// through MetricsSnapshot(). Recording is lock-free (a few relaxed
-  /// atomics per event; measured overhead is in BENCH_gateway.json's
-  /// `observability` block). Off = no instruments are created and every
-  /// recording site is skipped via a null check.
+  /// atomics per event; the benchmark's `bulk_resolve --trace 1` reports
+  /// the measured cost as `obs.metrics_overhead`). Off = no instruments are
+  /// created and every recording site is skipped via a null check.
   bool enable_metrics = true;
   /// Request-scoped trace capture (docs/TRACING.md). Independent of
   /// enable_metrics: traces capture even with aggregate metrics off.
@@ -197,9 +196,6 @@ struct GatewayOptions {
 struct ReviewRetrainOptions {
   /// Trainer hyperparameters for the incremental pass.
   IncrementalRetrainOptions retrain;
-  /// FailedPrecondition below this many collected labels (a one-label
-  /// "batch" cannot rank mislabeled vs correct).
-  size_t min_labels = 2;
 };
 
 /// \brief What one retrain-and-publish cycle produced.
@@ -381,7 +377,8 @@ class Gateway {
   /// finish on the snapshot they loaded. Durable namespaces then
   /// checkpoint, so shard 0's manifest records the retrained version.
   /// FailedPrecondition when review is off, before the first Publish, or
-  /// below `min_labels`.
+  /// below two collected labels (a one-label "batch" cannot rank
+  /// mislabeled vs correct).
   Result<ReviewRetrainResult> RetrainFromReview(
       const std::string& ns, const ReviewRetrainOptions& options = {});
 

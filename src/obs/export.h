@@ -3,8 +3,8 @@
 // Both consume an immutable MetricsSnapshot (Gateway::MetricsSnapshot() /
 // MetricRegistry::Snapshot()) and are pure functions of it, so they are safe
 // anywhere and never touch live instruments. Formats are documented with
-// examples in docs/OBSERVABILITY.md; the Prometheus output is validated in
-// CI by tools/check_metrics_format.sh.
+// examples in docs/OBSERVABILITY.md; the metrics_format_check ctest
+// validates the Prometheus output with tools/check_metrics_format.sh.
 
 #ifndef LEARNRISK_OBS_EXPORT_H_
 #define LEARNRISK_OBS_EXPORT_H_

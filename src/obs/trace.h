@@ -73,8 +73,9 @@ struct RequestTrace {
 /// \brief Serializes traces as a JSON document `{"traces": [...]}` with one
 /// trace object per line, ordered by (start_ns, request_id) so timestamps
 /// are monotone regardless of capture interleaving. The one-object-per-line
-/// layout is load-bearing: tools/check_metrics_format.sh validates schema
-/// keys, request-id uniqueness, and timestamp monotonicity line-by-line.
+/// layout is load-bearing: tools/check_metrics_format.sh (the
+/// metrics_format_check ctest) validates schema keys, request-id
+/// uniqueness, and timestamp monotonicity line-by-line.
 std::string ExportTracesJson(
     const std::vector<std::shared_ptr<const RequestTrace>>& traces);
 

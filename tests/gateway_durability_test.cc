@@ -161,33 +161,52 @@ void ExpectBitIdentical(Gateway* recovered, Gateway* reference,
 
 TEST(GatewayDurabilityTest, CheckpointRecoverRoundTripIsBitIdentical) {
   const SharedSetup& s = Shared();
-  const std::string dir = FreshDir("durable_roundtrip");
   constexpr size_t kAdds = 20;
-  {
-    Gateway gateway(DurableOptions(dir));
-    ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
-    ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
-    ASSERT_TRUE(ApplyAdds(&gateway, "ds", kAdds / 2).ok());
-    // Checkpoint mid-sequence: recovery must compose checkpoint segments
-    // with the WAL tail written after them.
-    ASSERT_TRUE(gateway.Checkpoint("ds").ok());
-    EXPECT_EQ(*gateway.WalEntriesSinceCheckpoint("ds"), 0u);
-    ASSERT_TRUE(ApplyAdds(&gateway, "ds", kAdds).ok());
-    EXPECT_EQ(*gateway.WalEntriesSinceCheckpoint("ds"), kAdds);
-  }  // gateway destroyed: simulates a clean process exit (no final flushes)
+  const MetricLabels ns_labels = {{"namespace", "ds"}};
+  // fsync_appends only changes how far each append is pushed to disk: the
+  // round trip must be bit-identical either way, and the fsync counter
+  // must track every append exactly when (and only when) it is on.
+  for (const bool fsync : {false, true}) {
+    SCOPED_TRACE(fsync ? "fsync_appends on" : "fsync_appends off");
+    const std::string dir = FreshDir("durable_roundtrip");
+    GatewayOptions options = DurableOptions(dir);
+    options.durability.fsync_appends = fsync;
+    {
+      Gateway gateway(options);
+      ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+      ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+      ASSERT_TRUE(ApplyAdds(&gateway, "ds", kAdds / 2).ok());
+      // Checkpoint mid-sequence: recovery must compose checkpoint segments
+      // with the WAL tail written after them.
+      ASSERT_TRUE(gateway.Checkpoint("ds").ok());
+      EXPECT_EQ(*gateway.WalEntriesSinceCheckpoint("ds"), 0u);
+      ASSERT_TRUE(ApplyAdds(&gateway, "ds", kAdds).ok());
+      EXPECT_EQ(*gateway.WalEntriesSinceCheckpoint("ds"), kAdds);
 
-  Gateway recovered(DurableOptions(dir));
-  ASSERT_TRUE(recovered.RecoverNamespace("ds", RecoverSpec()).ok());
-  // The checkpointed model comes back at its recorded version without any
-  // re-publish by the caller.
-  EXPECT_TRUE(recovered.registry().Contains("ds"));
+      const MetricsSnapshot snap = gateway.MetricsSnapshot();
+      const CounterSnapshot* appends =
+          snap.FindCounter("learnrisk_gateway_wal_appends_total", ns_labels);
+      const CounterSnapshot* fsyncs =
+          snap.FindCounter("learnrisk_gateway_wal_fsyncs_total", ns_labels);
+      ASSERT_NE(appends, nullptr);
+      ASSERT_NE(fsyncs, nullptr);
+      EXPECT_EQ(appends->value, kAdds / 2 + kAdds);
+      EXPECT_EQ(fsyncs->value, fsync ? appends->value : 0u);
+    }  // gateway destroyed: simulates a clean process exit (no final flushes)
 
-  Gateway reference;
-  ASSERT_TRUE(reference.RegisterNamespace("ds", BaseSpec()).ok());
-  ASSERT_TRUE(reference.Publish("ds", s.model).ok());
-  ASSERT_TRUE(ApplyAdds(&reference, "ds", kAdds / 2).ok());
-  ASSERT_TRUE(ApplyAdds(&reference, "ds", kAdds).ok());
-  ExpectBitIdentical(&recovered, &reference, "ds");
+    Gateway recovered(options);
+    ASSERT_TRUE(recovered.RecoverNamespace("ds", RecoverSpec()).ok());
+    // The checkpointed model comes back at its recorded version without any
+    // re-publish by the caller.
+    EXPECT_TRUE(recovered.registry().Contains("ds"));
+
+    Gateway reference;
+    ASSERT_TRUE(reference.RegisterNamespace("ds", BaseSpec()).ok());
+    ASSERT_TRUE(reference.Publish("ds", s.model).ok());
+    ASSERT_TRUE(ApplyAdds(&reference, "ds", kAdds / 2).ok());
+    ASSERT_TRUE(ApplyAdds(&reference, "ds", kAdds).ok());
+    ExpectBitIdentical(&recovered, &reference, "ds");
+  }
 }
 
 TEST(GatewayDurabilityTest, EmptyNamespaceCheckpointsAndRecovers) {

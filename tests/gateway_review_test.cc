@@ -312,8 +312,36 @@ TEST(GatewayReviewTest, ReviewApiGatesAndErrorPaths) {
   EXPECT_TRUE(gateway.ReviewStats("nope").status().IsNotFound());
   // A label for a pair nobody drained is NotFound.
   EXPECT_TRUE(gateway.SubmitReviewLabel("ds", 1, 2, 1).IsNotFound());
-  // Below min_labels the retrain refuses (here: zero labels).
+  // Below two labels the retrain refuses (here: zero labels).
   EXPECT_TRUE(gateway.RetrainFromReview("ds").status().IsFailedPrecondition());
+
+  // With a model published, only the label-count gate stands between the
+  // queue and a retrain: one label is refused, a second one is enough.
+  ASSERT_TRUE(gateway.Publish("ds", *s.model).ok());
+  ResolveRequest request;
+  request.block_all = true;
+  const auto response = gateway.Resolve("ds", request);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  const Frontier f = MakeFrontier(*response);
+  auto label_next = [&]() {
+    const auto items = gateway.DrainReview("ds", 1);
+    ASSERT_TRUE(items.ok()) << items.status().ToString();
+    ASSERT_EQ(items->size(), 1u);
+    const ReviewItem& item = (*items)[0];
+    const size_t idx = f.index.at(PairKey(item.left, item.right));
+    ASSERT_TRUE(
+        gateway.SubmitReviewLabel("ds", item.left, item.right, f.truth[idx])
+            .ok());
+  };
+  label_next();
+  const auto one_label = gateway.RetrainFromReview("ds");
+  EXPECT_TRUE(one_label.status().IsFailedPrecondition())
+      << one_label.status().ToString();
+  label_next();
+  const auto two_labels = gateway.RetrainFromReview("ds");
+  ASSERT_TRUE(two_labels.ok()) << two_labels.status().ToString();
+  EXPECT_EQ(two_labels->labels_used, 2u);
+  EXPECT_EQ(two_labels->model_version, 2u);
 }
 
 TEST(GatewayReviewTest, ProbeEnqueuesKeyedOnCandidateSide) {

@@ -2,8 +2,11 @@
 # Docs hygiene checks, run by CI and by the `docs_check` ctest:
 #  1. every relative markdown link in README.md / ROADMAP.md / docs/*.md
 #     resolves to an existing file (http(s)/mailto/anchor links are skipped);
-#  2. drift guard: every bench/bench_*.cc target is documented in
-#     docs/BENCHMARKS.md;
+#  2. bench/tools guard, both ways: every bench/bench_*.cc target is
+#     documented in docs/BENCHMARKS.md, and every bench_* name and
+#     tools/*.sh path that README.md, docs/*.md, the CI workflow or the
+#     verify skill mentions exists under bench/ or tools/ (CMakeLists.txt is
+#     skipped: its bench_name / bench_src are variables);
 #  3. orphan guard: every docs/*.md is reachable from README.md by following
 #     relative markdown links (a doc nobody links to is a doc nobody reads);
 #  4. API-coverage guard: docs/API.md documents the public serving-stack
@@ -98,6 +101,24 @@ else
     fi
   done
 fi
+for path in "$root"/README.md "$root"/docs/*.md \
+            "$root"/.github/workflows/ci.yml \
+            "$root"/.claude/skills/verify/SKILL.md; do
+  [ -f "$path" ] || continue
+  f="${path#"$root"/}"
+  for name in $(grep -oE 'bench_[a-z0-9_]+' "$path" | sort -u); do
+    if ! compgen -G "$root/bench/$name.*" > /dev/null; then
+      echo "$f names $name, which is not under bench/"
+      fail=1
+    fi
+  done
+  for script in $(grep -oE 'tools/[A-Za-z0-9_.-]+\.sh' "$path" | sort -u); do
+    if [ ! -f "$root/$script" ]; then
+      echo "$f names $script, which does not exist"
+      fail=1
+    fi
+  done
+done
 
 # --- API-coverage guard: docs/API.md documents the serving surface. --------
 api_doc="$root/docs/API.md"

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Validates Prometheus text-exposition dumps produced by the gateway's
-# metrics exporter (bench_gateway writes gateway_metrics_{1,2}.prom):
+# metrics exporter. The `metrics_format_check` ctest runs it over the dumps
+# examples/gateway_end_to_end.cpp leaves in its working directory:
+# gateway_metrics_1.prom (after the batch resolves), gateway_metrics_2.prom
+# and gateway_traces.json (at the end of the walkthrough). Checks:
 #  1. syntax: every non-comment line is `name{labels} value` with a legal
 #     metric name ([a-zA-Z_:][a-zA-Z0-9_:]*) and a parseable value;
 #  2. typing: every sample's family has a preceding `# TYPE` line, counter
@@ -13,8 +16,8 @@
 #     decrease from the first to the second.
 #
 # Arguments ending in .json are validated as request-trace dumps instead
-# (ExportTracesJson output, e.g. bench_gateway's gateway_traces.json;
-# schema in docs/TRACING.md):
+# (ExportTracesJson output, e.g. gateway_traces.json; schema in
+# docs/TRACING.md):
 #  1. framing: `{"traces": [` header, `]}` footer, one JSON object per line
 #     in between, at least one trace;
 #  2. schema: every trace line carries the full key set (request_id through
