@@ -23,24 +23,49 @@ constexpr char kReviewSegmentHeader[] = "learnrisk-rev v1\n";
 constexpr char kWalHeader[] = "learnrisk-wal v1\n";
 
 // WAL frame payload discriminator (payload byte 0). Record frames predate
-// the review kinds, so their two values double as the blocking side.
+// the review kinds, so their two values double as the blocking side. A
+// batch frame carries a u32 event count and then that many review events,
+// each encoded exactly as the payload of a single-event frame (kind byte
+// included); batches never nest.
 constexpr char kPayloadRecordLeft = '\0';
 constexpr char kPayloadRecordRight = '\1';
 constexpr char kPayloadReviewOffer = '\2';
 constexpr char kPayloadReviewDrain = '\3';
 constexpr char kPayloadReviewLabel = '\4';
+constexpr char kPayloadReviewBatch = '\5';
+// Frame header: u32 payload size, then u32 CRC32 of the payload.
+constexpr size_t kFrameHeaderBytes = 8;
+// The smallest encoded review event: a drain (kind byte + pair key).
+constexpr size_t kMinReviewEventBytes = 1 + 2 * sizeof(int64_t);
 // A single record entry can't plausibly exceed this; a "valid" length above
 // it is treated as tail corruption rather than allocated.
 constexpr uint32_t kMaxFramePayload = 1u << 30;
+constexpr char kDeadLogMessage[] =
+    "namespace log is dead after a crash or an unrecoverable WAL write";
 
 // --- Little-endian integer framing (byte shifts: host-endian agnostic). ----
 
+// Raw stores write at `p` and return the next position: encoders that size
+// their output first (review items and frames) fill one buffer through a
+// cursor instead of paying a string append per field.
+char* StoreU32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
+  return p + 4;
+}
+
+char* StoreU64(char* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
+  return p + 8;
+}
+
 void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  char bytes[4];
+  out->append(bytes, StoreU32(bytes, v) - bytes);
 }
 
 void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+  char bytes[8];
+  out->append(bytes, StoreU64(bytes, v) - bytes);
 }
 
 void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
@@ -120,10 +145,10 @@ bool DecodeRecord(const char** p, const char* end, Record* record,
 // Doubles travel as their IEEE-754 bit pattern so replay reproduces risk
 // ordering bit-exactly.
 
-void PutF64(std::string* out, double v) {
+char* StoreF64(char* p, double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
+  return StoreU64(p, bits);
 }
 
 bool GetF64(const char** p, const char* end, double* v) {
@@ -133,16 +158,31 @@ bool GetF64(const char** p, const char* end, double* v) {
   return true;
 }
 
+// An encoded ReviewItem: pair key, risk, classifier probability, machine
+// label byte, model version, request id, feature count, then the features.
+constexpr size_t kReviewItemFixedBytes = 8 + 8 + 8 + 8 + 1 + 8 + 8 + 4;
+
+size_t ReviewItemBytes(const ReviewItem& item) {
+  return kReviewItemFixedBytes + sizeof(uint64_t) * item.features.size();
+}
+
+char* StoreReviewItem(char* p, const ReviewItem& item) {
+  p = StoreU64(p, static_cast<uint64_t>(item.left));
+  p = StoreU64(p, static_cast<uint64_t>(item.right));
+  p = StoreF64(p, item.risk);
+  p = StoreF64(p, item.classifier_prob);
+  *p++ = static_cast<char>(item.machine_label);
+  p = StoreU64(p, item.model_version);
+  p = StoreU64(p, item.request_id);
+  p = StoreU32(p, static_cast<uint32_t>(item.features.size()));
+  for (double f : item.features) p = StoreF64(p, f);
+  return p;
+}
+
 void EncodeReviewItem(std::string* out, const ReviewItem& item) {
-  PutI64(out, item.left);
-  PutI64(out, item.right);
-  PutF64(out, item.risk);
-  PutF64(out, item.classifier_prob);
-  out->push_back(static_cast<char>(item.machine_label));
-  PutU64(out, item.model_version);
-  PutU64(out, item.request_id);
-  PutU32(out, static_cast<uint32_t>(item.features.size()));
-  for (double f : item.features) PutF64(out, f);
+  const size_t at = out->size();
+  out->resize(at + ReviewItemBytes(item));
+  StoreReviewItem(&(*out)[at], item);
 }
 
 bool DecodeReviewItem(const char** p, const char* end, ReviewItem* item) {
@@ -172,28 +212,38 @@ bool DecodeReviewItem(const char** p, const char* end, ReviewItem* item) {
   return true;
 }
 
-// Review WAL event payload: kind byte, then the full item (offers) or the
-// pair key (drains; labels add the truth byte).
-std::string EncodeReviewEvent(const ReviewWalEvent& event) {
-  std::string payload;
-  switch (event.kind) {
+// One review event: kind byte, then the full item (offers) or the pair key
+// (drains; labels add the truth byte).
+size_t ReviewEventBytes(ReviewWalEvent::Kind kind, const ReviewItem& item) {
+  switch (kind) {
     case ReviewWalEvent::Kind::kOffer:
-      payload.push_back(kPayloadReviewOffer);
-      EncodeReviewItem(&payload, event.item);
-      break;
+      return 1 + ReviewItemBytes(item);
     case ReviewWalEvent::Kind::kDrain:
-      payload.push_back(kPayloadReviewDrain);
-      PutI64(&payload, event.item.left);
-      PutI64(&payload, event.item.right);
-      break;
+      return kMinReviewEventBytes;
     case ReviewWalEvent::Kind::kLabel:
-      payload.push_back(kPayloadReviewLabel);
-      PutI64(&payload, event.item.left);
-      PutI64(&payload, event.item.right);
-      payload.push_back(static_cast<char>(event.truth));
-      break;
+      return kMinReviewEventBytes + 1;
   }
-  return payload;
+  return 0;
+}
+
+char* StoreReviewEvent(char* p, ReviewWalEvent::Kind kind,
+                       const ReviewItem& item, uint8_t truth) {
+  switch (kind) {
+    case ReviewWalEvent::Kind::kOffer:
+      *p++ = kPayloadReviewOffer;
+      return StoreReviewItem(p, item);
+    case ReviewWalEvent::Kind::kDrain:
+      *p++ = kPayloadReviewDrain;
+      p = StoreU64(p, static_cast<uint64_t>(item.left));
+      return StoreU64(p, static_cast<uint64_t>(item.right));
+    case ReviewWalEvent::Kind::kLabel:
+      *p++ = kPayloadReviewLabel;
+      p = StoreU64(p, static_cast<uint64_t>(item.left));
+      p = StoreU64(p, static_cast<uint64_t>(item.right));
+      *p++ = static_cast<char>(truth);
+      return p;
+  }
+  return p;
 }
 
 // Decodes the payload *after* the kind byte; `kind` is that byte.
@@ -214,6 +264,40 @@ bool DecodeReviewEvent(char kind, const char** p, const char* end,
   event->kind = ReviewWalEvent::Kind::kLabel;
   if (*p == end) return false;
   event->truth = static_cast<uint8_t>(*(*p)++);
+  return true;
+}
+
+bool IsReviewEventKind(char kind) {
+  return kind == kPayloadReviewOffer || kind == kPayloadReviewDrain ||
+         kind == kPayloadReviewLabel;
+}
+
+// Decodes a batch payload *after* its kind byte into `events`, all or
+// nothing: false (and `events` untouched) unless the count, every nested
+// event and the payload length agree exactly.
+bool DecodeReviewBatch(const char** p, const char* end,
+                       std::vector<ReviewWalEvent>* events) {
+  uint32_t count = 0;
+  if (!GetU32(p, end, &count)) return false;
+  // Bound the count by what the payload can hold before reserving, so a
+  // corrupt-but-checksummed count cannot force a huge allocation.
+  if (count > static_cast<uint64_t>(end - *p) / kMinReviewEventBytes) {
+    return false;
+  }
+  const size_t before = events->size();
+  events->resize(before + count);
+  bool ok = true;
+  for (size_t i = before; ok && i < events->size(); ++i) {
+    ok = *p != end && IsReviewEventKind(**p);
+    if (ok) {
+      const char kind = *(*p)++;
+      ok = DecodeReviewEvent(kind, p, end, &(*events)[i]);
+    }
+  }
+  if (!ok || *p != end) {
+    events->resize(before);
+    return false;
+  }
   return true;
 }
 
@@ -482,22 +566,49 @@ void RemoveCheckpointFiles(const std::string& dir, uint64_t id) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size) {
-  // CRC-32/IEEE (reflected 0xEDB88320), table computed on first use.
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+  // CRC-32/IEEE (reflected 0xEDB88320), slicing-by-8: t[k][b] is the CRC
+  // contribution of byte b followed by k zero bytes, so one step folds
+  // eight input bytes with eight independent lookups. Same values as the
+  // byte-at-a-time loop, which the tail still uses.
+  struct Tables {
+    uint32_t t[8][256];
+  };
+  static const Tables tables = [] {
+    Tables out;
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      out.t[0][i] = c;
     }
-    return t;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t prev = out.t[k - 1][i];
+        out.t[k][i] = out.t[0][prev & 0xFFu] ^ (prev >> 8);
+      }
+    }
+    return out;
   }();
+  const auto& t = tables.t;
   uint32_t crc = 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; size -= 8, p += 8) {
+    // Little-endian words by byte shifts: host-endian agnostic.
+    const uint32_t lo = crc ^ (static_cast<uint32_t>(p[0]) |
+                               static_cast<uint32_t>(p[1]) << 8 |
+                               static_cast<uint32_t>(p[2]) << 16 |
+                               static_cast<uint32_t>(p[3]) << 24);
+    const uint32_t hi = static_cast<uint32_t>(p[4]) |
+                        static_cast<uint32_t>(p[5]) << 8 |
+                        static_cast<uint32_t>(p[6]) << 16 |
+                        static_cast<uint32_t>(p[7]) << 24;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++p) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -518,6 +629,12 @@ Status NamespaceLog::OpenWal(const std::string& path) {
     return Status::IOError("cannot open WAL '" + path + "' for appending");
   }
   wal_path_ = path;
+  std::error_code ec;
+  wal_bytes_ = std::filesystem::file_size(path, ec);
+  if (ec) {
+    CloseWal();
+    return Status::IOError("cannot size WAL '" + path + "': " + ec.message());
+  }
   return Status::OK();
 }
 
@@ -559,56 +676,92 @@ bool NamespaceLog::Exists(const std::string& dir, const std::string& ns) {
 }
 
 Status NamespaceLog::Append(const WalEntry& entry) {
-  std::string payload;
-  payload.push_back(entry.side == BlockingSide::kLeft ? kPayloadRecordLeft
-                                                      : kPayloadRecordRight);
-  EncodeRecord(&payload, entry.record, entry.entity_id);
-  return AppendFrame(payload);
+  std::string frame(kFrameHeaderBytes, '\0');
+  frame.push_back(entry.side == BlockingSide::kLeft ? kPayloadRecordLeft
+                                                    : kPayloadRecordRight);
+  EncodeRecord(&frame, entry.record, entry.entity_id);
+  return AppendFrame(&frame, 1);
 }
 
 Status NamespaceLog::AppendReview(const ReviewWalEvent& event) {
-  return AppendFrame(EncodeReviewEvent(event));
+  std::string frame(
+      kFrameHeaderBytes + ReviewEventBytes(event.kind, event.item), '\0');
+  StoreReviewEvent(&frame[kFrameHeaderBytes], event.kind, event.item,
+                   event.truth);
+  return AppendFrame(&frame, 1);
 }
 
-Status NamespaceLog::AppendFrame(const std::string& payload) {
+Status NamespaceLog::AppendReviewBatch(ReviewWalEvent::Kind kind,
+                                       const ReviewItem* items, size_t count) {
+  if (count == 0 || count > kMaxReviewEventsPerFrame ||
+      kind == ReviewWalEvent::Kind::kLabel) {
+    return Status::InvalidArgument(
+        "a review batch frame carries 1-" +
+        std::to_string(kMaxReviewEventsPerFrame) + " offers or drains, got " +
+        std::to_string(count));
+  }
+  // Sized up front, then encoded straight from the items through a cursor.
+  size_t size = kFrameHeaderBytes + 1 + sizeof(uint32_t);
+  for (size_t i = 0; i < count; ++i) size += ReviewEventBytes(kind, items[i]);
+  std::string frame(size, '\0');
+  char* p = &frame[kFrameHeaderBytes];
+  *p++ = kPayloadReviewBatch;
+  p = StoreU32(p, static_cast<uint32_t>(count));
+  for (size_t i = 0; i < count; ++i) {
+    p = StoreReviewEvent(p, kind, items[i], 0);
+  }
+  return AppendFrame(&frame, count);
+}
+
+Status NamespaceLog::RollBackFailedAppend(const std::string& what) {
+  // Closing flushes whatever stdio still buffers (it may fail again); the
+  // truncation then removes every byte past the last acknowledged frame.
+  CloseWal();
+  std::error_code ec;
+  std::filesystem::resize_file(wal_path_, wal_bytes_, ec);
+  if (ec || !OpenWal(wal_path_).ok()) dead_ = true;
+  return Status::IOError(what + ": " + wal_path_);
+}
+
+Status NamespaceLog::AppendFrame(std::string* frame, size_t entries) {
   if (dead_) {
-    return Status::IOError("namespace log is dead after a simulated crash");
+    return Status::IOError(kDeadLogMessage);
   }
   if (checkpoint_id_ == 0 || wal_ == nullptr) {
     return Status::Internal("WAL append before the first checkpoint");
   }
-  std::string frame;
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32(payload.data(), payload.size()));
-  frame += payload;
+  const size_t payload_size = frame->size() - kFrameHeaderBytes;
+  char* header = &(*frame)[0];
+  header = StoreU32(header, static_cast<uint32_t>(payload_size));
+  StoreU32(header, Crc32(frame->data() + kFrameHeaderBytes, payload_size));
 
   LEARNRISK_RETURN_NOT_OK(CrashPoint("wal:before_append"));
-  // Written in two flushed halves so the mid-append crash point leaves a
-  // genuinely torn frame on disk.
-  const size_t half = frame.size() / 2;
-  if (std::fwrite(frame.data(), 1, half, wal_) != half ||
-      std::fflush(wal_) != 0) {
-    return Status::IOError("WAL write failed: " + wal_path_);
+  // Two buffered halves, one flush. The mid-append crash point closes the
+  // stream, which flushes the first half only: a genuinely torn frame.
+  const size_t half = frame->size() / 2;
+  if (std::fwrite(frame->data(), 1, half, wal_) != half) {
+    return RollBackFailedAppend("WAL write failed");
   }
   LEARNRISK_RETURN_NOT_OK(CrashPoint("wal:mid_append"));
-  if (std::fwrite(frame.data() + half, 1, frame.size() - half, wal_) !=
-          frame.size() - half ||
+  if (std::fwrite(frame->data() + half, 1, frame->size() - half, wal_) !=
+          frame->size() - half ||
       std::fflush(wal_) != 0) {
-    return Status::IOError("WAL write failed: " + wal_path_);
+    return RollBackFailedAppend("WAL write failed");
   }
 #ifndef _WIN32
   if (fsync_appends_ && ::fsync(fileno(wal_)) != 0) {
-    return Status::IOError("WAL fsync failed: " + wal_path_);
+    return RollBackFailedAppend("WAL fsync failed");
   }
   if (fsync_appends_ && metrics_.wal_fsyncs != nullptr) {
     metrics_.wal_fsyncs->Add(1);
   }
 #endif
   LEARNRISK_RETURN_NOT_OK(CrashPoint("wal:after_append"));
-  ++wal_entries_;
+  wal_bytes_ += frame->size();
+  wal_entries_ += entries;
   if (metrics_.wal_appends != nullptr) metrics_.wal_appends->Add(1);
   if (metrics_.wal_append_bytes != nullptr) {
-    metrics_.wal_append_bytes->Add(frame.size());
+    metrics_.wal_append_bytes->Add(frame->size());
   }
   return Status::OK();
 }
@@ -712,7 +865,7 @@ Status NamespaceLog::WriteCheckpoint(const Table& left, const Table* right,
                                      const ModelSaver& save_model,
                                      const ReviewQueue::CheckpointState* review) {
   if (dead_) {
-    return Status::IOError("namespace log is dead after a simulated crash");
+    return Status::IOError(kDeadLogMessage);
   }
   const uint64_t id = checkpoint_id_ + 1;
 
@@ -867,9 +1020,10 @@ Result<std::unique_ptr<NamespaceLog>> NamespaceLog::Recover(
   }
 
   // WAL tail replay. The first frame that is torn (not enough bytes), has an
-  // implausible length, or fails its checksum ends the replay: everything
-  // from that offset on is discarded and truncated away, so the next append
-  // extends a fully valid prefix.
+  // implausible length, fails its checksum, or is checksummed but malformed
+  // ends the replay: everything from that offset on is discarded and
+  // truncated away, so the next append extends a fully valid prefix. A
+  // batch frame replays all of its events or none.
   const std::string wal_path = ns_dir + "/" + m.wal_file;
   if (!std::filesystem::exists(wal_path)) {
     return Status::IOError("manifest references missing WAL file '" +
@@ -899,15 +1053,22 @@ Result<std::unique_ptr<NamespaceLog>> NamespaceLog::Recover(
     const char* payload_end = p + payload_size;
     if (p == payload_end) break;  // empty payload: corrupt
     const char kind_byte = *p++;
-    if (kind_byte == kPayloadReviewOffer || kind_byte == kPayloadReviewDrain ||
-        kind_byte == kPayloadReviewLabel) {
+    size_t entries = 1;
+    if (kind_byte == kPayloadReviewBatch) {
+      const size_t before = out.review_events.size();
+      if (!DecodeReviewBatch(&p, payload_end, &out.review_events)) {
+        break;  // checksummed but malformed: treat as tail corruption
+      }
+      entries = out.review_events.size() - before;
+    } else if (IsReviewEventKind(kind_byte)) {
       ReviewWalEvent event;
       if (!DecodeReviewEvent(kind_byte, &p, payload_end, &event) ||
           p != payload_end) {
         break;  // checksummed but undecodable: treat as tail corruption
       }
       out.review_events.push_back(std::move(event));
-    } else {
+    } else if (kind_byte == kPayloadRecordLeft ||
+               kind_byte == kPayloadRecordRight) {
       Record record;
       int64_t entity_id = -1;
       if (!DecodeRecord(&p, payload_end, &record, &entity_id) ||
@@ -923,8 +1084,10 @@ Result<std::unique_ptr<NamespaceLog>> NamespaceLog::Recover(
       Table* target =
           (m.dedup || kind_byte == kPayloadRecordLeft) ? &out.left : &out.right;
       LEARNRISK_RETURN_NOT_OK(target->Append(std::move(record), entity_id));
+    } else {
+      break;  // checksummed but of no known kind: treat as tail corruption
     }
-    ++out.wal_entries_replayed;
+    out.wal_entries_replayed += entries;
     valid_end = static_cast<size_t>(p - base);
   }
   out.wal_bytes_discarded = bytes.size() - valid_end;

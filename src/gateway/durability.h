@@ -15,7 +15,8 @@
 //   ckpt_<id>_right.seg  ids, length-prefixed, whole-payload CRC32)
 //   model_<id>.model     the served risk model at checkpoint time (model_io;
 //                        the gateway saves it on shard 0 only)
-//   wal_<id>.log         CRC32-framed record appends since checkpoint <id>
+//   wal_<id>.log         CRC32-framed record appends and review-queue
+//                        events since checkpoint <id>
 //
 // AddRecord durability: the gateway appends to the WAL *before* publishing
 // the successor snapshot, so every acknowledged record is on disk. Recovery
@@ -96,6 +97,12 @@ struct DurabilityOptions {
 /// so tests can forge and corrupt frames deliberately.
 uint32_t Crc32(const void* data, size_t size);
 
+/// \brief Most review events one WAL batch frame carries. Callers split
+/// longer batches (a block_all frontier offers thousands of pairs), so a
+/// frame stays a few tens of KiB and the encode buffer never grows with the
+/// request.
+constexpr size_t kMaxReviewEventsPerFrame = 256;
+
 /// \brief One logged record append, exactly the arguments of
 /// Gateway::AddRecord.
 struct WalEntry {
@@ -129,7 +136,9 @@ struct RecoveredNamespace {
   uint64_t model_version = 0;
   std::string model_path;
   size_t checkpoint_records = 0;     ///< records loaded from checkpoint segments
-  size_t wal_entries_replayed = 0;   ///< valid WAL tail entries applied
+  /// Valid WAL tail entries applied: records plus review events (a batch
+  /// frame counts once per event it carries).
+  size_t wal_entries_replayed = 0;
   size_t wal_bytes_discarded = 0;    ///< torn/corrupt tail bytes truncated
   /// Review-queue state from the checkpoint's review segment (empty when the
   /// manifest has none) plus the review events replayed from the WAL tail,
@@ -148,7 +157,9 @@ struct RecoveredNamespace {
 /// Not internally synchronized: the gateway serializes every call on the
 /// namespace's writer mutex (readers never touch the log). Once a simulated
 /// crash fires, the object is dead — every later call fails with IOError —
-/// mirroring a killed process whose state must be recovered from disk.
+/// mirroring a killed process whose state must be recovered from disk. A
+/// failed WAL write is rolled back to the last acknowledged frame instead;
+/// the log dies only when that rollback fails.
 class NamespaceLog {
  public:
   /// \brief Writes the model file of a checkpoint (e.g. a bound
@@ -186,10 +197,20 @@ class NamespaceLog {
   /// unacknowledged).
   Status Append(const WalEntry& entry);
 
-  /// \brief Appends one review-queue event frame (same framing and crash
-  /// points as Append). The gateway logs the event *before* applying it to
-  /// the in-memory queue, so every acked review mutation is on disk.
+  /// \brief Appends one review-queue event as a single-event frame (same
+  /// framing and crash points as Append); the gateway uses it for labels.
+  /// The gateway logs the event *before* applying it to the in-memory
+  /// queue, so every acked review mutation is on disk.
   Status AppendReview(const ReviewWalEvent& event);
+
+  /// \brief Appends `count` review events of one kind — offers (the full
+  /// items) or drains (their pair keys) — as a single batch frame (same
+  /// crash points as Append). A frame is all or nothing: replay applies
+  /// every event of a durable frame or none of a torn one, so the caller
+  /// applies the events only once this returns OK. `count` must be in
+  /// [1, kMaxReviewEventsPerFrame]; labels go through AppendReview.
+  Status AppendReviewBatch(ReviewWalEvent::Kind kind, const ReviewItem* items,
+                           size_t count);
 
   /// \brief Checkpoints the full record state: writes immutable segment
   /// files and the model file for checkpoint id N+1, starts a fresh WAL,
@@ -206,7 +227,8 @@ class NamespaceLog {
                          const ReviewQueue::CheckpointState* review = nullptr);
 
   /// \brief Entries appended to the active WAL since the last checkpoint
-  /// (includes replayed entries after Recover).
+  /// (includes replayed entries after Recover). Counts records and review
+  /// events, not frames: a batch frame of N events advances it by N.
   size_t wal_entries_since_checkpoint() const { return wal_entries_; }
 
   uint64_t checkpoint_id() const { return checkpoint_id_; }
@@ -224,9 +246,16 @@ class NamespaceLog {
   /// \brief Fires the crash hook for `point`; on crash, closes the WAL
   /// stream, marks the log dead, and returns IOError.
   Status CrashPoint(const std::string& point);
-  /// \brief Frames, checksums, and appends one payload to the active WAL in
-  /// two flushed halves (shared by Append / AppendReview).
-  Status AppendFrame(const std::string& payload);
+  /// \brief Checksums and appends one frame carrying `entries` WAL entries
+  /// to the active WAL with a single flush. `frame` holds kFrameHeaderBytes
+  /// of placeholder followed by the payload; the header is filled in here.
+  /// Shared by Append / AppendReview / AppendReviewBatch.
+  Status AppendFrame(std::string* frame, size_t entries);
+  /// \brief Undoes a failed write: closes the stream, truncates the WAL
+  /// back to its last acknowledged frame and reopens it, so the next append
+  /// never lands behind torn bytes. Marks the log dead when that fails.
+  /// Returns the IOError to report for the failed append.
+  Status RollBackFailedAppend(const std::string& what);
   /// \brief Opens `path` for appending as the active WAL stream.
   Status OpenWal(const std::string& path);
   void CloseWal();
@@ -236,6 +265,8 @@ class NamespaceLog {
   bool fsync_appends_ = false;
   std::FILE* wal_ = nullptr;
   std::string wal_path_;
+  /// Bytes of the active WAL up to the end of its last acknowledged frame.
+  uint64_t wal_bytes_ = 0;
   uint64_t checkpoint_id_ = 0;  ///< 0 = created but nothing committed yet
   size_t wal_entries_ = 0;
   bool dead_ = false;

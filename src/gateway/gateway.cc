@@ -1020,40 +1020,46 @@ void Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
   // below equals the apply order; replay then reconstructs the same queue.
   Shard& shard0 = *s.shards[0];
   std::lock_guard<std::mutex> writer(shard0.writer_mu);
-  for (ReviewItem& item : items) {
+  for (size_t begin = 0; begin < items.size();
+       begin += kMaxReviewEventsPerFrame) {
+    const size_t end =
+        std::min(items.size(), begin + kMaxReviewEventsPerFrame);
     if (shard0.log != nullptr) {
-      // Write-ahead, one item at a time: an offer is applied if and only if
-      // its frame is durably appended, so the applied queue never runs
-      // ahead of (or behind) the WAL — a crash or IO error mid-batch leaves
-      // a durable, applied prefix and replay reconstructs exactly it.
-      ReviewWalEvent event;
-      event.kind = ReviewWalEvent::Kind::kOffer;
-      event.item = item;
-      const Status append = shard0.log->AppendReview(event);
+      // Write-ahead, one batch frame per chunk: a chunk's offers are
+      // applied if and only if its frame is durably appended, so the
+      // applied queue never runs ahead of (or behind) the WAL — a crash or
+      // IO error mid-request leaves a durable, applied prefix of whole
+      // chunks and replay reconstructs exactly it.
+      const Status append = shard0.log->AppendReviewBatch(
+          ReviewWalEvent::Kind::kOffer, &items[begin], end - begin);
       if (!append.ok()) {
         // The offer is feedback-loop observability, not the serving answer:
         // absorb the IO error — count it, skip the request's remaining
-        // offers — rather than failing the resolve.
+        // chunks — rather than failing the resolve.
         if (s.metrics.review_log_failures != nullptr) {
           s.metrics.review_log_failures->Add(1);
         }
         return;
       }
     }
-    switch (s.review->Offer(std::move(item))) {
-      case ReviewQueue::Offered::kAdmitted:
-        if (s.metrics.review_enqueued != nullptr) {
-          s.metrics.review_enqueued->Add(1);
-        }
-        break;
-      case ReviewQueue::Offered::kMerged:
-        if (s.metrics.review_merged != nullptr) s.metrics.review_merged->Add(1);
-        break;
-      case ReviewQueue::Offered::kDropped:
-        if (s.metrics.review_dropped != nullptr) {
-          s.metrics.review_dropped->Add(1);
-        }
-        break;
+    for (size_t i = begin; i < end; ++i) {
+      switch (s.review->Offer(std::move(items[i]))) {
+        case ReviewQueue::Offered::kAdmitted:
+          if (s.metrics.review_enqueued != nullptr) {
+            s.metrics.review_enqueued->Add(1);
+          }
+          break;
+        case ReviewQueue::Offered::kMerged:
+          if (s.metrics.review_merged != nullptr) {
+            s.metrics.review_merged->Add(1);
+          }
+          break;
+        case ReviewQueue::Offered::kDropped:
+          if (s.metrics.review_dropped != nullptr) {
+            s.metrics.review_dropped->Add(1);
+          }
+          break;
+      }
     }
   }
 }
@@ -1069,20 +1075,20 @@ Result<std::vector<ReviewItem>> Gateway::DrainReview(const std::string& ns,
   Shard& shard0 = *s.shards[0];
   std::lock_guard<std::mutex> writer(shard0.writer_mu);
   if (shard0.log != nullptr) {
-    // Write-ahead: log every drain frame *before* mutating the queue. The
-    // writer mutex keeps other review mutations out, so the peek below is
-    // exactly what DrainTop will remove. An append failure mid-batch then
-    // leaves the queue untouched — no item is stranded outstanding with a
-    // reviewer who never received it — and replaying any durably-logged
-    // frames of the failed batch just re-drains resident pairs that the
-    // post-replay requeue returns to the queue.
+    // Write-ahead: log every drain, in batch frames, *before* mutating the
+    // queue. The writer mutex keeps other review mutations out, so the peek
+    // below is exactly what DrainTop will remove. An append failure
+    // mid-batch then leaves the queue untouched — no item is stranded
+    // outstanding with a reviewer who never received it — and replaying any
+    // durably-logged frames of the failed batch just re-drains resident
+    // pairs that the post-replay requeue returns to the queue.
     const std::vector<ReviewItem> peeked = s.review->PeekTop(max_items);
-    for (const ReviewItem& item : peeked) {
-      ReviewWalEvent event;
-      event.kind = ReviewWalEvent::Kind::kDrain;
-      event.item.left = item.left;
-      event.item.right = item.right;
-      LEARNRISK_RETURN_NOT_OK(shard0.log->AppendReview(event));
+    for (size_t begin = 0; begin < peeked.size();
+         begin += kMaxReviewEventsPerFrame) {
+      const size_t count =
+          std::min(peeked.size() - begin, kMaxReviewEventsPerFrame);
+      LEARNRISK_RETURN_NOT_OK(shard0.log->AppendReviewBatch(
+          ReviewWalEvent::Kind::kDrain, &peeked[begin], count));
     }
   }
   std::vector<ReviewItem> items = s.review->DrainTop(max_items);

@@ -12,7 +12,8 @@
 // crashed and applied exactly the recovered record sequence. The review
 // cases kill the gateway mid-enqueue (review offers / drains / labels torn
 // at every WAL boundary: no acked label may be lost, labeled pairs never
-// re-queue) and mid-retrain-publish (crash inside the post-publish
+// re-queue; a torn offer batch frame replays all of its offers or none) and
+// mid-retrain-publish (crash inside the post-publish
 // checkpoint: the recovered namespace serves either the old or the
 // retrained model, bit-identically, never a torn mixture). Runs under
 // ASan+UBSan in CI (the asan-ubsan job): torn files and replay paths are
@@ -379,18 +380,19 @@ ResolveRequest PairWindow(size_t start, size_t count) {
 
 // Kill the gateway at every WAL boundary while review traffic (offers,
 // drains, labels) is the only thing being logged. Each round appends a
-// deterministic 8 frames (4 offers + 2 drains + 2 labels), so the
-// occurrence count picks which kind of frame tears. After recovery: every
+// deterministic 4 frames (one batch frame of 4 offers, one batch frame of
+// 2 drains, then 2 single-label frames), so the occurrence count picks
+// which kind of frame tears. After recovery: every
 // acked label survived (at most one durable-but-unacked extra), no labeled
 // pair is back in the queue, the accounting invariant holds exactly, and
 // the loop still closes (drain -> label -> retrain -> publish).
 TEST(GatewayCrashRecoveryTest, ReviewCrashMidEnqueueKeepsEveryAckedLabel) {
   const SharedSetup& s = Shared();
   const CrashCase kCases[] = {
-      {"wal:before_append", 10},  // 2nd offer of round 1: mid-enqueue
-      {"wal:mid_append", 10},     // same offer, torn frame
-      {"wal:after_append", 10},   // durable offer, unacknowledged request
-      {"wal:before_append", 13},  // drain frame of round 1
+      {"wal:before_append", 10},  // drain batch of round 2
+      {"wal:mid_append", 10},     // same drain batch, torn frame
+      {"wal:after_append", 10},   // durable drains, unacknowledged drain
+      {"wal:before_append", 13},  // offer batch of round 3: mid-enqueue
       {"wal:mid_append", 15},     // torn label frame
       {"wal:after_append", 16},   // durable label, unacknowledged
   };
@@ -492,6 +494,86 @@ TEST(GatewayCrashRecoveryTest, ReviewCrashMidEnqueueKeepsEveryAckedLabel) {
     const auto result = recovered.RetrainFromReview("ds", retrain);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->labels_used, recovered.ReviewStats("ds")->labeled);
+  }
+}
+
+// Tear the batch frame carrying one request's offers at each WAL boundary.
+// A frame is all or nothing: the recovered queue holds none of the
+// request's offers when the crash hits before the append or mid-frame, and
+// all of them when it hits after the frame is durable — exactly the queue
+// a never-crashed gateway holds after the first request or after both.
+TEST(GatewayCrashRecoveryTest, ReviewCrashTearsAnOfferBatchWhole) {
+  const SharedSetup& s = Shared();
+  struct BatchCase {
+    const char* point;
+    bool offers_survive;
+  };
+  const BatchCase kCases[] = {
+      {"wal:before_append", false},
+      {"wal:mid_append", false},
+      {"wal:after_append", true},
+  };
+  // The queue a never-crashed gateway holds after the first `requests` of
+  // the two resolves, in drain (risk) order.
+  auto reference_queue = [&](size_t requests) {
+    GatewayOptions options = ReviewDurableOptions("");
+    Gateway reference(options);
+    EXPECT_TRUE(reference.RegisterNamespace("ds", BaseSpec()).ok());
+    EXPECT_TRUE(reference.Publish("ds", s.model).ok());
+    for (size_t r = 0; r < requests; ++r) {
+      EXPECT_TRUE(reference.Resolve("ds", PairWindow(r * 16, 16)).ok());
+    }
+    const auto drained = reference.DrainReview("ds", 1u << 20);
+    EXPECT_TRUE(drained.ok());
+    std::vector<PairKey> keys;
+    for (const ReviewItem& item : *drained) {
+      keys.emplace_back(item.left, item.right);
+    }
+    return keys;
+  };
+  const std::vector<PairKey> after_first = reference_queue(1);
+  const std::vector<PairKey> after_both = reference_queue(2);
+  ASSERT_EQ(after_first.size(), 4u);
+  ASSERT_GT(after_both.size(), after_first.size());
+
+  for (const BatchCase& c : kCases) {
+    SCOPED_TRACE(c.point);
+    const std::string dir = ::testing::TempDir() +
+                            "/learnrisk_review_batch_crash_" +
+                            std::string(c.point);
+    std::filesystem::remove_all(dir);
+    // Registration and publish append nothing, so the second firing of the
+    // point is the second request's offer frame.
+    std::atomic<int> countdown{2};
+    GatewayOptions options = ReviewDurableOptions(dir);
+    options.durability.crash_hook = [&](const std::string& point) {
+      if (point != c.point) return false;
+      return countdown.fetch_sub(1) == 1;
+    };
+    {
+      Gateway gateway(options);
+      ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+      ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+      ASSERT_TRUE(gateway.Resolve("ds", PairWindow(0, 16)).ok());
+      // Offers are fail-open: the crashed append does not fail the resolve.
+      ASSERT_TRUE(gateway.Resolve("ds", PairWindow(16, 16)).ok());
+      ASSERT_EQ(countdown.load(), 0) << "crash hook never fired";
+    }
+
+    Gateway recovered(ReviewDurableOptions(dir));
+    ASSERT_TRUE(recovered.RecoverNamespace("ds", RecoverSpec()).ok());
+    const auto stats = recovered.ReviewStats("ds");
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->outstanding, 0u);
+    EXPECT_EQ(stats->enqueued + stats->requeued,
+              stats->drained + stats->dropped + stats->depth);
+    const auto drained = recovered.DrainReview("ds", 1u << 20);
+    ASSERT_TRUE(drained.ok());
+    std::vector<PairKey> keys;
+    for (const ReviewItem& item : *drained) {
+      keys.emplace_back(item.left, item.right);
+    }
+    EXPECT_EQ(keys, c.offers_survive ? after_both : after_first);
   }
 }
 

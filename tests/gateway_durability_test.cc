@@ -9,7 +9,13 @@
 // everything behind it); a torn tail is truncated and the log stays
 // appendable; and corrupt or incomplete durable state (manifest pointing at
 // a deleted segment file, byte-flipped manifest) fails with a diagnostic
-// Status instead of undefined behavior. The on-disk layout is one shape for
+// Status instead of undefined behavior. Review offers and drains travel in
+// batch frames that replay all or nothing: a resolve offering N pairs
+// advances the WAL entry count by N, malformed-but-checksummed batch frames
+// end replay, and single-event frames from older logs still replay. A WAL
+// write that fails (file-size limit) is rolled back so the next acked
+// append survives recovery, and CRC-32 matches a bitwise reference. The
+// on-disk layout is one shape for
 // every shard count (SHARDS + shards/s<k>/, the model on shard 0 only):
 // corrupt shard counts, re-registration with another count, interrupted
 // registrations and flat directories from the retired layout are covered
@@ -19,7 +25,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -32,6 +42,10 @@
 #include "gateway/gateway.h"
 #include "risk/risk_feature.h"
 #include "test_models.h"
+
+#ifndef _WIN32
+#include <sys/resource.h>
+#endif
 
 namespace learnrisk {
 namespace {
@@ -402,6 +416,67 @@ TEST(GatewayDurabilityTest, ReviewWalFailureIsAbsorbedByResolve) {
   EXPECT_EQ(depth_after->value, depth);
 }
 
+// Offers travel in batch frames of at most kMaxReviewEventsPerFrame events,
+// but the WAL entry count — which drives the auto-checkpoint cadence — and
+// the replay count both count events: a resolve offering N pairs advances
+// them by N while adding only ceil(N / 256) frames.
+TEST(GatewayDurabilityTest, ReviewOffersCountAsWalEntriesNotFrames) {
+  const SharedSetup& s = Shared();
+  const std::string dir = FreshDir("review_offer_entries");
+  GatewayOptions options = DurableOptions(dir);
+  options.review.enabled = true;
+  options.review.per_request_budget = 1u << 20;  // block_all offers it all
+  options.review.queue_capacity = 1u << 20;
+  const MetricLabels ns_labels = {{"namespace", "ds"}};
+  auto appends = [&](Gateway& gateway) {
+    const MetricsSnapshot snap = gateway.MetricsSnapshot();
+    const CounterSnapshot* counter =
+        snap.FindCounter("learnrisk_gateway_wal_appends_total", ns_labels);
+    return counter == nullptr ? uint64_t{0} : counter->value;
+  };
+
+  size_t offered = 0;
+  size_t depth = 0;
+  {
+    Gateway gateway(options);
+    ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+    ASSERT_TRUE(gateway.Publish("ds", s.model).ok());
+    ASSERT_EQ(*gateway.WalEntriesSinceCheckpoint("ds"), 0u);
+    ResolveRequest request;
+    request.block_all = true;
+    const auto response = gateway.Resolve("ds", request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    offered = gateway.ReviewStats("ds")->offered;
+    depth = gateway.ReviewStats("ds")->depth;
+    // More than one frame's worth, so the chunking is exercised.
+    ASSERT_GT(offered, kMaxReviewEventsPerFrame);
+    EXPECT_EQ(offered, response->pairs.size());
+    EXPECT_EQ(*gateway.WalEntriesSinceCheckpoint("ds"), offered);
+    const size_t frames = (offered + kMaxReviewEventsPerFrame - 1) /
+                          kMaxReviewEventsPerFrame;
+    EXPECT_EQ(appends(gateway), frames);
+
+    // A drain of D pairs advances the count by D as well.
+    const auto drained = gateway.DrainReview("ds", 3);
+    ASSERT_TRUE(drained.ok());
+    ASSERT_EQ(drained->size(), 3u);
+    EXPECT_EQ(*gateway.WalEntriesSinceCheckpoint("ds"), offered + 3);
+    EXPECT_EQ(appends(gateway), frames + 1);
+    depth -= 3;
+  }
+
+  Gateway recovered(options);
+  ASSERT_TRUE(recovered.RecoverNamespace("ds", RecoverSpec()).ok());
+  EXPECT_EQ(*recovered.WalEntriesSinceCheckpoint("ds"), offered + 3);
+  const MetricsSnapshot snap = recovered.MetricsSnapshot();
+  const CounterSnapshot* replayed = snap.FindCounter(
+      "learnrisk_gateway_recovered_wal_entries_total", ns_labels);
+  ASSERT_NE(replayed, nullptr);
+  EXPECT_EQ(replayed->value, offered + 3);
+  // The three drained pairs were outstanding; recovery requeues them.
+  EXPECT_EQ(recovered.ReviewStats("ds")->depth, depth + 3);
+}
+
 TEST(NamespaceLogTest, BadChecksumFrameEndsReplayAndDiscardsTheRest) {
   DirectLog d("wal_badcrc");
   ASSERT_TRUE(d.AppendN(3).ok());
@@ -456,6 +531,262 @@ TEST(NamespaceLogTest, TornTailIsTruncatedAndTheLogStaysAppendable) {
   EXPECT_EQ(second.wal_entries_replayed, 3u);
   EXPECT_EQ(second.wal_bytes_discarded, 0u);
 }
+
+// --- Forged review frames: batch frames fail closed, old kinds replay. ---
+
+void PutLE(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>(v >> (8 * i)));
+  }
+}
+
+void PutF64LE(std::string* out, double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  PutLE(out, bits, 8);
+}
+
+// A drain event as the WAL encodes it: kind byte 3, then the pair key.
+std::string DrainEvent(int64_t left, int64_t right) {
+  std::string out(1, '\3');
+  PutLE(&out, static_cast<uint64_t>(left), 8);
+  PutLE(&out, static_cast<uint64_t>(right), 8);
+  return out;
+}
+
+// An offer event as the WAL encodes it: kind byte 2, then the full item.
+std::string OfferEvent(const ReviewItem& item) {
+  std::string out(1, '\2');
+  PutLE(&out, static_cast<uint64_t>(item.left), 8);
+  PutLE(&out, static_cast<uint64_t>(item.right), 8);
+  PutF64LE(&out, item.risk);
+  PutF64LE(&out, item.classifier_prob);
+  out.push_back(static_cast<char>(item.machine_label));
+  PutLE(&out, item.model_version, 8);
+  PutLE(&out, item.request_id, 8);
+  PutLE(&out, item.features.size(), 4);
+  for (double f : item.features) PutF64LE(&out, f);
+  return out;
+}
+
+// A batch payload: kind byte 5, u32 event count, then the event bytes.
+std::string BatchPayload(uint32_t count, const std::string& events) {
+  std::string out(1, '\5');
+  PutLE(&out, count, 4);
+  return out + events;
+}
+
+// Appends one correctly sized and checksummed frame to a WAL file.
+void AppendRawFrame(const std::string& path, const std::string& payload) {
+  std::string frame;
+  PutLE(&frame, payload.size(), 4);
+  PutLE(&frame, Crc32(payload.data(), payload.size()), 4);
+  frame += payload;
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+}
+
+ReviewItem SampleItem() {
+  ReviewItem item;
+  item.left = 11;
+  item.right = 22;
+  item.risk = 0.625;
+  item.classifier_prob = 0.375;
+  item.machine_label = 1;
+  item.model_version = 3;
+  item.request_id = 44;
+  item.features = {0.5, -1.25, 2.0};
+  return item;
+}
+
+TEST(NamespaceLogTest, MalformedReviewFrameEndsReplayAtThatFrame) {
+  const std::string drain = DrainEvent(5, 6);
+  const std::string offer = OfferEvent(SampleItem());
+  struct Case {
+    const char* name;
+    std::string payload;
+  };
+  const Case kCases[] = {
+      {"count larger than the bytes left", BatchPayload(1000, drain)},
+      {"count one past the events", BatchPayload(2, drain)},
+      {"nested record kind 0", BatchPayload(1, '\0' + drain.substr(1))},
+      {"nested record kind 1", BatchPayload(1, '\1' + drain.substr(1))},
+      {"nested batch kind", BatchPayload(1, BatchPayload(1, drain))},
+      {"truncated nested offer",
+       BatchPayload(1, offer.substr(0, offer.size() - 3))},
+      {"trailing bytes", BatchPayload(1, drain + std::string(1, '\0'))},
+      {"unknown frame kind", '\6' + drain.substr(1)},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.name);
+    DirectLog d("wal_bad_batch");
+    ASSERT_TRUE(d.AppendN(1).ok());
+    const ReviewItem keys[2] = {SampleItem(), SampleItem()};
+    ASSERT_TRUE(
+        d.log->AppendReviewBatch(ReviewWalEvent::Kind::kDrain, keys, 2).ok());
+    d.log.reset();
+    AppendRawFrame(d.wal_path(), c.payload);
+    // A valid frame behind the malformed one is discarded with it.
+    AppendRawFrame(d.wal_path(), BatchPayload(1, drain));
+
+    RecoveredNamespace recovered;
+    Result<std::unique_ptr<NamespaceLog>> log = NamespaceLog::Recover(
+        d.options, "ns", d.base.schema(), &recovered);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    EXPECT_EQ(recovered.wal_entries_replayed, 3u);  // 1 record + 2 drains
+    ASSERT_EQ(recovered.review_events.size(), 2u);
+    EXPECT_EQ(recovered.review_events[1].kind, ReviewWalEvent::Kind::kDrain);
+    EXPECT_GT(recovered.wal_bytes_discarded, 0u);
+    EXPECT_EQ(recovered.left.num_records(), d.base.num_records() + 1);
+  }
+}
+
+TEST(NamespaceLogTest, BatchAppendRejectsCountsOutsideTheFrameBound) {
+  DirectLog d("wal_batch_bounds");
+  const std::vector<ReviewItem> items(kMaxReviewEventsPerFrame + 1,
+                                      SampleItem());
+  EXPECT_TRUE(d.log->AppendReviewBatch(ReviewWalEvent::Kind::kOffer,
+                                       items.data(), 0)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(d.log->AppendReviewBatch(ReviewWalEvent::Kind::kOffer,
+                                       items.data(), items.size())
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      d.log->AppendReviewBatch(ReviewWalEvent::Kind::kLabel, items.data(), 1)
+          .IsInvalidArgument());
+  EXPECT_EQ(d.log->wal_entries_since_checkpoint(), 0u);
+  ASSERT_TRUE(d.log
+                  ->AppendReviewBatch(ReviewWalEvent::Kind::kOffer,
+                                      items.data(), kMaxReviewEventsPerFrame)
+                  .ok());
+  EXPECT_EQ(d.log->wal_entries_since_checkpoint(), kMaxReviewEventsPerFrame);
+}
+
+TEST(NamespaceLogTest, SingleEventReviewFramesStillReplay) {
+  // Hand-written frames of kinds 2-4, one event each — the only review
+  // frames older logs hold — interleaved with a batch frame.
+  DirectLog d("wal_single_event");
+  d.log.reset();
+  const ReviewItem item = SampleItem();
+  AppendRawFrame(d.wal_path(), OfferEvent(item));
+  AppendRawFrame(d.wal_path(), BatchPayload(1, DrainEvent(7, 8)));
+  AppendRawFrame(d.wal_path(), DrainEvent(item.left, item.right));
+  std::string label(1, '\4');
+  label += DrainEvent(item.left, item.right).substr(1);
+  label.push_back('\1');
+  AppendRawFrame(d.wal_path(), label);
+
+  RecoveredNamespace recovered;
+  Result<std::unique_ptr<NamespaceLog>> log =
+      NamespaceLog::Recover(d.options, "ns", d.base.schema(), &recovered);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_EQ(recovered.wal_bytes_discarded, 0u);
+  EXPECT_EQ(recovered.wal_entries_replayed, 4u);
+  ASSERT_EQ(recovered.review_events.size(), 4u);
+  const ReviewWalEvent& offer = recovered.review_events[0];
+  EXPECT_EQ(offer.kind, ReviewWalEvent::Kind::kOffer);
+  EXPECT_EQ(offer.item.left, item.left);
+  EXPECT_EQ(offer.item.right, item.right);
+  EXPECT_EQ(offer.item.risk, item.risk);
+  EXPECT_EQ(offer.item.classifier_prob, item.classifier_prob);
+  EXPECT_EQ(offer.item.machine_label, item.machine_label);
+  EXPECT_EQ(offer.item.model_version, item.model_version);
+  EXPECT_EQ(offer.item.request_id, item.request_id);
+  EXPECT_EQ(offer.item.features, item.features);
+  EXPECT_EQ(recovered.review_events[1].kind, ReviewWalEvent::Kind::kDrain);
+  EXPECT_EQ(recovered.review_events[1].item.left, 7);
+  EXPECT_EQ(recovered.review_events[2].kind, ReviewWalEvent::Kind::kDrain);
+  EXPECT_EQ(recovered.review_events[3].kind, ReviewWalEvent::Kind::kLabel);
+  EXPECT_EQ(recovered.review_events[3].item.right, item.right);
+  EXPECT_EQ(recovered.review_events[3].truth, 1);
+  EXPECT_EQ((*log)->wal_entries_since_checkpoint(), 4u);
+}
+
+// CRC-32/IEEE one bit at a time: the definition the table-driven Crc32
+// must reproduce exactly (WAL frames, segments and manifests depend on it).
+uint32_t BitwiseCrc32(const unsigned char* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswersAndBitwiseReference) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  std::vector<unsigned char> bytes(1024 + 8);
+  uint32_t state = 12345;
+  for (unsigned char& b : bytes) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(state >> 16);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 1024; ++size) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, size),
+                BitwiseCrc32(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
+#ifndef _WIN32
+// Runs in a death-test child. A file-size limit just past the WAL's end
+// makes one AddRecord's write fail partway; once the limit is lifted, the
+// next AddRecord is acknowledged. Recovery must hold exactly that acked
+// record: the failed append's partial bytes were rolled back instead of
+// being left to tear the frame written behind them. Returns 0 on success,
+// otherwise the number of the failed step.
+int FailedWalWriteThenAckedAppend(const std::string& dir) {
+  const SharedSetup& s = Shared();
+  std::signal(SIGXFSZ, SIG_IGN);  // EFBIG from write(2) instead of a kill
+  const std::string wal = dir + "/ds/shards/s0/wal_1.log";
+  const size_t base = s.workload.left().num_records();
+  {
+    Gateway gateway(DurableOptions(dir));
+    if (!gateway.RegisterNamespace("ds", BaseSpec()).ok()) return 1;
+    std::error_code ec;
+    const uintmax_t wal_size = std::filesystem::file_size(wal, ec);
+    if (ec) return 2;
+    rlimit original{};
+    if (getrlimit(RLIMIT_FSIZE, &original) != 0) return 3;
+    rlimit tight = original;
+    tight.rlim_cur = static_cast<rlim_t>(wal_size + 16);
+    if (setrlimit(RLIMIT_FSIZE, &tight) != 0) return 4;
+    const Status failed = gateway.AddRecord("ds", BlockingSide::kLeft,
+                                            s.workload.left().record(0), -1);
+    if (setrlimit(RLIMIT_FSIZE, &original) != 0) return 5;
+    if (failed.ok()) return 6;
+    if (!gateway
+             .AddRecord("ds", BlockingSide::kLeft, s.workload.left().record(1),
+                        -1)
+             .ok()) {
+      return 7;
+    }
+  }
+  Gateway recovered(DurableOptions(dir));
+  if (!recovered.RecoverNamespace("ds", RecoverSpec()).ok()) return 8;
+  const Result<size_t> left = recovered.NumRecords("ds", BlockingSide::kLeft);
+  if (!left.ok() || *left != base + 1) return 9;
+  return 0;
+}
+
+TEST(GatewayDurabilityDeathTest, FailedWalWriteDoesNotHideLaterAckedAppends) {
+  // Re-executes the binary for the child, so no pool thread is forked.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir = FreshDir("wal_failed_write");
+  EXPECT_EXIT(
+      {
+        const int step = FailedWalWriteThenAckedAppend(dir);
+        if (step != 0) std::fprintf(stderr, "step %d failed\n", step);
+        std::exit(step);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+#endif
 
 TEST(NamespaceLogTest, MissingSegmentFileFailsWithDiagnostic) {
   DirectLog d("missing_segment");
