@@ -1,10 +1,11 @@
 // Copyright 2026 The LearnRisk Authors
 //
 // Serving-path bench: naive vs compiled rule activation throughput, and
-// end-to-end ServingEngine batch scoring (activation + baked-kernel risk
-// scores) across rule counts {16, 64, 256}. Prints a table and writes
-// BENCH_serving.json with pairs/sec per path plus engine p50/p99 batch
-// latency, so later PRs have an online-scoring perf trajectory.
+// end-to-end ServingEngine batch scoring (activation + RiskModel::ScoreBatch
+// over the model's baked transforms) across rule counts {16, 64, 256}.
+// Prints a table and writes BENCH_serving.json with pairs/sec per path plus
+// engine p50/p99 batch latency, so later PRs have an online-scoring perf
+// trajectory.
 //
 // Env knobs:
 //   LEARNRISK_BENCH_PAIRS   workload pairs per run      (default 20000)

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "risk/risk_feature.h"
+#include "serve/compiled_rules.h"
 
 namespace learnrisk {
 
@@ -17,6 +18,10 @@ Result<IncrementalRetrainOutput> RetrainFromLabels(
   const size_t cols = labels[0].item.features.size();
   if (cols == 0) {
     return Status::InvalidArgument("review labels carry no feature rows");
+  }
+  if (cols < serving_model.features().compiled().min_feature_columns()) {
+    return Status::InvalidArgument(
+        "review label feature rows are narrower than the model's rules read");
   }
   FeatureMatrix features(labels.size(), cols);
   std::vector<double> probs(labels.size());

@@ -973,9 +973,8 @@ void Gateway::MaybeCaptureTrace(const std::string& ns,
       decision.active_rules =
           scored->scorer.compiled().ActiveRules(batch.features.row(row));
       const std::vector<RiskContribution> contributions =
-          scored->scorer.Explain(decision.active_rules.data(),
-                                 decision.active_rules.size(),
-                                 decision.classifier_prob, t.top_k);
+          scored->scorer.model().Explain(decision.active_rules,
+                                         decision.classifier_prob, t.top_k);
       decision.explanation.reserve(contributions.size());
       for (const RiskContribution& c : contributions) {
         decision.explanation.push_back(

@@ -140,7 +140,7 @@ struct TraceOptions {
   /// captured; < 0 disables the risk trigger.
   double high_risk_threshold = -1.0;
   /// Riskiest pairs per captured trace that carry rule activations and the
-  /// ScorerSnapshot explanation.
+  /// scoring model's explanation (RiskModel::Explain).
   size_t top_k = 3;
 };
 

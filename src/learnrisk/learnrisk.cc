@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "eval/experiment.h"
+#include "serve/compiled_rules.h"
 
 namespace learnrisk {
 
@@ -107,7 +108,7 @@ Result<std::vector<RiskContribution>> LearnRiskPipeline::Explain(
     return Status::OutOfRange("pair index out of range");
   }
   const std::vector<uint32_t> active =
-      risk_features_.ActiveRules(features_.row(pair_index));
+      risk_features_.compiled().ActiveRules(features_.row(pair_index));
   return model_->Explain(active, probs_[pair_index], top_k);
 }
 

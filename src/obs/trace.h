@@ -4,7 +4,7 @@
 // the gateway overall), a RequestTrace answers the question the paper cares
 // about for ONE request: which stages it crossed and what they cost, how
 // many candidates blocking produced, which model version scored it, and —
-// for its riskiest pairs — which rules fired and what the ScorerSnapshot
+// for its riskiest pairs — which rules fired and what the scoring model's
 // explanation says. Traces are captured by the gateway into a TraceBuffer
 // (obs/trace_buffer.h) under head sampling plus slow/high-risk tail
 // capture, retrieved via Gateway::RecentTraces(), and serialized for tools

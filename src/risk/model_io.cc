@@ -3,6 +3,7 @@
 #include "risk/model_io.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -137,6 +138,10 @@ Result<RiskModel> DeserializeRiskModel(const std::string& text,
         int greater = 0;
         ls >> pred.metric >> pred.metric_name >> greater >> pred.threshold;
         if (!ls) return Status::InvalidArgument("malformed predicate");
+        // The compiled plan reads metric + 1 columns; that must not wrap.
+        if (pred.metric == std::numeric_limits<size_t>::max()) {
+          return Status::InvalidArgument("predicate metric index out of range");
+        }
         pred.greater = greater != 0;
         rule.predicates.push_back(std::move(pred));
       }

@@ -7,31 +7,25 @@
 
 #include "common/math_util.h"
 #include "common/parallel.h"
+#include "serve/compiled_rules.h"
 
 namespace learnrisk {
 namespace {
-
-// Local alias of the shared floor (risk_model.h) used throughout this file.
-constexpr double kSigmaFloor = kRiskSigmaFloor;
 
 double Logit(double p) {
   p = Clamp(p, 1e-9, 1.0 - 1e-9);
   return std::log(p / (1.0 - p));
 }
 
-/// Per-batch precomputed parameter transforms, shared by every pair: one
-/// softplus/sigmoid per rule and bucket for the whole batch instead of one
-/// per (pair, rule) tape node.
+/// Per-batch derivative terms of the parameter transforms, shared by every
+/// pair: one sigmoid per rule and bucket for the whole batch instead of one
+/// per (pair, rule) tape node. The transforms themselves come from the bake.
 struct BatchContext {
-  double alpha = 0.0;
   double safe_alpha = 0.0;  ///< SafeDenominator(alpha), hoisted per batch
   double inv_alpha = 0.0;   ///< 1 / safe_alpha (gradient-path reciprocal)
-  double beta = 0.0;
   double sig_alpha = 0.0;  ///< d softplus(alpha_raw)
   double sig_beta = 0.0;
-  std::vector<double> w;         ///< softplus(theta_j)
   std::vector<double> dw;        ///< sigmoid(theta_j)
-  std::vector<double> sigma;     ///< (sigmoid(phi_j) * rsd_max) * mu_j
   std::vector<double> dsigma;    ///< d sigma_j / d phi_j
   std::vector<double> s_out;     ///< sigmoid(phi_out_b)
 };
@@ -47,19 +41,34 @@ RiskModel::RiskModel(RiskFeatureSet features, RiskModelOptions options)
   beta_raw_ = SoftplusInverse(options_.init_beta);
   phi_out_.assign(options_.output_buckets,
                   Logit(options_.init_rsd / options_.rsd_max));
+  rule_description_.reserve(m);
+  for (size_t j = 0; j < m; ++j) {
+    rule_description_.push_back(features_.rule(j).ToString());
+  }
+  Bake();
 }
 
-double RiskModel::RuleWeight(size_t j) const { return Softplus(theta_[j]); }
-
-double RiskModel::RuleRsd(size_t j) const {
-  return options_.rsd_max * Sigmoid(phi_[j]);
+void RiskModel::Bake() {
+  const size_t n_rules = num_rules();
+  weight_.resize(n_rules);
+  rsd_.resize(n_rules);
+  sigma_.resize(n_rules);
+  for (size_t j = 0; j < n_rules; ++j) {
+    weight_[j] = Softplus(theta_[j]);
+    rsd_[j] = options_.rsd_max * Sigmoid(phi_[j]);
+    sigma_[j] = rsd_[j] * features_.expectation(j);
+  }
+  alpha_ = Softplus(alpha_raw_);
+  beta_ = Softplus(beta_raw_);
+  out_rsd_.resize(phi_out_.size());
+  for (size_t b = 0; b < phi_out_.size(); ++b) {
+    out_rsd_[b] = options_.rsd_max * Sigmoid(phi_out_[b]);
+  }
 }
 
 double RiskModel::OutputWeight(double x) const {
-  const double alpha = Softplus(alpha_raw_);
-  const double beta = Softplus(beta_raw_);
-  const double z = (x - 0.5) / alpha;
-  return -std::exp(-0.5 * z * z) + beta + 1.0;
+  const double z = (x - 0.5) / alpha_;
+  return -std::exp(-0.5 * z * z) + beta_ + 1.0;
 }
 
 size_t RiskModel::OutputBucket(double x) const {
@@ -68,15 +77,11 @@ size_t RiskModel::OutputBucket(double x) const {
   return std::min(static_cast<size_t>(b), options_.output_buckets - 1);
 }
 
-double RiskModel::OutputRsd(double x) const {
-  return options_.rsd_max * Sigmoid(phi_out_[OutputBucket(x)]);
-}
-
-PairDistribution RiskModel::Distribution(
-    const std::vector<uint32_t>& active_rules, double classifier_output) const {
+PairDistribution RiskModel::Distribution(const uint32_t* active_rules,
+                                         size_t num_active,
+                                         double classifier_output) const {
   // Classifier-output feature: expectation is the output itself (Sec. 6.2.1).
-  const bool with_output =
-      options_.use_classifier_feature || active_rules.empty();
+  const bool with_output = options_.use_classifier_feature || num_active == 0;
   const double w_out = with_output ? OutputWeight(classifier_output) : 0.0;
   const double mu_out = Clamp(classifier_output, 0.0, 1.0);
   const double sigma_out = OutputRsd(classifier_output) * mu_out;
@@ -84,25 +89,25 @@ PairDistribution RiskModel::Distribution(
   double weight_sum = w_out;
   double mu_acc = w_out * mu_out;
   double var_acc = w_out * w_out * sigma_out * sigma_out;
-  for (uint32_t j : active_rules) {
-    const double w = RuleWeight(j);
-    const double mu = features_.expectation(j);
-    const double sigma = RuleRsd(j) * mu;
+  for (size_t k = 0; k < num_active; ++k) {
+    const uint32_t j = active_rules[k];
+    const double w = weight_[j];
+    const double sigma = sigma_[j];
     weight_sum += w;
-    mu_acc += w * mu;
+    mu_acc += w * features_.expectation(j);
     var_acc += w * w * sigma * sigma;
   }
   PairDistribution dist;
   dist.mu = mu_acc / weight_sum;
-  dist.sigma = std::sqrt(var_acc) / weight_sum + kSigmaFloor;
+  dist.sigma = std::sqrt(var_acc) / weight_sum + kRiskSigmaFloor;
   return dist;
 }
 
-double RiskModel::RiskScore(const std::vector<uint32_t>& active_rules,
+double RiskModel::RiskScore(const uint32_t* active_rules, size_t num_active,
                             double classifier_output,
                             uint8_t machine_label) const {
   const PairDistribution dist =
-      Distribution(active_rules, classifier_output);
+      Distribution(active_rules, num_active, classifier_output);
   const double theta = options_.var_confidence;
   switch (options_.metric) {
     case RiskMetric::kVaR:
@@ -143,6 +148,21 @@ std::vector<double> RiskModel::Score(const RiskActivation& activation) const {
   return scores;
 }
 
+void RiskModel::ScoreBatch(const CsrActivation& activation,
+                           const std::vector<double>& classifier_probs,
+                           double* risk_out, uint8_t* label_out,
+                           size_t num_threads) const {
+  ParallelFor(
+      activation.rows(),
+      [&](size_t i) {
+        const uint8_t label = classifier_probs[i] >= 0.5 ? 1 : 0;
+        risk_out[i] = RiskScore(activation.row(i), activation.row_size(i),
+                                classifier_probs[i], label);
+        if (label_out != nullptr) label_out[i] = label;
+      },
+      num_threads);
+}
+
 void RiskModel::RiskScoreBatch(const RiskActivation& activation,
                                const std::vector<size_t>& indices,
                                BatchScore* out, size_t num_threads) const {
@@ -172,23 +192,17 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
 
   // Parameter transforms, once per batch.
   BatchContext ctx;
-  ctx.alpha = Softplus(alpha_raw_);
-  ctx.safe_alpha = SafeDenominator(ctx.alpha);
+  ctx.safe_alpha = SafeDenominator(alpha_);
   ctx.inv_alpha = 1.0 / ctx.safe_alpha;
-  ctx.beta = Softplus(beta_raw_);
   ctx.sig_alpha = Sigmoid(alpha_raw_);
   ctx.sig_beta = Sigmoid(beta_raw_);
   const size_t n_rules = num_rules();
-  ctx.w.resize(n_rules);
   ctx.dw.resize(n_rules);
-  ctx.sigma.resize(n_rules);
   ctx.dsigma.resize(n_rules);
   for (size_t j = 0; j < n_rules; ++j) {
-    ctx.w[j] = Softplus(theta_[j]);
     ctx.dw[j] = Sigmoid(theta_[j]);
     const double s = Sigmoid(phi_[j]);
     const double mu_j = features_.expectation(j);
-    ctx.sigma[j] = (s * options_.rsd_max) * mu_j;
     ctx.dsigma[j] = s * (1.0 - s) * options_.rsd_max * mu_j;
   }
   ctx.s_out.resize(phi_out_.size());
@@ -215,7 +229,7 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
         const double m = with_output ? 1.0 : 0.0;
         const double z = (x - 0.5) / ctx.safe_alpha;
         const double eg = std::exp(-0.5 * (z * z));
-        const double w_out = ((-eg + ctx.beta) + 1.0) * m;
+        const double w_out = ((-eg + beta_) + 1.0) * m;
         const double rsd_out = ctx.s_out[bucket] * rsd_max;
         const double sigma_out = rsd_out * x;
 
@@ -223,16 +237,16 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
         double mu_acc = w_out * x;
         double var_acc = (w_out * w_out) * (sigma_out * sigma_out);
         for (uint32_t j : active) {
-          weight_sum = weight_sum + ctx.w[j];
-          mu_acc = mu_acc + ctx.w[j] * features_.expectation(j);
-          var_acc = var_acc + (ctx.w[j] * ctx.w[j]) *
-                                  (ctx.sigma[j] * ctx.sigma[j]);
+          weight_sum = weight_sum + weight_[j];
+          mu_acc = mu_acc + weight_[j] * features_.expectation(j);
+          var_acc = var_acc + (weight_[j] * weight_[j]) *
+                                  (sigma_[j] * sigma_[j]);
         }
         const double safe_sum = SafeDenominator(weight_sum);
         const double mu = mu_acc / safe_sum;
         const double root = std::sqrt(std::max(var_acc, 0.0));
         const double root_over_sum = root / safe_sum;
-        const double sigma = root_over_sum + kSigmaFloor;
+        const double sigma = root_over_sum + kRiskSigmaFloor;
 
         // --- Reverse chain collapsed to a linear functional: ---------------
         //   d value = c_mu * d mu + c_sigma * d sigma
@@ -294,8 +308,8 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
           out->rule[e] = j;
           out->dtheta[e] =
               dS * (c_S + c_M * features_.expectation(j) +
-                    c_V * 2.0 * ctx.w[j] * (ctx.sigma[j] * ctx.sigma[j]));
-          out->dphi[e] = c_V * (ctx.w[j] * ctx.w[j]) * 2.0 * ctx.sigma[j] *
+                    c_V * 2.0 * weight_[j] * (sigma_[j] * sigma_[j]));
+          out->dphi[e] = c_V * (weight_[j] * weight_[j]) * 2.0 * sigma_[j] *
                          ctx.dsigma[j];
           ++e;
         }
@@ -316,27 +330,33 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
       num_threads);
 }
 
-std::vector<RiskContribution> RiskModel::Explain(
-    const std::vector<uint32_t>& active_rules, double classifier_output,
-    size_t top_k) const {
-  std::vector<RiskContribution> contributions;
-  double weight_sum = OutputWeight(classifier_output);
-  for (uint32_t j : active_rules) weight_sum += RuleWeight(j);
+std::vector<RiskContribution> RiskModel::Explain(const uint32_t* active_rules,
+                                                 size_t num_active,
+                                                 double classifier_output,
+                                                 size_t top_k) const {
+  const double w_out = OutputWeight(classifier_output);
+  double weight_sum = w_out;
+  for (size_t k = 0; k < num_active; ++k) {
+    weight_sum += weight_[active_rules[k]];
+  }
 
+  std::vector<RiskContribution> contributions;
+  contributions.reserve(num_active + 1);
   RiskContribution out;
   out.description =
       "classifier output p=" + std::to_string(classifier_output);
-  out.weight = OutputWeight(classifier_output) / weight_sum;
+  out.weight = w_out / weight_sum;
   out.expectation = classifier_output;
   out.rsd = OutputRsd(classifier_output);
   contributions.push_back(std::move(out));
 
-  for (uint32_t j : active_rules) {
+  for (size_t k = 0; k < num_active; ++k) {
+    const uint32_t j = active_rules[k];
     RiskContribution c;
-    c.description = features_.rule(j).ToString();
-    c.weight = RuleWeight(j) / weight_sum;
+    c.description = rule_description_[j];
+    c.weight = weight_[j] / weight_sum;
     c.expectation = features_.expectation(j);
-    c.rsd = RuleRsd(j);
+    c.rsd = rsd_[j];
     contributions.push_back(std::move(c));
   }
   std::stable_sort(contributions.begin(), contributions.end(),
@@ -387,7 +407,7 @@ Var RiskModel::RiskScoreOnTape(Tape* tape, const TapeParams& params,
     var_acc = var_acc + Square(w) * Square(sigma);
   }
   Var mu = mu_acc / weight_sum;
-  Var sigma = Sqrt(var_acc) / weight_sum + kSigmaFloor;
+  Var sigma = Sqrt(var_acc) / weight_sum + kRiskSigmaFloor;
 
   if (options_.metric == RiskMetric::kExpectation) {
     // Ablation path: rank by the distribution mean only (no fluctuation
@@ -417,6 +437,7 @@ void RiskModel::ApplyUpdate(const std::vector<double>& theta,
   alpha_raw_ = alpha_raw;
   beta_raw_ = beta_raw;
   phi_out_ = phi_out;
+  Bake();
 }
 
 }  // namespace learnrisk

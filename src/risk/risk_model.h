@@ -15,10 +15,18 @@
 //
 // Weight normalization follows portfolio semantics (DESIGN.md §6.1): active
 // weights are renormalized per pair so mu stays a valid probability.
+//
+// RiskModel is the one forward kernel: the offline experiments, the active
+// learner, the trainer's batched path and online serving (ServingEngine
+// scores through the published snapshot's model) all run the code below.
+// The parameter transforms are baked into flat arrays whenever the raw
+// parameters change (construction and ApplyUpdate), so scoring a pair is
+// pure arithmetic over precomputed doubles and allocates nothing.
 
 #ifndef LEARNRISK_RISK_RISK_MODEL_H_
 #define LEARNRISK_RISK_RISK_MODEL_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,9 +36,10 @@
 
 namespace learnrisk {
 
+struct CsrActivation;  // serve/compiled_rules.h
+
 /// Additive floor keeping portfolio sigmas strictly positive so quantile
-/// gradients exist. Shared by RiskModel and the serving ScorerSnapshot,
-/// whose scoring kernels must stay bit-identical.
+/// gradients exist.
 inline constexpr double kRiskSigmaFloor = 1e-6;
 
 /// \brief How a pair's risk is read off its probability distribution.
@@ -81,21 +90,51 @@ class RiskModel {
 
   // --- Scoring (plain doubles; used for ranking) ---------------------------
 
-  /// \brief Equivalence-probability distribution of one pair.
-  PairDistribution Distribution(const std::vector<uint32_t>& active_rules,
+  /// \brief Equivalence-probability distribution of one pair from its
+  /// active-rule slice.
+  PairDistribution Distribution(const uint32_t* active_rules,
+                                size_t num_active,
                                 double classifier_output) const;
+  PairDistribution Distribution(const std::vector<uint32_t>& active_rules,
+                                double classifier_output) const {
+    return Distribution(active_rules.data(), active_rules.size(),
+                        classifier_output);
+  }
 
   /// \brief Mislabeling risk of one pair under the configured metric.
-  double RiskScore(const std::vector<uint32_t>& active_rules,
+  double RiskScore(const uint32_t* active_rules, size_t num_active,
                    double classifier_output, uint8_t machine_label) const;
+  double RiskScore(const std::vector<uint32_t>& active_rules,
+                   double classifier_output, uint8_t machine_label) const {
+    return RiskScore(active_rules.data(), active_rules.size(),
+                     classifier_output, machine_label);
+  }
 
   /// \brief Risk scores for a whole activation set.
   std::vector<double> Score(const RiskActivation& activation) const;
 
+  /// \brief Scores every row of a CSR activation into caller-provided
+  /// buffers (risk_out, label_out sized activation.rows()); the machine
+  /// label is classifier_prob >= 0.5. Chunk-parallel and allocation-free.
+  /// label_out may be nullptr if machine labels are not needed.
+  void ScoreBatch(const CsrActivation& activation,
+                  const std::vector<double>& classifier_probs,
+                  double* risk_out, uint8_t* label_out,
+                  size_t num_threads = 0) const;
+
   /// \brief Ranked feature contributions for one pair (top-k by weight).
+  /// The classifier-output feature is always listed, even where scoring
+  /// drops it (use_classifier_feature = false).
+  std::vector<RiskContribution> Explain(const uint32_t* active_rules,
+                                        size_t num_active,
+                                        double classifier_output,
+                                        size_t top_k = 5) const;
   std::vector<RiskContribution> Explain(
       const std::vector<uint32_t>& active_rules, double classifier_output,
-      size_t top_k = 5) const;
+      size_t top_k = 5) const {
+    return Explain(active_rules.data(), active_rules.size(),
+                   classifier_output, top_k);
+  }
 
   // --- Batched analytic scoring (the trainer's fast path) ------------------
 
@@ -178,7 +217,8 @@ class RiskModel {
                       const std::vector<uint32_t>& active_rules,
                       double classifier_output, uint8_t machine_label) const;
 
-  /// \brief Writes gradients-descended raw parameters back from tape values.
+  /// \brief Writes gradients-descended raw parameters back from tape values
+  /// and re-bakes the transforms.
   void ApplyUpdate(const std::vector<double>& theta,
                    const std::vector<double>& phi, double alpha_raw,
                    double beta_raw, const std::vector<double>& phi_out);
@@ -192,16 +232,21 @@ class RiskModel {
   double beta_raw() const { return beta_raw_; }
   const std::vector<double>& phi_out() const { return phi_out_; }
 
-  /// \brief Effective (transformed) parameters.
-  double RuleWeight(size_t j) const;
-  double RuleRsd(size_t j) const;
+  /// \brief Effective (transformed) parameters, read from the bake.
+  double RuleWeight(size_t j) const { return weight_[j]; }
+  double RuleRsd(size_t j) const { return rsd_[j]; }
   /// \brief Influence-function weight of the classifier output (Eq. 11).
   double OutputWeight(double classifier_output) const;
-  double OutputRsd(double classifier_output) const;
+  double OutputRsd(double classifier_output) const {
+    return out_rsd_[OutputBucket(classifier_output)];
+  }
   /// \brief Bucket index of a classifier output.
   size_t OutputBucket(double classifier_output) const;
 
  private:
+  /// \brief Recomputes the baked transforms from the raw parameters.
+  void Bake();
+
   RiskFeatureSet features_;
   RiskModelOptions options_;
   std::vector<double> theta_;
@@ -209,6 +254,16 @@ class RiskModel {
   double alpha_raw_ = 0.0;
   double beta_raw_ = 0.0;
   std::vector<double> phi_out_;
+
+  // Baked transforms of the raw parameters above (see Bake).
+  double alpha_ = 0.0;           ///< softplus(alpha_raw)
+  double beta_ = 0.0;            ///< softplus(beta_raw)
+  std::vector<double> weight_;   ///< softplus(theta_j)
+  std::vector<double> rsd_;      ///< rsd_max * sigmoid(phi_j)
+  std::vector<double> sigma_;    ///< rsd_j * mu_j
+  std::vector<double> out_rsd_;  ///< rsd_max * sigmoid(phi_out_b)
+  /// Rule::ToString(j), formatted once so explanations never re-format.
+  std::vector<std::string> rule_description_;
 };
 
 }  // namespace learnrisk

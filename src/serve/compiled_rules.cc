@@ -52,29 +52,38 @@ CompiledRuleSet::CompiledRuleSet(const std::vector<Rule>& rules) {
 
   // Canonical predicate copies keep the plan minimal: at most one threshold
   // per (rule, metric, direction) regardless of how the tree path was built.
+  // Predicates are grouped by sorting on metric, so the plan's memory follows
+  // the predicate count, not the largest metric id.
   struct PredRef {
+    size_t metric;
     double threshold;
     bool greater;
     uint32_t rule;
   };
-  std::vector<std::vector<PredRef>> by_metric;
+  std::vector<PredRef> refs;
   for (size_t j = 0; j < num_rules_; ++j) {
     Rule canonical = rules[j];
     CanonicalizeRule(&canonical);
     for (const Predicate& p : canonical.predicates) {
-      if (p.metric >= by_metric.size()) by_metric.resize(p.metric + 1);
-      by_metric[p.metric].push_back(
-          {p.threshold, p.greater, static_cast<uint32_t>(j)});
+      refs.push_back(
+          {p.metric, p.threshold, p.greater, static_cast<uint32_t>(j)});
     }
   }
+  std::stable_sort(refs.begin(), refs.end(),
+                   [](const PredRef& a, const PredRef& b) {
+                     return a.metric < b.metric;
+                   });
 
-  for (size_t m = 0; m < by_metric.size(); ++m) {
-    std::vector<PredRef>& preds = by_metric[m];
-    if (preds.empty()) continue;
+  for (auto first = refs.begin(), last = first; first != refs.end();
+       first = last) {
+    const size_t m = first->metric;
+    last = std::find_if(first, refs.end(),
+                        [m](const PredRef& p) { return p.metric != m; });
     MetricPlan plan;
     plan.metric = m;
-    plan.thresholds.reserve(preds.size());
-    for (const PredRef& p : preds) plan.thresholds.push_back(p.threshold);
+    for (auto p = first; p != last; ++p) {
+      plan.thresholds.push_back(p->threshold);
+    }
     std::sort(plan.thresholds.begin(), plan.thresholds.end());
     plan.thresholds.erase(
         std::unique(plan.thresholds.begin(), plan.thresholds.end()),
@@ -86,19 +95,19 @@ CompiledRuleSet::CompiledRuleSet(const std::vector<Rule>& rules) {
     const size_t ranks = plan.thresholds.size() + 1;
     plan.fail.assign(ranks * words_, 0);
     plan.nan_fail.assign(words_, 0);
-    for (const PredRef& p : preds) {
+    for (auto p = first; p != last; ++p) {
       const size_t k = static_cast<size_t>(
           std::lower_bound(plan.thresholds.begin(), plan.thresholds.end(),
-                           p.threshold) -
+                           p->threshold) -
           plan.thresholds.begin());
-      if (p.greater) {
-        for (size_t r = 0; r <= k; ++r) SetBit(plan.fail, r * words_, p.rule);
+      if (p->greater) {
+        for (size_t r = 0; r <= k; ++r) SetBit(plan.fail, r * words_, p->rule);
       } else {
         for (size_t r = k + 1; r < ranks; ++r) {
-          SetBit(plan.fail, r * words_, p.rule);
+          SetBit(plan.fail, r * words_, p->rule);
         }
       }
-      SetBit(plan.nan_fail, 0, p.rule);
+      SetBit(plan.nan_fail, 0, p->rule);
     }
     plans_.push_back(std::move(plan));
     min_columns_ = m + 1;  // metrics iterate in ascending order

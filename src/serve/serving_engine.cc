@@ -83,14 +83,15 @@ Result<ScoreResponse> ServingEngine::Score(
   response.model_version = published->version;
   response.risk.resize(n);
   response.machine_label.resize(n);
-  snap.ScoreBatch(activation, request.classifier_probs, response.risk.data(),
-                  response.machine_label.data());
+  const RiskModel& model = snap.model();
+  model.ScoreBatch(activation, request.classifier_probs, response.risk.data(),
+                   response.machine_label.data());
   if (request.explain_top_k > 0) {
     response.explanations.resize(n);
     for (size_t i = 0; i < n; ++i) {
       response.explanations[i] =
-          snap.Explain(activation.row(i), activation.row_size(i),
-                       request.classifier_probs[i], request.explain_top_k);
+          model.Explain(activation.row(i), activation.row_size(i),
+                        request.classifier_probs[i], request.explain_top_k);
     }
   }
   if (metrics_.score_batches != nullptr) metrics_.score_batches->Add(1);

@@ -1,13 +1,15 @@
 // Copyright 2026 The LearnRisk Authors
 // Hot-swappable risk-scoring engine — the top layer of the serving subsystem.
-// Holds the current ScorerSnapshot behind an atomically-swapped shared_ptr:
-// Score() loads the pointer once and works off that frozen snapshot for the
-// whole batch, while Publish() builds a new snapshot off to the side and
-// swaps it in with release semantics. Readers therefore never see a
-// half-updated model (no torn reads) and never block on a publish; requests
-// in flight finish on the snapshot they started with, which stays alive via
-// shared ownership until the last reader drops it (zero-downtime updates,
-// e.g. after a retraining cycle in a human-machine loop).
+// Scores through the published model itself (RiskModel is the one scoring
+// kernel, offline and online). Holds the current ScorerSnapshot behind an
+// atomically-swapped shared_ptr: Score() loads the pointer once and works
+// off that frozen snapshot for the whole batch, while Publish() builds a new
+// snapshot off to the side and swaps it in with release semantics. Readers
+// therefore never see a half-updated model (no torn reads) and never block
+// on a publish; requests in flight finish on the snapshot they started with,
+// which stays alive via shared ownership until the last reader drops it
+// (zero-downtime updates, e.g. after a retraining cycle in a human-machine
+// loop).
 
 #ifndef LEARNRISK_SERVE_SERVING_ENGINE_H_
 #define LEARNRISK_SERVE_SERVING_ENGINE_H_
@@ -106,7 +108,8 @@ class ServingEngine {
       const;
 
   /// \brief Scores a batch against the current snapshot: compiled rule
-  /// activation, baked-kernel risk scores, optional top-k explanations.
+  /// activation, then the snapshot model's ScoreBatch and optional top-k
+  /// Explain.
   /// Fails with FailedPrecondition before the first Publish and
   /// InvalidArgument on malformed requests. `scorer` (optional) receives the
   /// exact snapshot that produced the response (version

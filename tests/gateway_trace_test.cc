@@ -463,12 +463,10 @@ TEST(GatewayTraceTest, ExplanationsComeFromTheSnapshotThatScored) {
           scorer.compiled().ActiveRules(row.data());
       EXPECT_EQ(decision.active_rules, active);
       EXPECT_EQ(decision.risk,
-                scorer.ScorePair(active.data(), active.size(),
-                                 decision.classifier_prob,
-                                 decision.machine_label ? 1 : 0));
-      const std::vector<RiskContribution> expected =
-          scorer.Explain(active.data(), active.size(),
-                         decision.classifier_prob, options.trace.top_k);
+                scorer.model().RiskScore(active, decision.classifier_prob,
+                                         decision.machine_label ? 1 : 0));
+      const std::vector<RiskContribution> expected = scorer.model().Explain(
+          active, decision.classifier_prob, options.trace.top_k);
       ASSERT_EQ(decision.explanation.size(), expected.size());
       for (size_t j = 0; j < expected.size(); ++j) {
         EXPECT_EQ(decision.explanation[j].description, expected[j].description);

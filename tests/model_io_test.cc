@@ -7,8 +7,12 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <string>
 
+#include "active/incremental_retrain.h"
 #include "common/random.h"
+#include "serve/serving_engine.h"
 
 namespace learnrisk {
 namespace {
@@ -189,6 +193,49 @@ TEST(ModelIoTest, CommentsAndBlankLinesIgnored) {
   std::string text = SerializeRiskModel(original);
   text += "\n# trailing comment\n\n";
   EXPECT_TRUE(DeserializeRiskModel(text).ok());
+}
+
+// A one-rule model payload whose single predicate reads metric column
+// `metric` (the model file carries no checksum, so the decoder sees it raw).
+std::string ModelWithPredicateMetric(const std::string& metric) {
+  return "learnrisk-model v1\noptions 0.9 0 1 10 1\nparams 0.1 0.2\n"
+         "phi_out 0 0 0 0 0 0 0 0 0 0\n"
+         "rule 1 10 0.5 0.1 0.5 10 0.3 0.1 1 " +
+         metric + " m 1 0.5\nend\n";
+}
+
+TEST(ModelIoTest, PredicateMetricIndexThatWrapsIsRejected) {
+  // metric + 1 would wrap to 0 columns.
+  const Result<RiskModel> loaded =
+      DeserializeRiskModel(ModelWithPredicateMetric("18446744073709551615"));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument());
+}
+
+TEST(ModelIoTest, HugePredicateMetricIndexFailsClosed) {
+  // A plan sized by the largest metric id would need ~72 GB here.
+  std::unique_ptr<Result<RiskModel>> loaded;
+  ASSERT_NO_THROW(loaded = std::make_unique<Result<RiskModel>>(
+                      DeserializeRiskModel(
+                          ModelWithPredicateMetric("3000000000"))));
+  if (!loaded->ok()) {
+    EXPECT_TRUE(loaded->status().IsInvalidArgument());
+    return;
+  }
+  // Decoded: serving and the review retrain must then refuse rows narrower
+  // than the rule reads.
+  LabeledReview label;
+  label.item.features.assign(4, 0.5);
+  EXPECT_TRUE(RetrainFromLabels(**loaded, {label}, {})
+                  .status()
+                  .IsInvalidArgument());
+  ServingEngine engine;
+  engine.Publish(loaded->MoveValueOrDie());
+  const FeatureMatrix narrow(2, 4);
+  ScoreRequest request;
+  request.metric_features = &narrow;
+  request.classifier_probs = {0.2, 0.8};
+  EXPECT_TRUE(engine.Score(request).status().IsInvalidArgument());
 }
 
 }  // namespace

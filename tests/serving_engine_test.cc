@@ -1,6 +1,7 @@
 // Copyright 2026 The LearnRisk Authors
-// Tests for the online-serving subsystem: ScorerSnapshot parity with
-// RiskModel::Score, ServingEngine request validation and explanations,
+// Tests for the online-serving subsystem: the risk kernel (offline Score,
+// serving ScoreBatch, Explain) bit-identical to the raw-parameter reference
+// in test_models.h, ServingEngine request validation and explanations,
 // hot-swap safety under concurrent readers, and model_io persistence of a
 // published snapshot.
 
@@ -13,7 +14,9 @@
 #include <thread>
 
 #include "common/random.h"
+#include "risk/model_io.h"
 #include "risk/risk_feature.h"
+#include "risk/trainer.h"
 #include "serve/serving_engine.h"
 #include "test_models.h"
 
@@ -45,46 +48,82 @@ std::vector<double> MakeProbs(uint64_t seed, size_t rows) {
   return probs;
 }
 
-TEST(ScorerSnapshotTest, BitIdenticalToModelScore) {
-  const RiskModel model = MakeModel(3, 48);
+// MakeModel's parameters after a few seeded training epochs on a random
+// activation, so the bake must follow RiskTrainer's ApplyUpdate calls.
+RiskModel TrainedModel(uint64_t seed, size_t n_rules) {
+  RiskModel model = MakeModel(seed, n_rules);
+  const RiskActivation data = ComputeActivation(
+      model.features(), MakeFeatures(seed + 1, 200), MakeProbs(seed + 2, 200));
+  Rng rng(seed + 3);
+  std::vector<uint8_t> mislabeled(data.size());
+  for (uint8_t& m : mislabeled) m = rng.Bernoulli(0.3) ? 1 : 0;
+  RiskTrainerOptions options;
+  options.epochs = 20;
+  options.learning_rate = 0.05;
+  EXPECT_TRUE(RiskTrainer(options).Train(&model, data, mislabeled).ok());
+  return model;
+}
+
+// Offline Score and the serving path (ServingEngine::Score, i.e. the
+// published model's ScoreBatch) both bit-identical to the raw-parameter
+// reference, for a perturbed model, a trained one and a model_io round trip.
+TEST(RiskKernelTest, BitIdenticalToReference) {
+  const RiskModel perturbed = MakeModel(3, 48);
+  const RiskModel trained = TrainedModel(7, 48);
+  const RiskModel reloaded =
+      DeserializeRiskModel(SerializeRiskModel(trained)).MoveValueOrDie();
+  ASSERT_NE(trained.theta(), MakeModel(7, 48).theta());  // training moved it
   const FeatureMatrix features = MakeFeatures(4, 400);
   const std::vector<double> probs = MakeProbs(5, 400);
+  for (const RiskModel* model : {&perturbed, &trained, &reloaded}) {
+    const RiskActivation activation =
+        ComputeActivationNaive(model->features(), features, probs);
+    const std::vector<double> offline = model->Score(activation);
 
-  const RiskActivation activation =
-      ComputeActivation(model.features(), features, probs);
-  const std::vector<double> expected = model.Score(activation);
-
-  const ScorerSnapshot snapshot(model);
-  const CsrActivation csr = snapshot.compiled().EvaluateCsr(features);
-  std::vector<double> risk(features.rows());
-  std::vector<uint8_t> labels(features.rows());
-  snapshot.ScoreBatch(csr, probs, risk.data(), labels.data());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(risk[i], expected[i]) << "pair " << i;  // exact, not NEAR
-    ASSERT_EQ(labels[i], activation.machine_label[i]);
+    ServingEngine engine;
+    engine.Publish(*model);
+    ScoreRequest request;
+    request.metric_features = &features;
+    request.classifier_probs = probs;
+    const auto served = engine.Score(request);
+    ASSERT_TRUE(served.ok());
+    for (size_t i = 0; i < features.rows(); ++i) {
+      const double expected = testutil::ReferenceRiskScore(
+          *model, activation.active[i], probs[i],
+          activation.machine_label[i]);
+      ASSERT_EQ(offline[i], expected) << "pair " << i;  // exact, not NEAR
+      ASSERT_EQ(served->risk[i], expected) << "pair " << i;
+      ASSERT_EQ(served->machine_label[i], activation.machine_label[i]);
+    }
   }
 }
 
-TEST(ScorerSnapshotTest, BitIdenticalAcrossRiskMetrics) {
+TEST(RiskKernelTest, BitIdenticalAcrossRiskMetrics) {
+  const RiskModel base = MakeModel(11, 32);
+  const FeatureMatrix features = MakeFeatures(12, 150);
+  const std::vector<double> probs = MakeProbs(13, 150);
   for (RiskMetric metric :
        {RiskMetric::kVaR, RiskMetric::kCVaR, RiskMetric::kExpectation}) {
-    RiskModelOptions options;
-    options.metric = metric;
-    RiskModel base = MakeModel(11, 32);
-    RiskModel model(base.features(), options);
-    model.ApplyUpdate(base.theta(), base.phi(), base.alpha_raw(),
-                      base.beta_raw(), base.phi_out());
-    const FeatureMatrix features = MakeFeatures(12, 150);
-    const std::vector<double> probs = MakeProbs(13, 150);
-    const RiskActivation activation =
-        ComputeActivation(model.features(), features, probs);
-    const std::vector<double> expected = model.Score(activation);
-    const ScorerSnapshot snapshot(model);
-    std::vector<double> risk(features.rows());
-    snapshot.ScoreBatch(snapshot.compiled().EvaluateCsr(features), probs,
-                        risk.data(), nullptr);
-    for (size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(risk[i], expected[i]);
+    for (bool use_classifier_feature : {true, false}) {
+      RiskModelOptions options;
+      options.metric = metric;
+      options.use_classifier_feature = use_classifier_feature;
+      RiskModel model(base.features(), options);
+      model.ApplyUpdate(base.theta(), base.phi(), base.alpha_raw(),
+                        base.beta_raw(), base.phi_out());
+      const RiskActivation activation =
+          ComputeActivationNaive(model.features(), features, probs);
+      const std::vector<double> offline = model.Score(activation);
+      std::vector<double> risk(features.rows());
+      model.ScoreBatch(model.features().compiled().EvaluateCsr(features),
+                       probs, risk.data(), nullptr);
+      for (size_t i = 0; i < features.rows(); ++i) {
+        const double expected = testutil::ReferenceRiskScore(
+            model, activation.active[i], probs[i],
+            activation.machine_label[i]);
+        ASSERT_EQ(offline[i], expected) << "pair " << i;
+        ASSERT_EQ(risk[i], expected) << "pair " << i;
+      }
     }
   }
 }
@@ -128,26 +167,27 @@ TEST(ServingEngineTest, RejectsBeforePublishAndValidatesRequests) {
   EXPECT_TRUE(response->explanations.empty());
 }
 
-TEST(ScorerSnapshotTest, ExplainMatchesModelExplain) {
-  const RiskModel model = MakeModel(31, 40);
-  const ScorerSnapshot snapshot(model);
+TEST(RiskKernelTest, ExplainMatchesReference) {
+  const RiskModel perturbed = MakeModel(31, 40);
+  const RiskModel trained = TrainedModel(37, 40);
   const FeatureMatrix features = MakeFeatures(32, 100);
   const std::vector<double> probs = MakeProbs(33, 100);
-  const RiskActivation activation =
-      ComputeActivation(model.features(), features, probs);
-  for (size_t i = 0; i < features.rows(); ++i) {
-    const auto expected = model.Explain(activation.active[i], probs[i], 4);
-    const auto actual =
-        snapshot.Explain(activation.active[i].data(),
-                         activation.active[i].size(), probs[i], 4);
-    ASSERT_EQ(actual.size(), expected.size()) << "pair " << i;
-    for (size_t k = 0; k < expected.size(); ++k) {
-      // The snapshot precomputes rule descriptions and bakes the weight
-      // transforms; the output must stay exactly the model's.
-      EXPECT_EQ(actual[k].description, expected[k].description);
-      ASSERT_EQ(actual[k].weight, expected[k].weight);
-      ASSERT_EQ(actual[k].expectation, expected[k].expectation);
-      ASSERT_EQ(actual[k].rsd, expected[k].rsd);
+  for (const RiskModel* model : {&perturbed, &trained}) {
+    const RiskActivation activation =
+        ComputeActivationNaive(model->features(), features, probs);
+    for (size_t i = 0; i < features.rows(); ++i) {
+      const auto expected =
+          testutil::ReferenceExplain(*model, activation.active[i], probs[i], 4);
+      const auto actual = model->Explain(activation.active[i], probs[i], 4);
+      ASSERT_EQ(actual.size(), expected.size()) << "pair " << i;
+      for (size_t k = 0; k < expected.size(); ++k) {
+        // The model bakes the weight transforms and the rule descriptions;
+        // the output must stay exactly the reference's.
+        EXPECT_EQ(actual[k].description, expected[k].description);
+        ASSERT_EQ(actual[k].weight, expected[k].weight);
+        ASSERT_EQ(actual[k].expectation, expected[k].expectation);
+        ASSERT_EQ(actual[k].rsd, expected[k].rsd);
+      }
     }
   }
 }
