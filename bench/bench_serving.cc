@@ -20,6 +20,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "reference/naive_activation.h"
 #include "risk/risk_feature.h"
 #include "serve/serving_engine.h"
 
@@ -81,7 +82,7 @@ RunStats RunOne(size_t num_rules, size_t num_pairs, size_t num_metrics,
   stats.avg_active_rules_x100 = num_pairs == 0 ? 0 : nnz * 100 / num_pairs;
 
   const double naive_runs_per_sec = Throughput([&]() {
-    ComputeActivationNaive(features, metric_features, probs);
+    reference::ComputeActivationNaive(features, metric_features, probs);
   });
   stats.naive_pairs_per_sec =
       naive_runs_per_sec * static_cast<double>(num_pairs);

@@ -1,9 +1,10 @@
 // Copyright 2026 The LearnRisk Authors
 //
-// Trainer fast-path bench: tape path vs. batched analytic path on the same
-// seeded workload (default 64 rules / 10k risk-training pairs, the Fig. 13
-// scalability regime). Prints a table and writes BENCH_trainer.json with
-// epochs/sec, pairs/sec, the tape arena high-water mark, and the max
+// Trainer bench: the autodiff-tape reference trainer
+// (tests/reference/tape_risk.h) vs. RiskTrainer's batched analytic path on
+// the same seeded workload (default 64 rules / 10k risk-training pairs, the
+// Fig. 13 scalability regime). Prints a table and writes BENCH_trainer.json
+// with epochs/sec, pairs/sec, the tape arena high-water mark, and the max
 // per-epoch loss divergence between the two paths, so later PRs have a perf
 // trajectory to compare against.
 //
@@ -18,6 +19,8 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/timer.h"
+#include "reference/tape_risk.h"
 #include "risk/risk_model.h"
 #include "risk/trainer.h"
 
@@ -72,15 +75,15 @@ void MakeWorkload(size_t num_pairs, size_t num_rules, uint64_t seed,
 struct RunResult {
   RiskTrainerStats stats;
   std::vector<double> loss;
+  size_t peak_tape_nodes = 0;  ///< tape reference only
 };
 
-RunResult RunOnce(bool use_tape, size_t epochs, const RiskModel& base,
-                  const RiskActivation& act,
-                  const std::vector<uint8_t>& mislabeled) {
+RunResult RunAnalytic(size_t epochs, const RiskModel& base,
+                      const RiskActivation& act,
+                      const std::vector<uint8_t>& mislabeled) {
   RiskModel model = base;
   RiskTrainerOptions options;
   options.epochs = epochs;
-  options.use_tape = use_tape;
   RiskTrainer trainer(options);
   const Status status = trainer.Train(&model, act, mislabeled);
   if (!status.ok()) {
@@ -89,10 +92,30 @@ RunResult RunOnce(bool use_tape, size_t epochs, const RiskModel& base,
   return {trainer.stats(), trainer.loss_history()};
 }
 
+/// The tape reference reports only losses and its arena high-water mark;
+/// its seeded sampling draws the same rank pairs as the analytic run, so
+/// that run's pair count is passed in.
+RunResult RunTape(size_t epochs, size_t rank_pairs, const RiskModel& base,
+                  const RiskActivation& act,
+                  const std::vector<uint8_t>& mislabeled) {
+  RiskModel model = base;
+  RiskTrainerOptions options;
+  options.epochs = epochs;
+  RunResult result;
+  Timer timer;
+  result.loss = reference::TapeTrain(&model, act, mislabeled, options,
+                                     &result.peak_tape_nodes);
+  result.stats.train_seconds = timer.ElapsedSeconds();
+  result.stats.epochs = result.loss.size();
+  result.stats.rank_pairs = rank_pairs;
+  return result;
+}
+
 }  // namespace
 
 int main() {
-  bench::PrintBanner("Trainer throughput: tape path vs. analytic fast path");
+  bench::PrintBanner(
+      "Trainer throughput: tape reference vs. analytic training path");
 
   const size_t num_rules = bench::EnvSize("LEARNRISK_BENCH_RULES", 64);
   const size_t num_pairs = bench::EnvSize("LEARNRISK_BENCH_PAIRS", 10000);
@@ -109,10 +132,11 @@ int main() {
               num_rules, num_pairs, n_mis, epochs);
 
   // Warm-up (pool spin-up, page faults) outside the timed runs.
-  RunOnce(false, 2, model, act, mislabeled);
+  RunAnalytic(2, model, act, mislabeled);
 
-  const RunResult tape = RunOnce(true, epochs, model, act, mislabeled);
-  const RunResult fast = RunOnce(false, epochs, model, act, mislabeled);
+  const RunResult fast = RunAnalytic(epochs, model, act, mislabeled);
+  const RunResult tape =
+      RunTape(epochs, fast.stats.rank_pairs, model, act, mislabeled);
 
   double max_loss_diff = 0.0;
   for (size_t e = 0; e < tape.loss.size() && e < fast.loss.size(); ++e) {
@@ -128,10 +152,10 @@ int main() {
               "pairs/sec", "peak tape nodes");
   std::printf("  %-10s %12.2f %14.0f %16zu\n", "tape",
               tape.stats.EpochsPerSec(), tape.stats.PairsPerSec(),
-              tape.stats.peak_tape_nodes);
+              tape.peak_tape_nodes);
   std::printf("  %-10s %12.2f %14.0f %16zu\n", "analytic",
               fast.stats.EpochsPerSec(), fast.stats.PairsPerSec(),
-              fast.stats.peak_tape_nodes);
+              fast.peak_tape_nodes);
   std::printf("\n  speedup: %.1fx   max per-epoch loss divergence: %.3g\n",
               speedup, max_loss_diff);
 
@@ -151,7 +175,7 @@ int main() {
                  "  \"max_epoch_loss_divergence\": %.3g\n"
                  "}\n",
                  num_rules, num_pairs, epochs, tape.stats.EpochsPerSec(),
-                 tape.stats.PairsPerSec(), tape.stats.peak_tape_nodes,
+                 tape.stats.PairsPerSec(), tape.peak_tape_nodes,
                  fast.stats.EpochsPerSec(), fast.stats.PairsPerSec(),
                  speedup, max_loss_diff);
     std::fclose(json);

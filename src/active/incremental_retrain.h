@@ -3,8 +3,8 @@
 // the paper's loop (Sec. 1, 7.4). A batch of LabeledReview items — each
 // carrying its metric feature row, classifier probability, and human truth —
 // is turned into a RiskActivation against the *serving* model's rule set,
-// and the serving parameters are tuned in place on the trainer's analytic
-// fast path (RiskModel::RiskScoreBatch, no tape). Deterministic in the
+// and the serving parameters are tuned in place by the trainer's analytic
+// gradient (RiskModel::RiskScoreBatch). Deterministic in the
 // trainer seed: identical labels + identical serving model => bit-identical
 // per-epoch losses and parameters.
 

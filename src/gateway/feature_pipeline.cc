@@ -83,40 +83,6 @@ Result<FeaturizedBatch> FeaturePipeline::RunImpl(
   return batch;
 }
 
-Result<FeaturizedBatch> FeaturePipeline::Run(
-    const Table& left, const Table& right,
-    const std::vector<RecordPair>& pairs) const {
-  for (const RecordPair& pair : pairs) {
-    if (pair.left >= left.num_records() || pair.right >= right.num_records()) {
-      return Status::OutOfRange("record pair index out of table range");
-    }
-  }
-  return RunImpl(pairs.size(),
-                 [&](size_t i, double* row, MetricScratch* /*scratch*/) {
-                   suite_.EvaluatePairInto(left.record(pairs[i].left),
-                                           right.record(pairs[i].right), row);
-                 });
-}
-
-Result<FeaturizedBatch> FeaturePipeline::RunProbe(
-    const Record& probe, const Table& table,
-    const std::vector<size_t>& candidates) const {
-  if (probe.values.size() != table.schema().num_attributes()) {
-    return Status::InvalidArgument(
-        "probe record width does not match the table schema");
-  }
-  for (size_t c : candidates) {
-    if (c >= table.num_records()) {
-      return Status::OutOfRange("candidate record index out of table range");
-    }
-  }
-  return RunImpl(candidates.size(),
-                 [&](size_t i, double* row, MetricScratch* /*scratch*/) {
-                   suite_.EvaluatePairInto(probe, table.record(candidates[i]),
-                                           row);
-                 });
-}
-
 namespace {
 
 // Uniform row access over the two prepared row sources. Both are always

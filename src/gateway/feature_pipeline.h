@@ -6,14 +6,14 @@
 // reused per-thread scratch buffer, so the hot loop allocates no per-pair
 // vectors.
 //
-// Run/RunProbe evaluate raw records: the reference path, which re-derives
-// every record-level artifact per pair. RunPrepared/RunProbePrepared
-// evaluate PreparedRecords — per-record caches built once — through the
-// suite's prepared kernels with per-thread MetricScratch, over two row
-// sources: flat PreparedTables (the parity tests and offline benches) and
-// the gateway's ShardedSideView, where an unsharded namespace is one shard.
-// Every path is bit-identical to the offline ComputeFeatures +
-// PredictProbaAll stages over the same pairs (enforced by
+// RunPrepared/RunProbePrepared evaluate PreparedRecords — per-record caches
+// built once — through the suite's prepared kernels with per-thread
+// MetricScratch, over two row sources: flat PreparedTables (the parity tests
+// and offline benches) and the gateway's ShardedSideView, where an
+// unsharded namespace is one shard. Every path is bit-identical to the raw
+// reference featurization in tests/reference/raw_featurize.h, which
+// re-derives every record-level artifact per pair, and to the offline
+// ComputeFeatures + PredictProbaAll stages over the same pairs (enforced by
 // tests/prepared_parity_test.cc).
 
 #ifndef LEARNRISK_GATEWAY_FEATURE_PIPELINE_H_
@@ -73,35 +73,23 @@ class FeaturePipeline {
     return metric_names_;
   }
 
-  /// \brief Metric rows + classifier probabilities for record pairs indexing
-  /// into the two tables — the raw reference path (chunk-parallel, per-pair
-  /// re-derivation of record-level artifacts).
-  Result<FeaturizedBatch> Run(const Table& left, const Table& right,
-                              const std::vector<RecordPair>& pairs) const;
-
-  /// \brief Same pass for one raw probe record against candidate records of
-  /// a table (the online single-record path). The probe takes the pair's
-  /// left slot.
-  Result<FeaturizedBatch> RunProbe(const Record& probe, const Table& table,
-                                   const std::vector<size_t>& candidates)
-      const;
-
   /// \brief Prepares one record under the pipeline's suite (for probes and
   /// incremental cache maintenance).
   PreparedRecord Prepare(const Record& record) const {
     return suite_.PrepareRecord(record);
   }
 
-  /// \brief Prepared fast path of Run: pairs index into two PreparedTables
-  /// built (and kept index-aligned) from the same tables under this
-  /// pipeline's suite. Bit-identical output to Run on the source tables.
+  /// \brief Metric rows + classifier probabilities for record pairs indexing
+  /// into two PreparedTables built (and kept index-aligned) from the same
+  /// tables under this pipeline's suite.
   Result<FeaturizedBatch> RunPrepared(const PreparedTable& left,
                                       const PreparedTable& right,
                                       const std::vector<RecordPair>& pairs)
       const;
 
-  /// \brief Prepared fast path of RunProbe: one prepared probe against
-  /// prepared candidates. Bit-identical output to RunProbe.
+  /// \brief Same pass for one prepared probe record against prepared
+  /// candidates (the online single-record path). The probe takes the pair's
+  /// left slot.
   Result<FeaturizedBatch> RunProbePrepared(
       const PreparedRecord& probe, const PreparedTable& table,
       const std::vector<size_t>& candidates) const;

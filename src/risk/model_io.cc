@@ -2,10 +2,12 @@
 
 #include "risk/model_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "common/math_util.h"
 #include "common/string_util.h"
 
 namespace learnrisk {
@@ -31,12 +33,13 @@ std::string SerializeRiskModel(const RiskModel& model,
       << opts.output_buckets << ' ' << (opts.use_classifier_feature ? 1 : 0)
       << '\n';
   if (trainer != nullptr) {
+    // The slot between use_adam and the seed is retired: written 0.
     out << "trainer " << trainer->epochs << ' ' << trainer->learning_rate
         << ' ' << trainer->l1 << ' ' << trainer->l2 << ' '
         << trainer->max_mislabeled_per_epoch << ' '
         << trainer->max_correct_per_epoch << ' ' << trainer->max_rank_pairs
-        << ' ' << (trainer->use_adam ? 1 : 0) << ' '
-        << (trainer->use_tape ? 1 : 0) << ' ' << trainer->seed << '\n';
+        << ' ' << (trainer->use_adam ? 1 : 0) << " 0 " << trainer->seed
+        << '\n';
   }
   out << "params " << model.alpha_raw() << ' ' << model.beta_raw() << '\n';
   out << "phi_out";
@@ -106,14 +109,13 @@ Result<RiskModel> DeserializeRiskModel(const std::string& text,
     } else if (tag == "trainer") {
       RiskTrainerOptions trainer;
       int use_adam = 1;
-      int use_tape = 0;
+      int use_tape = 0;  // retired slot: parsed and discarded
       ls >> trainer.epochs >> trainer.learning_rate >> trainer.l1 >>
           trainer.l2 >> trainer.max_mislabeled_per_epoch >>
           trainer.max_correct_per_epoch >> trainer.max_rank_pairs >>
           use_adam >> use_tape >> trainer.seed;
       if (!ls) return Status::InvalidArgument("malformed trainer line");
       trainer.use_adam = use_adam != 0;
-      trainer.use_tape = use_tape != 0;
       if (trainer_out != nullptr) *trainer_out = trainer;
     } else if (tag == "params") {
       ls >> alpha_raw >> beta_raw;
@@ -170,6 +172,24 @@ Result<RiskModel> DeserializeRiskModel(const std::string& text,
                                             std::move(supports)),
                   options);
   model.ApplyUpdate(theta, phi, alpha_raw, beta_raw, phi_out);
+  // Worst case of Distribution's accumulators: every rule active plus the
+  // classifier feature at its largest weight, beta + 1. Terms are formed in
+  // the kernel's operation order (w * w * sigma * sigma), so an overflow
+  // there, inf * 0 included, shows up here as a non-finite sum.
+  const double out_weight = Softplus(model.beta_raw()) + 1.0;
+  double weight_sum = out_weight;
+  double var_sum =
+      out_weight * out_weight * options.rsd_max * options.rsd_max;
+  for (size_t j = 0; j < model.num_rules(); ++j) {
+    const double w = model.RuleWeight(j);
+    const double sigma = model.RuleRsd(j) * model.features().expectation(j);
+    weight_sum += w;
+    var_sum += w * w * sigma * sigma;
+  }
+  if (!std::isfinite(weight_sum) || !std::isfinite(var_sum)) {
+    return Status::InvalidArgument(
+        "model parameters overflow the risk accumulators");
+  }
   return model;
 }
 

@@ -8,7 +8,8 @@
 //   learnrisk-model v1
 //   options <var_confidence> <metric> <rsd_max> <output_buckets> <use_out>
 //   trainer <epochs> <lr> <l1> <l2> <max_mis> <max_cor> <max_pairs>
-//           <use_adam> <use_tape> <seed>          (optional provenance)
+//           <use_adam> <use_tape> <seed>          (optional provenance;
+//           <use_tape> is a retired slot: ignored, written 0)
 //   params <alpha_raw> <beta_raw>
 //   phi_out <b0> <b1> ...
 //   rule <label> <support> <match_rate> <impurity> <expectation>

@@ -84,21 +84,6 @@ RiskActivation ComputeActivation(const RiskFeatureSet& features,
   return activation;
 }
 
-RiskActivation ComputeActivationNaive(
-    const RiskFeatureSet& features, const FeatureMatrix& metric_features,
-    const std::vector<double>& classifier_probs) {
-  RiskActivation activation;
-  const size_t n = metric_features.rows();
-  activation.active.resize(n);
-  activation.classifier_output = classifier_probs;
-  activation.machine_label.resize(n);
-  ParallelFor(n, [&](size_t i) {
-    activation.active[i] = features.ActiveRules(metric_features.row(i));
-    activation.machine_label[i] = classifier_probs[i] >= 0.5 ? 1 : 0;
-  });
-  return activation;
-}
-
 std::vector<uint8_t> MislabelFlags(const std::vector<uint8_t>& machine_labels,
                                    const std::vector<uint8_t>& truth_labels) {
   std::vector<uint8_t> flags(machine_labels.size());

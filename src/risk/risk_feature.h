@@ -48,9 +48,9 @@ class RiskFeatureSet {
   /// \brief Pairs in the classifier-training data covered by rule j.
   size_t train_support(size_t j) const { return train_support_[j]; }
 
-  /// \brief Indices of rules whose condition holds on this metric row
-  /// (reference implementation: the naive per-rule scan; the compiled plan
-  /// below is the fast path and is bit-identical to it).
+  /// \brief Indices of rules whose condition holds on this metric row: the
+  /// rule semantics as a per-rule scan. The compiled plan below is the fast
+  /// path and is bit-identical to it (tests/reference/naive_activation.h).
   std::vector<uint32_t> ActiveRules(const double* metric_row) const;
 
   /// \brief Fraction of rows with at least one active rule (coverage;
@@ -90,13 +90,6 @@ struct RiskActivation {
 RiskActivation ComputeActivation(const RiskFeatureSet& features,
                                  const FeatureMatrix& metric_features,
                                  const std::vector<double>& classifier_probs);
-
-/// \brief Reference implementation of ComputeActivation using the naive
-/// per-rule scan (RiskFeatureSet::ActiveRules). Kept for parity testing
-/// against the compiled path and as the fallback semantics definition.
-RiskActivation ComputeActivationNaive(
-    const RiskFeatureSet& features, const FeatureMatrix& metric_features,
-    const std::vector<double>& classifier_probs);
 
 /// \brief Risk ground truth: 1 where the machine label disagrees with the
 /// pair's ground-truth equivalence (the "positive" class of Sec. 3).

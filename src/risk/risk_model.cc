@@ -19,7 +19,7 @@ double Logit(double p) {
 
 /// Per-batch derivative terms of the parameter transforms, shared by every
 /// pair: one sigmoid per rule and bucket for the whole batch instead of one
-/// per (pair, rule) tape node. The transforms themselves come from the bake.
+/// per (pair, rule). The transforms themselves come from the bake.
 struct BatchContext {
   double safe_alpha = 0.0;  ///< SafeDenominator(alpha), hoisted per batch
   double inv_alpha = 0.0;   ///< 1 / safe_alpha (gradient-path reciprocal)
@@ -67,7 +67,7 @@ void RiskModel::Bake() {
 }
 
 double RiskModel::OutputWeight(double x) const {
-  const double z = (x - 0.5) / alpha_;
+  const double z = (x - 0.5) / SafeDenominator(alpha_);
   return -std::exp(-0.5 * z * z) + beta_ + 1.0;
 }
 
@@ -97,9 +97,12 @@ PairDistribution RiskModel::Distribution(const uint32_t* active_rules,
     mu_acc += w * features_.expectation(j);
     var_acc += w * w * sigma * sigma;
   }
+  // The same division guard as RiskScoreBatch: an all-underflowed
+  // portfolio (every weight 0) gives mu = 0 instead of 0 / 0.
+  const double safe_sum = SafeDenominator(weight_sum);
   PairDistribution dist;
-  dist.mu = mu_acc / weight_sum;
-  dist.sigma = std::sqrt(var_acc) / weight_sum + kRiskSigmaFloor;
+  dist.mu = mu_acc / safe_sum;
+  dist.sigma = std::sqrt(var_acc) / safe_sum + kRiskSigmaFloor;
   return dist;
 }
 
@@ -221,7 +224,7 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
         const std::vector<uint32_t>& active = activation.active[i];
         const uint8_t label = activation.machine_label[i];
 
-        // --- Forward pass: the exact arithmetic of RiskScoreOnTape. -------
+        // --- Forward pass: the exact arithmetic of the tape reference. ----
         const bool with_output =
             options_.use_classifier_feature || active.empty();
         const double x = Clamp(activation.classifier_output[i], 0.0, 1.0);
@@ -250,8 +253,8 @@ void RiskModel::RiskScoreBatch(const RiskActivation& activation,
 
         // --- Reverse chain collapsed to a linear functional: ---------------
         //   d value = c_mu * d mu + c_sigma * d sigma
-        // with the tape's exact sub-gradient conventions (clamp kinks give
-        // zero, the quantile's input clamp passes gradient through).
+        // with the tape reference's sub-gradient conventions (clamp kinks
+        // give zero, the quantile's input clamp passes gradient through).
         double value = 0.0;
         double c_mu = 0.0;
         double c_sigma = 0.0;
@@ -339,6 +342,7 @@ std::vector<RiskContribution> RiskModel::Explain(const uint32_t* active_rules,
   for (size_t k = 0; k < num_active; ++k) {
     weight_sum += weight_[active_rules[k]];
   }
+  weight_sum = SafeDenominator(weight_sum);
 
   std::vector<RiskContribution> contributions;
   contributions.reserve(num_active + 1);
@@ -365,67 +369,6 @@ std::vector<RiskContribution> RiskModel::Explain(const uint32_t* active_rules,
                    });
   if (contributions.size() > top_k) contributions.resize(top_k);
   return contributions;
-}
-
-RiskModel::TapeParams RiskModel::MakeTapeParams(Tape* tape) const {
-  TapeParams params;
-  params.theta.reserve(theta_.size());
-  for (double t : theta_) params.theta.push_back(tape->Variable(t));
-  params.phi.reserve(phi_.size());
-  for (double p : phi_) params.phi.push_back(tape->Variable(p));
-  params.alpha_raw = tape->Variable(alpha_raw_);
-  params.beta_raw = tape->Variable(beta_raw_);
-  params.phi_out.reserve(phi_out_.size());
-  for (double p : phi_out_) params.phi_out.push_back(tape->Variable(p));
-  return params;
-}
-
-Var RiskModel::RiskScoreOnTape(Tape* tape, const TapeParams& params,
-                               const std::vector<uint32_t>& active_rules,
-                               double classifier_output,
-                               uint8_t machine_label) const {
-  // Classifier-output feature.
-  const bool with_output =
-      options_.use_classifier_feature || active_rules.empty();
-  const double x = Clamp(classifier_output, 0.0, 1.0);
-  Var alpha = SoftplusV(params.alpha_raw);
-  Var beta = SoftplusV(params.beta_raw);
-  Var z = (tape->Constant(x) - 0.5) / alpha;
-  Var w_out = (-Exp(-0.5 * (z * z)) + beta + 1.0) * (with_output ? 1.0 : 0.0);
-  Var rsd_out = options_.rsd_max * SigmoidV(params.phi_out[OutputBucket(x)]);
-  Var sigma_out = rsd_out * x;
-
-  Var weight_sum = w_out;
-  Var mu_acc = w_out * x;
-  Var var_acc = Square(w_out) * Square(sigma_out);
-  for (uint32_t j : active_rules) {
-    Var w = SoftplusV(params.theta[j]);
-    const double mu = features_.expectation(j);
-    Var sigma = (options_.rsd_max * SigmoidV(params.phi[j])) * mu;
-    weight_sum = weight_sum + w;
-    mu_acc = mu_acc + w * mu;
-    var_acc = var_acc + Square(w) * Square(sigma);
-  }
-  Var mu = mu_acc / weight_sum;
-  Var sigma = Sqrt(var_acc) / weight_sum + kRiskSigmaFloor;
-
-  if (options_.metric == RiskMetric::kExpectation) {
-    // Ablation path: rank by the distribution mean only (no fluctuation
-    // term). kCVaR trains against the VaR surrogate, which shares its
-    // optimum ranking.
-    return machine_label == 0 ? mu : 1.0 - mu;
-  }
-
-  // Truncated-normal quantile on tape:
-  //   F^{-1}(p) = mu + sigma * Phi^{-1}(Phi(a) + p (Phi(b) - Phi(a))).
-  const double theta = options_.var_confidence;
-  const double p = machine_label == 0 ? theta : 1.0 - theta;
-  Var ca = NormalCdfV((0.0 - mu) / sigma);
-  Var cb = NormalCdfV((1.0 - mu) / sigma);
-  Var u = ca + p * (cb - ca);
-  Var quantile = ClampV(mu + sigma * NormalQuantileV(u), 0.0, 1.0);
-  if (machine_label == 0) return quantile;
-  return 1.0 - quantile;
 }
 
 void RiskModel::ApplyUpdate(const std::vector<double>& theta,

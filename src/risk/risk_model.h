@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "autodiff/tape.h"
 #include "common/status.h"
 #include "risk/risk_feature.h"
 
@@ -191,34 +190,16 @@ class RiskModel {
     }
   };
 
-  /// \brief Evaluates `RiskScoreOnTape`'s exact arithmetic in closed form for
-  /// every pair in `indices` — same values, same sub-gradient conventions —
-  /// but without recording any tape nodes. Chunk-parallel over pairs.
+  /// \brief Evaluates the risk score and its exact parameter gradient in
+  /// closed form for every pair in `indices`. Same values and sub-gradient
+  /// conventions as the autodiff-tape reference in
+  /// tests/reference/tape_risk.h. Chunk-parallel over pairs.
   void RiskScoreBatch(const RiskActivation& activation,
                       const std::vector<size_t>& indices, BatchScore* out,
                       size_t num_threads = 0) const;
 
-  // --- Differentiable scoring (used by the trainer) ------------------------
-
-  /// \brief Handles to the model parameters re-created on a tape.
-  struct TapeParams {
-    std::vector<Var> theta;  ///< raw rule weights
-    std::vector<Var> phi;    ///< raw rule RSDs
-    Var alpha_raw;
-    Var beta_raw;
-    std::vector<Var> phi_out;  ///< raw per-bucket output RSDs
-  };
-
-  /// \brief Registers all parameters as tape variables.
-  TapeParams MakeTapeParams(Tape* tape) const;
-
-  /// \brief Records the risk score of one pair on the tape.
-  Var RiskScoreOnTape(Tape* tape, const TapeParams& params,
-                      const std::vector<uint32_t>& active_rules,
-                      double classifier_output, uint8_t machine_label) const;
-
-  /// \brief Writes gradients-descended raw parameters back from tape values
-  /// and re-bakes the transforms.
+  /// \brief Writes gradient-descended raw parameters back and re-bakes the
+  /// transforms.
   void ApplyUpdate(const std::vector<double>& theta,
                    const std::vector<double>& phi, double alpha_raw,
                    double beta_raw, const std::vector<double>& phi_out);

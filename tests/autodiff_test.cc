@@ -3,7 +3,7 @@
 // against central finite differences, plus composite expressions matching
 // the risk model's actual computation graph (truncated-normal VaR).
 
-#include "autodiff/tape.h"
+#include "reference/tape.h"
 
 #include <gtest/gtest.h>
 

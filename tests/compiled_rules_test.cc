@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "common/random.h"
+#include "reference/naive_activation.h"
 #include "risk/risk_feature.h"
 #include "rules/rule.h"
 #include "serve/compiled_rules.h"
@@ -232,7 +233,8 @@ TEST(RiskFeatureSetRoutingTest, CompiledActivationMatchesNaivePath) {
   for (double& p : probs) p = rng.Uniform();
 
   const RiskActivation fast = ComputeActivation(set, test, probs);
-  const RiskActivation naive = ComputeActivationNaive(set, test, probs);
+  const RiskActivation naive =
+      reference::ComputeActivationNaive(set, test, probs);
   ASSERT_EQ(fast.size(), naive.size());
   EXPECT_EQ(fast.active, naive.active);
   EXPECT_EQ(fast.machine_label, naive.machine_label);

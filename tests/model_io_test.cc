@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "active/incremental_retrain.h"
 #include "common/random.h"
@@ -64,11 +67,20 @@ TEST(ModelIoTest, TrainerOptionsRoundTrip) {
   trainer.max_correct_per_epoch = 512;
   trainer.max_rank_pairs = 4096;
   trainer.use_adam = false;
-  trainer.use_tape = true;
   trainer.seed = 99;
 
   const std::string text = SerializeRiskModel(model, &trainer);
-  EXPECT_NE(text.find("trainer "), std::string::npos);
+  const size_t begin = text.find("trainer ");
+  ASSERT_NE(begin, std::string::npos);
+  // The record keeps all ten fields, the retired ninth slot included.
+  std::istringstream record(
+      text.substr(begin, text.find('\n', begin) - begin));
+  std::string tag;
+  record >> tag;
+  std::vector<std::string> fields;
+  for (std::string f; record >> f;) fields.push_back(f);
+  ASSERT_EQ(fields.size(), 10u);
+  EXPECT_EQ(fields[8], "0");
 
   RiskTrainerOptions restored;
   auto loaded = DeserializeRiskModel(text, &restored);
@@ -82,8 +94,29 @@ TEST(ModelIoTest, TrainerOptionsRoundTrip) {
   EXPECT_EQ(restored.max_correct_per_epoch, trainer.max_correct_per_epoch);
   EXPECT_EQ(restored.max_rank_pairs, trainer.max_rank_pairs);
   EXPECT_EQ(restored.use_adam, trainer.use_adam);
-  EXPECT_EQ(restored.use_tape, trainer.use_tape);
   EXPECT_EQ(restored.seed, trainer.seed);
+}
+
+TEST(ModelIoTest, OldTrainerRecordWithSlotNineSetStillLoads) {
+  // Older builds wrote 1 in the ninth trainer slot for tape-trained models.
+  const std::string text =
+      "learnrisk-model v1\noptions 0.9 0 1 2 1\n"
+      "trainer 77 0.002 0.0005 0.0006 64 256 2048 1 1 31\n"
+      "params 0.1 0.2\nphi_out 0 0\n"
+      "rule 1 10 0.5 0.1 0.5 10 0.3 0.1 1 0 m 1 0.5\nend\n";
+  RiskTrainerOptions restored;
+  auto loaded = DeserializeRiskModel(text, &restored);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(restored.epochs, 77u);
+  EXPECT_DOUBLE_EQ(restored.learning_rate, 0.002);
+  EXPECT_DOUBLE_EQ(restored.l1, 0.0005);
+  EXPECT_DOUBLE_EQ(restored.l2, 0.0006);
+  EXPECT_EQ(restored.max_mislabeled_per_epoch, 64u);
+  EXPECT_EQ(restored.max_correct_per_epoch, 256u);
+  EXPECT_EQ(restored.max_rank_pairs, 2048u);
+  EXPECT_TRUE(restored.use_adam);
+  EXPECT_EQ(restored.seed, 31u);
+  EXPECT_EQ(loaded->num_rules(), 1u);
 }
 
 TEST(ModelIoTest, PayloadWithoutTrainerRecordKeepsDefaults) {
@@ -236,6 +269,55 @@ TEST(ModelIoTest, HugePredicateMetricIndexFailsClosed) {
   request.metric_features = &narrow;
   request.classifier_probs = {0.2, 0.8};
   EXPECT_TRUE(engine.Score(request).status().IsInvalidArgument());
+}
+
+// A two-rule, two-bucket payload with raw parameters
+// {theta0, phi0, theta1, phi1, alpha_raw, beta_raw, phi_out0, phi_out1}.
+std::string ModelWithRawParams(const std::vector<std::string>& p) {
+  return "learnrisk-model v1\noptions 0.9 0 1 2 1\nparams " + p[4] + " " +
+         p[5] + "\nphi_out " + p[6] + " " + p[7] +
+         "\nrule 1 10 0.5 0.1 0.6 10 " + p[0] + " " + p[1] +
+         " 1 0 m 1 0.5\nrule 0 10 0.5 0.1 0.3 10 " + p[2] + " " + p[3] +
+         " 1 1 n 1 0.5\nend\n";
+}
+
+TEST(ModelIoTest, OverflowingRuleWeightsAreRejected) {
+  // Each weight is finite, but their sum overflows: mu would be inf / inf.
+  const Result<RiskModel> loaded = DeserializeRiskModel(
+      ModelWithRawParams({"1e308", "0", "1e308", "0", "0", "0", "0", "0"}));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument());
+}
+
+TEST(ModelIoTest, ExtremeRawParametersFailToDecodeOrScoreFinite) {
+  const std::vector<std::string> values = {"1e308", "-1e308", "1e154",
+                                           "-1e154", "700", "-700", "0"};
+  const std::vector<std::vector<uint32_t>> subsets = {{}, {0}, {1}, {0, 1}};
+  Rng rng(21);
+  size_t decoded = 0;
+  size_t rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::string> params(8);
+    for (std::string& p : params) p = values[rng.Index(values.size())];
+    const std::string text = ModelWithRawParams(params);
+    const Result<RiskModel> loaded = DeserializeRiskModel(text);
+    if (!loaded.ok()) {
+      EXPECT_TRUE(loaded.status().IsInvalidArgument());
+      ++rejected;
+      continue;
+    }
+    ++decoded;
+    for (const std::vector<uint32_t>& active : subsets) {
+      for (uint8_t label : {uint8_t{0}, uint8_t{1}}) {
+        for (double x : {0.0, 0.5, 1.0}) {
+          ASSERT_TRUE(std::isfinite(loaded->RiskScore(active, x, label)))
+              << text << "x=" << x << " label=" << int{label};
+        }
+      }
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

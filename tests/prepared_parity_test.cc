@@ -23,6 +23,7 @@
 #include "metrics/prepared_record.h"
 #include "metrics/similarity.h"
 #include "metrics/string_kernels.h"
+#include "reference/raw_featurize.h"
 #include "risk/risk_feature.h"
 #include "test_models.h"
 
@@ -434,15 +435,16 @@ TEST(PreparedParityTest, FeaturePipelinePreparedMatchesRaw) {
   const PreparedTable left = PreparedTable::Build(ds.left(), suite);
   const PreparedTable right = PreparedTable::Build(ds.right(), suite);
 
-  auto raw = pipeline.Run(ds.left(), ds.right(), ds.pairs());
+  const FeaturizedBatch raw = reference::RawFeaturize(
+      pipeline.suite(), *classifier, pipeline.classifier_columns(), ds.left(),
+      ds.right(), ds.pairs());
   auto prepared = pipeline.RunPrepared(left, right, ds.pairs());
-  ASSERT_TRUE(raw.ok());
   ASSERT_TRUE(prepared.ok());
-  ASSERT_EQ(raw->probs.size(), prepared->probs.size());
+  ASSERT_EQ(raw.probs.size(), prepared->probs.size());
   for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(BitEqual(raw->probs[i], prepared->probs[i])) << i;
+    ASSERT_TRUE(BitEqual(raw.probs[i], prepared->probs[i])) << i;
     for (size_t m = 0; m < suite.num_metrics(); ++m) {
-      ASSERT_TRUE(BitEqual(raw->features.at(i, m), prepared->features.at(i, m)))
+      ASSERT_TRUE(BitEqual(raw.features.at(i, m), prepared->features.at(i, m)))
           << i << "," << m;
     }
   }
@@ -450,16 +452,19 @@ TEST(PreparedParityTest, FeaturePipelinePreparedMatchesRaw) {
   // Probe path: an arbitrary left record against right-side candidates.
   const Record& probe = ds.left().record(0);
   std::vector<size_t> candidates;
+  std::vector<RecordPair> probe_pairs;
   for (size_t c = 0; c < std::min<size_t>(ds.right().num_records(), 25); ++c) {
     candidates.push_back(c);
+    probe_pairs.push_back({0, c, false});
   }
-  auto raw_probe = pipeline.RunProbe(probe, ds.right(), candidates);
+  const FeaturizedBatch raw_probe = reference::RawFeaturize(
+      pipeline.suite(), *classifier, pipeline.classifier_columns(), ds.left(),
+      ds.right(), probe_pairs, &probe);
   auto prepared_probe = pipeline.RunProbePrepared(pipeline.Prepare(probe),
                                                   right, candidates);
-  ASSERT_TRUE(raw_probe.ok());
   ASSERT_TRUE(prepared_probe.ok());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    ASSERT_TRUE(BitEqual(raw_probe->probs[i], prepared_probe->probs[i])) << i;
+    ASSERT_TRUE(BitEqual(raw_probe.probs[i], prepared_probe->probs[i])) << i;
   }
 
   // Out-of-range pairs are rejected against the prepared tables too.

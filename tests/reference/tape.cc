@@ -1,6 +1,6 @@
 // Copyright 2026 The LearnRisk Authors
 
-#include "autodiff/tape.h"
+#include "reference/tape.h"
 
 #include <algorithm>
 #include <cassert>

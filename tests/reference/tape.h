@@ -16,8 +16,8 @@
 // d Phi^{-1}(u) / du = 1 / phi(Phi^{-1}(u)); Clamp/Min/Max use the standard
 // sub-gradient conventions.
 
-#ifndef LEARNRISK_AUTODIFF_TAPE_H_
-#define LEARNRISK_AUTODIFF_TAPE_H_
+#ifndef LEARNRISK_REFERENCE_TAPE_H_
+#define LEARNRISK_REFERENCE_TAPE_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -171,4 +171,4 @@ Var NormalQuantileV(Var u);
 
 }  // namespace learnrisk
 
-#endif  // LEARNRISK_AUTODIFF_TAPE_H_
+#endif  // LEARNRISK_REFERENCE_TAPE_H_

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "common/math_util.h"
+#include "reference/tape_risk.h"
 #include "risk/risk_feature.h"
 
 namespace learnrisk {
@@ -181,12 +182,13 @@ TEST(RiskModelTest, ScoreBatchMatchesSingle) {
 TEST(RiskModelTest, TapeScoreMatchesScalarScore) {
   RiskModel model(TestFeatureSet());
   Tape tape;
-  auto params = model.MakeTapeParams(&tape);
+  auto params = reference::MakeTapeParams(model, &tape);
   for (uint8_t label : {uint8_t{0}, uint8_t{1}}) {
     for (double p : {0.1, 0.5, 0.9}) {
       for (const std::vector<uint32_t>& active :
            {std::vector<uint32_t>{}, {0}, {1}, {0, 1}}) {
-        Var v = model.RiskScoreOnTape(&tape, params, active, p, label);
+        Var v =
+            reference::RiskScoreOnTape(model, &tape, params, active, p, label);
         EXPECT_NEAR(v.value(), model.RiskScore(active, p, label), 1e-9)
             << "p=" << p << " label=" << int{label};
       }

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "common/random.h"
+#include "reference/naive_activation.h"
 #include "risk/model_io.h"
 #include "risk/risk_feature.h"
 #include "risk/trainer.h"
@@ -77,7 +78,7 @@ TEST(RiskKernelTest, BitIdenticalToReference) {
   const std::vector<double> probs = MakeProbs(5, 400);
   for (const RiskModel* model : {&perturbed, &trained, &reloaded}) {
     const RiskActivation activation =
-        ComputeActivationNaive(model->features(), features, probs);
+        reference::ComputeActivationNaive(model->features(), features, probs);
     const std::vector<double> offline = model->Score(activation);
 
     ServingEngine engine;
@@ -112,7 +113,7 @@ TEST(RiskKernelTest, BitIdenticalAcrossRiskMetrics) {
       model.ApplyUpdate(base.theta(), base.phi(), base.alpha_raw(),
                         base.beta_raw(), base.phi_out());
       const RiskActivation activation =
-          ComputeActivationNaive(model.features(), features, probs);
+          reference::ComputeActivationNaive(model.features(), features, probs);
       const std::vector<double> offline = model.Score(activation);
       std::vector<double> risk(features.rows());
       model.ScoreBatch(model.features().compiled().EvaluateCsr(features),
@@ -174,7 +175,7 @@ TEST(RiskKernelTest, ExplainMatchesReference) {
   const std::vector<double> probs = MakeProbs(33, 100);
   for (const RiskModel* model : {&perturbed, &trained}) {
     const RiskActivation activation =
-        ComputeActivationNaive(model->features(), features, probs);
+        reference::ComputeActivationNaive(model->features(), features, probs);
     for (size_t i = 0; i < features.rows(); ++i) {
       const auto expected =
           testutil::ReferenceExplain(*model, activation.active[i], probs[i], 4);

@@ -1,16 +1,17 @@
 // Copyright 2026 The LearnRisk Authors
-// Parity between the analytic fast path and the tape path: RiskScoreBatch
-// jacobians vs. tape backward vs. central finite differences on randomized
-// models, and full seeded training trajectories (per-epoch loss + final
-// parameters) across both paths and all risk metrics.
+// Parity between the analytic training path and the autodiff-tape reference
+// (tests/reference/tape_risk.h): RiskScoreBatch jacobians vs. tape backward
+// vs. central finite differences on randomized models, and full seeded
+// training trajectories (per-epoch loss + final parameters) across both
+// paths and all risk metrics.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "autodiff/tape.h"
 #include "common/random.h"
+#include "reference/tape_risk.h"
 #include "risk/risk_model.h"
 #include "risk/trainer.h"
 
@@ -94,10 +95,10 @@ std::vector<double> TapeGradient(const RiskModel& model,
                                  const RiskActivation& act, size_t i,
                                  double* value) {
   Tape tape;
-  RiskModel::TapeParams params = model.MakeTapeParams(&tape);
-  Var score = model.RiskScoreOnTape(&tape, params, act.active[i],
-                                    act.classifier_output[i],
-                                    act.machine_label[i]);
+  reference::TapeParams params = reference::MakeTapeParams(model, &tape);
+  Var score = reference::RiskScoreOnTape(model, &tape, params, act.active[i],
+                                         act.classifier_output[i],
+                                         act.machine_label[i]);
   tape.Backward(score);
   *value = score.value();
   std::vector<double> grad;
@@ -200,24 +201,20 @@ TEST(TrainingParity, SeededLossTrajectoriesMatch) {
     mislabeled[i] = rng.Bernoulli(0.3) ? 1 : 0;
   }
 
-  RiskTrainerOptions fast_opts;
-  fast_opts.epochs = 60;
-  fast_opts.use_tape = false;
-  RiskTrainerOptions tape_opts = fast_opts;
-  tape_opts.use_tape = true;
+  RiskTrainerOptions opts;
+  opts.epochs = 60;
 
   RiskModel fast_model = RandomModel(kRules, 3);
   RiskModel tape_model = RandomModel(kRules, 3);
-  RiskTrainer fast_trainer(fast_opts);
-  RiskTrainer tape_trainer(tape_opts);
+  RiskTrainer fast_trainer(opts);
   ASSERT_TRUE(fast_trainer.Train(&fast_model, act, mislabeled).ok());
-  ASSERT_TRUE(tape_trainer.Train(&tape_model, act, mislabeled).ok());
+  size_t peak_tape_nodes = 0;
+  const std::vector<double> tape_loss = reference::TapeTrain(
+      &tape_model, act, mislabeled, opts, &peak_tape_nodes);
 
-  ASSERT_EQ(fast_trainer.loss_history().size(),
-            tape_trainer.loss_history().size());
+  ASSERT_EQ(fast_trainer.loss_history().size(), tape_loss.size());
   for (size_t e = 0; e < fast_trainer.loss_history().size(); ++e) {
-    EXPECT_NEAR(fast_trainer.loss_history()[e],
-                tape_trainer.loss_history()[e], 1e-6)
+    EXPECT_NEAR(fast_trainer.loss_history()[e], tape_loss[e], 1e-6)
         << "epoch " << e;
   }
   for (size_t j = 0; j < kRules; ++j) {
@@ -227,11 +224,9 @@ TEST(TrainingParity, SeededLossTrajectoriesMatch) {
   EXPECT_NEAR(fast_model.alpha_raw(), tape_model.alpha_raw(), 1e-5);
   EXPECT_NEAR(fast_model.beta_raw(), tape_model.beta_raw(), 1e-5);
 
-  // Stats: the tape path reports its arena high-water mark, the fast path
-  // records none.
-  EXPECT_GT(tape_trainer.stats().peak_tape_nodes, 0u);
-  EXPECT_EQ(fast_trainer.stats().peak_tape_nodes, 0u);
-  EXPECT_EQ(fast_trainer.stats().epochs, fast_opts.epochs);
+  // Stats: the tape reference reports its arena high-water mark.
+  EXPECT_GT(peak_tape_nodes, 0u);
+  EXPECT_EQ(fast_trainer.stats().epochs, opts.epochs);
   EXPECT_GT(fast_trainer.stats().rank_pairs, 0u);
 }
 

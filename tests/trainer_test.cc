@@ -132,6 +132,33 @@ TEST(TrainerTest, SizeMismatchRejected) {
                   .IsInvalidArgument());
 }
 
+TEST(TrainerTest, ZeroSamplingCapRejectedWithModelUntouched) {
+  // An empty epoch sample has no rank loss; training on the regularizer
+  // alone would report a NaN loss and still move the weights.
+  Scenario s = MakeScenario();
+  for (int cap = 0; cap < 3; ++cap) {
+    RiskTrainerOptions opts = FastOptions();
+    if (cap == 0) opts.max_rank_pairs = 0;
+    if (cap == 1) opts.max_mislabeled_per_epoch = 0;
+    if (cap == 2) opts.max_correct_per_epoch = 0;
+    RiskModel model(s.features);
+    const std::vector<double> theta = model.theta();
+    const std::vector<double> phi = model.phi();
+    const double alpha_raw = model.alpha_raw();
+    const double beta_raw = model.beta_raw();
+    const std::vector<double> phi_out = model.phi_out();
+    RiskTrainer trainer(opts);
+    EXPECT_TRUE(trainer.Train(&model, s.activation, s.mislabeled)
+                    .IsInvalidArgument())
+        << "cap " << cap;
+    EXPECT_EQ(model.theta(), theta);
+    EXPECT_EQ(model.phi(), phi);
+    EXPECT_EQ(model.alpha_raw(), alpha_raw);
+    EXPECT_EQ(model.beta_raw(), beta_raw);
+    EXPECT_EQ(model.phi_out(), phi_out);
+  }
+}
+
 TEST(TrainerTest, DeterministicGivenSeed) {
   Scenario s = MakeScenario();
   RiskModel a(s.features);

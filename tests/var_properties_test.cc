@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "common/math_util.h"
+#include "reference/tape_risk.h"
 #include "risk/risk_model.h"
 
 namespace learnrisk {
@@ -48,9 +49,9 @@ TEST_P(VaRSweep, RiskInUnitRangeAndTapeAgrees) {
     EXPECT_GE(risk, 0.0);
     EXPECT_LE(risk, 1.0);
     Tape tape;
-    auto params = model.MakeTapeParams(&tape);
-    Var v = model.RiskScoreOnTape(&tape, params, active, output,
-                                  static_cast<uint8_t>(label));
+    auto params = reference::MakeTapeParams(model, &tape);
+    Var v = reference::RiskScoreOnTape(model, &tape, params, active, output,
+                                       static_cast<uint8_t>(label));
     EXPECT_NEAR(v.value(), risk, 1e-9)
         << "output=" << output << " theta=" << theta100 << " label=" << label;
   }
