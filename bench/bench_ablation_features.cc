@@ -12,7 +12,8 @@
 int main() {
   using namespace learnrisk;  // NOLINT
   bench::PrintBanner(
-      "Ablation: feature sources (rules + output vs rules vs output)");
+      "Ablation: feature sources (rules + output vs rules vs output)",
+      bench::PaperKnobs(bench::Epochs()));
 
   for (const char* dataset : {"DS", "AG"}) {
     ExperimentConfig config;

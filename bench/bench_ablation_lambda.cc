@@ -12,7 +12,8 @@
 
 int main() {
   using namespace learnrisk;  // NOLINT
-  bench::PrintBanner("Ablation: one-sided Gini lambda (Eq. 7; paper uses 0.2)");
+  bench::PrintBanner("Ablation: one-sided Gini lambda (Eq. 7; paper uses 0.2)",
+                     bench::PaperKnobs(bench::Epochs()));
 
   ExperimentConfig config;
   config.dataset = "DS";

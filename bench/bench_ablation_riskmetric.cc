@@ -13,7 +13,8 @@
 
 int main() {
   using namespace learnrisk;  // NOLINT
-  bench::PrintBanner("Ablation: risk metric (VaR vs CVaR vs expectation)");
+  bench::PrintBanner("Ablation: risk metric (VaR vs CVaR vs expectation)",
+                     bench::PaperKnobs(bench::Epochs()));
 
   for (const char* dataset : {"DS", "AB"}) {
     ExperimentConfig config;

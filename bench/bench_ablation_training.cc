@@ -12,7 +12,8 @@
 
 int main() {
   using namespace learnrisk;  // NOLINT
-  bench::PrintBanner("Ablation: trained vs untrained (prior) risk model");
+  bench::PrintBanner("Ablation: trained vs untrained (prior) risk model",
+                     bench::PaperKnobs(bench::Epochs()));
 
   std::printf("\n%-8s %12s %12s %8s\n", "data", "untrained", "trained",
               "gain");

@@ -15,7 +15,8 @@
 int main() {
   using namespace learnrisk;  // NOLINT
   bench::PrintBanner(
-      "Extension: calibration is no substitute for risk analysis (DS)");
+      "Extension: calibration is no substitute for risk analysis (DS)",
+      bench::PaperKnobs(bench::Epochs()));
 
   ExperimentConfig config;
   config.dataset = "DS";

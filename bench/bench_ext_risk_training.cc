@@ -35,8 +35,10 @@ double EvaluateF1(const MlpClassifier& clf, const FeatureMatrix& view,
 }  // namespace
 
 int main() {
+  const size_t epochs = std::min<size_t>(bench::Epochs(), 300);
   bench::PrintBanner(
-      "Extension: risk-aware self-training (Sec. 8 'Model Training')");
+      "Extension: risk-aware self-training (Sec. 8 'Model Training')",
+      bench::PaperKnobs(epochs));
 
   for (const char* dataset : {"DS", "AG"}) {
     GeneratorOptions gen;
@@ -67,7 +69,7 @@ int main() {
 
     RiskAwareTrainingOptions options;
     options.seed = bench::Seed();
-    options.risk_trainer.epochs = std::min<size_t>(bench::Epochs(), 300);
+    options.risk_trainer.epochs = epochs;
 
     // Plain supervised baseline.
     MlpClassifier plain(options.classifier);

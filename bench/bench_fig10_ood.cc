@@ -15,7 +15,8 @@
 
 int main() {
   using namespace learnrisk;  // NOLINT
-  bench::PrintBanner("Figure 10: out-of-distribution evaluation");
+  bench::PrintBanner("Figure 10: out-of-distribution evaluation",
+                     bench::PaperKnobs(bench::Epochs()));
 
   struct OodCase {
     const char* source;

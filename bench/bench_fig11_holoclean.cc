@@ -17,7 +17,8 @@
 int main() {
   using namespace learnrisk;  // NOLINT
   bench::PrintBanner(
-      "Figure 11: LearnRisk vs HoloClean (5 random test subsets averaged)");
+      "Figure 11: LearnRisk vs HoloClean (5 random test subsets averaged)",
+      bench::PaperKnobs(bench::Epochs()));
 
   struct Case {
     const char* dataset;

@@ -78,7 +78,8 @@ void RunPanel(Experiment& e, const char* dataset, bool random_sampling,
 
 int main() {
   learnrisk::bench::PrintBanner(
-      "Figure 12: LearnRisk sensitivity to risk-training size (DS, AB)");
+      "Figure 12: LearnRisk sensitivity to risk-training size (DS, AB)",
+      learnrisk::bench::PaperKnobs(learnrisk::bench::Epochs()));
 
   struct Panel {
     const char* dataset;

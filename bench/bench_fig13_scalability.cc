@@ -17,8 +17,10 @@
 
 int main() {
   using namespace learnrisk;  // NOLINT
+  const size_t epochs = std::min<size_t>(bench::Epochs(), 300);
   bench::PrintBanner("Figure 13: scalability of rule generation and risk "
-                     "training (DS)");
+                     "training (DS)",
+                     bench::PaperKnobs(epochs));
 
   ExperimentConfig config;
   config.dataset = "DS";
@@ -29,7 +31,7 @@ int main() {
   config.valid_ratio = 2.0;
   config.test_ratio = 2.0;
   // Fixed medium epoch count: Fig 13(b) sweeps data size, not epochs.
-  config.risk_trainer.epochs = std::min<size_t>(bench::Epochs(), 300);
+  config.risk_trainer.epochs = epochs;
 
   auto experiment = Experiment::Prepare(config);
   if (!experiment.ok()) {

@@ -16,7 +16,9 @@
 
 int main() {
   using namespace learnrisk;  // NOLINT
-  bench::PrintBanner("Figure 14: active learning on DS (F1 vs labeled size)");
+  const size_t epochs = std::min<size_t>(bench::Epochs(), 300);
+  bench::PrintBanner("Figure 14: active learning on DS (F1 vs labeled size)",
+                     bench::PaperKnobs(epochs));
 
   GeneratorOptions gen;
   gen.scale = bench::Scale();
@@ -46,7 +48,7 @@ int main() {
   config.num_batches = 9;  // 64 .. 352 labels
   config.classifier.epochs = 30;
   config.seed = bench::Seed();
-  config.risk_trainer.epochs = std::min<size_t>(bench::Epochs(), 300);
+  config.risk_trainer.epochs = epochs;
 
   std::vector<ActiveLearningCurve> curves;
   for (SelectionStrategy strategy :

@@ -75,7 +75,8 @@ void Report(const std::string& dataset, const char* ratio,
 
 int main() {
   learnrisk::bench::PrintBanner(
-      "Figure 9: comparative risk-analysis AUROC (4 datasets x 3 ratios)");
+      "Figure 9: comparative risk-analysis AUROC (4 datasets x 3 ratios)",
+      learnrisk::bench::PaperKnobs(learnrisk::bench::Epochs()));
 
   const std::vector<std::string> datasets = {"DS", "AB", "AG", "SG"};
   const std::vector<Ratio> ratios = {

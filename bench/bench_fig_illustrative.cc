@@ -15,7 +15,7 @@
 
 int main() {
   using namespace learnrisk;  // NOLINT
-  bench::PrintBanner("Figures 2 / 4 / 7 / 8: illustrative series");
+  bench::PrintBanner("Figures 2 / 4 / 7 / 8: illustrative series", "");
 
   // --- Fig. 2: model A dominates model B; C is the chance diagonal. ---
   std::printf("\nFig. 2 ROC examples (AUROC): ");

@@ -3,8 +3,9 @@
 // Micro-benchmarks (google-benchmark): throughput of the similarity /
 // difference metrics, rule evaluation and VaR scoring — the inner loops of
 // feature generation and risk ranking. The *Fast kernels and the prepared
-// Monge-Elkan are the ones the serving path runs; each sits next to its
-// similarity.h reference. The /50 and /100 arguments select a title pair of
+// Monge-Elkan are the ones the serving path runs; each sits next to its raw
+// reference in tests/reference/raw_metrics.h, which the other metric
+// benchmarks time. The /50 and /100 arguments select a title pair of
 // that length: after common-end stripping the 100-char pair leaves a
 // remainder longer than 64 chars, so it runs the multi-word kernels.
 
@@ -13,10 +14,9 @@
 #include <benchmark/benchmark.h>
 
 #include "common/math_util.h"
-#include "metrics/difference.h"
 #include "metrics/metric_suite.h"
-#include "metrics/similarity.h"
 #include "metrics/string_kernels.h"
+#include "reference/raw_metrics.h"
 #include "risk/risk_model.h"
 
 namespace learnrisk {
@@ -41,7 +41,7 @@ std::pair<const char*, const char*> TitlePair(const benchmark::State& state) {
 
 void BM_EditDistance(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EditDistance(kTitleA, kTitleB));
+    benchmark::DoNotOptimize(reference::EditDistance(kTitleA, kTitleB));
   }
 }
 BENCHMARK(BM_EditDistance);
@@ -57,7 +57,8 @@ BENCHMARK(BM_NormalizedEditSimilarityFast)->Arg(50)->Arg(100);
 
 void BM_JaroWinkler(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(JaroWinklerSimilarity(kTitleA, kTitleB));
+    benchmark::DoNotOptimize(
+        reference::JaroWinklerSimilarity(kTitleA, kTitleB));
   }
 }
 BENCHMARK(BM_JaroWinkler);
@@ -73,14 +74,14 @@ BENCHMARK(BM_JaroWinklerSimilarityFast)->Arg(50)->Arg(100);
 
 void BM_TokenJaccard(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(TokenJaccard(kTitleA, kTitleB));
+    benchmark::DoNotOptimize(reference::TokenJaccard(kTitleA, kTitleB));
   }
 }
 BENCHMARK(BM_TokenJaccard);
 
 void BM_LcsRatio(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(LcsRatio(kTitleA, kTitleB));
+    benchmark::DoNotOptimize(reference::LcsRatio(kTitleA, kTitleB));
   }
 }
 BENCHMARK(BM_LcsRatio);
@@ -96,7 +97,7 @@ BENCHMARK(BM_LcsRatioFast)->Arg(50)->Arg(100);
 
 void BM_MongeElkan(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MongeElkan(kAuthorsA, kAuthorsB));
+    benchmark::DoNotOptimize(reference::MongeElkan(kAuthorsA, kAuthorsB));
   }
 }
 BENCHMARK(BM_MongeElkan);
@@ -105,8 +106,10 @@ BENCHMARK(BM_MongeElkan);
 // MetricSuite::EvaluatePrepared per pair.
 void BM_MongeElkanPrepared(benchmark::State& state) {
   const Schema schema({{"authors", AttributeType::kText}});
-  const MetricSuite suite = MetricSuite::FromSpecs(
-      schema, {MetricSpec{0, MetricKind::kMongeElkan, "authors.monge_elkan"}});
+  const MetricSuite suite =
+      MetricSuite::FromSpecs(schema, {MetricSpec{0, MetricKind::kMongeElkan,
+                                                 "authors.monge_elkan"}})
+          .MoveValueOrDie();
   Record left;
   left.values = {kAuthorsA};
   Record right;
@@ -122,7 +125,8 @@ BENCHMARK(BM_MongeElkanPrepared);
 
 void BM_DistinctEntity(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(DistinctEntityCount(kAuthorsA, kAuthorsB));
+    benchmark::DoNotOptimize(
+        reference::DistinctEntityCount(kAuthorsA, kAuthorsB));
   }
 }
 BENCHMARK(BM_DistinctEntity);
@@ -130,7 +134,7 @@ BENCHMARK(BM_DistinctEntity);
 void BM_AbbrNonSubstring(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        AbbrNonSubstring("very large data bases", "vldb"));
+        reference::AbbrNonSubstring("very large data bases", "vldb"));
   }
 }
 BENCHMARK(BM_AbbrNonSubstring);

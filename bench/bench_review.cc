@@ -107,13 +107,15 @@ void PrintCurve(const char* name, const std::vector<CurvePoint>& curve) {
 }  // namespace
 
 int main() {
-  bench::PrintBanner(
-      "Review loop: label efficiency and retrain-and-publish latency");
-
   const double scale = bench::EnvDouble("LEARNRISK_BENCH_SCALE", 0.05);
   const size_t label_budget = bench::EnvSize("LEARNRISK_BENCH_LABELS", 160);
   const size_t num_retrains = bench::EnvSize("LEARNRISK_BENCH_RETRAINS", 12);
   const uint64_t seed = bench::Seed();
+  bench::PrintBanner(
+      "Review loop: label efficiency and retrain-and-publish latency",
+      bench::Format("scale=%.2f, labels=%zu, retrains=%zu, seed=%llu", scale,
+                    label_budget, num_retrains,
+                    static_cast<unsigned long long>(seed)));
 
   // --- Workload + weak classifier + trained risk model (paper recipe). ----
   GeneratorOptions generator;

@@ -144,12 +144,13 @@ RunStats RunOne(size_t num_rules, size_t num_pairs, size_t num_metrics,
 }  // namespace
 
 int main() {
-  bench::PrintBanner(
-      "Serving throughput: naive vs compiled activation + engine end-to-end");
-
   const size_t num_pairs = bench::EnvSize("LEARNRISK_BENCH_PAIRS", 20000);
   const size_t batch_size = bench::EnvSize("LEARNRISK_BENCH_BATCH", 512);
   const size_t num_metrics = bench::EnvSize("LEARNRISK_BENCH_METRICS", 24);
+  bench::PrintBanner(
+      "Serving throughput: naive vs compiled activation + engine end-to-end",
+      bench::Format("seed=%llu",
+                    static_cast<unsigned long long>(bench::Seed())));
   const size_t rule_counts[] = {16, 64, 256};
 
   std::printf("workload: %zu pairs, %zu metric columns, batch=%zu\n\n",

@@ -12,7 +12,10 @@
 int main() {
   using namespace learnrisk;  // NOLINT
   bench::PrintBanner("Table 2: dataset statistics (paper target x scale vs "
-                     "generated)");
+                     "generated)",
+                     bench::Format("scale=%.2f, seed=%llu", bench::Scale(),
+                                   static_cast<unsigned long long>(
+                                       bench::Seed())));
 
   std::printf("%-6s %12s %12s %10s %10s %6s %6s %8s\n", "data", "pairs(tgt)",
               "pairs(gen)", "match(tgt)", "match(gen)", "attrs", "attrs",

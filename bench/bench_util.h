@@ -11,6 +11,7 @@
 #define LEARNRISK_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -38,14 +39,31 @@ inline uint64_t Seed() {
   return static_cast<uint64_t>(EnvSize("LEARNRISK_SEED", 7));
 }
 
-inline void PrintBanner(const char* title) {
+/// printf into a std::string (a banner's knob list).
+inline std::string Format(const char* format, ...) {
+  char buf[256];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buf, sizeof(buf), format, args);
+  va_end(args);
+  return buf;
+}
+
+/// The knob list of a paper-figure bench: LEARNRISK_SCALE, `epochs` (the
+/// risk-training epochs it actually runs) and LEARNRISK_SEED.
+inline std::string PaperKnobs(size_t epochs) {
+  return Format("scale=%.2f, epochs=%zu, seed=%llu; paper numbers are the "
+                "published values,\n measured numbers come from the "
+                "synthetic workloads -- compare shapes, not decimals",
+                Scale(), epochs, static_cast<unsigned long long>(Seed()));
+}
+
+/// Prints the bench title and `knobs`, the settings this run actually read
+/// (omitted when empty: the bench reads no knob).
+inline void PrintBanner(const char* title, const std::string& knobs) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title);
-  std::printf("(scale=%.2f, epochs=%zu, seed=%llu; paper numbers are the "
-              "published values,\n measured numbers come from the synthetic "
-              "workloads -- compare shapes, not decimals)\n",
-              Scale(), Epochs(),
-              static_cast<unsigned long long>(Seed()));
+  if (!knobs.empty()) std::printf("(%s)\n", knobs.c_str());
   std::printf("================================================================\n");
 }
 

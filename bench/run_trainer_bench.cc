@@ -115,7 +115,9 @@ RunResult RunTape(size_t epochs, size_t rank_pairs, const RiskModel& base,
 
 int main() {
   bench::PrintBanner(
-      "Trainer throughput: tape reference vs. analytic training path");
+      "Trainer throughput: tape reference vs. analytic training path",
+      bench::Format("seed=%llu",
+                    static_cast<unsigned long long>(bench::Seed())));
 
   const size_t num_rules = bench::EnvSize("LEARNRISK_BENCH_RULES", 64);
   const size_t num_pairs = bench::EnvSize("LEARNRISK_BENCH_PAIRS", 10000);

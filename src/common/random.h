@@ -44,12 +44,6 @@ class Rng {
   /// \brief True with probability p.
   bool Bernoulli(double p) { return Uniform() < p; }
 
-  /// \brief Poisson sample with the given mean.
-  int Poisson(double mean) {
-    std::poisson_distribution<int> dist(mean);
-    return dist(engine_);
-  }
-
   /// \brief Geometric-ish integer in [lo, hi] biased toward lo.
   int64_t SkewedInt(int64_t lo, int64_t hi, double skew = 2.0) {
     double u = std::pow(Uniform(), skew);

@@ -5,12 +5,35 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <unordered_set>
 
 #include "common/parallel.h"
 #include "common/string_util.h"
-#include "metrics/difference.h"
 
 namespace learnrisk {
+
+IdfTable IdfTable::Build(const std::vector<std::string_view>& corpus) {
+  IdfTable table;
+  table.num_documents_ = corpus.size();
+  for (std::string_view doc : corpus) {
+    std::unordered_set<std::string> seen;
+    for (std::string& tok : Tokenize(doc)) {
+      if (seen.insert(tok).second) table.df_[tok]++;
+    }
+  }
+  return table;
+}
+
+double IdfTable::Idf(const std::string& token) const {
+  const auto it = df_.find(token);
+  const double df = it == df_.end() ? 0.0 : static_cast<double>(it->second);
+  return std::log((1.0 + static_cast<double>(num_documents_)) / (1.0 + df)) +
+         1.0;
+}
+
+bool IdfTable::IsKeyToken(const std::string& token, double min_idf) const {
+  return Idf(token) >= min_idf;
+}
 
 const char* MetricKindToString(MetricKind kind) {
   switch (kind) {
@@ -21,7 +44,6 @@ const char* MetricKindToString(MetricKind kind) {
     case MetricKind::kLcs: return "lcs";
     case MetricKind::kCosineTfIdf: return "cosine_tfidf";
     case MetricKind::kMongeElkan: return "monge_elkan";
-    case MetricKind::kOverlap: return "overlap";
     case MetricKind::kContainment: return "containment";
     case MetricKind::kNumericSim: return "numeric_sim";
     case MetricKind::kExact: return "exact";
@@ -29,8 +51,6 @@ const char* MetricKindToString(MetricKind kind) {
     case MetricKind::kNonPrefix: return "non_prefix";
     case MetricKind::kNonSuffix: return "non_suffix";
     case MetricKind::kAbbrNonSubstring: return "abbr_non_substring";
-    case MetricKind::kAbbrNonPrefix: return "abbr_non_prefix";
-    case MetricKind::kAbbrNonSuffix: return "abbr_non_suffix";
     case MetricKind::kDiffCardinality: return "diff_cardinality";
     case MetricKind::kDistinctEntity: return "distinct_entity";
     case MetricKind::kDiffKeyToken: return "diff_key_token";
@@ -46,8 +66,6 @@ bool IsDifferenceMetric(MetricKind kind) {
     case MetricKind::kNonPrefix:
     case MetricKind::kNonSuffix:
     case MetricKind::kAbbrNonSubstring:
-    case MetricKind::kAbbrNonPrefix:
-    case MetricKind::kAbbrNonSuffix:
     case MetricKind::kDiffCardinality:
     case MetricKind::kDistinctEntity:
     case MetricKind::kDiffKeyToken:
@@ -119,11 +137,19 @@ MetricSuite MetricSuite::ForSchema(const Schema& schema) {
         break;
     }
   }
-  return FromSpecs(schema, std::move(specs));
+  return FromSpecs(schema, std::move(specs)).MoveValueOrDie();
 }
 
-MetricSuite MetricSuite::FromSpecs(const Schema& schema,
-                                   std::vector<MetricSpec> specs) {
+Result<MetricSuite> MetricSuite::FromSpecs(const Schema& schema,
+                                           std::vector<MetricSpec> specs) {
+  for (const MetricSpec& spec : specs) {
+    if (spec.attribute >= schema.num_attributes()) {
+      return Status::InvalidArgument(
+          "metric '" + spec.name + "' reads attribute " +
+          std::to_string(spec.attribute) + " of a " +
+          std::to_string(schema.num_attributes()) + "-attribute schema");
+    }
+  }
   MetricSuite suite;
   suite.schema_ = schema;
   suite.specs_ = std::move(specs);
@@ -171,81 +197,6 @@ std::vector<std::string> MetricSuite::MetricNames() const {
   names.reserve(specs_.size());
   for (const MetricSpec& spec : specs_) names.push_back(spec.name);
   return names;
-}
-
-double MetricSuite::Evaluate(const Record& left, const Record& right,
-                             size_t m) const {
-  const MetricSpec& spec = specs_[m];
-  const std::string& a = left.value(spec.attribute);
-  const std::string& b = right.value(spec.attribute);
-  // String metrics on missing values are undefined; numeric metrics handle
-  // parse failure themselves.
-  const bool missing = Trim(a).empty() || Trim(b).empty();
-  switch (spec.kind) {
-    case MetricKind::kEditSim:
-      return missing ? kMissingMetric : NormalizedEditSimilarity(a, b);
-    case MetricKind::kJaroWinkler:
-      return missing ? kMissingMetric : JaroWinklerSimilarity(a, b);
-    case MetricKind::kTokenJaccard:
-      return missing ? kMissingMetric : TokenJaccard(a, b);
-    case MetricKind::kNgramJaccard:
-      return missing ? kMissingMetric : NgramJaccard(a, b);
-    case MetricKind::kLcs:
-      return missing ? kMissingMetric : LcsRatio(a, b);
-    case MetricKind::kCosineTfIdf:
-      if (missing) return kMissingMetric;
-      return idf_[spec.attribute] ? CosineTfIdf(a, b, *idf_[spec.attribute])
-                                  : kMissingMetric;
-    case MetricKind::kMongeElkan:
-      return missing ? kMissingMetric : MongeElkan(a, b);
-    case MetricKind::kOverlap:
-      return missing ? kMissingMetric : OverlapCoefficient(a, b);
-    case MetricKind::kContainment:
-      return missing ? kMissingMetric : Containment(a, b);
-    case MetricKind::kNumericSim:
-      return NumericSimilarity(a, b);
-    case MetricKind::kExact:
-      return missing ? kMissingMetric : ExactMatch(a, b);
-    case MetricKind::kNonSubstring:
-      return NonSubstring(a, b);
-    case MetricKind::kNonPrefix:
-      return NonPrefix(a, b);
-    case MetricKind::kNonSuffix:
-      return NonSuffix(a, b);
-    case MetricKind::kAbbrNonSubstring:
-      return AbbrNonSubstring(a, b);
-    case MetricKind::kAbbrNonPrefix:
-      return AbbrNonPrefix(a, b);
-    case MetricKind::kAbbrNonSuffix:
-      return AbbrNonSuffix(a, b);
-    case MetricKind::kDiffCardinality:
-      return DiffCardinality(a, b);
-    case MetricKind::kDistinctEntity:
-      return DistinctEntity(a, b);
-    case MetricKind::kDiffKeyToken:
-      if (!idf_[spec.attribute]) return kMissingMetric;
-      return DiffKeyToken(a, b, *idf_[spec.attribute],
-                          min_key_idf_[spec.attribute]);
-    case MetricKind::kNumericUnequal:
-      return NumericUnequal(a, b);
-    case MetricKind::kNotEqual:
-      return missing ? kMissingMetric : 1.0 - ExactMatch(a, b);
-  }
-  return kMissingMetric;
-}
-
-std::vector<double> MetricSuite::EvaluatePair(const Record& left,
-                                              const Record& right) const {
-  std::vector<double> out(specs_.size());
-  EvaluatePairInto(left, right, out.data());
-  return out;
-}
-
-void MetricSuite::EvaluatePairInto(const Record& left, const Record& right,
-                                   double* out) const {
-  for (size_t m = 0; m < specs_.size(); ++m) {
-    out[m] = Evaluate(left, right, m);
-  }
 }
 
 // --- Prepared fast path ------------------------------------------------------
@@ -340,8 +291,9 @@ size_t SortedAbsentCount(const std::vector<std::string>& a,
   return a.size() - SortedIntersectionCount(a, b);
 }
 
-/// Mirror of EntityNamesEquivalent over pre-tokenized entities: same surname
-/// edit-similarity threshold, same head-initial compatibility rule.
+/// Mirror of reference::EntityNamesEquivalent over pre-tokenized entities:
+/// same surname edit-similarity threshold, same head-initial compatibility
+/// rule.
 bool PreparedEntitiesEquivalent(const PreparedEntity& a,
                                 const PreparedEntity& b,
                                 MetricScratch* scratch) {
@@ -363,8 +315,8 @@ bool PreparedEntitiesEquivalent(const PreparedEntity& a,
   return true;
 }
 
-/// Mirror of DistinctEntityCount over prepared entity lists (greedy
-/// first-match pairing in the same order).
+/// Mirror of reference::DistinctEntityCount over prepared entity lists
+/// (greedy first-match pairing in the same order).
 double PreparedDistinctEntityCount(const PreparedValue& a,
                                    const PreparedValue& b,
                                    MetricScratch* scratch) {
@@ -470,7 +422,6 @@ uint32_t MetricSuite::PrepareNeedsFor(MetricKind kind) {
     case MetricKind::kLcs:
       return kNeedRaw;  // the character-level kernels read the raw string
     case MetricKind::kTokenJaccard:
-    case MetricKind::kOverlap:
     case MetricKind::kContainment:
       return kNeedTokenSet;
     case MetricKind::kNgramJaccard:
@@ -489,8 +440,6 @@ uint32_t MetricSuite::PrepareNeedsFor(MetricKind kind) {
     case MetricKind::kNonSuffix:
       return kNeedNorm;
     case MetricKind::kAbbrNonSubstring:
-    case MetricKind::kAbbrNonPrefix:
-    case MetricKind::kAbbrNonSuffix:
       return kNeedNorm | kNeedAbbr;
     case MetricKind::kDiffCardinality:
     case MetricKind::kDistinctEntity:
@@ -561,12 +510,8 @@ PreparedRecord MetricSuite::PrepareRecord(const Record& record) const {
     }
     if (needs & kNeedEntities) {
       for (const std::string& part : Split(raw, ',')) {
-        std::string text = ToLower(Trim(part));
-        if (text.empty()) continue;
-        PreparedEntity entity;
-        entity.tokens = Tokenize(text);
-        entity.text = std::move(text);
-        v.entities.push_back(std::move(entity));
+        const std::string text = ToLower(Trim(part));
+        if (!text.empty()) v.entities.push_back(PreparedEntity{Tokenize(text)});
       }
     }
     if (needs & kNeedNumeric) {
@@ -617,16 +562,6 @@ double MetricSuite::EvaluatePrepared(const PreparedRecord& left,
       return idf_[spec.attribute] ? PreparedCosineTfIdf(a, b) : kMissingMetric;
     case MetricKind::kMongeElkan:
       return missing ? kMissingMetric : PreparedMongeElkan(a, b, scratch);
-    case MetricKind::kOverlap: {
-      if (missing) return kMissingMetric;
-      if (a.sorted_tokens.empty() && b.sorted_tokens.empty()) return 1.0;
-      if (a.sorted_tokens.empty() || b.sorted_tokens.empty()) return 0.0;
-      const size_t inter =
-          SortedIntersectionCount(a.sorted_tokens, b.sorted_tokens);
-      return static_cast<double>(inter) /
-             static_cast<double>(
-                 std::min(a.sorted_tokens.size(), b.sorted_tokens.size()));
-    }
     case MetricKind::kContainment: {
       if (missing) return kMissingMetric;
       if (a.sorted_tokens.empty()) return 1.0;
@@ -661,15 +596,6 @@ double MetricSuite::EvaluatePrepared(const PreparedRecord& left,
                            Contains(a.abbr, b.abbr);
       return related ? 0.0 : 1.0;
     }
-    case MetricKind::kAbbrNonPrefix:
-      if (missing) return kMissingMetric;
-      if (a.abbr.empty() || b.abbr.empty()) return kMissingMetric;
-      return StartsWith(a.abbr, b.abbr) || StartsWith(b.abbr, a.abbr) ? 0.0
-                                                                      : 1.0;
-    case MetricKind::kAbbrNonSuffix:
-      if (missing) return kMissingMetric;
-      if (a.abbr.empty() || b.abbr.empty()) return kMissingMetric;
-      return EndsWith(a.abbr, b.abbr) || EndsWith(b.abbr, a.abbr) ? 0.0 : 1.0;
     case MetricKind::kDiffCardinality:
       if (missing) return kMissingMetric;
       return a.entities.size() != b.entities.size() ? 1.0 : 0.0;

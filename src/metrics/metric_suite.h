@@ -1,8 +1,10 @@
 // Copyright 2026 The LearnRisk Authors
-// Binds similarity / difference metrics to schema attributes, producing the
-// per-pair "basic metric" vector the rule learner and classifier consume
-// (paper Sec. 5.1: "we have designed 19 basic metrics on the attribute
-// values in the DS workload, ...").
+// Binds the paper's similarity and difference metrics to schema attributes,
+// producing the per-pair "basic metric" vector the rule learner and
+// classifier consume (paper Sec. 5.1: "we have designed 19 basic metrics on
+// the attribute values in the DS workload, ..."). Each metric returns a score
+// in [0, 1] (or a count for the counting metrics) or kMissingMetric when
+// either value is missing; the rule learner treats missing as its own branch.
 
 #ifndef LEARNRISK_METRICS_METRIC_SUITE_H_
 #define LEARNRISK_METRICS_METRIC_SUITE_H_
@@ -10,16 +12,43 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "data/table.h"
 #include "data/workload.h"
 #include "metrics/prepared_record.h"
-#include "metrics/similarity.h"
 #include "metrics/string_kernels.h"
 
 namespace learnrisk {
+
+/// Sentinel for "either value missing"; strictly below every valid score so
+/// threshold splits isolate missing values naturally.
+inline constexpr double kMissingMetric = -1.0;
+
+/// \brief Token IDF statistics for a corpus of attribute values; backs the
+/// TF-IDF cosine similarity and the diff-key-token difference metric.
+class IdfTable {
+ public:
+  /// \brief Builds token document frequencies from attribute values.
+  static IdfTable Build(const std::vector<std::string_view>& corpus);
+
+  /// \brief idf(token) = ln((1 + N) / (1 + df)) + 1; unseen tokens get the
+  /// maximum idf.
+  double Idf(const std::string& token) const;
+
+  /// \brief True iff the token's idf is above `min_idf` (a discriminating /
+  /// "key" token in the paper's terms).
+  bool IsKeyToken(const std::string& token, double min_idf) const;
+
+  size_t num_documents() const { return num_documents_; }
+
+ private:
+  std::unordered_map<std::string, size_t> df_;
+  size_t num_documents_ = 0;
+};
 
 /// \brief Identifies one metric function.
 enum class MetricKind {
@@ -31,7 +60,6 @@ enum class MetricKind {
   kLcs,
   kCosineTfIdf,
   kMongeElkan,
-  kOverlap,
   kContainment,
   kNumericSim,
   kExact,
@@ -40,8 +68,6 @@ enum class MetricKind {
   kNonPrefix,
   kNonSuffix,
   kAbbrNonSubstring,
-  kAbbrNonPrefix,
-  kAbbrNonSuffix,
   kDiffCardinality,
   kDistinctEntity,
   kDiffKeyToken,
@@ -66,7 +92,10 @@ struct MetricSpec {
 ///
 /// Construction chooses metrics by attribute semantic type (Fig. 5); Fit()
 /// derives the corpus statistics (IDF tables) that CosineTfIdf and
-/// DiffKeyToken need. Evaluate* then maps a record pair to its metric vector.
+/// DiffKeyToken need. PrepareRecord caches each record's derivations once,
+/// and EvaluatePrepared maps two prepared records to their metric values.
+/// The raw-string reference these kernels must match bit-for-bit is
+/// tests/reference/raw_metrics.h.
 class MetricSuite {
  public:
   /// \brief Default metric selection for a schema. Attributes whose name
@@ -74,36 +103,31 @@ class MetricSuite {
   static MetricSuite ForSchema(const Schema& schema);
 
   /// \brief A suite from explicit specs (for custom configurations).
-  static MetricSuite FromSpecs(const Schema& schema,
-                               std::vector<MetricSpec> specs);
+  /// InvalidArgument if a spec names an attribute outside `schema`.
+  static Result<MetricSuite> FromSpecs(const Schema& schema,
+                                       std::vector<MetricSpec> specs);
 
   /// \brief Builds IDF tables from both sides of the workload. Must be
-  /// called before Evaluate* if the suite contains TF-IDF/key-token metrics.
+  /// called before PrepareRecord if the suite contains TF-IDF/key-token
+  /// metrics.
   void Fit(const Workload& workload);
 
   size_t num_metrics() const { return specs_.size(); }
   const std::vector<MetricSpec>& specs() const { return specs_; }
   const Schema& schema() const { return schema_; }
 
+  /// \brief Attribute `attr`'s fitted IDF table; nullptr before Fit() or
+  /// when no IDF-based metric reads the attribute.
+  const IdfTable* idf(size_t attr) const { return idf_[attr].get(); }
+
+  /// \brief Attribute `attr`'s key-token idf threshold (0 until fitted).
+  double min_key_idf(size_t attr) const { return min_key_idf_[attr]; }
+
   /// \brief Names of all metrics, in column order.
   std::vector<std::string> MetricNames() const;
 
-  /// \brief Value of metric `m` on a record pair. This is the reference
-  /// implementation: it re-derives every record-level artifact (tokens,
-  /// normalized strings, tf-idf weights) from the raw strings per call.
-  double Evaluate(const Record& left, const Record& right, size_t m) const;
-
-  /// \brief Full metric vector for a record pair.
-  std::vector<double> EvaluatePair(const Record& left,
-                                   const Record& right) const;
-
-  /// \brief Writes the full metric vector into `out` (capacity >=
-  /// num_metrics()); the allocation-free reference form.
-  void EvaluatePairInto(const Record& left, const Record& right,
-                        double* out) const;
-
-  // --- Prepared fast path ---------------------------------------------------
-  // The prepared kernels produce bit-identical values to Evaluate* while
+  // --- Prepared kernels ------------------------------------------------------
+  // Bit-identical to the raw reference (tests/reference/raw_metrics.h) while
   // reusing per-record caches and per-thread scratch; the parity is enforced
   // by tests/prepared_parity_test.cc across all MetricKinds.
 
@@ -117,8 +141,8 @@ class MetricSuite {
   PreparedRecord PrepareRecord(const Record& record) const;
 
   /// \brief Value of metric `m` from two prepared sides; bit-identical to
-  /// Evaluate on the records they were prepared from. `scratch` is the
-  /// calling thread's reusable kernel buffer.
+  /// the raw reference on the records they were prepared from. `scratch` is
+  /// the calling thread's reusable kernel buffer.
   double EvaluatePrepared(const PreparedRecord& left,
                           const PreparedRecord& right, size_t m,
                           MetricScratch* scratch) const;

@@ -17,8 +17,4 @@ PreparedTable PreparedTable::Build(const Table& table,
   return prepared;
 }
 
-void PreparedTable::Append(const Record& record, const MetricSuite& suite) {
-  records_.push_back(suite.PrepareRecord(record));
-}
-
 }  // namespace learnrisk

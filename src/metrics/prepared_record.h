@@ -4,8 +4,9 @@
 // sets, tf-idf weight maps, key-token subsets, entity token lists, parsed
 // numerics — computed once per (record, attribute) and reused across every
 // pair the record participates in. Blocking emits each record in many
-// candidate pairs, so the raw path re-derives all of this per pair; the
-// prepared path (MetricSuite::EvaluatePairPrepared*) pays it once.
+// candidate pairs; MetricSuite::EvaluatePairPreparedInto reads these caches
+// instead of re-deriving them per pair, as the raw reference
+// (tests/reference/raw_metrics.h) does.
 //
 // PreparedRecords are plain immutable data once built: safe to share across
 // threads without synchronization. They are only meaningful together with
@@ -29,11 +30,10 @@ namespace learnrisk {
 
 class MetricSuite;
 
-/// \brief One normalized element of an entity-set attribute, pre-tokenized
+/// \brief One non-empty element of an entity-set attribute, pre-tokenized
 /// for the abbreviation-aware equivalence test DistinctEntity runs per pair.
 struct PreparedEntity {
-  std::string text;                 ///< ToLower(Trim(part)), non-empty
-  std::vector<std::string> tokens;  ///< Tokenize(text)
+  std::vector<std::string> tokens;  ///< Tokenize(ToLower(Trim(part)))
 };
 
 /// \brief Cached single-record derivations for one attribute. Only the
@@ -80,12 +80,11 @@ struct PreparedRecord {
 };
 
 /// \brief A table's records in prepared form, index-aligned with the source
-/// Table. Built in one parallel pass; Append keeps it aligned as records
-/// arrive online. The prepared entries borrow their raw attribute strings
-/// from the source records (zero copy), so the table — and any record
-/// passed to Append — must outlive the PreparedTable. (The gateway's
-/// serving path instead uses SideStore segments, which own record and
-/// prepared storage together; see src/gateway/namespace_segments.h.)
+/// Table and built in one parallel pass. The prepared entries borrow their
+/// raw attribute strings from the source records (zero copy), so the table
+/// must outlive the PreparedTable. (The gateway's serving path instead uses
+/// SideStore segments, which own record and prepared storage together; see
+/// src/gateway/namespace_segments.h.)
 class PreparedTable {
  public:
   PreparedTable() = default;
@@ -93,11 +92,6 @@ class PreparedTable {
   /// \brief Prepares every record of `table` under `suite` (parallel).
   /// Borrows: `table` must outlive the result.
   static PreparedTable Build(const Table& table, const MetricSuite& suite);
-
-  /// \brief Prepares and appends one record (same suite as Build).
-  /// Borrows: `record` must stay alive and unmoved for the lifetime of
-  /// this table — its strings are referenced, not copied.
-  void Append(const Record& record, const MetricSuite& suite);
 
   size_t size() const { return records_.size(); }
   const PreparedRecord& record(size_t i) const { return records_[i]; }

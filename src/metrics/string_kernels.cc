@@ -226,6 +226,41 @@ double BitParallelJaro(std::string_view a, std::string_view b, size_t window,
   return JaroFromCounts(matches, transpositions, a.size(), b.size());
 }
 
+/// Jaro similarity; bit-identical to reference::JaroSimilarity().
+double JaroSimilarityFast(std::string_view a, std::string_view b,
+                          MetricScratch* scratch) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const size_t window =
+      a.size() > 1 || b.size() > 1 ? std::max(a.size(), b.size()) / 2 - 1 : 0;
+  if (a.size() <= 64 && b.size() <= 64) {
+    return BitParallelJaro(a, b, window, scratch);
+  }
+  scratch->a_flags.assign(a.size(), 0);
+  scratch->b_flags.assign(b.size(), 0);
+  size_t matches = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const size_t lo = i > window ? i - window : 0;
+    const size_t hi = std::min(b.size(), i + window + 1);
+    for (size_t j = lo; j < hi; ++j) {
+      if (scratch->b_flags[j] || a[i] != b[j]) continue;
+      scratch->a_flags[i] = scratch->b_flags[j] = 1;
+      ++matches;
+      break;
+    }
+  }
+  if (matches == 0) return 0.0;
+  size_t transpositions = 0;
+  size_t j = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!scratch->a_flags[i]) continue;
+    while (!scratch->b_flags[j]) ++j;
+    if (a[i] != b[j]) ++transpositions;
+    ++j;
+  }
+  return JaroFromCounts(matches, transpositions, a.size(), b.size());
+}
+
 }  // namespace
 
 size_t EditDistanceFast(std::string_view a, std::string_view b,
@@ -260,40 +295,6 @@ double LcsRatioFast(std::string_view a, std::string_view b,
   if (a.empty() || b.empty()) return 0.0;
   return static_cast<double>(LcsLengthFast(a, b, scratch)) /
          static_cast<double>(max_len);
-}
-
-double JaroSimilarityFast(std::string_view a, std::string_view b,
-                          MetricScratch* scratch) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  const size_t window =
-      a.size() > 1 || b.size() > 1 ? std::max(a.size(), b.size()) / 2 - 1 : 0;
-  if (a.size() <= 64 && b.size() <= 64) {
-    return BitParallelJaro(a, b, window, scratch);
-  }
-  scratch->a_flags.assign(a.size(), 0);
-  scratch->b_flags.assign(b.size(), 0);
-  size_t matches = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const size_t lo = i > window ? i - window : 0;
-    const size_t hi = std::min(b.size(), i + window + 1);
-    for (size_t j = lo; j < hi; ++j) {
-      if (scratch->b_flags[j] || a[i] != b[j]) continue;
-      scratch->a_flags[i] = scratch->b_flags[j] = 1;
-      ++matches;
-      break;
-    }
-  }
-  if (matches == 0) return 0.0;
-  size_t transpositions = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!scratch->a_flags[i]) continue;
-    while (!scratch->b_flags[j]) ++j;
-    if (a[i] != b[j]) ++transpositions;
-    ++j;
-  }
-  return JaroFromCounts(matches, transpositions, a.size(), b.size());
 }
 
 double JaroWinklerSimilarityFast(std::string_view a, std::string_view b,

@@ -2,9 +2,10 @@
 // Allocation-free exact string kernels for the prepared featurization path.
 //
 // Each kernel computes *exactly* the same value as its reference counterpart
-// in similarity.h (same integers, hence bit-identical derived doubles) but
-// reuses caller-owned scratch buffers instead of allocating per call, and
-// uses asymptotically faster exact algorithms where they exist:
+// in tests/reference/raw_metrics.h (same integers, hence bit-identical
+// derived doubles) but reuses caller-owned scratch buffers instead of
+// allocating per call, and uses asymptotically faster exact algorithms where
+// they exist:
 //
 //  - EditDistanceFast: common prefix/suffix stripping (distance-preserving),
 //    then Myers' bit-parallel algorithm in Hyyrö's formulation, over
@@ -13,11 +14,11 @@
 //  - LcsLengthFast: prefix/suffix stripping (each stripped char is part of
 //    some LCS), then the Allison-Dix bit-parallel LLCS recurrence over
 //    ceil(m / 64) words, with the carry of V + U crossing words.
-//  - JaroSimilarityFast / JaroWinklerSimilarityFast: the reference's greedy
-//    matching. When both strings are <= 64 chars it runs on one flag word
-//    per side (lowest open position of b in a[i]'s window, transpositions by
-//    walking the flag words); longer inputs run the reference loop verbatim
-//    on reusable byte flags.
+//  - JaroWinklerSimilarityFast: the reference's greedy Jaro matching. When
+//    both strings are <= 64 chars it runs on one flag word per side (lowest
+//    open position of b in a[i]'s window, transpositions by walking the flag
+//    words); longer inputs run the reference loop verbatim on reusable byte
+//    flags.
 //
 // The only selection is by input length, and every path returns the same
 // integers. Exactness is enforced by tests/prepared_parity_test.cc, which
@@ -53,28 +54,24 @@ struct MetricScratch {
   std::vector<uint64_t> vn;  ///< Myers' negative vertical deltas
 };
 
-/// \brief Levenshtein distance; same integer as EditDistance().
+/// \brief Levenshtein distance; same integer as reference::EditDistance().
 size_t EditDistanceFast(std::string_view a, std::string_view b,
                         MetricScratch* scratch);
 
-/// \brief Bit-identical to NormalizedEditSimilarity().
+/// \brief Bit-identical to reference::NormalizedEditSimilarity().
 double NormalizedEditSimilarityFast(std::string_view a, std::string_view b,
                                     MetricScratch* scratch);
 
-/// \brief Longest-common-subsequence length; same integer as the LcsRatio
-/// DP computes internally.
+/// \brief Longest-common-subsequence length; same integer as the
+/// reference::LcsRatio DP computes internally.
 size_t LcsLengthFast(std::string_view a, std::string_view b,
                      MetricScratch* scratch);
 
-/// \brief Bit-identical to LcsRatio().
+/// \brief Bit-identical to reference::LcsRatio().
 double LcsRatioFast(std::string_view a, std::string_view b,
                     MetricScratch* scratch);
 
-/// \brief Bit-identical to JaroSimilarity().
-double JaroSimilarityFast(std::string_view a, std::string_view b,
-                          MetricScratch* scratch);
-
-/// \brief Bit-identical to JaroWinklerSimilarity().
+/// \brief Bit-identical to reference::JaroWinklerSimilarity().
 double JaroWinklerSimilarityFast(std::string_view a, std::string_view b,
                                  MetricScratch* scratch);
 

@@ -96,13 +96,4 @@ std::vector<Rule> DeduplicateRules(std::vector<Rule> rules) {
   return out;
 }
 
-std::vector<size_t> CoveredPairs(const Rule& rule,
-                                 const FeatureMatrix& features) {
-  std::vector<size_t> covered;
-  for (size_t i = 0; i < features.rows(); ++i) {
-    if (rule.Matches(features.row(i))) covered.push_back(i);
-  }
-  return covered;
-}
-
 }  // namespace learnrisk

@@ -85,9 +85,6 @@ void CanonicalizeRule(Rule* rule);
 /// same condition deduplicate too.
 std::vector<Rule> DeduplicateRules(std::vector<Rule> rules);
 
-/// \brief Pairs covered by the rule in a feature matrix.
-std::vector<size_t> CoveredPairs(const Rule& rule, const FeatureMatrix& features);
-
 }  // namespace learnrisk
 
 #endif  // LEARNRISK_RULES_RULE_H_

@@ -29,6 +29,7 @@
 #include "data/generators.h"
 #include "gateway/gateway.h"
 #include "obs/trace.h"
+#include "reference/raw_metrics.h"
 #include "risk/risk_feature.h"
 #include "serve/scorer_snapshot.h"
 #include "test_models.h"
@@ -457,8 +458,8 @@ TEST(GatewayTraceTest, ExplanationsComeFromTheSnapshotThatScored) {
     for (const TracedDecision& decision : trace->top_risky) {
       const Record& left =
           decision.left < 0 ? probe : s.workload.left().record(decision.left);
-      const std::vector<double> row = s.suite.EvaluatePair(
-          left, s.workload.right().record(decision.right));
+      const std::vector<double> row = reference::EvaluateRawPair(
+          s.suite, left, s.workload.right().record(decision.right));
       const std::vector<uint32_t> active =
           scorer.compiled().ActiveRules(row.data());
       EXPECT_EQ(decision.active_rules, active);

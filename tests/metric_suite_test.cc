@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
+#include "reference/raw_metrics.h"
 
 namespace learnrisk {
 namespace {
@@ -65,7 +66,8 @@ TEST(MetricSuiteTest, EvaluatePairRangesAndMissing) {
   MetricSuite suite = MetricSuite::ForSchema(ds.left().schema());
   suite.Fit(ds);
   for (size_t i = 0; i < std::min<size_t>(ds.size(), 100); ++i) {
-    const auto row = suite.EvaluatePair(ds.LeftRecord(i), ds.RightRecord(i));
+    const auto row =
+        reference::EvaluateRawPair(suite, ds.LeftRecord(i), ds.RightRecord(i));
     ASSERT_EQ(row.size(), suite.num_metrics());
     for (double v : row) {
       EXPECT_TRUE(v == kMissingMetric || (v >= 0.0 && v <= 1.0)) << v;
@@ -83,7 +85,23 @@ TEST(MetricSuiteTest, UnfittedIdfMetricsReturnMissing) {
     if (suite.specs()[m].kind == MetricKind::kCosineTfIdf) cosine_idx = m;
   }
   ASSERT_LT(cosine_idx, suite.num_metrics());
-  EXPECT_EQ(suite.Evaluate(a, a, cosine_idx), kMissingMetric);
+  EXPECT_EQ(reference::EvaluateRaw(suite, a, a, cosine_idx), kMissingMetric);
+}
+
+// A spec naming an attribute outside the schema is rejected up front;
+// building the suite would otherwise index the per-attribute tables out of
+// bounds (and Fit would too).
+TEST(MetricSuiteTest, FromSpecsRejectsOutOfRangeAttribute) {
+  const Schema schema({{"title", AttributeType::kText}});
+  const Result<MetricSuite> bad = MetricSuite::FromSpecs(
+      schema, {MetricSpec{5, MetricKind::kEditSim, "title.edit_sim"}});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status().ToString();
+
+  const Result<MetricSuite> good = MetricSuite::FromSpecs(
+      schema, {MetricSpec{0, MetricKind::kEditSim, "title.edit_sim"}});
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->num_metrics(), 1u);
 }
 
 TEST(FeatureMatrixTest, ComputeFeaturesShapeAndDeterminism) {

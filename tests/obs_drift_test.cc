@@ -22,6 +22,7 @@
 #include "data/generators.h"
 #include "gateway/gateway.h"
 #include "obs/drift.h"
+#include "reference/raw_metrics.h"
 #include "risk/risk_feature.h"
 #include "test_models.h"
 
@@ -218,9 +219,9 @@ FeatureMatrix FeaturesForPairs(const std::vector<RecordPair>& pairs) {
   FeatureMatrix features(pairs.size(), s.suite.num_metrics());
   features.column_names = s.suite.MetricNames();
   for (size_t i = 0; i < pairs.size(); ++i) {
-    s.suite.EvaluatePairInto(s.workload.left().record(pairs[i].left),
-                             s.workload.right().record(pairs[i].right),
-                             features.mutable_row(i));
+    reference::EvaluateRawPairInto(
+        s.suite, s.workload.left().record(pairs[i].left),
+        s.workload.right().record(pairs[i].right), features.mutable_row(i));
   }
   return features;
 }

@@ -21,14 +21,18 @@
 #include "gateway/gateway.h"
 #include "metrics/metric_suite.h"
 #include "metrics/prepared_record.h"
-#include "metrics/similarity.h"
 #include "metrics/string_kernels.h"
 #include "reference/raw_featurize.h"
+#include "reference/raw_metrics.h"
 #include "risk/risk_feature.h"
 #include "test_models.h"
 
 namespace learnrisk {
 namespace {
+
+using reference::EditDistance;
+using reference::JaroWinklerSimilarity;
+using reference::LcsRatio;
 
 // Bitwise double equality (distinguishes -0.0/0.0, treats identical NaNs as
 // equal) so "bit-identical" means exactly that.
@@ -105,17 +109,16 @@ MetricSuite AllKindsSuite(size_t width) {
   }
   const Schema schema(std::move(attrs));
   static const MetricKind kAllKinds[] = {
-      MetricKind::kEditSim,        MetricKind::kJaroWinkler,
-      MetricKind::kTokenJaccard,   MetricKind::kNgramJaccard,
-      MetricKind::kLcs,            MetricKind::kCosineTfIdf,
-      MetricKind::kMongeElkan,     MetricKind::kOverlap,
-      MetricKind::kContainment,    MetricKind::kNumericSim,
-      MetricKind::kExact,          MetricKind::kNonSubstring,
-      MetricKind::kNonPrefix,      MetricKind::kNonSuffix,
-      MetricKind::kAbbrNonSubstring, MetricKind::kAbbrNonPrefix,
-      MetricKind::kAbbrNonSuffix,  MetricKind::kDiffCardinality,
-      MetricKind::kDistinctEntity, MetricKind::kDiffKeyToken,
-      MetricKind::kNumericUnequal, MetricKind::kNotEqual,
+      MetricKind::kEditSim,          MetricKind::kJaroWinkler,
+      MetricKind::kTokenJaccard,     MetricKind::kNgramJaccard,
+      MetricKind::kLcs,              MetricKind::kCosineTfIdf,
+      MetricKind::kMongeElkan,       MetricKind::kContainment,
+      MetricKind::kNumericSim,       MetricKind::kExact,
+      MetricKind::kNonSubstring,     MetricKind::kNonPrefix,
+      MetricKind::kNonSuffix,        MetricKind::kAbbrNonSubstring,
+      MetricKind::kDiffCardinality,  MetricKind::kDistinctEntity,
+      MetricKind::kDiffKeyToken,     MetricKind::kNumericUnequal,
+      MetricKind::kNotEqual,
   };
   std::vector<MetricSpec> specs;
   for (size_t a = 0; a < width; ++a) {
@@ -125,7 +128,7 @@ MetricSuite AllKindsSuite(size_t width) {
           schema.attribute(a).name + "." + MetricKindToString(kind)});
     }
   }
-  return MetricSuite::FromSpecs(schema, std::move(specs));
+  return MetricSuite::FromSpecs(schema, std::move(specs)).MoveValueOrDie();
 }
 
 // `len` letters drawn from the first `alphabet` lowercase letters.
@@ -293,8 +296,10 @@ TEST(StringKernelsTest, ScratchReuseIsClean) {
 // reference, with one scratch reused throughout.
 TEST(PreparedParityTest, MongeElkanBoundBitIdentical) {
   const Schema schema({{"text", AttributeType::kText}});
-  const MetricSuite suite = MetricSuite::FromSpecs(
-      schema, {MetricSpec{0, MetricKind::kMongeElkan, "text.monge_elkan"}});
+  const MetricSuite suite =
+      MetricSuite::FromSpecs(
+          schema, {MetricSpec{0, MetricKind::kMongeElkan, "text.monge_elkan"}})
+          .MoveValueOrDie();
 
   Rng rng(31);
   auto random_token = [&](size_t len) {
@@ -333,7 +338,7 @@ TEST(PreparedParityTest, MongeElkanBoundBitIdentical) {
     Record right;
     right.values.push_back(rng.Bernoulli(0.2) ? left.values[0]
                                               : random_value());
-    const double raw = suite.Evaluate(left, right, 0);
+    const double raw = reference::EvaluateRaw(suite, left, right, 0);
     const PreparedRecord pl = suite.PrepareRecord(left);
     const PreparedRecord pr = suite.PrepareRecord(right);
     ASSERT_TRUE(BitEqual(suite.EvaluatePrepared(pl, pr, 0, &scratch), raw))
@@ -349,7 +354,7 @@ TEST(PreparedParityTest, MongeElkanBoundBitIdentical) {
       left.values.push_back("common " + std::string(la, 'a'));
       Record right;
       right.values.push_back("common " + std::string(lb, 'a') + "b");
-      const double raw = suite.Evaluate(left, right, 0);
+      const double raw = reference::EvaluateRaw(suite, left, right, 0);
       const PreparedRecord pl = suite.PrepareRecord(left);
       const PreparedRecord pr = suite.PrepareRecord(right);
       ASSERT_TRUE(BitEqual(suite.EvaluatePrepared(pl, pr, 0, &scratch), raw))
@@ -383,7 +388,7 @@ TEST(PreparedParityTest, AllKindsBitIdenticalFittedAndUnfitted) {
       const PreparedRecord prepared_right = suite.PrepareRecord(right);
       std::vector<double> raw(suite.num_metrics());
       std::vector<double> prepared(suite.num_metrics());
-      suite.EvaluatePairInto(left, right, raw.data());
+      reference::EvaluateRawPairInto(suite, left, right, raw.data());
       suite.EvaluatePairPreparedInto(prepared_left, prepared_right, &scratch,
                                      prepared.data());
       for (size_t m = 0; m < suite.num_metrics(); ++m) {
@@ -406,7 +411,7 @@ TEST(PreparedParityTest, ComputeFeaturesMatchesRawEvaluation) {
   ASSERT_EQ(features.rows(), ds.size());
   for (size_t i = 0; i < ds.size(); i += 7) {
     const std::vector<double> raw =
-        suite.EvaluatePair(ds.LeftRecord(i), ds.RightRecord(i));
+        reference::EvaluateRawPair(suite, ds.LeftRecord(i), ds.RightRecord(i));
     for (size_t m = 0; m < suite.num_metrics(); ++m) {
       ASSERT_TRUE(BitEqual(features.at(i, m), raw[m]))
           << "pair " << i << " metric " << suite.specs()[m].name;
@@ -473,11 +478,11 @@ TEST(PreparedParityTest, FeaturePipelinePreparedMatchesRaw) {
   EXPECT_TRUE(bad.status().IsOutOfRange());
 }
 
-// PreparedTable::Append borrows the appended record's strings instead of
-// deep-copying them (PreparedValue::raw is a view into the caller-owned
-// record), and the borrowed entry still evaluates bit-identically to the
-// raw path.
-TEST(PreparedParityTest, PreparedTableAppendBorrowsWithoutCopy) {
+// PrepareRecord borrows the record's strings instead of deep-copying them
+// (PreparedValue::raw is a view into the caller-owned record, the contract
+// the gateway's SideStore segments rely on), and the borrowed entry still
+// evaluates bit-identically to the raw path.
+TEST(PreparedParityTest, PrepareRecordBorrowsWithoutCopy) {
   GeneratorOptions options;
   options.scale = 0.02;
   options.seed = 13;
@@ -485,28 +490,17 @@ TEST(PreparedParityTest, PreparedTableAppendBorrowsWithoutCopy) {
   MetricSuite suite = MetricSuite::ForSchema(ds.left().schema());
   suite.Fit(ds);
 
-  // Rebuild the right table minus its last record, then learn that record
-  // through Append. The sources (head table + extra record) stay alive and
-  // unmoved, per the borrow contract.
+  // The source record stays alive and unmoved, per the borrow contract.
   const Table& right = ds.right();
   ASSERT_GT(right.num_records(), 1u);
-  const size_t last = right.num_records() - 1;
-  Table head(right.schema());
-  for (size_t i = 0; i < last; ++i) {
-    ASSERT_TRUE(head.Append(right.record(i), right.entity_id(i)).ok());
-  }
-  const Record extra = right.record(last);
-
-  PreparedTable grown = PreparedTable::Build(head, suite);
-  grown.Append(extra, suite);
-  ASSERT_EQ(grown.size(), right.num_records());
+  const Record extra = right.record(right.num_records() - 1);
+  const PreparedRecord prepared = suite.PrepareRecord(extra);
 
   // Zero-copy: every populated raw view aliases the extra record's own
   // string storage (no duplicated bytes).
-  const PreparedRecord& appended = grown.record(last);
   size_t populated = 0;
-  for (size_t a = 0; a < appended.values.size(); ++a) {
-    const std::string_view raw = appended.values[a].raw;
+  for (size_t a = 0; a < prepared.values.size(); ++a) {
+    const std::string_view raw = prepared.values[a].raw;
     if (raw.empty()) continue;
     ++populated;
     EXPECT_EQ(raw.data(), extra.values[a].data())
@@ -521,9 +515,10 @@ TEST(PreparedParityTest, PreparedTableAppendBorrowsWithoutCopy) {
   const PreparedTable left = PreparedTable::Build(ds.left(), suite);
   for (size_t l = 0; l < std::min<size_t>(ds.left().num_records(), 25);
        ++l) {
-    suite.EvaluatePairPreparedInto(left.record(l), appended, &scratch,
+    suite.EvaluatePairPreparedInto(left.record(l), prepared, &scratch,
                                    prepared_row.data());
-    suite.EvaluatePairInto(ds.left().record(l), extra, raw_row.data());
+    reference::EvaluateRawPairInto(suite, ds.left().record(l), extra,
+                                   raw_row.data());
     for (size_t m = 0; m < suite.num_metrics(); ++m) {
       ASSERT_TRUE(BitEqual(prepared_row[m], raw_row[m]))
           << "left " << l << " metric " << suite.specs()[m].name;

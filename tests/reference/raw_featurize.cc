@@ -2,6 +2,8 @@
 
 #include "reference/raw_featurize.h"
 
+#include "reference/raw_metrics.h"
+
 namespace learnrisk {
 namespace reference {
 
@@ -22,7 +24,7 @@ FeaturizedBatch RawFeaturize(const MetricSuite& suite,
   for (size_t i = 0; i < pairs.size(); ++i) {
     const Record& l = probe != nullptr ? *probe : left.record(pairs[i].left);
     double* row = batch.features.mutable_row(i);
-    suite.EvaluatePairInto(l, right.record(pairs[i].right), row);
+    EvaluateRawPairInto(suite, l, right.record(pairs[i].right), row);
     const double* input = row;
     if (gather) {
       for (size_t k = 0; k < width; ++k) {

@@ -1,6 +1,7 @@
 // Copyright 2026 The LearnRisk Authors
-// Reference featurization: evaluates the raw metric kernels on each record
-// pair (re-deriving every record-level artifact per pair), gathers the
+// Reference featurization: evaluates the raw metric kernels (raw_metrics.h)
+// on each record pair (re-deriving every record-level artifact per pair),
+// gathers the
 // classifier's input columns and predicts. FeaturePipeline's prepared paths
 // must match it bit-for-bit (tests/prepared_parity_test.cc).
 

@@ -1,7 +1,7 @@
 // Copyright 2026 The LearnRisk Authors
-// Unit and property tests for the similarity metrics (Sec. 5.1).
+// Unit and property tests for the reference similarity metrics (Sec. 5.1).
 
-#include "metrics/similarity.h"
+#include "reference/raw_metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <tuple>
 
 namespace learnrisk {
+namespace reference {
 namespace {
 
 TEST(EditDistanceTest, KnownValues) {
@@ -72,11 +73,6 @@ TEST(LcsTest, KnownValues) {
   EXPECT_DOUBLE_EQ(LcsRatio("abc", "abc"), 1.0);
   EXPECT_DOUBLE_EQ(LcsRatio("", ""), 1.0);
   EXPECT_DOUBLE_EQ(LcsRatio("abc", ""), 0.0);
-}
-
-TEST(OverlapTest, SubsetScoresOne) {
-  EXPECT_DOUBLE_EQ(OverlapCoefficient("a b", "a b c d"), 1.0);
-  EXPECT_DOUBLE_EQ(OverlapCoefficient("a b", "c d"), 0.0);
 }
 
 TEST(ContainmentTest, Asymmetric) {
@@ -178,11 +174,11 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple("jaro_winkler", &JaroWinklerSimilarity),
         std::make_tuple("jaccard", &TokenJaccard),
         std::make_tuple("lcs", &LcsRatio),
-        std::make_tuple("overlap", &OverlapCoefficient),
         std::make_tuple("monge_elkan", &MongeElkan)),
     [](const ::testing::TestParamInfo<SimilarityProperties::ParamType>& info) {
       return std::get<0>(info.param);
     });
 
 }  // namespace
+}  // namespace reference
 }  // namespace learnrisk

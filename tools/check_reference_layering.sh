@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Layering guard, run by the `reference_layering_check` ctest: the
 # reference implementations under tests/reference/ (autodiff tape, tape
-# trainer, raw featurization, naive rule scan) are test and bench code, so
-# nothing in src/ or erbench/src may include them.
+# trainer, raw-string metrics and featurization, naive rule scan) are test
+# and bench code, so nothing in src/ or erbench/src may include them.
 #
 # Usage: tools/check_reference_layering.sh [repo-root]  (default: cwd)
 set -u
