@@ -142,26 +142,48 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-}  // namespace
+// How ParallelForRange splits [0, n): num_chunks contiguous chunks of
+// chunk_size indices (the last may be shorter); one chunk runs serially.
+struct ChunkPlan {
+  size_t num_chunks = 0;
+  size_t chunk_size = 0;
+};
 
-size_t ParallelConcurrency() { return ThreadPool::Instance().concurrency(); }
-
-void ParallelForRange(size_t n, const std::function<void(size_t, size_t)>& fn,
-                      size_t num_threads) {
-  if (n == 0) return;
+ChunkPlan PlanChunks(size_t n, size_t num_threads) {
+  if (n == 0) return {};
   // Decide the serial cases before touching the pool, so a process whose
   // loops are all tiny (or explicitly single-threaded) never spawns the
   // persistent workers at all.
   if (n < kSerialCutoff || num_threads == 1 || g_parallel_depth > 0) {
-    DepthGuard depth;
-    fn(0, n);
-    return;
+    return {1, n};
   }
   const size_t threads =
       num_threads == 0
           ? ThreadPool::Instance().concurrency()
           : std::min(num_threads, ThreadPool::Instance().concurrency());
-  if (threads <= 1) {
+  if (threads <= 1) return {1, n};
+  ChunkPlan plan;
+  plan.num_chunks = std::min(threads, n);
+  plan.chunk_size = (n + plan.num_chunks - 1) / plan.num_chunks;
+  // Rounding the chunk size up can cover n with fewer chunks; recompute so
+  // every chunk is non-empty.
+  plan.num_chunks = (n + plan.chunk_size - 1) / plan.chunk_size;
+  return plan;
+}
+
+}  // namespace
+
+size_t ParallelConcurrency() { return ThreadPool::Instance().concurrency(); }
+
+size_t ParallelChunks(size_t n, size_t num_threads) {
+  return PlanChunks(n, num_threads).num_chunks;
+}
+
+void ParallelForRange(size_t n, const std::function<void(size_t, size_t)>& fn,
+                      size_t num_threads) {
+  const ChunkPlan plan = PlanChunks(n, num_threads);
+  if (plan.num_chunks == 0) return;
+  if (plan.num_chunks == 1) {
     DepthGuard depth;
     fn(0, n);
     return;
@@ -170,11 +192,8 @@ void ParallelForRange(size_t n, const std::function<void(size_t, size_t)>& fn,
   auto job = std::make_shared<Job>();
   job->body = fn;
   job->n = n;
-  job->num_chunks = std::min(threads, n);
-  job->chunk_size = (n + job->num_chunks - 1) / job->num_chunks;
-  // Rounding the chunk size up can cover n with fewer chunks; recompute so
-  // every chunk is non-empty.
-  job->num_chunks = (n + job->chunk_size - 1) / job->chunk_size;
+  job->num_chunks = plan.num_chunks;
+  job->chunk_size = plan.chunk_size;
 
   DepthGuard depth;
   ThreadPool::Instance().Run(job);

@@ -50,6 +50,11 @@ void ParallelFor(size_t n, Fn&& fn, size_t num_threads = 0) {
 /// \brief Number of threads a ParallelFor can use (pool workers + caller).
 size_t ParallelConcurrency();
 
+/// \brief Number of chunks ParallelForRange(n, fn, num_threads) called from
+/// this thread splits [0, n) into (0 when n == 0, 1 when it runs serially),
+/// so a caller can size per-chunk state before the loop.
+size_t ParallelChunks(size_t n, size_t num_threads = 0);
+
 }  // namespace learnrisk
 
 #endif  // LEARNRISK_COMMON_PARALLEL_H_

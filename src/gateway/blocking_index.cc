@@ -227,12 +227,15 @@ std::vector<RecordPair> BlockingIndex::AllCandidatesOver(
 
   // Mirrors TokenBlocking's batch loop over the live postings: same caps
   // (evaluated at the current global record counts), same dedup semantics,
-  // same set-ordered deterministic output. A token is processed once, at
-  // its first (shard, left segment), with its full per-side lists gathered
-  // across every shard's segments. The segment's prior set answers "did an
-  // earlier segment of this shard index it?" in one lookup; only earlier
-  // shards need searching, so a single index does no extra lookups.
-  std::set<std::pair<size_t, size_t>> pair_set;
+  // same (left, right)-ordered deterministic output. A token is processed
+  // once, at its first (shard, left segment), with its full per-side lists
+  // gathered across every shard's segments. The segment's prior set
+  // answers "did an earlier segment of this shard index it?" in one
+  // lookup; only earlier shards need searching, so a single index does no
+  // extra lookups.
+  // Raw (li, ri) emits, duplicates included (a pair sharing several tokens
+  // is emitted once per token); the final phase sorts and dedups them.
+  std::vector<RecordPair> pairs;
   std::vector<ShardList> left_lists;
   std::vector<ShardList> right_lists;
   for (size_t k = 0; k < num_shards; ++k) {
@@ -276,7 +279,7 @@ std::vector<RecordPair> BlockingIndex::AllCandidatesOver(
               for (size_t right_local : *r.ids) {
                 const size_t ri = right_local * num_shards + r.shard;
                 if (dedup && li >= ri) continue;
-                pair_set.emplace(li, ri);
+                pairs.push_back(RecordPair{li, ri, false});
               }
             }
           }
@@ -285,21 +288,29 @@ std::vector<RecordPair> BlockingIndex::AllCandidatesOver(
     }
   }
 
-  // Final phase: the deterministic global ordering (the set's iteration
-  // order) plus equivalence tagging against the owning shards.
+  // Final phase: the deterministic global ordering (sort + unique by
+  // (left, right)) plus equivalence tagging against the owning shards.
   Timer merge_timer;
-  std::vector<RecordPair> pairs;
-  pairs.reserve(pair_set.size());
-  for (const auto& [li, ri] : pair_set) {
+  std::sort(pairs.begin(), pairs.end(),
+            [](const RecordPair& a, const RecordPair& b) {
+              return a.left != b.left ? a.left < b.left : a.right < b.right;
+            });
+  pairs.erase(std::unique(pairs.begin(), pairs.end(),
+                          [](const RecordPair& a, const RecordPair& b) {
+                            return a.left == b.left && a.right == b.right;
+                          }),
+              pairs.end());
+  for (RecordPair& pair : pairs) {
+    const size_t li = pair.left;
+    const size_t ri = pair.right;
     // Unknown entities (-1) never count as equivalent.
     const int64_t left_entity =
         EntityOf(shards[li % num_shards]->left_, li / num_shards);
-    const bool equivalent =
+    pair.is_equivalent =
         left_entity >= 0 &&
         left_entity ==
             EntityOf(shards[ri % num_shards]->side_of(BlockingSide::kRight),
                      ri / num_shards);
-    pairs.push_back(RecordPair{li, ri, equivalent});
   }
   if (merge_ms != nullptr) *merge_ms = merge_timer.ElapsedMillis();
   return pairs;

@@ -130,7 +130,8 @@ class BlockingIndex {
 
   /// \brief Every candidate pair over the shard list (see AllCandidates).
   /// `merge_ms`, when non-null, receives the wall time of the final phase
-  /// (global ordering + equivalence tagging).
+  /// (sorting and deduplicating the raw emits into the global order, then
+  /// equivalence tagging).
   static std::vector<RecordPair> AllCandidatesOver(
       const std::vector<const BlockingIndex*>& shards, double* merge_ms);
   /// \brief A probe's candidates over the shard list (see Candidates).

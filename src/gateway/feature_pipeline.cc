@@ -2,6 +2,9 @@
 
 #include "gateway/feature_pipeline.h"
 
+#include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <utility>
 
 #include "common/parallel.h"
@@ -19,8 +22,9 @@ FeaturePipeline::FeaturePipeline(
       metric_names_(suite_.MetricNames()) {}
 
 template <typename EvalRow>
-Result<FeaturizedBatch> FeaturePipeline::RunImpl(
-    size_t n, const EvalRow& eval_row) const {
+Result<TilePassTiming> FeaturePipeline::RunTiles(
+    size_t n, const EvalRow& eval_row,
+    const TileSinkFactory& make_sink) const {
   if (classifier_ == nullptr) {
     return Status::FailedPrecondition("feature pipeline has no classifier");
   }
@@ -34,52 +38,105 @@ Result<FeaturizedBatch> FeaturePipeline::RunImpl(
     }
   }
 
-  FeaturizedBatch batch;
-  batch.features = FeatureMatrix(n, num_metrics);
-  batch.features.column_names = suite_.MetricNames();
-  batch.probs.resize(n);
   const bool gather = !classifier_columns_.empty();
   const size_t classifier_width =
       gather ? classifier_columns_.size() : num_metrics;
-  // Two sequential chunk-parallel passes over the same rows, timed
-  // separately so the gateway can attribute featurize vs classify latency.
-  // Outputs are bit-identical to the previous fused loop: pass 1 writes the
-  // exact metric rows pass 2 reads, and neither pass reorders arithmetic.
-  Timer timer;
+  // One tile of metric rows and probabilities per chunk, reused by every
+  // tile of the chunk. They are allocated here, on the calling thread: a
+  // pool thread's malloc arena would keep request-sized buffers after the
+  // request. A chunk holds at most ceil(n / chunks) rows.
+  const size_t chunks = TileChunks(n);
+  const size_t tile_rows =
+      chunks == 0 ? 0 : std::min(kServeTileRows, (n + chunks - 1) / chunks);
+  std::vector<double> tile_features(chunks * tile_rows * num_metrics);
+  std::vector<double> tile_probs(chunks * tile_rows);
+  std::atomic<size_t> next_chunk{0};
+  TilePassTiming timing;
+  std::mutex timing_mu;
+  Timer wall;
   ParallelForRange(
       n,
       [&](size_t begin, size_t end) {
-        // Per-thread scratch: kernel buffers for the prepared metric path;
-        // metric values land directly in the output matrix.
+        const size_t chunk = next_chunk.fetch_add(1);
+        double* features =
+            tile_features.data() + chunk * tile_rows * num_metrics;
+        double* probs = tile_probs.data() + chunk * tile_rows;
+        // Per-chunk kernel scratch and the classifier's gathered input
+        // columns.
         MetricScratch scratch;
-        for (size_t i = begin; i < end; ++i) {
-          eval_row(i, batch.features.mutable_row(i), &scratch);
-        }
-      },
-      parallelism_);
-  batch.featurize_ms = timer.ElapsedMillis();
-
-  timer.Reset();
-  ParallelForRange(
-      n,
-      [&](size_t begin, size_t end) {
-        // Per-thread gather buffer for the classifier's input columns.
         std::vector<double> gathered(gather ? classifier_width : 0);
-        for (size_t i = begin; i < end; ++i) {
-          const double* row = batch.features.row(i);
-          const double* classifier_input = row;
-          if (gather) {
-            for (size_t k = 0; k < classifier_width; ++k) {
-              gathered[k] = row[classifier_columns_[k]];
-            }
-            classifier_input = gathered.data();
+        const std::unique_ptr<TileSink> sink = make_sink(begin, end);
+        double featurize_ms = 0.0;
+        double classify_ms = 0.0;
+        for (size_t tile = begin; tile < end; tile += kServeTileRows) {
+          const size_t rows = std::min(kServeTileRows, end - tile);
+          Timer timer;
+          for (size_t i = 0; i < rows; ++i) {
+            eval_row(tile + i, features + i * num_metrics, &scratch);
           }
-          batch.probs[i] =
-              classifier_->PredictProba(classifier_input, classifier_width);
+          featurize_ms += timer.ElapsedMillis();
+          timer.Reset();
+          for (size_t i = 0; i < rows; ++i) {
+            const double* row = features + i * num_metrics;
+            const double* classifier_input = row;
+            if (gather) {
+              for (size_t k = 0; k < classifier_width; ++k) {
+                gathered[k] = row[classifier_columns_[k]];
+              }
+              classifier_input = gathered.data();
+            }
+            probs[i] =
+                classifier_->PredictProba(classifier_input, classifier_width);
+          }
+          classify_ms += timer.ElapsedMillis();
+          sink->Consume(FeatureTile{tile, rows, num_metrics, features, probs});
         }
+        sink->Finish();
+        std::lock_guard<std::mutex> lock(timing_mu);
+        timing.featurize_busy_ms += featurize_ms;
+        timing.classify_busy_ms += classify_ms;
       },
       parallelism_);
-  batch.classify_ms = timer.ElapsedMillis();
+  timing.wall_ms = wall.ElapsedMillis();
+  return timing;
+}
+
+namespace {
+
+// RunPrepared's sink: every tile lands in its rows of one whole batch.
+class MatrixSink : public TileSink {
+ public:
+  explicit MatrixSink(FeaturizedBatch* batch) : batch_(batch) {}
+  void Consume(const FeatureTile& tile) override {
+    std::copy(tile.features, tile.features + tile.rows * tile.cols,
+              batch_->features.mutable_row(tile.begin));
+    std::copy(tile.probs, tile.probs + tile.rows,
+              batch_->probs.data() + tile.begin);
+  }
+
+ private:
+  FeaturizedBatch* batch_;
+};
+
+}  // namespace
+
+template <typename RunTilesFn>
+Result<FeaturizedBatch> FeaturePipeline::Collect(
+    size_t n, const RunTilesFn& run_tiles) const {
+  FeaturizedBatch batch;
+  batch.features = FeatureMatrix(n, suite_.num_metrics());
+  batch.features.column_names = metric_names_;
+  batch.probs.resize(n);
+  Result<TilePassTiming> timing =
+      run_tiles([&batch](size_t, size_t) {
+        return std::make_unique<MatrixSink>(&batch);
+      });
+  if (!timing.ok()) return timing.status();
+  const double busy = timing->featurize_busy_ms + timing->classify_busy_ms;
+  batch.featurize_ms =
+      SplitWall(timing->wall_ms, timing->featurize_busy_ms, busy);
+  batch.classify_ms =
+      SplitWall(timing->wall_ms, timing->classify_busy_ms, busy);
   return batch;
 }
 
@@ -108,26 +165,30 @@ inline bool RowInRange(const ShardedSideView& t, size_t i) {
 }  // namespace
 
 template <typename LeftStore, typename RightStore>
-Result<FeaturizedBatch> FeaturePipeline::RunPreparedImpl(
+Result<TilePassTiming> FeaturePipeline::RunPreparedImpl(
     const LeftStore& left, const RightStore& right,
-    const std::vector<RecordPair>& pairs) const {
+    const std::vector<RecordPair>& pairs,
+    const TileSinkFactory& make_sink) const {
   for (const RecordPair& pair : pairs) {
     if (!RowInRange(left, pair.left) || !RowInRange(right, pair.right)) {
       return Status::OutOfRange("record pair index out of table range");
     }
   }
-  return RunImpl(pairs.size(),
-                 [&](size_t i, double* row, MetricScratch* scratch) {
-                   suite_.EvaluatePairPreparedInto(
-                       PreparedRow(left, pairs[i].left),
-                       PreparedRow(right, pairs[i].right), scratch, row);
-                 });
+  return RunTiles(
+      pairs.size(),
+      [&](size_t i, double* row, MetricScratch* scratch) {
+        suite_.EvaluatePairPreparedInto(PreparedRow(left, pairs[i].left),
+                                        PreparedRow(right, pairs[i].right),
+                                        scratch, row);
+      },
+      make_sink);
 }
 
 template <typename Store>
-Result<FeaturizedBatch> FeaturePipeline::RunProbePreparedImpl(
+Result<TilePassTiming> FeaturePipeline::RunProbePreparedImpl(
     const PreparedRecord& probe, const Store& table,
-    const std::vector<size_t>& candidates) const {
+    const std::vector<size_t>& candidates,
+    const TileSinkFactory& make_sink) const {
   if (probe.values.size() != suite_.schema().num_attributes()) {
     return Status::InvalidArgument(
         "probe record width does not match the pipeline schema");
@@ -137,36 +198,59 @@ Result<FeaturizedBatch> FeaturePipeline::RunProbePreparedImpl(
       return Status::OutOfRange("candidate record index out of table range");
     }
   }
-  return RunImpl(candidates.size(),
-                 [&](size_t i, double* row, MetricScratch* scratch) {
-                   suite_.EvaluatePairPreparedInto(
-                       probe, PreparedRow(table, candidates[i]), scratch,
-                       row);
-                 });
+  return RunTiles(
+      candidates.size(),
+      [&](size_t i, double* row, MetricScratch* scratch) {
+        suite_.EvaluatePairPreparedInto(
+            probe, PreparedRow(table, candidates[i]), scratch, row);
+      },
+      make_sink);
+}
+
+Result<TilePassTiming> FeaturePipeline::RunPreparedTiles(
+    const ShardedSideView& left, const ShardedSideView& right,
+    const std::vector<RecordPair>& pairs,
+    const TileSinkFactory& make_sink) const {
+  return RunPreparedImpl(left, right, pairs, make_sink);
+}
+
+Result<TilePassTiming> FeaturePipeline::RunProbePreparedTiles(
+    const PreparedRecord& probe, const ShardedSideView& table,
+    const std::vector<size_t>& candidates,
+    const TileSinkFactory& make_sink) const {
+  return RunProbePreparedImpl(probe, table, candidates, make_sink);
 }
 
 Result<FeaturizedBatch> FeaturePipeline::RunPrepared(
     const PreparedTable& left, const PreparedTable& right,
     const std::vector<RecordPair>& pairs) const {
-  return RunPreparedImpl(left, right, pairs);
+  return Collect(pairs.size(), [&](const TileSinkFactory& make_sink) {
+    return RunPreparedImpl(left, right, pairs, make_sink);
+  });
 }
 
 Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
     const PreparedRecord& probe, const PreparedTable& table,
     const std::vector<size_t>& candidates) const {
-  return RunProbePreparedImpl(probe, table, candidates);
+  return Collect(candidates.size(), [&](const TileSinkFactory& make_sink) {
+    return RunProbePreparedImpl(probe, table, candidates, make_sink);
+  });
 }
 
 Result<FeaturizedBatch> FeaturePipeline::RunPrepared(
     const ShardedSideView& left, const ShardedSideView& right,
     const std::vector<RecordPair>& pairs) const {
-  return RunPreparedImpl(left, right, pairs);
+  return Collect(pairs.size(), [&](const TileSinkFactory& make_sink) {
+    return RunPreparedTiles(left, right, pairs, make_sink);
+  });
 }
 
 Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
     const PreparedRecord& probe, const ShardedSideView& table,
     const std::vector<size_t>& candidates) const {
-  return RunProbePreparedImpl(probe, table, candidates);
+  return Collect(candidates.size(), [&](const TileSinkFactory& make_sink) {
+    return RunProbePreparedTiles(probe, table, candidates, make_sink);
+  });
 }
 
 }  // namespace learnrisk

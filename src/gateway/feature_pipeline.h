@@ -1,10 +1,12 @@
 // Copyright 2026 The LearnRisk Authors
 // Inline featurization — the middle layer of the request gateway. Evaluates
 // the fitted MetricSuite and the frozen classifier on record pairs in one
-// chunk-parallel pass: each thread writes metric rows straight into the
-// output FeatureMatrix and gathers the classifier's input columns into a
-// reused per-thread scratch buffer, so the hot loop allocates no per-pair
-// vectors.
+// chunk-parallel tiled pass: each chunk featurizes and classifies its rows
+// kServeTileRows at a time into buffers it reuses for every tile, and hands
+// each finished tile to a TileSink. The gateway's sink scores the tile,
+// observes drift and keeps the chunk's riskiest rows, so a request never
+// holds more than one tile of metric rows per chunk; RunPrepared's sink
+// copies every tile into one whole FeatureMatrix.
 //
 // RunPrepared/RunProbePrepared evaluate PreparedRecords — per-record caches
 // built once — through the suite's prepared kernels with per-thread
@@ -19,10 +21,12 @@
 #ifndef LEARNRISK_GATEWAY_FEATURE_PIPELINE_H_
 #define LEARNRISK_GATEWAY_FEATURE_PIPELINE_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "classifier/classifier.h"
+#include "common/parallel.h"
 #include "common/status.h"
 #include "data/table.h"
 #include "data/workload.h"
@@ -33,15 +37,66 @@ namespace learnrisk {
 
 class ShardedSideView;
 
+/// \brief Rows per tile of the tiled pass. One tile's metric rows (up to
+/// ~30 metrics x 8 B x 1024 rows ≈ 240 KB) stay in a core's L2 while they
+/// are classified, scored and observed; a request's metric-row memory is
+/// one tile per parallel chunk, whatever its pair count.
+inline constexpr size_t kServeTileRows = 1024;
+
+/// \brief One tile of the tiled pass: request rows [begin, begin + rows),
+/// their metric rows and classifier probabilities. Valid only during the
+/// TileSink::Consume call that receives it.
+struct FeatureTile {
+  size_t begin = 0;
+  size_t rows = 0;
+  size_t cols = 0;                   ///< metric columns per row
+  const double* features = nullptr;  ///< rows x cols, row-major
+  const double* probs = nullptr;     ///< rows
+};
+
+/// \brief Receives the tiles of one parallel chunk of the tiled pass, in
+/// ascending row order and on the chunk's thread; Finish() runs once, on
+/// the same thread, after the chunk's last tile. Sinks of different chunks
+/// run concurrently.
+class TileSink {
+ public:
+  TileSink() = default;
+  TileSink(const TileSink&) = delete;
+  TileSink& operator=(const TileSink&) = delete;
+  virtual ~TileSink() = default;
+  virtual void Consume(const FeatureTile& tile) = 0;
+  virtual void Finish() {}
+};
+
+/// \brief Builds the sink of the chunk covering rows [begin, end) (called
+/// on the chunk's thread), so a sink can size its per-chunk state once.
+using TileSinkFactory =
+    std::function<std::unique_ptr<TileSink>(size_t begin, size_t end)>;
+
+/// \brief Time accounting of one tiled pass: its wall time plus the busy
+/// time of each pipeline stage summed over every tile of every chunk.
+/// Consumers split the wall time across stages in proportion to busy time
+/// (SplitWall), since the stages interleave tile by tile.
+struct TilePassTiming {
+  double wall_ms = 0.0;
+  double featurize_busy_ms = 0.0;
+  double classify_busy_ms = 0.0;
+};
+
+/// \brief `busy_ms`'s share of `wall_ms` among `total_busy_ms` (0 when
+/// nothing was busy).
+inline double SplitWall(double wall_ms, double busy_ms, double total_busy_ms) {
+  return total_busy_ms > 0.0 ? wall_ms * (busy_ms / total_busy_ms) : 0.0;
+}
+
 /// \brief Featurization output for one batch of pairs: the metric rows (the
 /// rule-evaluation input) plus the classifier's equivalence probabilities —
 /// exactly what a ScoreRequest consumes.
 struct FeaturizedBatch {
   FeatureMatrix features;
   std::vector<double> probs;
-  /// Wall time of the two internal passes (metric evaluation vs classifier
-  /// inference) — the gateway splits its featurize/classify stage telemetry
-  /// on these without re-timing the pipeline.
+  /// The pass's wall time split between metric evaluation and classifier
+  /// inference in proportion to their summed per-tile busy time.
   double featurize_ms = 0.0;
   double classify_ms = 0.0;
 };
@@ -79,6 +134,24 @@ class FeaturePipeline {
     return suite_.PrepareRecord(record);
   }
 
+  /// \brief The tiled pass over record pairs carrying global record ids on
+  /// the gateway's ShardedSideViews (see gateway/shard_merge.h; an
+  /// unsharded namespace is the one-shard view): validates every pair, then
+  /// hands each chunk's tiles to a sink from `make_sink`. Resolve's request
+  /// body; the whole-matrix RunPrepared overloads are this loop with a
+  /// collecting sink.
+  Result<TilePassTiming> RunPreparedTiles(
+      const ShardedSideView& left, const ShardedSideView& right,
+      const std::vector<RecordPair>& pairs,
+      const TileSinkFactory& make_sink) const;
+
+  /// \brief The tiled pass for one prepared probe record (the pair's left
+  /// slot) against candidates of a ShardedSideView — ResolveRecord's body.
+  Result<TilePassTiming> RunProbePreparedTiles(
+      const PreparedRecord& probe, const ShardedSideView& table,
+      const std::vector<size_t>& candidates,
+      const TileSinkFactory& make_sink) const;
+
   /// \brief Metric rows + classifier probabilities for record pairs indexing
   /// into two PreparedTables built (and kept index-aligned) from the same
   /// tables under this pipeline's suite.
@@ -94,11 +167,11 @@ class FeaturePipeline {
       const PreparedRecord& probe, const PreparedTable& table,
       const std::vector<size_t>& candidates) const;
 
-  /// \brief Sharded-view overloads — the gateway's snapshot path. Pairs (or
-  /// candidates) carry *global* record ids over a ShardedSideView of
-  /// per-shard SideStores (see gateway/shard_merge.h; an unsharded
-  /// namespace is the one-shard view). Bit-identical to the PreparedTable
-  /// overloads on the equivalent flat tables.
+  /// \brief Whole-matrix sharded-view overloads: the tiled passes above
+  /// collected into one FeaturizedBatch. Pairs (or candidates) carry
+  /// *global* record ids over a ShardedSideView of per-shard SideStores.
+  /// Bit-identical to the PreparedTable overloads on the equivalent flat
+  /// tables.
   Result<FeaturizedBatch> RunPrepared(const ShardedSideView& left,
                                       const ShardedSideView& right,
                                       const std::vector<RecordPair>& pairs)
@@ -107,7 +180,7 @@ class FeaturePipeline {
       const PreparedRecord& probe, const ShardedSideView& table,
       const std::vector<size_t>& candidates) const;
 
-  /// \brief Caps the worker threads of each internal pass: 0 (default) uses
+  /// \brief Caps the worker threads of the tiled pass: 0 (default) uses
   /// the shared process pool's full concurrency, 1 evaluates serially on the
   /// calling thread. The shared pool runs one parallel loop at a time, so
   /// gateways serving many concurrent requests set 1 to let requests scale
@@ -116,22 +189,38 @@ class FeaturePipeline {
   void set_parallelism(size_t parallelism) { parallelism_ = parallelism; }
   size_t parallelism() const { return parallelism_; }
 
+  /// \brief Number of chunks, hence of TileSinks, a tiled pass over `n`
+  /// rows started from this thread uses, so a caller can size per-chunk
+  /// state before the pass.
+  size_t TileChunks(size_t n) const {
+    return ParallelChunks(n, parallelism_);
+  }
+
  private:
-  /// \brief Shared core: featurize row i via `eval_row(i, out_row, scratch)`,
-  /// then gather classifier columns and predict.
+  /// \brief Shared core: chunk-parallel over rows [0, n), featurize row i
+  /// via `eval_row(i, out_row, scratch)` tile by tile, classify each tile,
+  /// and hand it to the chunk's sink.
   template <typename EvalRow>
-  Result<FeaturizedBatch> RunImpl(size_t n, const EvalRow& eval_row) const;
+  Result<TilePassTiming> RunTiles(size_t n, const EvalRow& eval_row,
+                                  const TileSinkFactory& make_sink) const;
+
+  /// \brief Runs `run_tiles(factory)` with a sink that copies every tile
+  /// into one whole n-row FeaturizedBatch.
+  template <typename RunTilesFn>
+  Result<FeaturizedBatch> Collect(size_t n, const RunTilesFn& run_tiles) const;
 
   /// \brief Shared bodies of the prepared overloads, one row loop over
   /// either row source (a PreparedTable or a ShardedSideView).
   template <typename LeftStore, typename RightStore>
-  Result<FeaturizedBatch> RunPreparedImpl(
+  Result<TilePassTiming> RunPreparedImpl(
       const LeftStore& left, const RightStore& right,
-      const std::vector<RecordPair>& pairs) const;
+      const std::vector<RecordPair>& pairs,
+      const TileSinkFactory& make_sink) const;
   template <typename Store>
-  Result<FeaturizedBatch> RunProbePreparedImpl(
+  Result<TilePassTiming> RunProbePreparedImpl(
       const PreparedRecord& probe, const Store& table,
-      const std::vector<size_t>& candidates) const;
+      const std::vector<size_t>& candidates,
+      const TileSinkFactory& make_sink) const;
 
   MetricSuite suite_;
   std::shared_ptr<const BinaryClassifier> classifier_;

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <tuple>
 #include <utility>
 
@@ -139,23 +138,202 @@ Result<Table> ShardSubTable(const Table& src, size_t shard,
   return sub;
 }
 
-// The min(k, n) riskiest indices, risk descending, ties broken by original
-// order. One of these per request feeds BOTH trace capture and the review
-// enqueue, so the decisions are scanned once however many consumers want
-// the top of the ranking.
-std::vector<size_t> TopRiskIndices(const std::vector<double>& risk,
-                                   size_t k) {
-  std::vector<size_t> order(risk.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  k = std::min(k, order.size());
-  std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                    [&risk](size_t a, size_t b) {
-                      if (risk[a] != risk[b]) return risk[a] > risk[b];
-                      return a < b;
-                    });
-  order.resize(k);
-  return order;
+// One ranked row of a request: its risk, row, classifier probability and
+// metric row — what review offers and trace capture read.
+struct RankedRow {
+  double risk;
+  size_t row;
+  double prob;
+  const double* features;
+};
+
+// The ranking order: risk descending, ties broken by row ascending.
+bool Riskier(const RankedRow& a, const RankedRow& b) {
+  if (a.risk != b.risk) return a.risk > b.risk;
+  return a.row < b.row;
 }
+
+// The min(k, n) riskiest rows one chunk of a tiled pass has offered, with
+// copies of their metric rows, kept in caller storage of k slots: a bounded
+// heap whose front is the worst kept row, so a row that cannot enter costs
+// one comparison. No row outside a chunk's own top-k can be in the
+// request's, so ranking the chunks' kept rows together equals a partial
+// sort of the whole risk column.
+class TopRiskRows {
+ public:
+  TopRiskRows(size_t k, size_t cols, RankedRow* rows, double* features)
+      : k_(k), cols_(cols), rows_(rows), features_(features) {}
+
+  void Offer(size_t row, double risk, double prob, const double* values) {
+    const RankedRow offered{risk, row, prob, nullptr};
+    if (size_ < k_) {
+      double* slot = features_ + size_ * cols_;
+      std::copy(values, values + cols_, slot);
+      rows_[size_++] = RankedRow{risk, row, prob, slot};
+      std::push_heap(rows_, rows_ + size_, Riskier);
+    } else if (k_ > 0 && Riskier(offered, rows_[0])) {
+      // Evict the worst kept row and reuse its metric-row slot.
+      std::pop_heap(rows_, rows_ + size_, Riskier);
+      RankedRow& evicted = rows_[size_ - 1];
+      double* slot = features_ + (evicted.features - features_);
+      std::copy(values, values + cols_, slot);
+      evicted = RankedRow{risk, row, prob, slot};
+      std::push_heap(rows_, rows_ + size_, Riskier);
+    }
+  }
+
+ private:
+  size_t k_;
+  size_t cols_;
+  RankedRow* rows_;    ///< k_ slots
+  double* features_;   ///< k_ * cols_ values
+  size_t size_ = 0;
+};
+
+// One request's tiled serving pass (gateway/feature_pipeline.h). Each
+// chunk's sink scores its tiles against the one snapshot pinned for the
+// request, straight into the response columns, buckets the tiles' metric
+// rows and risks for drift, and keeps the chunk's riskiest rows; the
+// chunk's results merge here once, when it finishes. Drift buckets are
+// only flushed once the whole request has succeeded. A null scorer (no
+// model published) featurizes and classifies without scoring.
+//
+// Per-chunk state (drift buckets, kept rows) lives in storage this object
+// allocates on the request's thread, sized for `chunks` chunks of at most
+// top_k kept rows each; every sink claims its share. Keeping request-sized
+// buffers off the pool's threads keeps them out of those threads' malloc
+// arenas, which would otherwise hold the memory after the request. On
+// success every chunk has offered all of its rows, so every claimed slot
+// is filled.
+class ServePass {
+ public:
+  ServePass(const ScorerSnapshot* scorer, size_t explain_top_k,
+            size_t drift_columns, bool observe_risk, size_t top_k,
+            size_t cols, size_t rows, size_t chunks, ScoreResponse* scores)
+      : scorer_(scorer),
+        explain_top_k_(explain_top_k),
+        top_k_(top_k),
+        cols_(cols),
+        scores_(scores),
+        feature_buckets_(chunks, FeatureBuckets(drift_columns)),
+        risk_buckets_(chunks, FeatureBuckets(observe_risk ? 1 : 0)),
+        top_rows_(std::min(rows, std::min(top_k, rows) * chunks)),
+        top_features_(top_rows_.size() * cols) {}
+
+  std::unique_ptr<TileSink> NewSink(size_t begin, size_t end) {
+    const size_t slots = std::min(top_k_, end - begin);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto sink = std::make_unique<Sink>(
+        this, &feature_buckets_[chunks_], &risk_buckets_[chunks_],
+        TopRiskRows(slots, cols_, top_rows_.data() + claimed_,
+                    top_features_.data() + claimed_ * cols_));
+    ++chunks_;
+    claimed_ += slots;
+    return sink;
+  }
+
+  double score_busy_ms() const { return score_busy_ms_; }
+  double other_busy_ms() const { return other_busy_ms_; }
+  // First row whose classifier probability is invalid; SIZE_MAX if none.
+  size_t invalid_row() const { return invalid_row_; }
+
+  // The request's top_k riskiest rows, best first; call once, after a
+  // successful pass. The rows point into this object's storage.
+  const std::vector<RankedRow>& TopRows() {
+    const size_t k = std::min(top_k_, claimed_);
+    std::partial_sort(top_rows_.begin(),
+                      top_rows_.begin() + static_cast<ptrdiff_t>(k),
+                      top_rows_.begin() + static_cast<ptrdiff_t>(claimed_),
+                      Riskier);
+    top_rows_.resize(k);
+    return top_rows_;
+  }
+
+  void FlushDrift(const std::vector<ValueHistogram*>& feature_values,
+                  ValueHistogram* risk_scores) const {
+    for (const FeatureBuckets& chunk : feature_buckets_) {
+      for (size_t c = 0; c < chunk.num_columns(); ++c) {
+        chunk.Flush(c, feature_values[c]);
+      }
+    }
+    for (const FeatureBuckets& chunk : risk_buckets_) {
+      chunk.Flush(0, risk_scores);
+    }
+  }
+
+ private:
+  class Sink : public TileSink {
+   public:
+    Sink(ServePass* pass, FeatureBuckets* features, FeatureBuckets* risk,
+         TopRiskRows top)
+        : pass_(pass), features_(features), risk_(risk), top_(top) {}
+
+    void Consume(const FeatureTile& tile) override {
+      const ScorerSnapshot* scorer = pass_->scorer_;
+      if (scorer == nullptr || invalid_row_ != SIZE_MAX) return;
+      const size_t invalid = FirstInvalidProbability(tile.probs, tile.rows);
+      if (invalid < tile.rows) {
+        invalid_row_ = tile.begin + invalid;
+        return;
+      }
+      ScoreResponse& scores = *pass_->scores_;
+      double* risk = scores.risk.data() + tile.begin;
+      Timer timer;
+      scorer->ScoreRows(tile.features, tile.cols, tile.probs, tile.rows,
+                        pass_->explain_top_k_, &scratch_, risk,
+                        scores.machine_label.data() + tile.begin,
+                        pass_->explain_top_k_ > 0
+                            ? scores.explanations.data() + tile.begin
+                            : nullptr);
+      score_ms_ += timer.ElapsedMillis();
+      timer.Reset();
+      features_->Observe(tile.features, tile.rows, tile.cols);
+      risk_->Observe(risk, tile.rows, 1);
+      if (pass_->top_k_ > 0) {
+        for (size_t i = 0; i < tile.rows; ++i) {
+          top_.Offer(tile.begin + i, risk[i], tile.probs[i],
+                     tile.features + i * tile.cols);
+        }
+      }
+      other_ms_ += timer.ElapsedMillis();
+    }
+
+    void Finish() override {
+      std::lock_guard<std::mutex> lock(pass_->mu_);
+      pass_->score_busy_ms_ += score_ms_;
+      pass_->other_busy_ms_ += other_ms_;
+      pass_->invalid_row_ = std::min(pass_->invalid_row_, invalid_row_);
+    }
+
+   private:
+    ServePass* pass_;
+    ScoreScratch scratch_;
+    FeatureBuckets* features_;
+    FeatureBuckets* risk_;
+    TopRiskRows top_;
+    double score_ms_ = 0.0;
+    double other_ms_ = 0.0;
+    size_t invalid_row_ = SIZE_MAX;
+  };
+
+  const ScorerSnapshot* scorer_;
+  const size_t explain_top_k_;
+  const size_t top_k_;
+  const size_t cols_;
+  ScoreResponse* scores_;
+  // Per chunk: drift buckets, kept rows and their metric rows. Each sink
+  // writes only the share it claimed, so the contents need no lock.
+  std::vector<FeatureBuckets> feature_buckets_;
+  std::vector<FeatureBuckets> risk_buckets_;
+  std::vector<RankedRow> top_rows_;
+  std::vector<double> top_features_;
+  std::mutex mu_;  ///< guards everything below
+  size_t chunks_ = 0;   ///< sinks handed out so far
+  size_t claimed_ = 0;  ///< kept-row slots handed out so far
+  double score_busy_ms_ = 0.0;
+  double other_busy_ms_ = 0.0;
+  size_t invalid_row_ = SIZE_MAX;
+};
 
 // Checks the serving configuration that registration and recovery both
 // take (`kind` names the spec in messages) against the namespace schema.
@@ -283,12 +461,12 @@ class Gateway::PairKeys {
 
 struct Gateway::Scored {
   const PairKeys& keys;
-  const FeaturizedBatch& batch;
   const ScoreResponse& scores;
   const ScorerSnapshot& scorer;  ///< the snapshot that produced `scores`
-  /// Risk-descending row order, long enough for both the review budget and
-  /// the trace's top_k: one ranking pass feeds both consumers.
-  const std::vector<size_t>& top_risk;
+  /// The riskiest rows, best first, with their probabilities and metric
+  /// rows — as many as the larger of the review budget and the trace's
+  /// top_k: one ranking feeds both consumers.
+  const std::vector<RankedRow>& top_risk;
 };
 
 Gateway::Gateway(GatewayOptions options)
@@ -320,13 +498,15 @@ Gateway::Gateway(GatewayOptions options)
                                "Scorer snapshot swaps installed by engines");
   engine_metrics.score_batches =
       metric_registry_.Counter("learnrisk_serving_score_batches_total", {},
-                               "Successful ServingEngine::Score calls");
+                               "Successful ServingEngine::Score calls and "
+                               "gateway requests");
   engine_metrics.scored_pairs =
       metric_registry_.Counter("learnrisk_serving_scored_pairs_total", {},
                                "Pairs scored across those batches");
   engine_metrics.score_ns = metric_registry_.Latency(
       "learnrisk_serving_score_latency_seconds", {},
-      "Per-batch ServingEngine::Score wall time (all outcomes)");
+      "Per-batch ServingEngine::Score wall time (all outcomes); per "
+      "gateway request, its score stage");
   registry_.set_metrics(registry_metrics, engine_metrics);
   metric_registry_.GaugeCallback(
       "learnrisk_registry_namespaces", {},
@@ -869,11 +1049,49 @@ size_t Gateway::RouteShard(NamespaceState& state, BlockingSide side) {
 
 Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
                            RequestScope& scope, const PairKeys& keys,
-                           const FeaturizedBatch& batch, size_t explain_top_k,
-                           ShardedCounter* requests, ScoreResponse* scores) {
-  *scope.Slot(kFeaturize) = batch.featurize_ms;
-  *scope.Slot(kClassify) = batch.classify_ms;
+                           const TilePassRunner& run_pass, double prepare_ms,
+                           size_t explain_top_k, ShardedCounter* requests,
+                           ScoreResponse* scores) {
+  // One snapshot is pinned for the whole request: every tile scores against
+  // it, whatever publishes land meanwhile. Without one (before the first
+  // publish) the pass still featurizes and classifies, so the request fails
+  // at scoring exactly as a whole-matrix pass would.
   Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
+  std::shared_ptr<const ScorerSnapshot> scorer;
+  if (engine.ok()) {
+    std::tie(scores->model_version, scorer) = (*engine)->VersionedSnapshot();
+  }
+  const size_t n = keys.size();
+  const size_t cols = s.pipeline.suite().num_metrics();
+  const bool scorable =
+      scorer != nullptr && cols >= scorer->compiled().min_feature_columns();
+  if (scorable) {
+    scores->risk.resize(n);
+    scores->machine_label.resize(n);
+    if (explain_top_k > 0) scores->explanations.resize(n);
+  }
+  const NamespaceMetrics& m = s.metrics;
+  const bool reviewing =
+      s.review != nullptr && options_.review.per_request_budget > 0;
+  const bool tracing = traces_ != nullptr;
+  const size_t top_k =
+      std::max(reviewing ? options_.review.per_request_budget : size_t{0},
+               tracing ? options_.trace.top_k : size_t{0});
+  ServePass pass(scorable ? scorer.get() : nullptr, explain_top_k,
+                 m.feature_values.size(), m.risk_scores != nullptr, top_k,
+                 cols, n, s.pipeline.TileChunks(n), scores);
+  const Result<TilePassTiming> timing =
+      run_pass([&pass](size_t begin, size_t end) {
+        return pass.NewSink(begin, end);
+      });
+  if (!timing.ok()) return timing.status();
+
+  const double busy = timing->featurize_busy_ms + timing->classify_busy_ms +
+                      pass.score_busy_ms() + pass.other_busy_ms();
+  *scope.Slot(kFeaturize) =
+      prepare_ms + SplitWall(timing->wall_ms, timing->featurize_busy_ms, busy);
+  *scope.Slot(kClassify) =
+      SplitWall(timing->wall_ms, timing->classify_busy_ms, busy);
   if (!engine.ok()) {
     // A registered namespace is only unknown to the registry before its
     // first publish; surface that as a precondition, not a lookup miss.
@@ -883,38 +1101,24 @@ Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
     }
     return engine.status();
   }
-  ScoreRequest request;
-  request.metric_features = &batch.features;
-  request.classifier_probs = batch.probs;
-  request.explain_top_k = explain_top_k;
-  std::shared_ptr<const ScorerSnapshot> scorer;
-  TraceSpan risk_span(nullptr, scope.Slot(kRisk));
-  Result<ScoreResponse> response = (*engine)->Score(request, &scorer);
-  risk_span.Stop();
-  if (!response.ok()) return response.status();
-  *scores = response.MoveValueOrDie();
-  const NamespaceMetrics& m = s.metrics;
-  if (m.pairs_scored != nullptr) m.pairs_scored->Add(scores->risk.size());
-  if (m.risk_scores != nullptr) {
-    for (double risk : scores->risk) m.risk_scores->Record(risk);
+  if (scorer == nullptr) {
+    return Status::FailedPrecondition("no model published to the engine");
   }
-  if (!m.feature_values.empty()) {
-    ObserveFeatures(batch.features, m.feature_values);
+  const double score_ms =
+      SplitWall(timing->wall_ms, pass.score_busy_ms(), busy);
+  *scope.Slot(kRisk) = score_ms;
+  if (!scorable) {
+    return Status::InvalidArgument(
+        "metric_features has fewer columns than the model's rules read");
   }
+  if (pass.invalid_row() != SIZE_MAX) {
+    return InvalidProbability(pass.invalid_row());
+  }
+  (*engine)->RecordScored(n, static_cast<uint64_t>(score_ms * 1e6));
+  if (m.pairs_scored != nullptr) m.pairs_scored->Add(n);
+  pass.FlushDrift(m.feature_values, m.risk_scores);
 
-  // One top-k pass over the decisions serves both the review enqueue and
-  // the trace capture.
-  const bool reviewing =
-      s.review != nullptr && options_.review.per_request_budget > 0;
-  const bool tracing = traces_ != nullptr;
-  std::vector<size_t> top_risk;
-  if (reviewing || tracing) {
-    top_risk = TopRiskIndices(
-        scores->risk,
-        std::max(reviewing ? options_.review.per_request_budget : size_t{0},
-                 tracing ? options_.trace.top_k : size_t{0}));
-  }
-  const Scored scored{keys, batch, *scores, *scorer, top_risk};
+  const Scored scored{keys, *scores, *scorer, pass.TopRows()};
   if (reviewing) EnqueueReview(s, scope, scored);
   const uint64_t total_ns = scope.Finish();
   if (requests != nullptr) requests->Add(1);
@@ -956,22 +1160,22 @@ void Gateway::MaybeCaptureTrace(const std::string& ns,
     // The top-k riskiest pairs (ties broken by original order), explained
     // by the snapshot that scored them.
     const ScoreResponse& scores = scored->scores;
-    const FeaturizedBatch& batch = scored->batch;
+    const std::vector<RankedRow>& top = scored->top_risk;
     trace->model_version = scores.model_version;
     trace->candidates = scored->keys.size();
     trace->pairs_scored = scores.risk.size();
     const size_t k = std::min(t.top_k, scores.risk.size());
     trace->top_risky.reserve(k);
     for (size_t rank = 0; rank < k; ++rank) {
-      const size_t row = scored->top_risk[rank];
+      const RankedRow& ranked = top[rank];
       TracedDecision decision;
-      decision.left = scored->keys.left(row);
-      decision.right = scored->keys.right(row);
-      decision.risk = scores.risk[row];
-      decision.classifier_prob = batch.probs[row];
-      decision.machine_label = scores.machine_label[row] != 0;
+      decision.left = scored->keys.left(ranked.row);
+      decision.right = scored->keys.right(ranked.row);
+      decision.risk = ranked.risk;
+      decision.classifier_prob = ranked.prob;
+      decision.machine_label = scores.machine_label[ranked.row] != 0;
       decision.active_rules =
-          scored->scorer.compiled().ActiveRules(batch.features.row(row));
+          scored->scorer.compiled().ActiveRules(ranked.features);
       const std::vector<RiskContribution> contributions =
           scored->scorer.model().Explain(decision.active_rules,
                                          decision.classifier_prob, t.top_k);
@@ -994,23 +1198,22 @@ void Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
   // or above the risk floor (the order is risk-descending, so the first
   // decision below the floor ends the scan).
   const ScoreResponse& scores = scored.scores;
-  const FeatureMatrix& features = scored.batch.features;
+  const size_t cols = s.pipeline.suite().num_metrics();
   std::vector<ReviewItem> items;
   const size_t budget = std::min(r.per_request_budget, scored.top_risk.size());
   items.reserve(budget);
   for (size_t rank = 0; rank < budget; ++rank) {
-    const size_t row = scored.top_risk[rank];
-    if (scores.risk[row] < r.min_risk) break;
+    const RankedRow& ranked = scored.top_risk[rank];
+    if (ranked.risk < r.min_risk) break;
     ReviewItem item;
-    item.left = scored.keys.left(row);
-    item.right = scored.keys.right(row);
-    item.risk = scores.risk[row];
-    item.classifier_prob = scored.batch.probs[row];
-    item.machine_label = scores.machine_label[row] != 0 ? 1 : 0;
+    item.left = scored.keys.left(ranked.row);
+    item.right = scored.keys.right(ranked.row);
+    item.risk = ranked.risk;
+    item.classifier_prob = ranked.prob;
+    item.machine_label = scores.machine_label[ranked.row] != 0 ? 1 : 0;
     item.model_version = scores.model_version;
     item.request_id = scope.request_id();
-    const double* values = features.row(row);
-    item.features.assign(values, values + features.cols());
+    item.features.assign(ranked.features, ranked.features + cols);
     items.push_back(std::move(item));
   }
   if (items.empty()) return;
@@ -1240,13 +1443,14 @@ Result<ResolveResponse> Gateway::Resolve(const std::string& ns,
                          ? MergedAllCandidates(view.indexes, merge_ms)
                          : request.pairs;
   }
-  Result<FeaturizedBatch> batch =
-      s.pipeline.RunPrepared(view.left, view.right, response.pairs);
-  if (!batch.ok()) return batch.status();
-  LEARNRISK_RETURN_NOT_OK(ServeBatch(ns, s, scope, PairKeys(response.pairs),
-                                     *batch, request.explain_top_k,
-                                     s.metrics.resolve_requests,
-                                     &response.scores));
+  LEARNRISK_RETURN_NOT_OK(ServeBatch(
+      ns, s, scope, PairKeys(response.pairs),
+      [&](const TileSinkFactory& make_sink) {
+        return s.pipeline.RunPreparedTiles(view.left, view.right,
+                                           response.pairs, make_sink);
+      },
+      0.0, request.explain_top_k, s.metrics.resolve_requests,
+      &response.scores));
   return response;
 }
 
@@ -1280,15 +1484,14 @@ Result<ProbeResponse> Gateway::ResolveRecord(const std::string& ns,
   const PreparedRecord prepared_probe = s.pipeline.Prepare(probe);
   const double prepare_ms = timer.ElapsedMillis();
   // The probe's target is the right view (the left side itself when dedup).
-  Result<FeaturizedBatch> batch = s.pipeline.RunProbePrepared(
-      prepared_probe, view.right, response.candidates);
-  if (!batch.ok()) return batch.status();
-  batch->featurize_ms = prepare_ms + batch->featurize_ms;
-  LEARNRISK_RETURN_NOT_OK(ServeBatch(ns, s, scope,
-                                     PairKeys(response.candidates), *batch,
-                                     explain_top_k,
-                                     s.metrics.resolve_record_requests,
-                                     &response.scores));
+  LEARNRISK_RETURN_NOT_OK(ServeBatch(
+      ns, s, scope, PairKeys(response.candidates),
+      [&](const TileSinkFactory& make_sink) {
+        return s.pipeline.RunProbePreparedTiles(
+            prepared_probe, view.right, response.candidates, make_sink);
+      },
+      prepare_ms, explain_top_k, s.metrics.resolve_record_requests,
+      &response.scores));
   return response;
 }
 

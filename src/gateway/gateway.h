@@ -14,6 +14,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -86,6 +87,10 @@ struct StageTiming {
   /// blocking_ms — already included there, hence not summed into total_ms().
   /// Stays 0 for unsharded namespaces.
   double shard_merge_ms = 0.0;
+  /// The read path's featurize, classify and score stages interleave tile
+  /// by tile in one chunk-parallel pass; each gets the pass's wall time in
+  /// proportion to its summed per-tile busy time (drift observation's and
+  /// the top-k bookkeeping's share stays unattributed).
   double featurize_ms = 0.0;   ///< metric evaluation (prepared kernels)
   double classify_ms = 0.0;    ///< classifier inference over the metric rows
   double score_ms = 0.0;       ///< risk scoring (rule activation + kernel)
@@ -562,13 +567,21 @@ class Gateway {
   /// name was taken meanwhile) and registers its gauges.
   Status Install(const std::string& ns,
                  const std::shared_ptr<NamespaceState>& state);
-  /// \brief The read path after featurization, shared by Resolve and
-  /// ResolveRecord: score, observe drift, one top-k pass, review enqueue,
-  /// count the request into `requests`, capture the trace.
+  /// \brief Runs a request's tiled featurize + classify pass (one of the
+  /// pipeline's Run*Tiles over the request's rows) with the given sinks.
+  using TilePassRunner =
+      std::function<Result<TilePassTiming>(const TileSinkFactory&)>;
+  /// \brief The request body shared by Resolve and ResolveRecord: pins
+  /// one ScorerSnapshot for the whole request, runs the tiled pass whose
+  /// chunks score each tile against it, bucket it for drift and keep their
+  /// riskiest rows, then merges the chunks once, offers the top rows for
+  /// review, counts the request into `requests` and captures the trace.
+  /// `prepare_ms` (probe preparation) is added to the featurize stage.
   Status ServeBatch(const std::string& ns, NamespaceState& s,
                     RequestScope& scope, const PairKeys& keys,
-                    const FeaturizedBatch& batch, size_t explain_top_k,
-                    ShardedCounter* requests, ScoreResponse* scores);
+                    const TilePassRunner& run_pass, double prepare_ms,
+                    size_t explain_top_k, ShardedCounter* requests,
+                    ScoreResponse* scores);
   /// \brief Checkpoint body for one shard; caller holds that shard's
   /// writer_mu and has verified shard.log is non-null. Shard 0 additionally
   /// persists the review queue (its mutations serialize on the same mutex,

@@ -96,7 +96,8 @@ class ShardedSideView {
 /// under the same global ids (a one-element list is exactly that call).
 /// All shards must share one BlockingConfig and dedup flag (they come from
 /// one namespace registration). `merge_ms`, when non-null, receives the wall
-/// time of the final merge phase (global ordering + equivalence tagging) —
+/// time of the final merge phase (the sort + dedup that fixes the global
+/// order, then equivalence tagging) —
 /// the gateway's `shard_merge` stage span.
 std::vector<RecordPair> MergedAllCandidates(
     const std::vector<const BlockingIndex*>& shards,

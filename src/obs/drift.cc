@@ -81,29 +81,39 @@ int64_t PsiMicros(const DriftColumn& baseline, const HistogramSnapshot& live) {
   return static_cast<int64_t>(std::llround(Psi(baseline, live) * 1e6));
 }
 
+void FeatureBuckets::Observe(const double* rows, size_t num_rows,
+                             size_t stride) {
+  const size_t num_columns = columns_.size();
+  for (size_t r = 0; r < num_rows; ++r) {
+    const double* row = rows + r * stride;
+    for (size_t c = 0; c < num_columns; ++c) {
+      const double value = row[c];
+      if (!std::isfinite(value)) continue;
+      const uint64_t micro = ValueHistogram::ToMicro(value);
+      Column& column = columns_[c];
+      ++column.counts[ValueHistogram::BucketIndex(micro)];
+      ++column.total;
+      column.sum += micro;
+      column.min = std::min(column.min, micro);
+      column.max = std::max(column.max, micro);
+    }
+  }
+}
+
+void FeatureBuckets::Flush(size_t c, ValueHistogram* histogram) const {
+  if (histogram == nullptr) return;
+  const Column& column = columns_[c];
+  histogram->RecordBucketed(column.counts, column.total, column.sum,
+                            column.min, column.max);
+}
+
 void ObserveFeatures(const FeatureMatrix& features,
                      const std::vector<ValueHistogram*>& columns) {
   if (features.rows() == 0) return;
-  const size_t num_columns = std::min(columns.size(), features.cols());
-  uint64_t counts[ValueHistogram::kNumBuckets];
-  for (size_t c = 0; c < num_columns; ++c) {
-    if (columns[c] == nullptr) continue;
-    std::fill(counts, counts + ValueHistogram::kNumBuckets, uint64_t{0});
-    uint64_t total = 0;
-    uint64_t sum = 0;
-    uint64_t min = UINT64_MAX;
-    uint64_t max = 0;
-    for (size_t r = 0; r < features.rows(); ++r) {
-      const double value = features.at(r, c);
-      if (!std::isfinite(value)) continue;
-      const uint64_t micro = ValueHistogram::ToMicro(value);
-      ++counts[ValueHistogram::BucketIndex(micro)];
-      ++total;
-      sum += micro;
-      min = std::min(min, micro);
-      max = std::max(max, micro);
-    }
-    columns[c]->RecordBucketed(counts, total, sum, min, max);
+  FeatureBuckets buckets(std::min(columns.size(), features.cols()));
+  buckets.Observe(features.row(0), features.rows(), features.cols());
+  for (size_t c = 0; c < buckets.num_columns(); ++c) {
+    buckets.Flush(c, columns[c]);
   }
 }
 

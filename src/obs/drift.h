@@ -4,11 +4,12 @@
 // training feature matrix (and optionally the training risk-score
 // distribution) into a DriftBaseline that rides the ScorerSnapshot; at
 // serve time the gateway streams every observed feature value into
-// per-column ValueHistograms (one RecordBucketed flush per column per
-// batch, see ObserveFeatures); at scrape time a PSI divergence between
-// the frozen and live distributions surfaces as per-column gauges
-// (learnrisk_gateway_drift_psi_micros) through MetricsSnapshot() and the
-// Prometheus exporter. Math and thresholds: docs/TRACING.md.
+// per-column ValueHistograms (FeatureBuckets: local bucket arrays, one
+// RecordBucketed flush per column per parallel chunk); at scrape time a
+// PSI divergence between the frozen and live distributions surfaces as
+// per-column gauges (learnrisk_gateway_drift_psi_micros) through
+// MetricsSnapshot() and the Prometheus exporter. Math and thresholds:
+// docs/TRACING.md.
 
 #ifndef LEARNRISK_OBS_DRIFT_H_
 #define LEARNRISK_OBS_DRIFT_H_
@@ -74,12 +75,44 @@ double Psi(const DriftColumn& baseline, const HistogramSnapshot& live);
 /// representation exported by the gateway.
 int64_t PsiMicros(const DriftColumn& baseline, const HistogramSnapshot& live);
 
+/// \brief Per-column bucket counts of a run of feature rows, gathered in a
+/// local array and flushed into live ValueHistograms with one
+/// RecordBucketed per column, so the atomic traffic is one add per
+/// non-empty bucket per column rather than four per sample. The gateway's
+/// tiled request pass keeps one per parallel chunk, observes each tile as
+/// it is scored and flushes once the request succeeds; ObserveFeatures is
+/// the same accumulator over a whole matrix. The flushed histogram state
+/// (buckets, count, sum, min, max) does not depend on how the rows were
+/// split into runs.
+class FeatureBuckets {
+ public:
+  explicit FeatureBuckets(size_t num_columns = 0) : columns_(num_columns) {}
+
+  size_t num_columns() const { return columns_.size(); }
+
+  /// \brief Buckets `num_rows` rows of a row-major block whose rows start
+  /// `stride` values apart; column c reads row[c] for c < num_columns().
+  /// Non-finite values are skipped, as ValueHistogram::Record skips them.
+  void Observe(const double* rows, size_t num_rows, size_t stride);
+
+  /// \brief Adds column c's buckets into `histogram` (skipped when null).
+  void Flush(size_t c, ValueHistogram* histogram) const;
+
+ private:
+  struct Column {
+    uint64_t counts[ValueHistogram::kNumBuckets] = {};
+    uint64_t total = 0;
+    uint64_t sum = 0;
+    uint64_t min = UINT64_MAX;
+    uint64_t max = 0;
+  };
+  std::vector<Column> columns_;
+};
+
 /// \brief Streams every value of a featurized batch into the per-column
 /// live histograms (columns[c] receives features column c; extra columns on
-/// either side are ignored). Buckets each column into a local array first
-/// and flushes with one ValueHistogram::RecordBucketed call, so the atomic
-/// traffic is one add per non-empty bucket per column rather than four per
-/// sample — cheap enough to run on every Resolve.
+/// either side are ignored): one FeatureBuckets pass over the matrix, then
+/// one flush per column — cheap enough to run on every request.
 void ObserveFeatures(const FeatureMatrix& features,
                      const std::vector<ValueHistogram*>& columns);
 

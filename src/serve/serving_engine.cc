@@ -2,9 +2,23 @@
 
 #include "serve/serving_engine.h"
 
+#include "common/parallel.h"
 #include "risk/model_io.h"
 
 namespace learnrisk {
+
+size_t FirstInvalidProbability(const double* probs, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    // The negated comparison also rejects NaN.
+    if (!(probs[i] >= 0.0 && probs[i] <= 1.0)) return i;
+  }
+  return n;
+}
+
+Status InvalidProbability(size_t row) {
+  return Status::InvalidArgument("classifier_probs[" + std::to_string(row) +
+                                 "] is not a finite probability in [0, 1]");
+}
 
 uint64_t ServingEngine::Publish(
     RiskModel model, std::shared_ptr<const DriftBaseline> drift_baseline) {
@@ -59,45 +73,42 @@ Result<ScoreResponse> ServingEngine::Score(
     return Status::InvalidArgument(
         "classifier_probs size does not match metric_features rows");
   }
-  for (size_t i = 0; i < n; ++i) {
-    // The negated comparison also rejects NaN, which would otherwise flow
-    // through the scoring kernel and come back as NaN risk scores.
-    const double p = request.classifier_probs[i];
-    if (!(p >= 0.0 && p <= 1.0)) {
-      return Status::InvalidArgument(
-          "classifier_probs[" + std::to_string(i) +
-          "] is not a finite probability in [0, 1]");
-    }
-  }
+  const size_t invalid =
+      FirstInvalidProbability(request.classifier_probs.data(), n);
+  if (invalid < n) return InvalidProbability(invalid);
 
   const ScorerSnapshot& snap = published->snapshot;
-  if (request.metric_features->cols() <
-      snap.compiled().min_feature_columns()) {
+  const FeatureMatrix& features = *request.metric_features;
+  if (features.cols() < snap.compiled().min_feature_columns()) {
     return Status::InvalidArgument(
         "metric_features has fewer columns than the model's rules read");
   }
-  const CsrActivation activation =
-      snap.compiled().EvaluateCsr(*request.metric_features);
 
   ScoreResponse response;
   response.model_version = published->version;
   response.risk.resize(n);
   response.machine_label.resize(n);
-  const RiskModel& model = snap.model();
-  model.ScoreBatch(activation, request.classifier_probs, response.risk.data(),
-                   response.machine_label.data());
-  if (request.explain_top_k > 0) {
-    response.explanations.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      response.explanations[i] =
-          model.Explain(activation.row(i), activation.row_size(i),
-                        request.classifier_probs[i], request.explain_top_k);
-    }
-  }
+  const bool explain = request.explain_top_k > 0;
+  if (explain) response.explanations.resize(n);
+  ParallelForRange(n, [&](size_t begin, size_t end) {
+    ScoreScratch scratch;
+    snap.ScoreRows(features.row(begin), features.cols(),
+                   request.classifier_probs.data() + begin, end - begin,
+                   request.explain_top_k, &scratch,
+                   response.risk.data() + begin,
+                   response.machine_label.data() + begin,
+                   explain ? response.explanations.data() + begin : nullptr);
+  });
   if (metrics_.score_batches != nullptr) metrics_.score_batches->Add(1);
   if (metrics_.scored_pairs != nullptr) metrics_.scored_pairs->Add(n);
   if (scorer != nullptr) *scorer = {published, &snap};
   return response;
+}
+
+void ServingEngine::RecordScored(size_t pairs, uint64_t score_ns) const {
+  if (metrics_.score_ns != nullptr) metrics_.score_ns->Record(score_ns);
+  if (metrics_.score_batches != nullptr) metrics_.score_batches->Add(1);
+  if (metrics_.scored_pairs != nullptr) metrics_.scored_pairs->Add(pairs);
 }
 
 Status ServingEngine::SaveCurrent(const std::string& path) const {

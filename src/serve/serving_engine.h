@@ -64,6 +64,16 @@ struct ScoreResponse {
   std::vector<std::vector<RiskContribution>> explanations;
 };
 
+/// \brief Index of the first of probs[0, n) that is not a finite
+/// probability in [0, 1] (NaN included); n when every value is valid. A
+/// NaN would otherwise flow through the scoring kernel and come back as a
+/// NaN risk score.
+size_t FirstInvalidProbability(const double* probs, size_t n);
+
+/// \brief The InvalidArgument a scoring request fails with when
+/// classifier_probs[row] is not a finite probability.
+Status InvalidProbability(size_t row);
+
 /// \brief Thread-safe registry of the current scoring snapshot.
 ///
 /// All methods are safe to call concurrently. Score is wait-free with
@@ -107,9 +117,9 @@ class ServingEngine {
   std::pair<uint64_t, std::shared_ptr<const ScorerSnapshot>> VersionedSnapshot()
       const;
 
-  /// \brief Scores a batch against the current snapshot: compiled rule
-  /// activation, then the snapshot model's ScoreBatch and optional top-k
-  /// Explain.
+  /// \brief Scores a batch against the current snapshot: the snapshot's
+  /// ScoreRows (compiled rule activation, the model's risk kernel and
+  /// optional top-k Explain) over chunk-parallel row ranges of the matrix.
   /// Fails with FailedPrecondition before the first Publish and
   /// InvalidArgument on malformed requests. `scorer` (optional) receives the
   /// exact snapshot that produced the response (version
@@ -117,6 +127,14 @@ class ServingEngine {
   Result<ScoreResponse> Score(
       const ScoreRequest& request,
       std::shared_ptr<const ScorerSnapshot>* scorer = nullptr) const;
+
+  /// \brief Counts one batch of `pairs` rows that a caller scored itself
+  /// through ScorerSnapshot::ScoreRows against a snapshot this engine
+  /// published (VersionedSnapshot), taking `score_ns` of scoring time, into
+  /// the instruments Score() feeds. The gateway's tiled request pass scores
+  /// tile by tile against one pinned snapshot and reports here once per
+  /// request.
+  void RecordScored(size_t pairs, uint64_t score_ns) const;
 
   /// \brief Persists the current snapshot's model via model_io (text format;
   /// survives a save/load roundtrip bit-exactly).
