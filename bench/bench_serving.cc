@@ -1,8 +1,9 @@
 // Copyright 2026 The LearnRisk Authors
 //
 // Serving-path bench: naive vs compiled rule activation throughput, and
-// end-to-end ServingEngine batch scoring (activation + RiskModel::ScoreBatch
-// over the model's baked transforms) across rule counts {16, 64, 256}.
+// end-to-end ServingEngine batch scoring (ScorerSnapshot::ScoreRows:
+// per-row activation + the model's baked risk kernel) across rule counts
+// {16, 64, 256}.
 // Prints a table and writes BENCH_serving.json with pairs/sec per path plus
 // engine p50/p99 batch latency, so later PRs have an online-scoring perf
 // trajectory.

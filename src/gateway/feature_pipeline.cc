@@ -65,7 +65,7 @@ Result<TilePassTiming> FeaturePipeline::RunTiles(
         // columns.
         MetricScratch scratch;
         std::vector<double> gathered(gather ? classifier_width : 0);
-        const std::unique_ptr<TileSink> sink = make_sink(begin, end);
+        const std::unique_ptr<TileSink> sink = make_sink(chunk, begin, end);
         double featurize_ms = 0.0;
         double classify_ms = 0.0;
         for (size_t tile = begin; tile < end; tile += kServeTileRows) {
@@ -128,7 +128,7 @@ Result<FeaturizedBatch> FeaturePipeline::Collect(
   batch.features.column_names = metric_names_;
   batch.probs.resize(n);
   Result<TilePassTiming> timing =
-      run_tiles([&batch](size_t, size_t) {
+      run_tiles([&batch](size_t, size_t, size_t) {
         return std::make_unique<MatrixSink>(&batch);
       });
   if (!timing.ok()) return timing.status();

@@ -68,10 +68,12 @@ class TileSink {
   virtual void Finish() {}
 };
 
-/// \brief Builds the sink of the chunk covering rows [begin, end) (called
-/// on the chunk's thread), so a sink can size its per-chunk state once.
-using TileSinkFactory =
-    std::function<std::unique_ptr<TileSink>(size_t begin, size_t end)>;
+/// \brief Builds the sink of chunk `chunk` (< TileChunks(n); each index is
+/// handed out once per pass) covering rows [begin, end), on the chunk's
+/// thread, so a sink can address per-chunk state the caller sized before
+/// the pass.
+using TileSinkFactory = std::function<std::unique_ptr<TileSink>(
+    size_t chunk, size_t begin, size_t end)>;
 
 /// \brief Time accounting of one tiled pass: its wall time plus the busy
 /// time of each pipeline stage summed over every tile of every chunk.
@@ -191,7 +193,8 @@ class FeaturePipeline {
 
   /// \brief Number of chunks, hence of TileSinks, a tiled pass over `n`
   /// rows started from this thread uses, so a caller can size per-chunk
-  /// state before the pass.
+  /// state before the pass. No chunk covers more than ceil(n / chunks)
+  /// rows.
   size_t TileChunks(size_t n) const {
     return ParallelChunks(n, parallelism_);
   }

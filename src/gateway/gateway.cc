@@ -182,6 +182,8 @@ class TopRiskRows {
     }
   }
 
+  size_t size() const { return size_; }
+
  private:
   size_t k_;
   size_t cols_;
@@ -191,20 +193,20 @@ class TopRiskRows {
 };
 
 // One request's tiled serving pass (gateway/feature_pipeline.h). Each
-// chunk's sink scores its tiles against the one snapshot pinned for the
-// request, straight into the response columns, buckets the tiles' metric
-// rows and risks for drift, and keeps the chunk's riskiest rows; the
-// chunk's results merge here once, when it finishes. Drift buckets are
-// only flushed once the whole request has succeeded. A null scorer (no
-// model published) featurizes and classifies without scoring.
+// chunk's sink checks its tiles' classifier probabilities, scores them
+// against the one snapshot pinned for the request, straight into the
+// response columns, buckets the tiles' metric rows and risks for drift, and
+// keeps the chunk's riskiest rows. Drift buckets are only flushed once the
+// whole request has succeeded. A null scorer (no model published, or one
+// the metric rows are too narrow for) checks probabilities only.
 //
-// Per-chunk state (drift buckets, kept rows) lives in storage this object
-// allocates on the request's thread, sized for `chunks` chunks of at most
-// top_k kept rows each; every sink claims its share. Keeping request-sized
-// buffers off the pool's threads keeps them out of those threads' malloc
-// arenas, which would otherwise hold the memory after the request. On
-// success every chunk has offered all of its rows, so every claimed slot
-// is filled.
+// Per-chunk state (drift buckets, timings, kept rows) lives in storage this
+// object allocates on the request's thread, indexed by the chunk index the
+// pass hands each sink: chunk c keeps its rows in slots
+// [c * chunk_slots_, c * chunk_slots_ + kept), so sinks share nothing and
+// need no lock. Keeping request-sized buffers off the pool's threads keeps
+// them out of those threads' malloc arenas, which would otherwise hold the
+// memory after the request.
 class ServePass {
  public:
   ServePass(const ScorerSnapshot* scorer, size_t explain_top_k,
@@ -215,35 +217,53 @@ class ServePass {
         top_k_(top_k),
         cols_(cols),
         scores_(scores),
-        feature_buckets_(chunks, FeatureBuckets(drift_columns)),
-        risk_buckets_(chunks, FeatureBuckets(observe_risk ? 1 : 0)),
-        top_rows_(std::min(rows, std::min(top_k, rows) * chunks)),
+        chunk_slots_(chunks == 0 ? 0
+                                 : std::min(top_k, (rows + chunks - 1) /
+                                                       chunks)),
+        chunks_(chunks, Chunk{FeatureBuckets(drift_columns),
+                              FeatureBuckets(observe_risk ? 1 : 0)}),
+        top_rows_(chunks * chunk_slots_),
         top_features_(top_rows_.size() * cols) {}
 
-  std::unique_ptr<TileSink> NewSink(size_t begin, size_t end) {
-    const size_t slots = std::min(top_k_, end - begin);
-    std::lock_guard<std::mutex> lock(mu_);
-    auto sink = std::make_unique<Sink>(
-        this, &feature_buckets_[chunks_], &risk_buckets_[chunks_],
-        TopRiskRows(slots, cols_, top_rows_.data() + claimed_,
-                    top_features_.data() + claimed_ * cols_));
-    ++chunks_;
-    claimed_ += slots;
-    return sink;
+  std::unique_ptr<TileSink> NewSink(size_t chunk, size_t begin, size_t end) {
+    const size_t offset = chunk * chunk_slots_;
+    return std::make_unique<Sink>(
+        this, &chunks_[chunk],
+        TopRiskRows(std::min(chunk_slots_, end - begin), cols_,
+                    top_rows_.data() + offset,
+                    top_features_.data() + offset * cols_));
   }
 
-  double score_busy_ms() const { return score_busy_ms_; }
-  double other_busy_ms() const { return other_busy_ms_; }
+  double score_busy_ms() const {
+    double ms = 0.0;
+    for (const Chunk& chunk : chunks_) ms += chunk.score_ms;
+    return ms;
+  }
+  double other_busy_ms() const {
+    double ms = 0.0;
+    for (const Chunk& chunk : chunks_) ms += chunk.other_ms;
+    return ms;
+  }
   // First row whose classifier probability is invalid; SIZE_MAX if none.
-  size_t invalid_row() const { return invalid_row_; }
+  size_t invalid_row() const {
+    size_t row = SIZE_MAX;
+    for (const Chunk& chunk : chunks_) row = std::min(row, chunk.invalid_row);
+    return row;
+  }
 
   // The request's top_k riskiest rows, best first; call once, after a
   // successful pass. The rows point into this object's storage.
   const std::vector<RankedRow>& TopRows() {
-    const size_t k = std::min(top_k_, claimed_);
+    size_t kept = 0;
+    for (size_t c = 0; c < chunks_.size(); ++c) {
+      for (size_t i = 0; i < chunks_[c].kept; ++i) {
+        top_rows_[kept++] = top_rows_[c * chunk_slots_ + i];
+      }
+    }
+    const size_t k = std::min(top_k_, kept);
     std::partial_sort(top_rows_.begin(),
                       top_rows_.begin() + static_cast<ptrdiff_t>(k),
-                      top_rows_.begin() + static_cast<ptrdiff_t>(claimed_),
+                      top_rows_.begin() + static_cast<ptrdiff_t>(kept),
                       Riskier);
     top_rows_.resize(k);
     return top_rows_;
@@ -251,31 +271,39 @@ class ServePass {
 
   void FlushDrift(const std::vector<ValueHistogram*>& feature_values,
                   ValueHistogram* risk_scores) const {
-    for (const FeatureBuckets& chunk : feature_buckets_) {
-      for (size_t c = 0; c < chunk.num_columns(); ++c) {
-        chunk.Flush(c, feature_values[c]);
+    for (const Chunk& chunk : chunks_) {
+      for (size_t c = 0; c < chunk.features.num_columns(); ++c) {
+        chunk.features.Flush(c, feature_values[c]);
       }
-    }
-    for (const FeatureBuckets& chunk : risk_buckets_) {
-      chunk.Flush(0, risk_scores);
+      if (chunk.risk.num_columns() > 0) chunk.risk.Flush(0, risk_scores);
     }
   }
 
  private:
+  // What one chunk's sink leaves behind for the request thread.
+  struct Chunk {
+    FeatureBuckets features;
+    FeatureBuckets risk;
+    size_t kept = 0;  ///< rows kept in the chunk's top-k slots
+    double score_ms = 0.0;
+    double other_ms = 0.0;
+    size_t invalid_row = SIZE_MAX;
+  };
+
   class Sink : public TileSink {
    public:
-    Sink(ServePass* pass, FeatureBuckets* features, FeatureBuckets* risk,
-         TopRiskRows top)
-        : pass_(pass), features_(features), risk_(risk), top_(top) {}
+    Sink(const ServePass* pass, Chunk* chunk, TopRiskRows top)
+        : pass_(pass), chunk_(chunk), top_(top) {}
 
     void Consume(const FeatureTile& tile) override {
-      const ScorerSnapshot* scorer = pass_->scorer_;
-      if (scorer == nullptr || invalid_row_ != SIZE_MAX) return;
+      if (chunk_->invalid_row != SIZE_MAX) return;
       const size_t invalid = FirstInvalidProbability(tile.probs, tile.rows);
       if (invalid < tile.rows) {
-        invalid_row_ = tile.begin + invalid;
+        chunk_->invalid_row = tile.begin + invalid;
         return;
       }
+      const ScorerSnapshot* scorer = pass_->scorer_;
+      if (scorer == nullptr) return;
       ScoreResponse& scores = *pass_->scores_;
       double* risk = scores.risk.data() + tile.begin;
       Timer timer;
@@ -285,35 +313,26 @@ class ServePass {
                         pass_->explain_top_k_ > 0
                             ? scores.explanations.data() + tile.begin
                             : nullptr);
-      score_ms_ += timer.ElapsedMillis();
+      chunk_->score_ms += timer.ElapsedMillis();
       timer.Reset();
-      features_->Observe(tile.features, tile.rows, tile.cols);
-      risk_->Observe(risk, tile.rows, 1);
+      chunk_->features.Observe(tile.features, tile.rows, tile.cols);
+      chunk_->risk.Observe(risk, tile.rows, 1);
       if (pass_->top_k_ > 0) {
         for (size_t i = 0; i < tile.rows; ++i) {
           top_.Offer(tile.begin + i, risk[i], tile.probs[i],
                      tile.features + i * tile.cols);
         }
       }
-      other_ms_ += timer.ElapsedMillis();
+      chunk_->other_ms += timer.ElapsedMillis();
     }
 
-    void Finish() override {
-      std::lock_guard<std::mutex> lock(pass_->mu_);
-      pass_->score_busy_ms_ += score_ms_;
-      pass_->other_busy_ms_ += other_ms_;
-      pass_->invalid_row_ = std::min(pass_->invalid_row_, invalid_row_);
-    }
+    void Finish() override { chunk_->kept = top_.size(); }
 
    private:
-    ServePass* pass_;
+    const ServePass* pass_;
+    Chunk* chunk_;
     ScoreScratch scratch_;
-    FeatureBuckets* features_;
-    FeatureBuckets* risk_;
     TopRiskRows top_;
-    double score_ms_ = 0.0;
-    double other_ms_ = 0.0;
-    size_t invalid_row_ = SIZE_MAX;
   };
 
   const ScorerSnapshot* scorer_;
@@ -321,18 +340,10 @@ class ServePass {
   const size_t top_k_;
   const size_t cols_;
   ScoreResponse* scores_;
-  // Per chunk: drift buckets, kept rows and their metric rows. Each sink
-  // writes only the share it claimed, so the contents need no lock.
-  std::vector<FeatureBuckets> feature_buckets_;
-  std::vector<FeatureBuckets> risk_buckets_;
-  std::vector<RankedRow> top_rows_;
-  std::vector<double> top_features_;
-  std::mutex mu_;  ///< guards everything below
-  size_t chunks_ = 0;   ///< sinks handed out so far
-  size_t claimed_ = 0;  ///< kept-row slots handed out so far
-  double score_busy_ms_ = 0.0;
-  double other_busy_ms_ = 0.0;
-  size_t invalid_row_ = SIZE_MAX;
+  const size_t chunk_slots_;  ///< kept-row slots per chunk
+  std::vector<Chunk> chunks_;
+  std::vector<RankedRow> top_rows_;   ///< chunks_.size() * chunk_slots_
+  std::vector<double> top_features_;  ///< cols_ values per kept-row slot
 };
 
 // Checks the serving configuration that registration and recovery both
@@ -1081,8 +1092,8 @@ Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
                  m.feature_values.size(), m.risk_scores != nullptr, top_k,
                  cols, n, s.pipeline.TileChunks(n), scores);
   const Result<TilePassTiming> timing =
-      run_pass([&pass](size_t begin, size_t end) {
-        return pass.NewSink(begin, end);
+      run_pass([&pass](size_t chunk, size_t begin, size_t end) {
+        return pass.NewSink(chunk, begin, end);
       });
   if (!timing.ok()) return timing.status();
 
@@ -1107,12 +1118,13 @@ Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
   const double score_ms =
       SplitWall(timing->wall_ms, pass.score_busy_ms(), busy);
   *scope.Slot(kRisk) = score_ms;
+  // ServingEngine::Score's order: probabilities first, then the width.
+  if (pass.invalid_row() != SIZE_MAX) {
+    return InvalidProbability(pass.invalid_row());
+  }
   if (!scorable) {
     return Status::InvalidArgument(
         "metric_features has fewer columns than the model's rules read");
-  }
-  if (pass.invalid_row() != SIZE_MAX) {
-    return InvalidProbability(pass.invalid_row());
   }
   (*engine)->RecordScored(n, static_cast<uint64_t>(score_ms * 1e6));
   if (m.pairs_scored != nullptr) m.pairs_scored->Add(n);

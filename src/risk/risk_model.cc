@@ -7,7 +7,6 @@
 
 #include "common/math_util.h"
 #include "common/parallel.h"
-#include "serve/compiled_rules.h"
 
 namespace learnrisk {
 namespace {
@@ -149,21 +148,6 @@ std::vector<double> RiskModel::Score(const RiskActivation& activation) const {
                           activation.machine_label[i]);
   });
   return scores;
-}
-
-void RiskModel::ScoreBatch(const CsrActivation& activation,
-                           const std::vector<double>& classifier_probs,
-                           double* risk_out, uint8_t* label_out,
-                           size_t num_threads) const {
-  ParallelFor(
-      activation.rows(),
-      [&](size_t i) {
-        const uint8_t label = classifier_probs[i] >= 0.5 ? 1 : 0;
-        risk_out[i] = RiskScore(activation.row(i), activation.row_size(i),
-                                classifier_probs[i], label);
-        if (label_out != nullptr) label_out[i] = label;
-      },
-      num_threads);
 }
 
 void RiskModel::RiskScoreBatch(const RiskActivation& activation,

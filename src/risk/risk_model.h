@@ -35,8 +35,6 @@
 
 namespace learnrisk {
 
-struct CsrActivation;  // serve/compiled_rules.h
-
 /// Additive floor keeping portfolio sigmas strictly positive so quantile
 /// gradients exist.
 inline constexpr double kRiskSigmaFloor = 1e-6;
@@ -111,15 +109,6 @@ class RiskModel {
 
   /// \brief Risk scores for a whole activation set.
   std::vector<double> Score(const RiskActivation& activation) const;
-
-  /// \brief Scores every row of a CSR activation into caller-provided
-  /// buffers (risk_out, label_out sized activation.rows()); the machine
-  /// label is classifier_prob >= 0.5. Chunk-parallel and allocation-free.
-  /// label_out may be nullptr if machine labels are not needed.
-  void ScoreBatch(const CsrActivation& activation,
-                  const std::vector<double>& classifier_probs,
-                  double* risk_out, uint8_t* label_out,
-                  size_t num_threads = 0) const;
 
   /// \brief Ranked feature contributions for one pair (top-k by weight).
   /// The classifier-output feature is always listed, even where scoring

@@ -60,8 +60,7 @@ class ScorerSnapshot {
   /// probs[i] >= 0.5 and, when explain_top_k > 0, explanations[i] = the
   /// top-k contributions. Each row's active rules are evaluated once into
   /// `scratch` — no CSR activation is materialized — and scored with the
-  /// model's RiskScore, the same kernel RiskModel::ScoreBatch runs per row,
-  /// so the output is bit-identical to EvaluateCsr + ScoreBatch + Explain.
+  /// model's RiskScore and Explain, the kernel offline scoring runs too.
   /// Serial; callers parallelize over disjoint row ranges.
   void ScoreRows(const double* features, size_t cols, const double* probs,
                  size_t rows, size_t explain_top_k, ScoreScratch* scratch,

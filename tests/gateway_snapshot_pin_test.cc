@@ -82,10 +82,8 @@ TEST(GatewaySnapshotPinTest, EveryResponseScoresOnTheVersionItReports) {
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   std::vector<double> offline[2];
   for (size_t m = 0; m < 2; ++m) {
-    offline[m].resize(pairs.size());
-    models[m].ScoreBatch(
-        models[m].features().compiled().EvaluateCsr(batch->features),
-        batch->probs, offline[m].data(), nullptr);
+    offline[m] = testutil::ReferenceRiskScores(models[m], batch->features,
+                                               batch->probs);
   }
   ASSERT_NE(0, std::memcmp(offline[0].data(), offline[1].data(),
                            pairs.size() * sizeof(double)));

@@ -3,8 +3,8 @@
 // classifier -> risk) is bit-identical to the offline TokenBlocking +
 // MetricSuite + ServingEngine stages run by hand, for two concurrently
 // served namespaces; multi-threaded publish/score shows no torn state;
-// unknown-namespace / empty-request error paths; and online AddRecord +
-// ResolveRecord.
+// unknown-namespace / empty-request error paths and the order of scoring
+// errors; and online AddRecord + ResolveRecord.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "classifier/logistic.h"
@@ -225,6 +227,52 @@ TEST(GatewayTest, ErrorPaths) {
   EXPECT_TRUE(gateway
                   .AddRecord("ds", BlockingSide::kLeft, narrow, 1)
                   .IsInvalidArgument());
+}
+
+// A classifier whose every probability is NaN.
+class NanClassifier : public BinaryClassifier {
+ public:
+  Status Train(const FeatureMatrix&, const std::vector<uint8_t>&) override {
+    return Status::OK();
+  }
+  double PredictProba(const double*, size_t) const override {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+};
+
+// A request fails as ServingEngine::Score would on its batch: an invalid
+// classifier probability is reported before a published model whose rules
+// read more metric columns than the namespace computes.
+TEST(GatewayTest, InvalidProbabilityReportedBeforeNarrowMetricRows) {
+  const TestNamespace ds = MakeNamespace("DS", 15, false);
+  const size_t cols = ds.suite.num_metrics();
+  const RiskModel wide = MakeModel(3, 64, cols + 8);
+  ASSERT_GT(wide.features().compiled().min_feature_columns(), cols);
+
+  ResolveRequest block_all;
+  block_all.block_all = true;
+  Gateway valid_probs;
+  ASSERT_TRUE(valid_probs.RegisterNamespace("ds", ds.Spec()).ok());
+  ASSERT_TRUE(valid_probs.Publish("ds", wide).ok());
+  const Status narrow = valid_probs.Resolve("ds", block_all).status();
+  EXPECT_TRUE(narrow.IsInvalidArgument());
+  EXPECT_NE(narrow.message().find("fewer columns"), std::string::npos)
+      << narrow.ToString();
+
+  NamespaceSpec spec = ds.Spec();
+  spec.classifier = std::make_shared<NanClassifier>();
+  Gateway nan_probs;
+  ASSERT_TRUE(nan_probs.RegisterNamespace("ds", spec).ok());
+  ASSERT_TRUE(nan_probs.Publish("ds", wide).ok());
+  const Status invalid = nan_probs.Resolve("ds", block_all).status();
+  EXPECT_TRUE(invalid.IsInvalidArgument());
+  EXPECT_NE(invalid.message().find("classifier_probs[0]"), std::string::npos)
+      << invalid.ToString();
+  const Record probe = ds.workload.left().record(0);
+  const Status probe_invalid = nan_probs.ResolveRecord("ds", probe).status();
+  EXPECT_NE(probe_invalid.message().find("classifier_probs[0]"),
+            std::string::npos)
+      << probe_invalid.ToString();
 }
 
 TEST(GatewayTest, AddRecordMakesProbeFindNewCandidates) {

@@ -138,13 +138,11 @@ Reference WholeMatrix(Result<FeaturizedBatch> batch) {
   EXPECT_TRUE(scores.ok()) << scores.status().ToString();
   ref.scores = scores.MoveValueOrDie();
 
-  // The model's CSR path scores the same bits as the engine.
-  std::vector<double> csr_risk(ref.batch.probs.size());
-  s.model.ScoreBatch(s.model.features().compiled().EvaluateCsr(
-                         ref.batch.features),
-                     ref.batch.probs, csr_risk.data(), nullptr);
-  EXPECT_EQ(0, std::memcmp(csr_risk.data(), ref.scores.risk.data(),
-                           csr_risk.size() * sizeof(double)));
+  // The raw-parameter reference scores the same bits as the engine.
+  const std::vector<double> reference_risk = testutil::ReferenceRiskScores(
+      s.model, ref.batch.features, ref.batch.probs);
+  EXPECT_EQ(0, std::memcmp(reference_risk.data(), ref.scores.risk.data(),
+                           reference_risk.size() * sizeof(double)));
 
   const std::vector<double>& risk = ref.scores.risk;
   ref.top.resize(risk.size());

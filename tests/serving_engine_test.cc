@@ -1,6 +1,6 @@
 // Copyright 2026 The LearnRisk Authors
 // Tests for the online-serving subsystem: the risk kernel (offline Score,
-// serving ScoreBatch, Explain) bit-identical to the raw-parameter reference
+// serving ScoreRows, Explain) bit-identical to the raw-parameter reference
 // in test_models.h, ServingEngine request validation and explanations,
 // hot-swap safety under concurrent readers, and model_io persistence of a
 // published snapshot.
@@ -66,7 +66,7 @@ RiskModel TrainedModel(uint64_t seed, size_t n_rules) {
 }
 
 // Offline Score and the serving path (ServingEngine::Score, i.e. the
-// published model's ScoreBatch) both bit-identical to the raw-parameter
+// published snapshot's ScoreRows) both bit-identical to the raw-parameter
 // reference, for a perturbed model, a trained one and a model_io round trip.
 TEST(RiskKernelTest, BitIdenticalToReference) {
   const RiskModel perturbed = MakeModel(3, 48);
@@ -116,14 +116,19 @@ TEST(RiskKernelTest, BitIdenticalAcrossRiskMetrics) {
           reference::ComputeActivationNaive(model.features(), features, probs);
       const std::vector<double> offline = model.Score(activation);
       std::vector<double> risk(features.rows());
-      model.ScoreBatch(model.features().compiled().EvaluateCsr(features),
-                       probs, risk.data(), nullptr);
+      std::vector<uint8_t> label(features.rows());
+      const ScorerSnapshot snapshot(model);
+      ScoreScratch scratch;
+      snapshot.ScoreRows(features.row(0), features.cols(), probs.data(),
+                         features.rows(), 0, &scratch, risk.data(),
+                         label.data(), nullptr);
       for (size_t i = 0; i < features.rows(); ++i) {
         const double expected = testutil::ReferenceRiskScore(
             model, activation.active[i], probs[i],
             activation.machine_label[i]);
         ASSERT_EQ(offline[i], expected) << "pair " << i;
         ASSERT_EQ(risk[i], expected) << "pair " << i;
+        ASSERT_EQ(label[i], activation.machine_label[i]) << "pair " << i;
       }
     }
   }

@@ -134,6 +134,20 @@ inline double ReferenceRiskScore(const RiskModel& model,
   return 0.0;
 }
 
+// Reference risk of every metric row: its active rules from the naive rule
+// scan, scored by ReferenceRiskScore with machine label = prob >= 0.5.
+inline std::vector<double> ReferenceRiskScores(
+    const RiskModel& model, const FeatureMatrix& features,
+    const std::vector<double>& probs) {
+  std::vector<double> risk(features.rows());
+  for (size_t i = 0; i < features.rows(); ++i) {
+    risk[i] = ReferenceRiskScore(model,
+                                 model.features().ActiveRules(features.row(i)),
+                                 probs[i], probs[i] >= 0.5 ? 1 : 0);
+  }
+  return risk;
+}
+
 inline std::vector<RiskContribution> ReferenceExplain(
     const RiskModel& model, const std::vector<uint32_t>& active, double x,
     size_t top_k) {
