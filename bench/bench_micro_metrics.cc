@@ -8,13 +8,23 @@
 // benchmarks time. The /50 and /100 arguments select a title pair of
 // that length: after common-end stripping the 100-char pair leaves a
 // remainder longer than 64 chars, so it runs the multi-word kernels.
+//
+// BM_Column/<metric> is the featurize layer ledger: one metric column of
+// the DS scale-0.1 block_all (TokenBlocking pairs, seed 1) evaluated
+// single-threaded over prepared records, reported as CPU time per pair
+// (`per_pair`), so the per-column sum shows where featurization CPU goes.
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "common/math_util.h"
+#include "data/blocking.h"
+#include "data/generators.h"
 #include "metrics/metric_suite.h"
+#include "metrics/prepared_record.h"
 #include "metrics/string_kernels.h"
 #include "reference/raw_metrics.h"
 #include "risk/risk_model.h"
@@ -72,6 +82,43 @@ void BM_JaroWinklerSimilarityFast(benchmark::State& state) {
 }
 BENCHMARK(BM_JaroWinklerSimilarityFast)->Arg(50)->Arg(100);
 
+// Token pairs as Monge-Elkan compares them: all <= 16 bytes, so the
+// prepared kernel runs JaroWinklerPacked on them.
+const std::pair<const char*, const char*> kTokenPairs[] = {
+    {"towards", "toward"},     {"interpretable", "interpretble"},
+    {"learnable", "lernable"}, {"risk", "analysis"},
+    {"analysis", "analysis"},  {"resolution", "relational"},
+    {"zhaoqiang", "chen"},     {"entity", "identity"},
+};
+
+void BM_JaroWinklerTokensFast(benchmark::State& state) {
+  MetricScratch scratch;
+  for (auto _ : state) {
+    for (const auto& [a, b] : kTokenPairs) {
+      benchmark::DoNotOptimize(JaroWinklerSimilarityFast(a, b, &scratch));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * std::size(kTokenPairs));
+}
+BENCHMARK(BM_JaroWinklerTokensFast);
+
+void BM_JaroWinklerPacked(benchmark::State& state) {
+  std::vector<std::pair<PackedToken, size_t>> lefts;
+  std::vector<std::pair<PackedToken, size_t>> rights;
+  for (const auto& [a, b] : kTokenPairs) {
+    lefts.emplace_back(PackToken(a), std::string_view(a).size());
+    rights.emplace_back(PackToken(b), std::string_view(b).size());
+  }
+  for (auto _ : state) {
+    for (size_t k = 0; k < lefts.size(); ++k) {
+      benchmark::DoNotOptimize(JaroWinklerPacked(
+          lefts[k].first, lefts[k].second, rights[k].first, rights[k].second));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * lefts.size());
+}
+BENCHMARK(BM_JaroWinklerPacked);
+
 void BM_TokenJaccard(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(reference::TokenJaccard(kTitleA, kTitleB));
@@ -122,6 +169,70 @@ void BM_MongeElkanPrepared(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MongeElkanPrepared);
+
+// The DS scale-0.1 block_all in prepared form, built on first use.
+struct ColumnFixture {
+  Workload workload;
+  MetricSuite suite;
+  std::vector<RecordPair> pairs;
+  PreparedTable left;
+  PreparedTable right;
+};
+
+GeneratorOptions DsOptions(double scale) {
+  GeneratorOptions options;
+  options.scale = scale;
+  options.seed = 1;
+  return options;
+}
+
+const ColumnFixture& DsBlockAll() {
+  static const ColumnFixture* fixture = [] {
+    auto* f = new ColumnFixture;
+    f->workload = GenerateDataset("DS", DsOptions(0.1)).MoveValueOrDie();
+    f->suite = MetricSuite::ForSchema(f->workload.left().schema());
+    f->suite.Fit(f->workload);
+    f->pairs = TokenBlocking(f->workload.left(), f->workload.right(),
+                             BlockingConfig{})
+                   .MoveValueOrDie();
+    f->left = PreparedTable::Build(f->workload.left(), f->suite);
+    f->right = PreparedTable::Build(f->workload.right(), f->suite);
+    return f;
+  }();
+  return *fixture;
+}
+
+void BM_Column(benchmark::State& state, size_t column) {
+  const ColumnFixture& f = DsBlockAll();
+  MetricScratch scratch;
+  for (auto _ : state) {
+    for (const RecordPair& pair : f.pairs) {
+      benchmark::DoNotOptimize(f.suite.EvaluatePrepared(
+          f.left.record(pair.left), f.right.record(pair.right), column,
+          &scratch));
+    }
+  }
+  state.counters["pairs"] = static_cast<double>(f.pairs.size());
+  // Seconds per pair; the console prints it with an SI prefix (e.g. ns).
+  state.counters["per_pair"] = benchmark::Counter(
+      static_cast<double>(f.pairs.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// One BM_Column/<metric> per DS metric column. The column names depend only
+// on the schema, so a tiny DS names them without building the fixture.
+const bool kColumnsRegistered = [] {
+  const Workload tiny = GenerateDataset("DS", DsOptions(0.01)).MoveValueOrDie();
+  const std::vector<std::string> names =
+      MetricSuite::ForSchema(tiny.left().schema()).MetricNames();
+  for (size_t c = 0; c < names.size(); ++c) {
+    benchmark::RegisterBenchmark(("BM_Column/" + names[c]).c_str(), BM_Column,
+                                 c)
+        ->Unit(benchmark::kMillisecond);
+  }
+  return true;
+}();
 
 void BM_DistinctEntity(benchmark::State& state) {
   for (auto _ : state) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <unordered_set>
 
 #include "common/parallel.h"
@@ -233,32 +234,20 @@ uint32_t NgramKey(const std::string& gram) {
   return (static_cast<uint32_t>(gram.size()) << 24) | bytes;
 }
 
-/// Character-presence bitmask of a token (bit c & 63 per byte). Disjoint
-/// masks imply no shared character.
-uint64_t CharMask(const std::string& token) {
-  uint64_t mask = 0;
-  for (char c : token) {
-    mask |= uint64_t{1} << (static_cast<unsigned char>(c) & 63);
-  }
-  return mask;
-}
-
-/// |a ∩ b| for sorted unique key vectors.
+/// |a ∩ b| for sorted unique key vectors. The merge steps without a
+/// branch: equal keys advance both sides, so the comparison outcomes are
+/// data the loop adds rather than jumps it mispredicts.
 size_t SortedKeyIntersectionCount(const std::vector<uint32_t>& a,
                                   const std::vector<uint32_t>& b) {
   size_t count = 0;
   size_t i = 0;
   size_t j = 0;
   while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
+    const uint32_t x = a[i];
+    const uint32_t y = b[j];
+    count += x == y;
+    i += x <= y;
+    j += y <= x;
   }
   return count;
 }
@@ -350,47 +339,62 @@ double PreparedDistinctEntityCount(const PreparedValue& a,
 ///
 /// Three exact shortcuts skip the quadratic kernel without changing either
 /// maximum:
-///  - equal tokens score exactly 1.0;
 ///  - tokens with disjoint character masks score exactly 0.0 (no matches
 ///    and no shared prefix);
+///  - equal tokens score exactly 1.0; tokens of equal length up to 16 bytes
+///    are equal iff their zero-padded packed bytes are;
 ///  - a length-difference upper bound: Jaro's matches m <= min(|s|,|t|), so
 ///    jaro <= (2 + min/max) / 3, and Winkler (prefix <= 4, scale 0.1) maps
 ///    jaro to at most 0.4 + 0.6*jaro, giving JW <= 0.8 + 0.2 * (min/max).
 ///    With a 1e-9 margin absorbing FP rounding on both sides, any pair whose
 ///    bound is already <= *both* current maxima can be skipped — the real
-///    value could not have raised either one.
+///    value could not have raised either one. The bound is never below 0.8,
+///    so it is only worth computing once both maxima have reached 0.8.
+/// Pairs of tokens up to 16 bytes run JaroWinklerPacked on the packed
+/// tokens; longer ones JaroWinklerSimilarityFast on the strings.
 double PreparedMongeElkan(const PreparedValue& a, const PreparedValue& b,
                           MetricScratch* scratch) {
   const std::vector<std::string>& ta = a.tokens;
   const std::vector<std::string>& tb = b.tokens;
   if (ta.empty() && tb.empty()) return 1.0;
   if (ta.empty() || tb.empty()) return 0.0;
-  scratch->row_best.assign(ta.size(), 0.0);
-  scratch->col_best.assign(tb.size(), 0.0);
+  std::vector<double>& row_best = scratch->row_best;
+  std::vector<double>& col_best = scratch->col_best;
+  row_best.assign(ta.size(), 0.0);
+  col_best.assign(tb.size(), 0.0);
   for (size_t i = 0; i < ta.size(); ++i) {
-    const uint64_t mask = a.token_masks[i];
+    const PackedToken& pa = a.packed_tokens[i];
+    const size_t la = ta[i].size();
     for (size_t j = 0; j < tb.size(); ++j) {
-      if ((mask & b.token_masks[j]) == 0) continue;  // exactly 0.0
-      if (ta[i] == tb[j]) {  // exactly what the kernel returns
-        scratch->row_best[i] = std::max(scratch->row_best[i], 1.0);
-        scratch->col_best[j] = std::max(scratch->col_best[j], 1.0);
+      const PackedToken& pb = b.packed_tokens[j];
+      if ((pa.mask & pb.mask) == 0) continue;  // exactly 0.0
+      const size_t lb = tb[j].size();
+      const bool packed = la <= kPackedTokenBytes && lb <= kPackedTokenBytes;
+      if (la == lb &&
+          (packed ? std::memcmp(pa.bytes, pb.bytes, kPackedTokenBytes) == 0
+                  : ta[i] == tb[j])) {  // exactly what the kernel returns
+        row_best[i] = std::max(row_best[i], 1.0);
+        col_best[j] = std::max(col_best[j], 1.0);
         continue;
       }
-      const double shorter =
-          static_cast<double>(std::min(ta[i].size(), tb[j].size()));
-      const double longer =
-          static_cast<double>(std::max(ta[i].size(), tb[j].size()));
-      const double ub = 0.8 + 0.2 * (shorter / longer) + 1e-9;
-      if (ub <= scratch->row_best[i] && ub <= scratch->col_best[j]) continue;
-      const double s = JaroWinklerSimilarityFast(ta[i], tb[j], scratch);
-      scratch->row_best[i] = std::max(scratch->row_best[i], s);
-      scratch->col_best[j] = std::max(scratch->col_best[j], s);
+      if (row_best[i] >= 0.8 && col_best[j] >= 0.8) {
+        const double ub = 0.8 +
+                          0.2 * (static_cast<double>(std::min(la, lb)) /
+                                 static_cast<double>(std::max(la, lb))) +
+                          1e-9;
+        if (ub <= row_best[i] && ub <= col_best[j]) continue;
+      }
+      const double s = packed && kHavePackedJaroWinkler
+                           ? JaroWinklerPacked(pa, la, pb, lb)
+                           : JaroWinklerSimilarityFast(ta[i], tb[j], scratch);
+      row_best[i] = std::max(row_best[i], s);
+      col_best[j] = std::max(col_best[j], s);
     }
   }
   double total_a = 0.0;
-  for (double best : scratch->row_best) total_a += best;
+  for (double best : row_best) total_a += best;
   double total_b = 0.0;
-  for (double best : scratch->col_best) total_b += best;
+  for (double best : col_best) total_b += best;
   return 0.5 * (total_a / static_cast<double>(ta.size()) +
                 total_b / static_cast<double>(tb.size()));
 }
@@ -478,8 +482,10 @@ PreparedRecord MetricSuite::PrepareRecord(const Record& record) const {
       v.tokens = Tokenize(raw);
     }
     if (needs & kNeedTokens) {
-      v.token_masks.reserve(v.tokens.size());
-      for (const std::string& t : v.tokens) v.token_masks.push_back(CharMask(t));
+      v.packed_tokens.reserve(v.tokens.size());
+      for (const std::string& t : v.tokens) {
+        v.packed_tokens.push_back(PackToken(t));
+      }
     }
     if (needs & (kNeedTokenSet | kNeedKeyTokens)) {
       v.sorted_tokens = SortedUnique(v.tokens);

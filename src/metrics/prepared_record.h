@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "data/table.h"
+#include "metrics/string_kernels.h"
 
 namespace learnrisk {
 
@@ -51,11 +52,12 @@ struct PreparedValue {
   std::string abbr;  ///< FirstLetterAbbreviation(norm)
 
   std::vector<std::string> tokens;         ///< Tokenize(raw), original order
-  /// Per-token character-presence bitmask (bit c & 63 per byte), parallel to
-  /// `tokens`. Disjoint masks prove two tokens share no character, so their
-  /// Jaro-Winkler similarity is exactly 0.0 — the token-overlap prefilter the
-  /// Monge-Elkan kernel uses to skip provably-zero comparisons.
-  std::vector<uint64_t> token_masks;
+  /// `tokens` packed once for the Monge-Elkan kernel, parallel to `tokens`:
+  /// each token's character-presence mask (disjoint masks prove a
+  /// Jaro-Winkler similarity of exactly 0.0, so the kernel skips the pair)
+  /// and its first 16 bytes, zero-padded, which JaroWinklerPacked matches on
+  /// when both tokens fit and the equal-token test compares.
+  std::vector<PackedToken> packed_tokens;
   std::vector<std::string> sorted_tokens;  ///< unique tokens, sorted
   /// Unique trigrams of ToLower(raw), packed injectively into integer keys
   /// (length tag + up to 3 bytes) and sorted; set cardinalities and

@@ -3,6 +3,11 @@
 #include "metrics/string_kernels.h"
 
 #include <algorithm>
+#include <cstring>
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 namespace learnrisk {
 namespace {
@@ -261,6 +266,30 @@ double JaroSimilarityFast(std::string_view a, std::string_view b,
   return JaroFromCounts(matches, transpositions, a.size(), b.size());
 }
 
+/// Bit j set iff b.bytes[j] == c, over all kPackedTokenBytes bytes
+/// (padding included; callers mask to the token's length).
+inline uint32_t ByteMatchMask(const PackedToken& b, char c) {
+#ifdef __SSE2__
+  const __m128i bytes =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.bytes));
+  return static_cast<uint32_t>(
+      _mm_movemask_epi8(_mm_cmpeq_epi8(bytes, _mm_set1_epi8(c))));
+#else
+  uint32_t mask = 0;
+  for (size_t j = 0; j < kPackedTokenBytes; ++j) {
+    mask |= static_cast<uint32_t>(b.bytes[j] == c) << j;
+  }
+  return mask;
+#endif
+}
+
+/// The first 4 bytes of a packed token, byte k in bits [8k, 8k + 8).
+inline uint64_t Head4(const PackedToken& t) {
+  uint64_t head = 0;
+  for (size_t k = 0; k < 4; ++k) head |= uint64_t{Byte(t.bytes[k])} << (8 * k);
+  return head;
+}
+
 }  // namespace
 
 size_t EditDistanceFast(std::string_view a, std::string_view b,
@@ -303,6 +332,61 @@ double JaroWinklerSimilarityFast(std::string_view a, std::string_view b,
   size_t prefix = 0;
   const size_t limit = std::min({a.size(), b.size(), static_cast<size_t>(4)});
   while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
+  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
+}
+
+PackedToken PackToken(std::string_view token) {
+  PackedToken packed;
+  for (char c : token) {
+    packed.mask |= uint64_t{1} << (Byte(c) & 63);
+  }
+  std::memcpy(packed.bytes, token.data(),
+              std::min(token.size(), kPackedTokenBytes));
+  return packed;
+}
+
+double JaroWinklerPacked(const PackedToken& a, size_t len_a,
+                         const PackedToken& b, size_t len_b) {
+  if (len_a == 0 || len_b == 0) return len_a == len_b ? 1.0 : 0.0;
+  const size_t longer = std::max(len_a, len_b);
+  const size_t window = longer > 1 ? longer / 2 - 1 : 0;
+  // `win` is a[i]'s window [i - window, i + window + 1) clipped at 0; the
+  // clip at len_b lives in `open_b`, the positions of b not yet claimed.
+  // Moving to i + 1 shifts the window up one and, while its lower end is
+  // still clipped at 0, also keeps position 0 inside.
+  uint32_t win = (uint32_t{2} << window) - 1;
+  const uint32_t all_b = (uint32_t{1} << len_b) - 1;
+  uint32_t open_b = all_b;
+  uint32_t a_flags = 0;
+  size_t matches = 0;
+  for (size_t i = 0; i < len_a; ++i) {
+    const uint32_t open = ByteMatchMask(b, a.bytes[i]) & win & open_b;
+    const uint32_t claimed = open & (0u - open);  // lowest set bit, or 0
+    open_b ^= claimed;
+    const uint32_t matched = claimed != 0;
+    a_flags |= matched << i;
+    matches += matched;
+    win = (win << 1) | static_cast<uint32_t>(i < window);
+  }
+  double jaro = 0.0;
+  if (matches != 0) {
+    // The k-th matched positions of a and b pair up, as in the reference's
+    // merge walk.
+    uint32_t b_flags = all_b & ~open_b;
+    size_t transpositions = 0;
+    while (a_flags != 0) {
+      transpositions += a.bytes[__builtin_ctz(a_flags)] !=
+                        b.bytes[__builtin_ctz(b_flags)];
+      a_flags &= a_flags - 1;
+      b_flags &= b_flags - 1;
+    }
+    jaro = JaroFromCounts(matches, transpositions, len_a, len_b);
+  }
+  // Equal leading bytes of the zero-padded first 4, capped at the shorter
+  // length as the reference's prefix loop is.
+  const uint64_t diff = (Head4(a) ^ Head4(b)) | (uint64_t{1} << 32);
+  const size_t prefix =
+      std::min({static_cast<size_t>(__builtin_ctzll(diff)) / 8, len_a, len_b});
   return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
 }
 

@@ -19,16 +19,26 @@
 //    open position of b in a[i]'s window, transpositions by walking the flag
 //    words); longer inputs run the reference loop verbatim on reusable byte
 //    flags.
+//  - JaroWinklerPacked: the same greedy Jaro matching over two tokens of at
+//    most 16 bytes packed once per record (PackToken). One SSE2 byte compare
+//    per left character yields its match mask over the right token, the
+//    window mask slides by one shift per character, the lowest open
+//    position is claimed without a branch, and the Winkler prefix comes
+//    from the XOR of the first 4 bytes. Without SSE2 the match mask is a
+//    16-byte scalar loop; the Monge-Elkan kernel then calls
+//    JaroWinklerSimilarityFast instead (kHavePackedJaroWinkler).
 //
 // The only selection is by input length, and every path returns the same
 // integers. Exactness is enforced by tests/prepared_parity_test.cc, which
 // compares every kernel against the reference implementation on randomized
-// inputs and on every length pair straddling the 64/128/192-char word
-// boundaries.
+// inputs, on every length pair straddling the 64/128/192-char word
+// boundaries, and (for the packed kernel) on every pair of 1-5 char strings
+// over a 3-letter alphabet.
 
 #ifndef LEARNRISK_METRICS_STRING_KERNELS_H_
 #define LEARNRISK_METRICS_STRING_KERNELS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -74,6 +84,37 @@ double LcsRatioFast(std::string_view a, std::string_view b,
 /// \brief Bit-identical to reference::JaroWinklerSimilarity().
 double JaroWinklerSimilarityFast(std::string_view a, std::string_view b,
                                  MetricScratch* scratch);
+
+/// \brief The longest token JaroWinklerPacked accepts.
+inline constexpr size_t kPackedTokenBytes = 16;
+
+/// \brief Whether JaroWinklerPacked runs on SSE2 byte compares. Without it
+/// the prepared Monge-Elkan kernel calls JaroWinklerSimilarityFast for every
+/// token pair.
+#ifdef __SSE2__
+inline constexpr bool kHavePackedJaroWinkler = true;
+#else
+inline constexpr bool kHavePackedJaroWinkler = false;
+#endif
+
+/// \brief A token packed for the Monge-Elkan kernel: its character-presence
+/// mask (bit c & 63 per byte; disjoint masks prove no shared character) and
+/// its first kPackedTokenBytes bytes, zero-padded. Two tokens of equal
+/// length <= kPackedTokenBytes are equal iff their `bytes` are.
+struct PackedToken {
+  uint64_t mask = 0;
+  char bytes[kPackedTokenBytes] = {};
+};
+
+/// \brief Packs `token` (any length; only the first kPackedTokenBytes bytes
+/// are kept, the mask covers every byte).
+PackedToken PackToken(std::string_view token);
+
+/// \brief Bit-identical to reference::JaroWinklerSimilarity() on the tokens
+/// `a` and `b` were packed from, whose lengths are `len_a` and `len_b`.
+/// Requires len_a, len_b <= kPackedTokenBytes.
+double JaroWinklerPacked(const PackedToken& a, size_t len_a,
+                         const PackedToken& b, size_t len_b);
 
 }  // namespace learnrisk
 

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -257,6 +258,60 @@ TEST(StringKernelsTest, JaroWinklerIsBitwiseSymmetric) {
   }
 }
 
+// The packed kernel against the reference on tokens of up to 16 bytes:
+// every pair of 1-5 char strings over {a,b,c} (all window sizes up to 1 and
+// every greedy claim order), random tokens from narrow alphabets at every
+// length pair in 1..16 (including NUL and high-bit bytes, which the
+// zero-padding must not confuse with real characters), and bitwise symmetry,
+// which the fused Monge-Elkan kernel relies on.
+TEST(StringKernelsTest, JaroWinklerPackedMatchesReference) {
+  std::vector<std::string> small;
+  for (size_t len = 1; len <= 5; ++len) {
+    size_t combos = 1;
+    for (size_t k = 0; k < len; ++k) combos *= 3;
+    for (size_t code = 0; code < combos; ++code) {
+      std::string s(len, 'a');
+      for (size_t k = 0, rest = code; k < len; ++k, rest /= 3) {
+        s[k] = static_cast<char>('a' + rest % 3);
+      }
+      small.push_back(std::move(s));
+    }
+  }
+  std::vector<PackedToken> packed_small;
+  for (const std::string& s : small) packed_small.push_back(PackToken(s));
+  for (size_t x = 0; x < small.size(); ++x) {
+    for (size_t y = 0; y < small.size(); ++y) {
+      ASSERT_TRUE(BitEqual(JaroWinklerPacked(packed_small[x], small[x].size(),
+                                             packed_small[y], small[y].size()),
+                           JaroWinklerSimilarity(small[x], small[y])))
+          << "a='" << small[x] << "' b='" << small[y] << "'";
+    }
+  }
+
+  Rng rng(23);
+  const std::string alphabets[] = {"ab", "abc", "abcdef",
+                                   std::string("a\0\xe9", 3)};
+  for (const std::string& alphabet : alphabets) {
+    for (size_t la = 1; la <= kPackedTokenBytes; ++la) {
+      for (size_t lb = 1; lb <= kPackedTokenBytes; ++lb) {
+        for (int rep = 0; rep < 8; ++rep) {
+          std::string a(la, ' ');
+          std::string b(lb, ' ');
+          for (char& c : a) c = alphabet[rng.Index(alphabet.size())];
+          for (char& c : b) c = alphabet[rng.Index(alphabet.size())];
+          const PackedToken pa = PackToken(a);
+          const PackedToken pb = PackToken(b);
+          const double packed = JaroWinklerPacked(pa, la, pb, lb);
+          ASSERT_TRUE(BitEqual(packed, JaroWinklerSimilarity(a, b)))
+              << "a='" << a << "' b='" << b << "'";
+          ASSERT_TRUE(BitEqual(packed, JaroWinklerPacked(pb, lb, pa, la)))
+              << "a='" << a << "' b='" << b << "'";
+        }
+      }
+    }
+  }
+}
+
 // Scratch reuse across interleaved kernels must not leak state between
 // calls (block_masks hygiene), including a multi-word call followed by
 // short ones: the short calls read the mask rows at a different width.
@@ -313,14 +368,15 @@ TEST(PreparedParityTest, MongeElkanBoundBitIdentical) {
     return t;
   };
   auto random_value = [&] {
-    static const size_t kLens[] = {1, 2, 3, 5, 8, 20, 63, 64, 65, 90};
+    static const size_t kLens[] = {1,  2,  3,  5,  8,  15, 16,
+                                   17, 20, 63, 64, 65, 90};
     const size_t num_tokens = rng.Index(6) + 1;
     std::vector<std::string> tokens;
     for (size_t t = 0; t < num_tokens; ++t) {
       if (!tokens.empty() && rng.Bernoulli(0.3)) {
         tokens.push_back(tokens[rng.Index(tokens.size())]);  // duplicate
       } else {
-        tokens.push_back(random_token(kLens[rng.Index(10)]));
+        tokens.push_back(random_token(kLens[rng.Index(std::size(kLens))]));
       }
     }
     std::string v;
@@ -347,9 +403,10 @@ TEST(PreparedParityTest, MongeElkanBoundBitIdentical) {
 
   // Deterministic boundary sweep: a shared token arms both maxima at
   // exactly 1.0, so the long near-equal tokens hit the bound-skip decision
-  // at every bit-parallel kernel boundary length.
-  for (const size_t la : {1u, 4u, 63u, 64u, 65u, 128u}) {
-    for (const size_t lb : {1u, 4u, 63u, 64u, 65u, 128u}) {
+  // at every bit-parallel kernel boundary length and on both sides of the
+  // 16-byte packed-token limit.
+  for (const size_t la : {1u, 4u, 15u, 16u, 17u, 63u, 64u, 65u, 128u}) {
+    for (const size_t lb : {1u, 4u, 15u, 16u, 17u, 63u, 64u, 65u, 128u}) {
       Record left;
       left.values.push_back("common " + std::string(la, 'a'));
       Record right;
