@@ -30,44 +30,32 @@ int main() {
 
   std::printf("\n%8s %8s %10s %10s\n", "lambda", "rules", "coverage",
               "auroc");
+  const std::vector<size_t>& train = e.split().train;
+  const std::vector<size_t>& valid = e.split().valid;
+  const std::vector<size_t>& test = e.split().test;
+  const FeatureMatrix test_rows = GatherRows(e.features(), test);
   for (double lambda : {0.05, 0.2, 0.5, 0.8}) {
     OneSidedForestOptions rule_options = e.config().rules;
     rule_options.lambda = lambda;
-    FeatureMatrix train_features = GatherRows(e.features(),
-                                              e.split().train);
-    std::vector<uint8_t> train_labels;
-    for (size_t i : e.split().train) {
-      train_labels.push_back(e.truth_labels()[i]);
-    }
-    auto rules = OneSidedForest::Generate(train_features, train_labels,
-                                          rule_options);
-    if (!rules.ok()) continue;
-    RiskFeatureSet features =
-        RiskFeatureSet::Build(*rules, train_features, train_labels);
+    auto features =
+        GenerateRiskFeatures(GatherRows(e.features(), train),
+                             Gather(e.truth_labels(), train), rule_options);
+    if (!features.ok()) continue;
 
     // Train and evaluate a risk model over this rule set.
-    RiskModel model(features, e.config().risk_model);
-    RiskActivation train_act;
-    RiskActivation test_act;
-    std::vector<uint8_t> train_flags;
-    std::vector<uint8_t> test_flags;
-    for (size_t i : e.split().valid) {
-      train_act.active.push_back(features.ActiveRules(e.features().row(i)));
-      train_act.classifier_output.push_back(e.classifier_probs()[i]);
-      train_act.machine_label.push_back(e.machine_labels()[i]);
-      train_flags.push_back(e.mislabel_flags()[i]);
+    RiskModel model(*features, e.config().risk_model);
+    if (!TrainRiskModel(&model, GatherRows(e.features(), valid),
+                        Gather(e.classifier_probs(), valid),
+                        Gather(e.truth_labels(), valid),
+                        e.config().risk_trainer)
+             .ok()) {
+      continue;
     }
-    for (size_t i : e.split().test) {
-      test_act.active.push_back(features.ActiveRules(e.features().row(i)));
-      test_act.classifier_output.push_back(e.classifier_probs()[i]);
-      test_act.machine_label.push_back(e.machine_labels()[i]);
-      test_flags.push_back(e.mislabel_flags()[i]);
-    }
-    RiskTrainer trainer(e.config().risk_trainer);
-    if (!trainer.Train(&model, train_act, train_flags).ok()) continue;
-    std::printf("%8.2f %8zu %10.3f %10.3f\n", lambda, rules->size(),
-                features.Coverage(GatherRows(e.features(), e.split().test)),
-                Auroc(model.Score(test_act), test_flags));
+    const std::vector<double> risk = model.Score(ComputeActivation(
+        model.features(), test_rows, Gather(e.classifier_probs(), test)));
+    std::printf("%8.2f %8zu %10.3f %10.3f\n", lambda, features->num_rules(),
+                features->Coverage(test_rows),
+                Auroc(risk, Gather(e.mislabel_flags(), test)));
   }
   std::printf("\nexpected shape: small lambda (0.05-0.2) preserves AUROC; "
               "large lambda favors big impure subsets and degrades it\n");

@@ -41,7 +41,6 @@
 #include "review/review_session.h"
 #include "risk/risk_feature.h"
 #include "risk/trainer.h"
-#include "rules/one_sided_tree.h"
 
 namespace {
 
@@ -148,24 +147,18 @@ int main() {
   }
   const std::vector<uint8_t>& truth = workload->Labels();
   const std::vector<double> probs = classifier->PredictProbaAll(classifier_view);
-  std::vector<uint8_t> machine(probs.size());
-  for (size_t i = 0; i < probs.size(); ++i) machine[i] = probs[i] >= 0.5;
-  auto rules = OneSidedForest::Generate(features, truth, {});
-  if (!rules.ok()) {
+  Result<RiskFeatureSet> risk_features =
+      GenerateRiskFeatures(features, truth, {});
+  if (!risk_features.ok()) {
     std::fprintf(stderr, "rule generation failed: %s\n",
-                 rules.status().ToString().c_str());
+                 risk_features.status().ToString().c_str());
     return 1;
   }
-  RiskFeatureSet risk_features =
-      RiskFeatureSet::Build(rules.MoveValueOrDie(), features, truth);
-  auto model = std::make_shared<RiskModel>(risk_features);
-  const RiskActivation activation =
-      ComputeActivation(risk_features, features, probs);
+  auto model = std::make_shared<RiskModel>(risk_features.MoveValueOrDie());
   RiskTrainerOptions trainer_options;
   trainer_options.epochs = 120;
   trainer_options.seed = seed + 2;
-  if (!RiskTrainer(trainer_options)
-           .Train(model.get(), activation, MislabelFlags(machine, truth))
+  if (!TrainRiskModel(model.get(), features, probs, truth, trainer_options)
            .ok()) {
     std::fprintf(stderr, "risk training failed\n");
     return 1;

@@ -7,8 +7,8 @@
 #include <unordered_set>
 
 #include "eval/classification_metrics.h"
-#include "eval/experiment.h"
 #include "risk/risk_feature.h"
+#include "risk/trainer.h"
 
 namespace learnrisk {
 
@@ -38,40 +38,18 @@ Result<std::vector<double>> LearnRiskScores(
     const FeatureMatrix& features, const std::vector<uint8_t>& truth,
     const std::vector<size_t>& labeled, const std::vector<size_t>& unlabeled,
     const std::vector<double>& all_probs, const ActiveLearningConfig& config) {
-  FeatureMatrix labeled_features = GatherRows(features, labeled);
-  std::vector<uint8_t> labeled_truth;
-  std::vector<double> labeled_probs;
-  labeled_truth.reserve(labeled.size());
-  for (size_t i : labeled) {
-    labeled_truth.push_back(truth[i]);
-    labeled_probs.push_back(all_probs[i]);
-  }
-
-  auto rules = OneSidedForest::Generate(labeled_features, labeled_truth,
-                                        config.rules);
-  if (!rules.ok()) return rules.status();
-  RiskFeatureSet risk_features =
-      RiskFeatureSet::Build(rules.MoveValueOrDie(), labeled_features,
-                            labeled_truth);
-
-  RiskModel model(risk_features, config.risk_model);
-  RiskActivation labeled_activation =
-      ComputeActivation(risk_features, labeled_features, labeled_probs);
-  std::vector<uint8_t> machine(labeled.size());
-  for (size_t k = 0; k < labeled.size(); ++k) {
-    machine[k] = labeled_probs[k] >= 0.5 ? 1 : 0;
-  }
-  RiskTrainer trainer(config.risk_trainer);
-  LEARNRISK_RETURN_NOT_OK(trainer.Train(
-      &model, labeled_activation, MislabelFlags(machine, labeled_truth)));
-
-  FeatureMatrix pool_features = GatherRows(features, unlabeled);
-  std::vector<double> pool_probs;
-  pool_probs.reserve(unlabeled.size());
-  for (size_t i : unlabeled) pool_probs.push_back(all_probs[i]);
-  RiskActivation pool_activation =
-      ComputeActivation(risk_features, pool_features, pool_probs);
-  return model.Score(pool_activation);
+  const FeatureMatrix labeled_features = GatherRows(features, labeled);
+  const std::vector<uint8_t> labeled_truth = Gather(truth, labeled);
+  auto risk_features =
+      GenerateRiskFeatures(labeled_features, labeled_truth, config.rules);
+  if (!risk_features.ok()) return risk_features.status();
+  RiskModel model(risk_features.MoveValueOrDie(), config.risk_model);
+  LEARNRISK_RETURN_NOT_OK(TrainRiskModel(&model, labeled_features,
+                                         Gather(all_probs, labeled),
+                                         labeled_truth, config.risk_trainer));
+  return model.Score(ComputeActivation(model.features(),
+                                       GatherRows(features, unlabeled),
+                                       Gather(all_probs, unlabeled)));
 }
 
 }  // namespace
@@ -106,25 +84,19 @@ Result<ActiveLearningCurve> RunActiveLearning(
   }
   std::unordered_set<size_t> labeled_set(labeled.begin(), labeled.end());
 
-  FeatureMatrix test_features = GatherRows(features, test);
-  std::vector<uint8_t> test_truth;
-  test_truth.reserve(test.size());
-  for (size_t i : test) test_truth.push_back(truth[i]);
+  const FeatureMatrix test_features = GatherRows(features, test);
+  const std::vector<uint8_t> test_truth = Gather(truth, test);
 
   ActiveLearningCurve curve;
   curve.strategy = SelectionStrategyToString(strategy);
 
   for (size_t round = 0; round <= config.num_batches; ++round) {
     // Retrain on the current labeled set.
-    FeatureMatrix labeled_features = GatherRows(features, labeled);
-    std::vector<uint8_t> labeled_truth;
-    labeled_truth.reserve(labeled.size());
-    for (size_t i : labeled) labeled_truth.push_back(truth[i]);
-
     MlpOptions mlp = config.classifier;
     mlp.seed = config.seed + round;
     MlpClassifier classifier(mlp);
-    LEARNRISK_RETURN_NOT_OK(classifier.Train(labeled_features, labeled_truth));
+    LEARNRISK_RETURN_NOT_OK(classifier.Train(GatherRows(features, labeled),
+                                             Gather(truth, labeled)));
 
     curve.labeled_sizes.push_back(labeled.size());
     curve.f1_scores.push_back(

@@ -5,21 +5,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "eval/experiment.h"
 #include "risk/risk_feature.h"
+#include "risk/trainer.h"
 
 namespace learnrisk {
-namespace {
-
-std::vector<uint8_t> GatherLabels(const std::vector<uint8_t>& all,
-                                  const std::vector<size_t>& idx) {
-  std::vector<uint8_t> out;
-  out.reserve(idx.size());
-  for (size_t i : idx) out.push_back(all[i]);
-  return out;
-}
-
-}  // namespace
 
 Result<RiskAwareTrainingResult> TrainWithRiskTerm(
     const FeatureMatrix& features, const std::vector<uint8_t>& truth,
@@ -32,13 +21,15 @@ Result<RiskAwareTrainingResult> TrainWithRiskTerm(
   }
   const FeatureMatrix classifier_view =
       GatherColumns(features, classifier_columns);
+  const FeatureMatrix labeled_full = GatherRows(features, labeled);
+  const std::vector<uint8_t> labeled_truth = Gather(truth, labeled);
 
   // Round 0: plain supervised fit.
   MlpOptions mlp_options = options.classifier;
   mlp_options.seed = options.seed;
   auto classifier = std::make_unique<MlpClassifier>(mlp_options);
   LEARNRISK_RETURN_NOT_OK(classifier->Train(
-      GatherRows(classifier_view, labeled), GatherLabels(truth, labeled)));
+      GatherRows(classifier_view, labeled), labeled_truth));
 
   RiskAwareTrainingResult result;
   for (size_t round = 0; round < options.rounds; ++round) {
@@ -46,44 +37,20 @@ Result<RiskAwareTrainingResult> TrainWithRiskTerm(
 
     // Risk model for the current classifier: rules + expectations from the
     // labeled set, weights tuned on the risk-validation slice.
-    const FeatureMatrix labeled_full = GatherRows(features, labeled);
-    const std::vector<uint8_t> labeled_truth = GatherLabels(truth, labeled);
-    auto rules =
-        OneSidedForest::Generate(labeled_full, labeled_truth, options.rules);
-    if (!rules.ok()) return rules.status();
-    RiskFeatureSet risk_features =
-        RiskFeatureSet::Build(rules.MoveValueOrDie(), labeled_full,
-                              labeled_truth);
-    RiskModel risk_model(risk_features, options.risk_model);
-
-    // One batched gather instead of a one-row FeatureMatrix per pair.
-    const FeatureMatrix valid_full = GatherRows(features, risk_valid);
-    const FeatureMatrix valid_view = GatherRows(classifier_view, risk_valid);
-    std::vector<double> valid_probs(risk_valid.size());
-    std::vector<uint8_t> valid_machine(risk_valid.size());
-    for (size_t k = 0; k < risk_valid.size(); ++k) {
-      const double p =
-          classifier->PredictProba(valid_view.row(k), valid_view.cols());
-      valid_probs[k] = p;
-      valid_machine[k] = p >= 0.5 ? 1 : 0;
-    }
-    RiskActivation valid_act =
-        ComputeActivation(risk_features, valid_full, valid_probs);
-    RiskTrainer trainer(options.risk_trainer);
-    LEARNRISK_RETURN_NOT_OK(trainer.Train(
-        &risk_model, valid_act,
-        MislabelFlags(valid_machine, GatherLabels(truth, risk_valid))));
+    auto risk_features =
+        GenerateRiskFeatures(labeled_full, labeled_truth, options.rules);
+    if (!risk_features.ok()) return risk_features.status();
+    RiskModel risk_model(risk_features.MoveValueOrDie(), options.risk_model);
+    LEARNRISK_RETURN_NOT_OK(TrainRiskModel(
+        &risk_model, GatherRows(features, risk_valid),
+        classifier->PredictProbaAll(GatherRows(classifier_view, risk_valid)),
+        Gather(truth, risk_valid), options.risk_trainer));
 
     // Score the machine labels on the target pairs.
-    const FeatureMatrix target_full = GatherRows(features, target);
     const FeatureMatrix target_view = GatherRows(classifier_view, target);
-    std::vector<double> target_probs(target.size());
-    for (size_t k = 0; k < target.size(); ++k) {
-      target_probs[k] =
-          classifier->PredictProba(target_view.row(k), target_view.cols());
-    }
-    RiskActivation target_act =
-        ComputeActivation(risk_features, target_full, target_probs);
+    RiskActivation target_act = ComputeActivation(
+        risk_model.features(), GatherRows(features, target),
+        classifier->PredictProbaAll(target_view));
     const std::vector<double> risk = risk_model.Score(target_act);
 
     // Admit the lowest-risk fraction as pseudo-labels.

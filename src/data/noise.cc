@@ -107,13 +107,6 @@ std::string DropTokens(const std::string& s, double rate, Rng* rng) {
   return Join(kept, " ");
 }
 
-std::string MaybeShuffleTokens(const std::string& s, double prob, Rng* rng) {
-  if (!rng->Bernoulli(prob)) return s;
-  std::vector<std::string> tokens = SplitWhitespace(s);
-  rng->Shuffle(&tokens);
-  return Join(tokens, " ");
-}
-
 std::string AbbreviateFirstName(const std::string& full_name, bool dots,
                                 Rng* rng) {
   (void)rng;

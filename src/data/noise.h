@@ -48,10 +48,6 @@ std::string InjectTypos(const std::string& s, int count, Rng* rng);
 /// at least one token.
 std::string DropTokens(const std::string& s, double rate, Rng* rng);
 
-/// \brief Randomly permutes token order with probability `prob`; otherwise
-/// returns the input unchanged.
-std::string MaybeShuffleTokens(const std::string& s, double prob, Rng* rng);
-
 /// \brief "michael franklin" -> "m franklin" (or "m. franklin" with dots).
 std::string AbbreviateFirstName(const std::string& full_name, bool dots,
                                 Rng* rng);

@@ -11,34 +11,6 @@
 
 namespace learnrisk {
 
-FeatureMatrix GatherRows(const FeatureMatrix& features,
-                         const std::vector<size_t>& rows) {
-  FeatureMatrix out(rows.size(), features.cols());
-  out.column_names = features.column_names;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (size_t c = 0; c < features.cols(); ++c) {
-      out.set(r, c, features.at(rows[r], c));
-    }
-  }
-  return out;
-}
-
-FeatureMatrix GatherColumns(const FeatureMatrix& features,
-                            const std::vector<size_t>& cols) {
-  FeatureMatrix out(features.rows(), cols.size());
-  for (size_t c = 0; c < cols.size(); ++c) {
-    if (cols[c] < features.column_names.size()) {
-      out.column_names.push_back(features.column_names[cols[c]]);
-    }
-  }
-  for (size_t r = 0; r < features.rows(); ++r) {
-    for (size_t c = 0; c < cols.size(); ++c) {
-      out.set(r, c, features.at(r, cols[c]));
-    }
-  }
-  return out;
-}
-
 Result<Workload> AlignWorkload(const Workload& target,
                                const Schema& reference) {
   const Schema& schema = target.left().schema();
@@ -154,79 +126,60 @@ Status Experiment::Initialize(Workload workload,
                               const Workload* classifier_source) {
   config_ = config;
   workload_ = std::make_unique<Workload>(std::move(workload));
-  Rng rng(config.seed + 17);
-
-  // Metric suite: fit on whatever the classifier trains on, so the feature
-  // space is the classifier's feature space (matters for OOD).
-  const Workload& fit_target =
-      classifier_source != nullptr ? *classifier_source : *workload_;
-  suite_ = MetricSuite::ForSchema(fit_target.left().schema());
-  suite_.Fit(fit_target);
-
-  features_ = ComputeFeatures(*workload_, suite_);
   truth_ = workload_->Labels();
 
-  // The classifier's feature view: similarity metrics only, unless the
-  // ablation flag exposes everything (see ExperimentConfig).
-  classifier_columns_.clear();
-  for (size_t c = 0; c < suite_.specs().size(); ++c) {
-    if (config.classifier_uses_difference_metrics ||
-        !IsDifferenceMetric(suite_.specs()[c].kind)) {
-      classifier_columns_.push_back(c);
-    }
-  }
-  classifier_features_ = GatherColumns(features_, classifier_columns_);
-
-  if (classifier_source == nullptr) {
-    auto split = StratifiedSplit(*workload_, config.train_ratio,
-                                 config.valid_ratio, config.test_ratio, &rng);
-    if (!split.ok()) return split.status();
-    split_ = split.MoveValueOrDie();
-    train_features_ = GatherRows(features_, split_.train);
-    train_labels_ = Gather(truth_, split_.train);
-  } else {
-    // OOD: classifier training data comes from the source workload; the
-    // target workload is split into risk-training (validation) and test.
-    auto split =
-        StratifiedSplit(*workload_, 0.0, config.valid_ratio,
-                        config.test_ratio, &rng);
-    if (!split.ok()) return split.status();
-    split_ = split.MoveValueOrDie();
-
+  // OOD splits the target into risk-training (validation) and test only;
+  // the classifier trains on the source workload's own train split.
+  Rng rng(config.seed + 17);
+  auto split = StratifiedSplit(
+      *workload_, classifier_source == nullptr ? config.train_ratio : 0.0,
+      config.valid_ratio, config.test_ratio, &rng);
+  if (!split.ok()) return split.status();
+  split_ = split.MoveValueOrDie();
+  const Workload& fit_workload =
+      classifier_source != nullptr ? *classifier_source : *workload_;
+  std::vector<size_t> fit_train = split_.train;
+  if (classifier_source != nullptr) {
     Rng src_rng(config.seed + 23);
     auto src_split =
         StratifiedSplit(*classifier_source, config.train_ratio,
                         config.valid_ratio, config.test_ratio, &src_rng);
     if (!src_split.ok()) return src_split.status();
-    FeatureMatrix src_features = ComputeFeatures(*classifier_source, suite_);
-    train_features_ = GatherRows(src_features, src_split->train);
-    train_labels_ = Gather(classifier_source->Labels(), src_split->train);
+    fit_train = src_split->train;
   }
 
+  // Metric suite, classifier and risk features all fit on the classifier's
+  // training workload, so the feature space is the classifier's (matters
+  // for OOD). The pipeline's risk model stays at the prior: RunLearnRiskOn
+  // trains its own.
+  PipelineOptions options;
+  options.classifier = config.classifier;
+  options.classifier.seed = config.seed + 31;
+  options.rules = config.rules;
+  options.risk_model = config.risk_model;
+  options.risk_trainer = config.risk_trainer;
+  options.classifier_uses_difference_metrics =
+      config.classifier_uses_difference_metrics;
+  pipeline_ = LearnRiskPipeline(options);
+  LEARNRISK_RETURN_NOT_OK(pipeline_.Fit(fit_workload, fit_train, {}));
+  train_features_ = GatherRows(pipeline_.features(), fit_train);
   train_classifier_features_ =
-      GatherColumns(train_features_, classifier_columns_);
+      GatherColumns(train_features_, pipeline_.classifier_columns());
+  train_labels_ = Gather(fit_workload.Labels(), fit_train);
 
-  // Classifier (DeepMatcher substitute).
-  MlpOptions mlp = config.classifier;
-  mlp.seed = config.seed + 31;
-  classifier_ = MlpClassifier(mlp);
-  LEARNRISK_RETURN_NOT_OK(
-      classifier_.Train(train_classifier_features_, train_labels_));
-
-  probs_ = classifier_.PredictProbaAll(classifier_features_);
+  if (classifier_source == nullptr) {
+    features_ = pipeline_.features();
+    probs_ = pipeline_.classifier_probs();
+  } else {
+    features_ = ComputeFeatures(*workload_, pipeline_.suite());
+    probs_ = pipeline_.classifier().PredictProbaAll(
+        GatherColumns(features_, pipeline_.classifier_columns()));
+  }
   machine_.resize(probs_.size());
   for (size_t i = 0; i < probs_.size(); ++i) {
     machine_[i] = probs_[i] >= 0.5 ? 1 : 0;
   }
   mislabeled_ = MislabelFlags(machine_, truth_);
-
-  // Risk features from the classifier-training data (Sec. 5).
-  auto rules = OneSidedForest::Generate(train_features_, train_labels_,
-                                        config.rules);
-  if (!rules.ok()) return rules.status();
-  rules_ = rules.MoveValueOrDie();
-  risk_features_ = RiskFeatureSet::Build(rules_, train_features_,
-                                         train_labels_);
   return Status::OK();
 }
 
@@ -238,6 +191,11 @@ MethodResult Experiment::Evaluate(const std::string& name,
   result.curve = ComputeRoc(scores, labels);
   result.auroc = result.curve.auroc;
   return result;
+}
+
+FeatureMatrix Experiment::TestClassifierFeatures() const {
+  return GatherColumns(GatherRows(features_, split_.test),
+                       pipeline_.classifier_columns());
 }
 
 MethodResult Experiment::RunBaseline() const {
@@ -255,10 +213,8 @@ Result<MethodResult> Experiment::RunUncertainty() {
       config_.ensemble_size, config_.seed + 41);
   LEARNRISK_RETURN_NOT_OK(
       ensemble.Train(train_classifier_features_, train_labels_));
-  const FeatureMatrix test_features =
-      GatherRows(classifier_features_, split_.test);
-  return Evaluate("Uncertainty",
-                  UncertaintyRisk(ensemble.VoteFraction(test_features)));
+  return Evaluate("Uncertainty", UncertaintyRisk(ensemble.VoteFraction(
+                                     TestClassifierFeatures())));
 }
 
 Result<MethodResult> Experiment::RunTrustScore() {
@@ -267,11 +223,9 @@ Result<MethodResult> Experiment::RunTrustScore() {
   TrustScore trust;
   LEARNRISK_RETURN_NOT_OK(
       trust.Fit(train_classifier_features_, train_labels_));
-  const FeatureMatrix test_features =
-      GatherRows(classifier_features_, split_.test);
-  return Evaluate(
-      "TrustScore",
-      trust.RiskAll(test_features, Gather(machine_, split_.test)));
+  return Evaluate("TrustScore",
+                  trust.RiskAll(TestClassifierFeatures(),
+                                Gather(machine_, split_.test)));
 }
 
 Result<MethodResult> Experiment::RunStaticRisk() {
@@ -291,17 +245,13 @@ Result<MethodResult> Experiment::RunLearnRiskOn(
     const std::vector<size_t>& risk_train,
     const RiskModelOptions& model_options,
     const RiskTrainerOptions& trainer_options, const std::string& name) {
-  RiskModel model(risk_features_, model_options);
-  RiskActivation train_activation =
-      ComputeActivation(risk_features_, GatherRows(features_, risk_train),
-                        Gather(probs_, risk_train));
-  RiskTrainer trainer(trainer_options);
-  LEARNRISK_RETURN_NOT_OK(trainer.Train(&model, train_activation,
-                                        Gather(mislabeled_, risk_train)));
-  RiskActivation test_activation =
-      ComputeActivation(risk_features_, GatherRows(features_, split_.test),
-                        Gather(probs_, split_.test));
-  return Evaluate(name, model.Score(test_activation));
+  RiskModel model(risk_features(), model_options);
+  LEARNRISK_RETURN_NOT_OK(TrainRiskModel(
+      &model, GatherRows(features_, risk_train), Gather(probs_, risk_train),
+      Gather(truth_, risk_train), trainer_options));
+  return Evaluate(name, model.Score(ComputeActivation(
+                            model.features(), GatherRows(features_, split_.test),
+                            Gather(probs_, split_.test))));
 }
 
 namespace {
@@ -329,7 +279,7 @@ Result<MethodResult> Experiment::RunHoloClean() {
   // Forest features: the same basic metrics as LearnRisk plus the DNN
   // output (Sec. 7.3).
   const std::vector<double> train_probs =
-      classifier_.PredictProbaAll(train_classifier_features_);
+      classifier().PredictProbaAll(train_classifier_features_);
   const FeatureMatrix train_aug =
       AppendColumn(train_features_, train_probs, "classifier_output");
 
@@ -341,7 +291,7 @@ Result<MethodResult> Experiment::RunHoloClean() {
   LEARNRISK_RETURN_NOT_OK(forest.Train(train_aug, train_labels_));
   // Rule budget matched to LearnRisk's one-sided rule count (Sec. 7.3).
   std::vector<Rule> labeling_rules = forest.ExtractRules(
-      train_aug.column_names, std::max<size_t>(rules_.size(), 1));
+      train_aug.column_names, std::max<size_t>(rules().size(), 1));
 
   const std::vector<double> test_probs = Gather(probs_, split_.test);
   const FeatureMatrix test_aug = AppendColumn(
@@ -364,7 +314,7 @@ size_t Experiment::NumTestMislabeled() const {
 }
 
 double Experiment::TestRuleCoverage() const {
-  return risk_features_.Coverage(GatherRows(features_, split_.test));
+  return risk_features().Coverage(GatherRows(features_, split_.test));
 }
 
 }  // namespace learnrisk

@@ -1,9 +1,11 @@
 // Copyright 2026 The LearnRisk Authors
 // End-to-end experiment harness reproducing the paper's evaluation pipeline
 // (Sec. 7.1): generate (or accept) a workload, split train/validation/test,
-// train the classifier, generate risk features, then evaluate any of the six
+// fit the classifier and risk features through a LearnRiskPipeline (on the
+// source workload's train split in OOD), then evaluate any of the six
 // risk-analysis methods on the test split. Benches and integration tests are
-// thin wrappers around this class.
+// thin wrappers around this class. Re-exports metrics/metric_suite.h's
+// GatherRows/GatherColumns/Gather helpers.
 
 #ifndef LEARNRISK_EVAL_EXPERIMENT_H_
 #define LEARNRISK_EVAL_EXPERIMENT_H_
@@ -21,6 +23,7 @@
 #include "data/workload.h"
 #include "eval/classification_metrics.h"
 #include "eval/roc.h"
+#include "learnrisk/learnrisk.h"
 #include "metrics/metric_suite.h"
 #include "risk/risk_feature.h"
 #include "risk/risk_model.h"
@@ -60,14 +63,6 @@ struct MethodResult {
   RocCurve curve;
 };
 
-/// \brief Extracts the given rows of a feature matrix into a new matrix.
-FeatureMatrix GatherRows(const FeatureMatrix& features,
-                         const std::vector<size_t>& rows);
-
-/// \brief Extracts the given columns of a feature matrix into a new matrix.
-FeatureMatrix GatherColumns(const FeatureMatrix& features,
-                            const std::vector<size_t>& cols);
-
 /// \brief Renames/reorders `target`'s attributes onto `reference`'s schema so
 /// a classifier trained on `reference` can score `target` (the paper's
 /// AB2AG setting). Attributes are aligned by name, then by the
@@ -75,9 +70,11 @@ FeatureMatrix GatherColumns(const FeatureMatrix& features,
 Result<Workload> AlignWorkload(const Workload& target,
                                const Schema& reference);
 
-/// \brief A prepared experiment: generated data, trained classifier,
-/// generated risk features, cached activations. Risk-method evaluations run
-/// against this shared state so method comparisons are apples-to-apples.
+/// \brief A prepared experiment: generated data and a fitted
+/// LearnRiskPipeline (classifier seed `seed + 31`, the config's rules and
+/// classifier view; its risk model stays at the prior). Risk-method
+/// evaluations run against this shared state so method comparisons are
+/// apples-to-apples.
 class Experiment {
  public:
   /// \brief Standard single-dataset preparation.
@@ -129,14 +126,16 @@ class Experiment {
   const Workload& workload() const { return *workload_; }
   const WorkloadSplit& split() const { return split_; }
   const FeatureMatrix& features() const { return features_; }
-  const MetricSuite& metric_suite() const { return suite_; }
-  const MlpClassifier& classifier() const { return classifier_; }
+  const MetricSuite& metric_suite() const { return pipeline_.suite(); }
+  const MlpClassifier& classifier() const { return pipeline_.classifier(); }
   const std::vector<double>& classifier_probs() const { return probs_; }
   const std::vector<uint8_t>& machine_labels() const { return machine_; }
   const std::vector<uint8_t>& truth_labels() const { return truth_; }
   const std::vector<uint8_t>& mislabel_flags() const { return mislabeled_; }
-  const std::vector<Rule>& rules() const { return rules_; }
-  const RiskFeatureSet& risk_features() const { return risk_features_; }
+  const std::vector<Rule>& rules() const { return risk_features().rules(); }
+  const RiskFeatureSet& risk_features() const {
+    return pipeline_.risk_model().features();
+  }
   const ExperimentConfig& config() const { return config_; }
 
   /// \brief Overrides the test index set (Fig. 11 evaluates 1000-pair
@@ -163,33 +162,20 @@ class Experiment {
   MethodResult Evaluate(const std::string& name,
                         const std::vector<double>& test_scores) const;
 
-  // Subset helpers over the global arrays.
-  template <typename T>
-  std::vector<T> Gather(const std::vector<T>& all,
-                        const std::vector<size_t>& idx) const {
-    std::vector<T> out;
-    out.reserve(idx.size());
-    for (size_t i : idx) out.push_back(all[i]);
-    return out;
-  }
+  // The test split's rows in the classifier's column view.
+  FeatureMatrix TestClassifierFeatures() const;
 
   ExperimentConfig config_;
   std::unique_ptr<Workload> workload_;
   WorkloadSplit split_;
-  MetricSuite suite_;
+  // Fitted on the classifier-training workload (the source one in OOD).
+  LearnRiskPipeline pipeline_;
+  // Metric rows and classifier outputs of the evaluated workload.
   FeatureMatrix features_;
-  MlpClassifier classifier_;
   std::vector<double> probs_;
   std::vector<uint8_t> machine_;
   std::vector<uint8_t> truth_;
   std::vector<uint8_t> mislabeled_;
-  std::vector<Rule> rules_;
-  RiskFeatureSet risk_features_;
-  // Columns of features_ visible to the classifier (similarity metrics by
-  // default, see ExperimentConfig::classifier_uses_difference_metrics).
-  std::vector<size_t> classifier_columns_;
-  // Classifier-view features of the evaluated workload.
-  FeatureMatrix classifier_features_;
   // Classifier-training data (from the source workload in OOD):
   // full-metric view for rules, classifier view for the MLP/ensemble.
   FeatureMatrix train_features_;

@@ -237,14 +237,6 @@ Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
   });
 }
 
-Result<FeaturizedBatch> FeaturePipeline::RunPrepared(
-    const ShardedSideView& left, const ShardedSideView& right,
-    const std::vector<RecordPair>& pairs) const {
-  return Collect(pairs.size(), [&](const TileSinkFactory& make_sink) {
-    return RunPreparedTiles(left, right, pairs, make_sink);
-  });
-}
-
 Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
     const PreparedRecord& probe, const ShardedSideView& table,
     const std::vector<size_t>& candidates) const {

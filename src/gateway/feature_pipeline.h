@@ -169,15 +169,10 @@ class FeaturePipeline {
       const PreparedRecord& probe, const PreparedTable& table,
       const std::vector<size_t>& candidates) const;
 
-  /// \brief Whole-matrix sharded-view overloads: the tiled passes above
-  /// collected into one FeaturizedBatch. Pairs (or candidates) carry
-  /// *global* record ids over a ShardedSideView of per-shard SideStores.
-  /// Bit-identical to the PreparedTable overloads on the equivalent flat
-  /// tables.
-  Result<FeaturizedBatch> RunPrepared(const ShardedSideView& left,
-                                      const ShardedSideView& right,
-                                      const std::vector<RecordPair>& pairs)
-      const;
+  /// \brief Whole-matrix sharded-view probe: the tiled probe pass above
+  /// collected into one FeaturizedBatch. Candidates carry *global* record
+  /// ids over a ShardedSideView of per-shard SideStores. Bit-identical to
+  /// the PreparedTable overload on the equivalent flat table.
   Result<FeaturizedBatch> RunProbePrepared(
       const PreparedRecord& probe, const ShardedSideView& table,
       const std::vector<size_t>& candidates) const;

@@ -1206,9 +1206,8 @@ void Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
                             const Scored& scored) {
   const ReviewOptions& r = options_.review;
   TraceSpan span(nullptr, scope.Slot(kReview));
-  // Build the offer batch from the shared ranking: top-budget decisions at
-  // or above the risk floor (the order is risk-descending, so the first
-  // decision below the floor ends the scan).
+  // Build the offer batch from the shared ranking: its first (riskiest)
+  // top-budget decisions.
   const ScoreResponse& scores = scored.scores;
   const size_t cols = s.pipeline.suite().num_metrics();
   std::vector<ReviewItem> items;
@@ -1216,7 +1215,6 @@ void Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
   items.reserve(budget);
   for (size_t rank = 0; rank < budget; ++rank) {
     const RankedRow& ranked = scored.top_risk[rank];
-    if (ranked.risk < r.min_risk) break;
     ReviewItem item;
     item.left = scored.keys.left(ranked.row);
     item.right = scored.keys.right(ranked.row);

@@ -17,8 +17,8 @@
 //
 // ShardedSideView is the featurization counterpart: a zero-copy view
 // presenting S per-shard SideStores as one global-id-addressed store, so
-// FeaturePipeline::RunPrepared can evaluate merged candidate pairs without
-// materializing anything.
+// FeaturePipeline::RunPreparedTiles can evaluate merged candidate pairs
+// without materializing anything.
 
 #ifndef LEARNRISK_GATEWAY_SHARD_MERGE_H_
 #define LEARNRISK_GATEWAY_SHARD_MERGE_H_
@@ -33,14 +33,6 @@
 
 namespace learnrisk {
 
-/// \brief Shard index of a global record id under S shards.
-inline size_t ShardOfId(size_t global_id, size_t num_shards) {
-  return global_id % num_shards;
-}
-/// \brief Local (per-shard) index of a global record id under S shards.
-inline size_t LocalOfId(size_t global_id, size_t num_shards) {
-  return global_id / num_shards;
-}
 /// \brief Global record id of local index `local` on shard `shard`.
 inline size_t GlobalId(size_t local, size_t shard, size_t num_shards) {
   return local * num_shards + shard;
@@ -63,7 +55,6 @@ class ShardedSideView {
   /// (|shard sizes| differ by at most 1); bounds checks go through
   /// InRange, which is exact per shard.
   size_t size() const { return size_; }
-  size_t shard_count() const { return stores_.size(); }
 
   /// \brief True iff `global_id` resolves to an existing record of its
   /// shard (exact even when shard sizes are momentarily unbalanced).

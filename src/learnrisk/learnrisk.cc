@@ -4,10 +4,18 @@
 
 #include <algorithm>
 
-#include "eval/experiment.h"
-#include "serve/compiled_rules.h"
-
 namespace learnrisk {
+
+namespace {
+
+Status CheckIndices(const std::vector<size_t>& indices, size_t size) {
+  for (size_t i : indices) {
+    if (i >= size) return Status::OutOfRange("pair index out of range");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 LearnRiskPipeline::LearnRiskPipeline(PipelineOptions options)
     : options_(std::move(options)) {}
@@ -18,15 +26,15 @@ Status LearnRiskPipeline::Fit(const Workload& workload,
   if (train.empty()) {
     return Status::InvalidArgument("empty classifier-training index set");
   }
+  LEARNRISK_RETURN_NOT_OK(CheckIndices(train, workload.size()));
+  LEARNRISK_RETURN_NOT_OK(CheckIndices(valid, workload.size()));
+  fitted_ = false;
   suite_ = MetricSuite::ForSchema(workload.left().schema());
   suite_.Fit(workload);
   features_ = ComputeFeatures(workload, suite_);
   const std::vector<uint8_t> truth = workload.Labels();
-
-  FeatureMatrix train_features = GatherRows(features_, train);
-  std::vector<uint8_t> train_labels;
-  train_labels.reserve(train.size());
-  for (size_t i : train) train_labels.push_back(truth[i]);
+  const FeatureMatrix train_features = GatherRows(features_, train);
+  const std::vector<uint8_t> train_labels = Gather(truth, train);
 
   classifier_columns_.clear();
   for (size_t c = 0; c < suite_.specs().size(); ++c) {
@@ -41,27 +49,15 @@ Status LearnRiskPipeline::Fit(const Workload& workload,
   probs_ = classifier_.PredictProbaAll(
       GatherColumns(features_, classifier_columns_));
 
-  auto rules =
-      OneSidedForest::Generate(train_features, train_labels, options_.rules);
-  if (!rules.ok()) return rules.status();
-  risk_features_ = RiskFeatureSet::Build(rules.MoveValueOrDie(),
-                                         train_features, train_labels);
-  model_ = std::make_unique<RiskModel>(risk_features_, options_.risk_model);
-
+  auto risk_features =
+      GenerateRiskFeatures(train_features, train_labels, options_.rules);
+  if (!risk_features.ok()) return risk_features.status();
+  model_ = std::make_unique<RiskModel>(risk_features.MoveValueOrDie(),
+                                       options_.risk_model);
   if (!valid.empty()) {
-    std::vector<double> valid_probs;
-    std::vector<uint8_t> machine;
-    std::vector<uint8_t> valid_truth;
-    for (size_t i : valid) {
-      valid_probs.push_back(probs_[i]);
-      machine.push_back(probs_[i] >= 0.5 ? 1 : 0);
-      valid_truth.push_back(truth[i]);
-    }
-    RiskActivation activation = ComputeActivation(
-        risk_features_, GatherRows(features_, valid), valid_probs);
-    RiskTrainer trainer(options_.risk_trainer);
-    LEARNRISK_RETURN_NOT_OK(trainer.Train(
-        model_.get(), activation, MislabelFlags(machine, valid_truth)));
+    LEARNRISK_RETURN_NOT_OK(TrainRiskModel(
+        model_.get(), GatherRows(features_, valid), Gather(probs_, valid),
+        Gather(truth, valid), options_.risk_trainer));
   }
   fitted_ = true;
   return Status::OK();
@@ -70,17 +66,10 @@ Status LearnRiskPipeline::Fit(const Workload& workload,
 Result<std::vector<double>> LearnRiskPipeline::Score(
     const std::vector<size_t>& pair_indices) const {
   if (!fitted_) return Status::FailedPrecondition("pipeline not fitted");
-  std::vector<double> probs;
-  probs.reserve(pair_indices.size());
-  for (size_t i : pair_indices) {
-    if (i >= features_.rows()) {
-      return Status::OutOfRange("pair index out of range");
-    }
-    probs.push_back(probs_[i]);
-  }
-  RiskActivation activation = ComputeActivation(
-      risk_features_, GatherRows(features_, pair_indices), probs);
-  return model_->Score(activation);
+  LEARNRISK_RETURN_NOT_OK(CheckIndices(pair_indices, features_.rows()));
+  return model_->Score(ComputeActivation(model_->features(),
+                                         GatherRows(features_, pair_indices),
+                                         Gather(probs_, pair_indices)));
 }
 
 Result<std::vector<RiskRankEntry>> LearnRiskPipeline::RankByRisk(
@@ -107,15 +96,16 @@ Result<std::vector<RiskContribution>> LearnRiskPipeline::Explain(
   if (pair_index >= features_.rows()) {
     return Status::OutOfRange("pair index out of range");
   }
-  const std::vector<uint32_t> active =
-      risk_features_.compiled().ActiveRules(features_.row(pair_index));
-  return model_->Explain(active, probs_[pair_index], top_k);
+  return model_->Explain(
+      model_->features().ActiveRules(features_.row(pair_index)),
+      probs_[pair_index], top_k);
 }
 
 std::vector<std::string> LearnRiskPipeline::RuleDescriptions() const {
   std::vector<std::string> out;
-  out.reserve(risk_features_.num_rules());
-  for (const Rule& rule : risk_features_.rules()) {
+  if (!fitted_) return out;
+  out.reserve(model_->features().num_rules());
+  for (const Rule& rule : model_->features().rules()) {
     out.push_back(rule.ToString());
   }
   return out;

@@ -1,7 +1,9 @@
 // Copyright 2026 The LearnRisk Authors
-// Public entry point of the library: the LearnRiskPipeline bundles metric
-// fitting, classifier training, risk-feature generation and risk-model
-// training behind one small API, and re-exports the main headers.
+// Public entry point of the library: the LearnRiskPipeline fits the whole
+// stack (metric suite, classifier on its column view, risk features through
+// GenerateRiskFeatures, risk model through TrainRiskModel) behind one small
+// API, and re-exports the main headers. It holds the one classifier-column
+// loop; eval's Experiment fits through it.
 //
 // Quickstart (see examples/quickstart.cpp):
 //   Workload workload = *GenerateDataset("DS", {.scale = 0.1});
@@ -59,7 +61,9 @@ class LearnRiskPipeline {
 
   /// \brief Fits the whole stack: metric suite and classifier on `train`,
   /// risk features from `train`, risk model trained to rank `valid`'s
-  /// mislabeled pairs first. Ground truth is read from the workload.
+  /// mislabeled pairs first (left at the prior when `valid` is empty).
+  /// Ground truth is read from the workload. An index outside the workload
+  /// is OutOfRange, checked before anything is fitted.
   Status Fit(const Workload& workload, const std::vector<size_t>& train,
              const std::vector<size_t>& valid);
 
@@ -104,7 +108,6 @@ class LearnRiskPipeline {
   std::vector<size_t> classifier_columns_;
   MlpClassifier classifier_;
   std::vector<double> probs_;
-  RiskFeatureSet risk_features_;
   std::unique_ptr<RiskModel> model_;
 };
 

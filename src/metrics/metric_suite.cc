@@ -694,4 +694,32 @@ FeatureMatrix ComputeFeatures(const Workload& workload,
   return matrix;
 }
 
+FeatureMatrix GatherRows(const FeatureMatrix& features,
+                         const std::vector<size_t>& rows) {
+  FeatureMatrix out(rows.size(), features.cols());
+  out.column_names = features.column_names;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < features.cols(); ++c) {
+      out.set(r, c, features.at(rows[r], c));
+    }
+  }
+  return out;
+}
+
+FeatureMatrix GatherColumns(const FeatureMatrix& features,
+                            const std::vector<size_t>& cols) {
+  FeatureMatrix out(features.rows(), cols.size());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (cols[c] < features.column_names.size()) {
+      out.column_names.push_back(features.column_names[cols[c]]);
+    }
+  }
+  for (size_t r = 0; r < features.rows(); ++r) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      out.set(r, c, features.at(r, cols[c]));
+    }
+  }
+  return out;
+}
+
 }  // namespace learnrisk

@@ -43,8 +43,6 @@ class IdfTable {
   /// "key" token in the paper's terms).
   bool IsKeyToken(const std::string& token, double min_idf) const;
 
-  size_t num_documents() const { return num_documents_; }
-
  private:
   std::unordered_map<std::string, size_t> df_;
   size_t num_documents_ = 0;
@@ -205,6 +203,25 @@ class FeatureMatrix {
 /// bit-identical to evaluating each pair from the raw strings.
 FeatureMatrix ComputeFeatures(const Workload& workload,
                               const MetricSuite& suite);
+
+/// \brief Extracts the given rows of a feature matrix into a new matrix.
+FeatureMatrix GatherRows(const FeatureMatrix& features,
+                         const std::vector<size_t>& rows);
+
+/// \brief Extracts the given columns of a feature matrix into a new matrix.
+FeatureMatrix GatherColumns(const FeatureMatrix& features,
+                            const std::vector<size_t>& cols);
+
+/// \brief The entries of a per-pair vector (labels, probabilities) at the
+/// given pair indices, in index order.
+template <typename T>
+std::vector<T> Gather(const std::vector<T>& all,
+                      const std::vector<size_t>& idx) {
+  std::vector<T> out;
+  out.reserve(idx.size());
+  for (size_t i : idx) out.push_back(all[i]);
+  return out;
+}
 
 }  // namespace learnrisk
 

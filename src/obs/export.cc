@@ -7,7 +7,6 @@
 #include <sstream>
 
 namespace learnrisk {
-namespace {
 
 std::string FormatDouble(double value) {
   char buffer[64];
@@ -15,22 +14,6 @@ std::string FormatDouble(double value) {
   return buffer;
 }
 
-// Prometheus label-value escaping: backslash, double quote, newline.
-std::string EscapeLabelValue(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-// JSON string escaping (quotes, backslash, control characters).
 std::string EscapeJson(const std::string& value) {
   std::string out;
   out.reserve(value.size());
@@ -49,6 +32,23 @@ std::string EscapeJson(const std::string& value) {
         } else {
           out.push_back(c);
         }
+    }
+  }
+  return out;
+}
+
+namespace {
+
+// Prometheus label-value escaping: backslash, double quote, newline.
+std::string EscapeLabelValue(const std::string& value) {
+  std::string out;
+  out.reserve(value.size());
+  for (char c : value) {
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      default: out.push_back(c);
     }
   }
   return out;

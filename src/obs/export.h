@@ -27,6 +27,13 @@ std::string ExportJson(const MetricsSnapshot& snapshot);
 /// values in exported units and label values escaped per the spec.
 std::string ExportPrometheusText(const MetricsSnapshot& snapshot);
 
+/// \brief `value` as printf "%.10g" (every exported number, metrics and
+/// traces alike).
+std::string FormatDouble(double value);
+
+/// \brief JSON string-body escaping: quotes, backslash, control characters.
+std::string EscapeJson(const std::string& value);
+
 }  // namespace learnrisk
 
 #endif  // LEARNRISK_OBS_EXPORT_H_

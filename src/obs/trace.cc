@@ -3,41 +3,12 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "obs/export.h"
 
 namespace learnrisk {
 namespace {
-
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.10g", value);
-  return buffer;
-}
-
-// JSON string escaping (quotes, backslash, control characters).
-std::string EscapeJson(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 void EmitTrace(std::ostringstream* out, const RequestTrace& trace) {
   *out << "{\"request_id\": " << trace.request_id << ", \"api\": \""

@@ -48,8 +48,6 @@ struct ReviewOptions {
   /// Top-k riskiest decisions each Resolve / ResolveRecord may enqueue
   /// (r-HUMO's per-round budget). 0 disables enqueueing.
   size_t per_request_budget = 4;
-  /// Decisions below this risk score are never offered.
-  double min_risk = 0.0;
   /// Resident-queue bound; see the displacement policy above.
   size_t queue_capacity = 1024;
 };

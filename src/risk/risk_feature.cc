@@ -56,17 +56,19 @@ RiskFeatureSet RiskFeatureSet::FromParts(std::vector<Rule> rules,
 
 std::vector<uint32_t> RiskFeatureSet::ActiveRules(
     const double* metric_row) const {
-  std::vector<uint32_t> active;
-  for (size_t j = 0; j < rules_.size(); ++j) {
-    if (rules_[j].Matches(metric_row)) {
-      active.push_back(static_cast<uint32_t>(j));
-    }
-  }
-  return active;
+  return compiled().ActiveRules(metric_row);
 }
 
 double RiskFeatureSet::Coverage(const FeatureMatrix& features) const {
   return compiled().Coverage(features);
+}
+
+Result<RiskFeatureSet> GenerateRiskFeatures(
+    const FeatureMatrix& rows, const std::vector<uint8_t>& labels,
+    const OneSidedForestOptions& options) {
+  auto rules = OneSidedForest::Generate(rows, labels, options);
+  if (!rules.ok()) return rules.status();
+  return RiskFeatureSet::Build(rules.MoveValueOrDie(), rows, labels);
 }
 
 RiskActivation ComputeActivation(const RiskFeatureSet& features,

@@ -4,6 +4,7 @@
 // expectations (equivalence-probability priors) are estimated on the
 // classifier-training data with Laplace smoothing; per-pair activations are
 // precomputed into a sparse structure the risk model and trainer share.
+// GenerateRiskFeatures is the one place rules are generated for a fit.
 
 #ifndef LEARNRISK_RISK_RISK_FEATURE_H_
 #define LEARNRISK_RISK_RISK_FEATURE_H_
@@ -15,6 +16,7 @@
 
 #include "common/status.h"
 #include "metrics/metric_suite.h"
+#include "rules/one_sided_tree.h"
 #include "rules/rule.h"
 
 namespace learnrisk {
@@ -48,9 +50,9 @@ class RiskFeatureSet {
   /// \brief Pairs in the classifier-training data covered by rule j.
   size_t train_support(size_t j) const { return train_support_[j]; }
 
-  /// \brief Indices of rules whose condition holds on this metric row: the
-  /// rule semantics as a per-rule scan. The compiled plan below is the fast
-  /// path and is bit-identical to it (tests/reference/naive_activation.h).
+  /// \brief Indices of rules whose condition holds on this metric row,
+  /// ascending (evaluated via the compiled plan; the per-rule scan it must
+  /// match is tests/reference/naive_activation.h).
   std::vector<uint32_t> ActiveRules(const double* metric_row) const;
 
   /// \brief Fraction of rows with at least one active rule (coverage;
@@ -71,6 +73,13 @@ class RiskFeatureSet {
   std::vector<size_t> train_support_;
   std::shared_ptr<const CompiledRuleSet> compiled_;
 };
+
+/// \brief Algorithm 1 on the classifier-training rows, then
+/// RiskFeatureSet::Build over the same rows: the one way a fit turns
+/// labeled metric rows into risk features.
+Result<RiskFeatureSet> GenerateRiskFeatures(
+    const FeatureMatrix& rows, const std::vector<uint8_t>& labels,
+    const OneSidedForestOptions& options);
 
 /// \brief Per-workload sparse activation of the risk features.
 struct RiskActivation {

@@ -274,4 +274,14 @@ Status RiskTrainer::Train(RiskModel* model, const RiskActivation& data,
   return Status::OK();
 }
 
+Status TrainRiskModel(RiskModel* model, const FeatureMatrix& rows,
+                      const std::vector<double>& probs,
+                      const std::vector<uint8_t>& truth,
+                      const RiskTrainerOptions& options) {
+  const RiskActivation activation =
+      ComputeActivation(model->features(), rows, probs);
+  return RiskTrainer(options).Train(
+      model, activation, MislabelFlags(activation.machine_label, truth));
+}
+
 }  // namespace learnrisk

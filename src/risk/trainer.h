@@ -14,6 +14,11 @@
 // Sec. 6.2.3 formulation through an autodiff tape is the test reference
 // (tests/reference/tape_risk.h); its seeded loss trajectory matches this
 // one to ~1e-9 per epoch.
+//
+// TrainRiskModel bundles activation, mislabel flags and Train for the fit
+// paths (LearnRiskPipeline, Experiment, the active learner, risk-aware
+// self-training); RetrainFromLabels builds its own RiskTrainer because it
+// reports the trainer's loss history.
 
 #ifndef LEARNRISK_RISK_TRAINER_H_
 #define LEARNRISK_RISK_TRAINER_H_
@@ -88,6 +93,15 @@ class RiskTrainer {
   std::vector<double> loss_history_;
   RiskTrainerStats stats_;
 };
+
+/// \brief Trains `model` on labeled metric rows: activates its own rules on
+/// `rows`, flags the rows whose machine label (`probs` >= 0.5) disagrees
+/// with `truth`, and runs RiskTrainer::Train with `options` (same contract
+/// as Train). The one way a fit turns labeled rows into a trained model.
+Status TrainRiskModel(RiskModel* model, const FeatureMatrix& rows,
+                      const std::vector<double>& probs,
+                      const std::vector<uint8_t>& truth,
+                      const RiskTrainerOptions& options);
 
 }  // namespace learnrisk
 

@@ -39,14 +39,12 @@ struct CsrActivation {
 /// rank a value can take among them, the bitset of rules that fail at that
 /// rank. Evaluating a pair is then: per metric, one binary search and one
 /// bitset OR; active rules are the bits never set. Rule indices are preserved,
-/// so the result is interchangeable with RiskFeatureSet::ActiveRules.
+/// so the result equals a per-rule Rule::Matches scan.
 class CompiledRuleSet {
  public:
   explicit CompiledRuleSet(const std::vector<Rule>& rules);
 
   size_t num_rules() const { return num_rules_; }
-  /// \brief Metric columns with at least one predicate.
-  size_t num_metric_plans() const { return plans_.size(); }
   /// \brief Words per rule bitset (for sizing external scratch).
   size_t num_words() const { return words_; }
   /// \brief Minimum feature-matrix width the plan reads (highest referenced

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "learnrisk/learnrisk.h"
+
 namespace learnrisk {
 namespace {
 
@@ -19,6 +21,109 @@ ExperimentConfig FastConfig(const std::string& dataset) {
   config.ensemble_size = 5;
   config.classifier.epochs = 25;
   return config;
+}
+
+// The pipeline options an experiment's config maps to: classifier seed
+// `seed + 31`, the config's rules, risk model, trainer and classifier view.
+PipelineOptions MappedOptions(const ExperimentConfig& config) {
+  PipelineOptions options;
+  options.classifier = config.classifier;
+  options.classifier.seed = config.seed + 31;
+  options.rules = config.rules;
+  options.risk_model = config.risk_model;
+  options.risk_trainer = config.risk_trainer;
+  options.classifier_uses_difference_metrics =
+      config.classifier_uses_difference_metrics;
+  return options;
+}
+
+template <typename T>
+std::vector<T> At(const std::vector<T>& all, const std::vector<size_t>& idx) {
+  std::vector<T> out;
+  for (size_t i : idx) out.push_back(all[i]);
+  return out;
+}
+
+std::vector<std::string> RuleStrings(const std::vector<Rule>& rules) {
+  std::vector<std::string> out;
+  for (const Rule& rule : rules) out.push_back(rule.ToString());
+  return out;
+}
+
+std::vector<uint8_t> TestMislabelFlags(const Experiment& e,
+                                       const std::vector<double>& probs) {
+  std::vector<uint8_t> flags;
+  for (size_t i : e.split().test) {
+    flags.push_back((probs[i] >= 0.5 ? 1 : 0) != e.truth_labels()[i]);
+  }
+  return flags;
+}
+
+TEST(ExperimentTest, FitMatchesLearnRiskPipeline) {
+  // In-distribution: a pipeline fitted by hand on the experiment's split.
+  {
+    const ExperimentConfig config = FastConfig("DS");
+    auto experiment = Experiment::Prepare(config);
+    ASSERT_TRUE(experiment.ok());
+    Experiment& e = **experiment;
+    LearnRiskPipeline pipeline(MappedOptions(config));
+    ASSERT_TRUE(
+        pipeline.Fit(e.workload(), e.split().train, e.split().valid).ok());
+    EXPECT_EQ(e.metric_suite().MetricNames(), pipeline.suite().MetricNames());
+    EXPECT_EQ(e.classifier_probs(), pipeline.classifier_probs());
+    EXPECT_EQ(RuleStrings(e.rules()), pipeline.RuleDescriptions());
+    auto scores = pipeline.Score(e.split().test);
+    ASSERT_TRUE(scores.ok());
+    auto learnrisk = e.RunLearnRisk();
+    ASSERT_TRUE(learnrisk.ok());
+    EXPECT_EQ(learnrisk->auroc,
+              ComputeRoc(*scores, TestMislabelFlags(e, e.classifier_probs()))
+                  .auroc);
+  }
+  // OOD: the pipeline fits on the source split PrepareOod draws, then its
+  // suite featurizes and its classifier scores the target.
+  {
+    const ExperimentConfig config = FastConfig("AB");
+    auto experiment = Experiment::PrepareOod(config, "AG");
+    ASSERT_TRUE(experiment.ok());
+    Experiment& e = **experiment;
+    GeneratorOptions gen;
+    gen.scale = config.scale;
+    gen.seed = config.seed;
+    const Workload source = GenerateDataset("AB", gen).MoveValueOrDie();
+    Rng rng(config.seed + 23);
+    const WorkloadSplit source_split =
+        StratifiedSplit(source, config.train_ratio, config.valid_ratio,
+                        config.test_ratio, &rng)
+            .MoveValueOrDie();
+    LearnRiskPipeline pipeline(MappedOptions(config));
+    ASSERT_TRUE(pipeline.Fit(source, source_split.train, {}).ok());
+    const FeatureMatrix target = ComputeFeatures(e.workload(), pipeline.suite());
+    const std::vector<double> probs = pipeline.classifier().PredictProbaAll(
+        GatherColumns(target, pipeline.classifier_columns()));
+    EXPECT_EQ(e.metric_suite().MetricNames(), pipeline.suite().MetricNames());
+    EXPECT_EQ(e.classifier_probs(), probs);
+    EXPECT_EQ(RuleStrings(e.rules()), pipeline.RuleDescriptions());
+
+    // LearnRisk: the pipeline's prior model trained on the target's
+    // validation split, scored on its test split.
+    RiskModel model = pipeline.risk_model();
+    const std::vector<size_t>& valid = e.split().valid;
+    const RiskActivation valid_act = ComputeActivation(
+        model.features(), GatherRows(target, valid), At(probs, valid));
+    ASSERT_TRUE(RiskTrainer(config.risk_trainer)
+                    .Train(&model, valid_act,
+                           MislabelFlags(valid_act.machine_label,
+                                         At(e.truth_labels(), valid)))
+                    .ok());
+    const std::vector<double> scores = model.Score(
+        ComputeActivation(model.features(), GatherRows(target, e.split().test),
+                          At(probs, e.split().test)));
+    auto learnrisk = e.RunLearnRisk();
+    ASSERT_TRUE(learnrisk.ok());
+    EXPECT_EQ(learnrisk->auroc,
+              ComputeRoc(scores, TestMislabelFlags(e, probs)).auroc);
+  }
 }
 
 TEST(ExperimentTest, PrepareProducesConsistentState) {

@@ -101,6 +101,18 @@ TEST(PipelineTest, OutOfRangeIndexRejected) {
       pipeline.Explain(f.workload.size() + 1).status().IsOutOfRange());
 }
 
+TEST(PipelineTest, OutOfRangeFitIndexRejected) {
+  Fixture f = MakeFixture();
+  LearnRiskPipeline pipeline(FastOptions());
+  std::vector<size_t> train = f.split.train;
+  train.push_back(f.workload.size());
+  EXPECT_TRUE(pipeline.Fit(f.workload, train, f.split.valid).IsOutOfRange());
+  std::vector<size_t> valid = f.split.valid;
+  valid.push_back(f.workload.size() + 1);
+  EXPECT_TRUE(pipeline.Fit(f.workload, f.split.train, valid).IsOutOfRange());
+  EXPECT_FALSE(pipeline.fitted());
+}
+
 TEST(PipelineTest, FitWithoutValidationUsesPriorModel) {
   Fixture f = MakeFixture();
   LearnRiskPipeline pipeline(FastOptions());

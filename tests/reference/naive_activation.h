@@ -1,13 +1,14 @@
 // Copyright 2026 The LearnRisk Authors
-// Reference rule activation: the naive per-rule scan
-// (RiskFeatureSet::ActiveRules) over every metric row. The compiled
-// columnar plan behind ComputeActivation must match it bit-for-bit
+// Reference rule activation: the naive per-rule Rule::Matches scan over
+// every metric row. The compiled columnar plan behind ComputeActivation and
+// RiskFeatureSet::ActiveRules must match it bit-for-bit
 // (tests/compiled_rules_test.cc, tests/serving_engine_test.cc), and
 // bench_serving times it as the naive baseline.
 
 #ifndef LEARNRISK_REFERENCE_NAIVE_ACTIVATION_H_
 #define LEARNRISK_REFERENCE_NAIVE_ACTIVATION_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "metrics/metric_suite.h"
@@ -15,6 +16,11 @@
 
 namespace learnrisk {
 namespace reference {
+
+/// \brief Indices of the rules whose condition holds on this metric row,
+/// ascending, by testing every rule.
+std::vector<uint32_t> ActiveRulesNaive(const RiskFeatureSet& features,
+                                       const double* metric_row);
 
 /// \brief ComputeActivation through the naive per-rule scan (chunk-parallel
 /// over rows, like the compiled path, so timings compare like with like).

@@ -25,6 +25,7 @@
 
 #include "common/math_util.h"
 #include "common/random.h"
+#include "reference/naive_activation.h"
 #include "risk/risk_feature.h"
 #include "risk/risk_model.h"
 
@@ -141,9 +142,9 @@ inline std::vector<double> ReferenceRiskScores(
     const std::vector<double>& probs) {
   std::vector<double> risk(features.rows());
   for (size_t i = 0; i < features.rows(); ++i) {
-    risk[i] = ReferenceRiskScore(model,
-                                 model.features().ActiveRules(features.row(i)),
-                                 probs[i], probs[i] >= 0.5 ? 1 : 0);
+    risk[i] = ReferenceRiskScore(
+        model, reference::ActiveRulesNaive(model.features(), features.row(i)),
+        probs[i], probs[i] >= 0.5 ? 1 : 0);
   }
   return risk;
 }
