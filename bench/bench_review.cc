@@ -38,7 +38,6 @@
 #include "eval/classification_metrics.h"
 #include "eval/experiment.h"
 #include "gateway/gateway.h"
-#include "review/review_session.h"
 #include "risk/risk_feature.h"
 #include "risk/trainer.h"
 
@@ -204,14 +203,14 @@ int main() {
   // corrects that pair's served decision.
   std::vector<CurvePoint> risk_curve{{0, base_f1}};
   {
-    ReviewSession session(risk_gateway.get(), "ds");
     std::vector<uint8_t> corrected = frontier.machine;
     for (size_t spent = 0; spent < budget; ++spent) {
-      auto items = session.Next(1);
+      auto items = risk_gateway->DrainReview("ds", 1);
       if (!items.ok() || items->empty()) break;
       const ReviewItem& item = (*items)[0];
       const size_t idx = frontier.index.at(PairKey(item.left, item.right));
-      if (!session.Submit(item, frontier.truth[idx] != 0).ok()) {
+      if (!risk_gateway->SubmitReviewLabel("ds", item.left, item.right,
+                                           frontier.truth[idx]).ok()) {
         std::fprintf(stderr, "label submit failed\n");
         return 1;
       }
@@ -269,15 +268,17 @@ int main() {
     const auto warm = retrain_gateway->Resolve("ds", block_all);
     if (!warm.ok()) return 1;
     const Frontier f = MakeFrontier(*warm);
-    ReviewSession session(retrain_gateway.get(), "ds");
     size_t mislabeled = 0;
     size_t correct = 0;
     while (mislabeled < 2 || correct < 2) {
-      auto items = session.Next(1);
+      auto items = retrain_gateway->DrainReview("ds", 1);
       if (!items.ok() || items->empty()) break;
       const ReviewItem& item = (*items)[0];
       const size_t idx = f.index.at(PairKey(item.left, item.right));
-      if (!session.Submit(item, f.truth[idx] != 0).ok()) return 1;
+      if (!retrain_gateway->SubmitReviewLabel("ds", item.left, item.right,
+                                              f.truth[idx]).ok()) {
+        return 1;
+      }
       (f.machine[idx] != f.truth[idx] ? mislabeled : correct) += 1;
       ++retrain_labels;
     }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "classifier/classifier.h"
 #include "common/math_util.h"
 #include "common/parallel.h"
 
@@ -60,11 +61,7 @@ Status HoloCleanAdapter::Fit(std::vector<Rule> labeling_rules,
   for (size_t t = 0; t < trusted.size(); ++t) {
     n_pos += classifier_probs[trusted[t]] >= 0.5 ? 1 : 0;
   }
-  const size_t n_neg = trusted.size() - n_pos;
-  const double pos_weight =
-      n_pos > 0 ? std::min(50.0, std::max(1.0, static_cast<double>(n_neg) /
-                                                   static_cast<double>(n_pos)))
-                : 1.0;
+  const double pos_weight = BalancedPositiveWeight(n_pos, trusted.size());
 
   // Logistic regression on the vote features (full-batch GD).
   std::vector<double> grad(rules_.size());

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "classifier/classifier.h"
 #include "common/parallel.h"
 
 namespace learnrisk {
@@ -33,22 +34,7 @@ Status TrustScore::Fit(const FeatureMatrix& train_features,
   dim_ = train_features.cols();
   const size_t n = train_features.rows();
 
-  mean_.assign(dim_, 0.0);
-  std_.assign(dim_, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < dim_; ++j) mean_[j] += train_features.at(i, j);
-  }
-  for (size_t j = 0; j < dim_; ++j) mean_[j] /= static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < dim_; ++j) {
-      const double d = train_features.at(i, j) - mean_[j];
-      std_[j] += d * d;
-    }
-  }
-  for (size_t j = 0; j < dim_; ++j) {
-    std_[j] = std::sqrt(std_[j] / static_cast<double>(n));
-    if (std_[j] < 1e-8) std_[j] = 1.0;
-  }
+  ColumnMeanStd(train_features, &mean_, &std_);
 
   // Split standardized points by class.
   std::vector<std::vector<double>> points[2];

@@ -36,6 +36,17 @@ class BinaryClassifier {
   std::vector<uint8_t> PredictAll(const FeatureMatrix& features) const;
 };
 
+/// \brief Per-column standardization statistics of `features`: the mean
+/// and the population standard deviation, with a standard deviation below
+/// 1e-8 replaced by 1.0 so a (near-)constant column is only centered.
+void ColumnMeanStd(const FeatureMatrix& features, std::vector<double>* mean,
+                   std::vector<double>* std_dev);
+
+/// \brief The balanced positive-class loss weight for `n_pos` positives
+/// among `n` rows: n_neg / n_pos clamped to [1, 50], or 1.0 without
+/// positives.
+double BalancedPositiveWeight(size_t n_pos, size_t n);
+
 /// \brief Factory used by ensembles and active-learning loops to spawn fresh
 /// classifiers.
 using ClassifierFactory =

@@ -24,33 +24,12 @@ Status LogisticClassifier::Train(const FeatureMatrix& features,
   const size_t n = features.rows();
   const size_t d = features.cols();
 
-  feature_mean_.assign(d, 0.0);
-  feature_std_.assign(d, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < d; ++j) feature_mean_[j] += features.at(i, j);
-  }
-  for (size_t j = 0; j < d; ++j) feature_mean_[j] /= static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < d; ++j) {
-      const double delta = features.at(i, j) - feature_mean_[j];
-      feature_std_[j] += delta * delta;
-    }
-  }
-  for (size_t j = 0; j < d; ++j) {
-    feature_std_[j] = std::sqrt(feature_std_[j] / static_cast<double>(n));
-    if (feature_std_[j] < 1e-8) feature_std_[j] = 1.0;
-  }
-
+  ColumnMeanStd(features, &feature_mean_, &feature_std_);
   double pos_weight = options_.positive_weight;
   if (pos_weight <= 0.0) {
     size_t n_pos = 0;
     for (uint8_t y : labels) n_pos += y;
-    const size_t n_neg = n - n_pos;
-    pos_weight = n_pos > 0
-                     ? std::max(1.0, static_cast<double>(n_neg) /
-                                         static_cast<double>(n_pos))
-                     : 1.0;
-    pos_weight = std::min(pos_weight, 50.0);
+    pos_weight = BalancedPositiveWeight(n_pos, n);
   }
 
   w_.assign(d, 0.0);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/timer.h"
+#include "gateway/shard_merge.h"
 
 namespace learnrisk {
 
@@ -131,16 +132,17 @@ size_t BlockingIndex::DfCapAt(size_t records) const {
 
 std::vector<size_t> BlockingIndex::Candidates(const Record& probe,
                                               BlockingSide target) const {
-  return CandidatesOver({this}, probe, target, nullptr);
+  return MergedCandidates({this}, probe, target);
 }
 
 std::vector<RecordPair> BlockingIndex::AllCandidates() const {
-  return AllCandidatesOver({this}, nullptr);
+  return MergedAllCandidates({this});
 }
 
-std::vector<size_t> BlockingIndex::CandidatesOver(
+std::vector<size_t> MergedCandidates(
     const std::vector<const BlockingIndex*>& shards, const Record& probe,
     BlockingSide target, double* merge_ms) {
+  using ShardList = BlockingIndex::ShardList;
   if (merge_ms != nullptr) *merge_ms = 0.0;
   std::vector<size_t> out;
   const BlockingIndex& first = *shards[0];
@@ -209,8 +211,9 @@ std::vector<size_t> BlockingIndex::CandidatesOver(
   return out;
 }
 
-std::vector<RecordPair> BlockingIndex::AllCandidatesOver(
+std::vector<RecordPair> MergedAllCandidates(
     const std::vector<const BlockingIndex*>& shards, double* merge_ms) {
+  using ShardList = BlockingIndex::ShardList;
   if (merge_ms != nullptr) *merge_ms = 0.0;
   const BlockingIndex& first = *shards[0];
   const BlockingConfig& config = first.config_;
@@ -239,7 +242,7 @@ std::vector<RecordPair> BlockingIndex::AllCandidatesOver(
   std::vector<ShardList> left_lists;
   std::vector<ShardList> right_lists;
   for (size_t k = 0; k < num_shards; ++k) {
-    const Side& left = shards[k]->left_;
+    const auto& left = shards[k]->left_;
     for (size_t s = 0; s < left.segments.size(); ++s) {
       for (const auto& [token, seg_ids] : left.segments[s]->postings) {
         (void)seg_ids;
@@ -305,12 +308,14 @@ std::vector<RecordPair> BlockingIndex::AllCandidatesOver(
     const size_t ri = pair.right;
     // Unknown entities (-1) never count as equivalent.
     const int64_t left_entity =
-        EntityOf(shards[li % num_shards]->left_, li / num_shards);
+        BlockingIndex::EntityOf(shards[li % num_shards]->left_,
+                                li / num_shards);
     pair.is_equivalent =
         left_entity >= 0 &&
         left_entity ==
-            EntityOf(shards[ri % num_shards]->side_of(BlockingSide::kRight),
-                     ri / num_shards);
+            BlockingIndex::EntityOf(
+                shards[ri % num_shards]->side_of(BlockingSide::kRight),
+                ri / num_shards);
   }
   if (merge_ms != nullptr) *merge_ms = merge_timer.ElapsedMillis();
   return pairs;

@@ -114,30 +114,17 @@ class BlockingIndex {
   std::vector<RecordPair> AllCandidates() const;
 
  private:
-  // --- Cross-shard candidate generation (MergedAllCandidates /
-  // MergedCandidates in src/gateway/shard_merge.h) ---------------------------
+  // --- Cross-shard candidate generation (gateway/shard_merge.h) -----------
   // Sharded namespaces keep one BlockingIndex per shard over *local* record
-  // ids; shard k's local id l is global id l * S + k. The two functions
-  // below are the one candidate-generation algorithm: they union postings
-  // across a shard list, apply the df / block-size caps at the *global*
-  // counts and emit global ids. A lone index is the one-shard list, so
-  // AllCandidates()/Candidates() and the merged entry points all call them.
+  // ids; shard k's local id l is global id l * S + k. MergedAllCandidates
+  // and MergedCandidates are the one candidate-generation algorithm
+  // (blocking_index.cc): they union postings across a shard list, apply the
+  // df / block-size caps at the *global* counts and emit global ids. A lone
+  // index is the one-shard list, so AllCandidates()/Candidates() call them
+  // with {this}.
   friend std::vector<RecordPair> MergedAllCandidates(
       const std::vector<const BlockingIndex*>& shards, double* merge_ms);
   friend std::vector<size_t> MergedCandidates(
-      const std::vector<const BlockingIndex*>& shards, const Record& probe,
-      BlockingSide target, double* merge_ms);
-
-  /// \brief Every candidate pair over the shard list (see AllCandidates).
-  /// `merge_ms`, when non-null, receives the wall time of the final phase
-  /// (sorting and deduplicating the raw emits into the global order, then
-  /// equivalence tagging).
-  static std::vector<RecordPair> AllCandidatesOver(
-      const std::vector<const BlockingIndex*>& shards, double* merge_ms);
-  /// \brief A probe's candidates over the shard list (see Candidates).
-  /// `merge_ms`, when non-null, receives the wall time of the final
-  /// ascending-order phase.
-  static std::vector<size_t> CandidatesOver(
       const std::vector<const BlockingIndex*>& shards, const Record& probe,
       BlockingSide target, double* merge_ms);
 

@@ -24,7 +24,7 @@ FeaturePipeline::FeaturePipeline(
 template <typename EvalRow>
 Result<TilePassTiming> FeaturePipeline::RunTiles(
     size_t n, const EvalRow& eval_row,
-    const TileSinkFactory& make_sink) const {
+    const TileFn& on_tile) const {
   if (classifier_ == nullptr) {
     return Status::FailedPrecondition("feature pipeline has no classifier");
   }
@@ -65,7 +65,6 @@ Result<TilePassTiming> FeaturePipeline::RunTiles(
         // columns.
         MetricScratch scratch;
         std::vector<double> gathered(gather ? classifier_width : 0);
-        const std::unique_ptr<TileSink> sink = make_sink(chunk, begin, end);
         double featurize_ms = 0.0;
         double classify_ms = 0.0;
         for (size_t tile = begin; tile < end; tile += kServeTileRows) {
@@ -89,9 +88,8 @@ Result<TilePassTiming> FeaturePipeline::RunTiles(
                 classifier_->PredictProba(classifier_input, classifier_width);
           }
           classify_ms += timer.ElapsedMillis();
-          sink->Consume(FeatureTile{tile, rows, num_metrics, features, probs});
+          on_tile(chunk, FeatureTile{tile, rows, num_metrics, features, probs});
         }
-        sink->Finish();
         std::lock_guard<std::mutex> lock(timing_mu);
         timing.featurize_busy_ms += featurize_ms;
         timing.classify_busy_ms += classify_ms;
@@ -101,25 +99,6 @@ Result<TilePassTiming> FeaturePipeline::RunTiles(
   return timing;
 }
 
-namespace {
-
-// RunPrepared's sink: every tile lands in its rows of one whole batch.
-class MatrixSink : public TileSink {
- public:
-  explicit MatrixSink(FeaturizedBatch* batch) : batch_(batch) {}
-  void Consume(const FeatureTile& tile) override {
-    std::copy(tile.features, tile.features + tile.rows * tile.cols,
-              batch_->features.mutable_row(tile.begin));
-    std::copy(tile.probs, tile.probs + tile.rows,
-              batch_->probs.data() + tile.begin);
-  }
-
- private:
-  FeaturizedBatch* batch_;
-};
-
-}  // namespace
-
 template <typename RunTilesFn>
 Result<FeaturizedBatch> FeaturePipeline::Collect(
     size_t n, const RunTilesFn& run_tiles) const {
@@ -127,9 +106,13 @@ Result<FeaturizedBatch> FeaturePipeline::Collect(
   batch.features = FeatureMatrix(n, suite_.num_metrics());
   batch.features.column_names = metric_names_;
   batch.probs.resize(n);
+  // Every tile lands in its rows of the one whole batch.
   Result<TilePassTiming> timing =
-      run_tiles([&batch](size_t, size_t, size_t) {
-        return std::make_unique<MatrixSink>(&batch);
+      run_tiles([&batch](size_t, const FeatureTile& tile) {
+        std::copy(tile.features, tile.features + tile.rows * tile.cols,
+                  batch.features.mutable_row(tile.begin));
+        std::copy(tile.probs, tile.probs + tile.rows,
+                  batch.probs.data() + tile.begin);
       });
   if (!timing.ok()) return timing.status();
   const double busy = timing->featurize_busy_ms + timing->classify_busy_ms;
@@ -168,7 +151,7 @@ template <typename LeftStore, typename RightStore>
 Result<TilePassTiming> FeaturePipeline::RunPreparedImpl(
     const LeftStore& left, const RightStore& right,
     const std::vector<RecordPair>& pairs,
-    const TileSinkFactory& make_sink) const {
+    const TileFn& on_tile) const {
   for (const RecordPair& pair : pairs) {
     if (!RowInRange(left, pair.left) || !RowInRange(right, pair.right)) {
       return Status::OutOfRange("record pair index out of table range");
@@ -181,14 +164,14 @@ Result<TilePassTiming> FeaturePipeline::RunPreparedImpl(
                                         PreparedRow(right, pairs[i].right),
                                         scratch, row);
       },
-      make_sink);
+      on_tile);
 }
 
 template <typename Store>
 Result<TilePassTiming> FeaturePipeline::RunProbePreparedImpl(
     const PreparedRecord& probe, const Store& table,
     const std::vector<size_t>& candidates,
-    const TileSinkFactory& make_sink) const {
+    const TileFn& on_tile) const {
   if (probe.values.size() != suite_.schema().num_attributes()) {
     return Status::InvalidArgument(
         "probe record width does not match the pipeline schema");
@@ -204,44 +187,44 @@ Result<TilePassTiming> FeaturePipeline::RunProbePreparedImpl(
         suite_.EvaluatePairPreparedInto(
             probe, PreparedRow(table, candidates[i]), scratch, row);
       },
-      make_sink);
+      on_tile);
 }
 
 Result<TilePassTiming> FeaturePipeline::RunPreparedTiles(
     const ShardedSideView& left, const ShardedSideView& right,
     const std::vector<RecordPair>& pairs,
-    const TileSinkFactory& make_sink) const {
-  return RunPreparedImpl(left, right, pairs, make_sink);
+    const TileFn& on_tile) const {
+  return RunPreparedImpl(left, right, pairs, on_tile);
 }
 
 Result<TilePassTiming> FeaturePipeline::RunProbePreparedTiles(
     const PreparedRecord& probe, const ShardedSideView& table,
     const std::vector<size_t>& candidates,
-    const TileSinkFactory& make_sink) const {
-  return RunProbePreparedImpl(probe, table, candidates, make_sink);
+    const TileFn& on_tile) const {
+  return RunProbePreparedImpl(probe, table, candidates, on_tile);
 }
 
 Result<FeaturizedBatch> FeaturePipeline::RunPrepared(
     const PreparedTable& left, const PreparedTable& right,
     const std::vector<RecordPair>& pairs) const {
-  return Collect(pairs.size(), [&](const TileSinkFactory& make_sink) {
-    return RunPreparedImpl(left, right, pairs, make_sink);
+  return Collect(pairs.size(), [&](const TileFn& on_tile) {
+    return RunPreparedImpl(left, right, pairs, on_tile);
   });
 }
 
 Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
     const PreparedRecord& probe, const PreparedTable& table,
     const std::vector<size_t>& candidates) const {
-  return Collect(candidates.size(), [&](const TileSinkFactory& make_sink) {
-    return RunProbePreparedImpl(probe, table, candidates, make_sink);
+  return Collect(candidates.size(), [&](const TileFn& on_tile) {
+    return RunProbePreparedImpl(probe, table, candidates, on_tile);
   });
 }
 
 Result<FeaturizedBatch> FeaturePipeline::RunProbePrepared(
     const PreparedRecord& probe, const ShardedSideView& table,
     const std::vector<size_t>& candidates) const {
-  return Collect(candidates.size(), [&](const TileSinkFactory& make_sink) {
-    return RunProbePreparedTiles(probe, table, candidates, make_sink);
+  return Collect(candidates.size(), [&](const TileFn& on_tile) {
+    return RunProbePreparedTiles(probe, table, candidates, on_tile);
   });
 }
 

@@ -3,10 +3,11 @@
 // the fitted MetricSuite and the frozen classifier on record pairs in one
 // chunk-parallel tiled pass: each chunk featurizes and classifies its rows
 // kServeTileRows at a time into buffers it reuses for every tile, and hands
-// each finished tile to a TileSink. The gateway's sink scores the tile,
-// observes drift and keeps the chunk's riskiest rows, so a request never
-// holds more than one tile of metric rows per chunk; RunPrepared's sink
-// copies every tile into one whole FeatureMatrix.
+// each finished tile, with its chunk's index, to one TileFn. The gateway's
+// function scores the tile, observes drift and keeps the chunk's riskiest
+// rows, so a request never holds more than one tile of metric rows per
+// chunk; RunPrepared's function copies every tile into one whole
+// FeatureMatrix.
 //
 // RunPrepared/RunProbePrepared evaluate PreparedRecords — per-record caches
 // built once — through the suite's prepared kernels with per-thread
@@ -45,7 +46,7 @@ inline constexpr size_t kServeTileRows = 1024;
 
 /// \brief One tile of the tiled pass: request rows [begin, begin + rows),
 /// their metric rows and classifier probabilities. Valid only during the
-/// TileSink::Consume call that receives it.
+/// TileFn call that receives it.
 struct FeatureTile {
   size_t begin = 0;
   size_t rows = 0;
@@ -54,26 +55,12 @@ struct FeatureTile {
   const double* probs = nullptr;     ///< rows
 };
 
-/// \brief Receives the tiles of one parallel chunk of the tiled pass, in
-/// ascending row order and on the chunk's thread; Finish() runs once, on
-/// the same thread, after the chunk's last tile. Sinks of different chunks
-/// run concurrently.
-class TileSink {
- public:
-  TileSink() = default;
-  TileSink(const TileSink&) = delete;
-  TileSink& operator=(const TileSink&) = delete;
-  virtual ~TileSink() = default;
-  virtual void Consume(const FeatureTile& tile) = 0;
-  virtual void Finish() {}
-};
-
-/// \brief Builds the sink of chunk `chunk` (< TileChunks(n); each index is
-/// handed out once per pass) covering rows [begin, end), on the chunk's
-/// thread, so a sink can address per-chunk state the caller sized before
-/// the pass.
-using TileSinkFactory = std::function<std::unique_ptr<TileSink>(
-    size_t chunk, size_t begin, size_t end)>;
+/// \brief Receives one tile of chunk `chunk` (< TileChunks(n); each index
+/// is handed out once per pass), on the chunk's thread. A chunk's tiles
+/// arrive in ascending row order; tiles of different chunks arrive
+/// concurrently, so the function addresses per-chunk state the caller
+/// sized before the pass.
+using TileFn = std::function<void(size_t chunk, const FeatureTile& tile)>;
 
 /// \brief Time accounting of one tiled pass: its wall time plus the busy
 /// time of each pipeline stage summed over every tile of every chunk.
@@ -139,20 +126,20 @@ class FeaturePipeline {
   /// \brief The tiled pass over record pairs carrying global record ids on
   /// the gateway's ShardedSideViews (see gateway/shard_merge.h; an
   /// unsharded namespace is the one-shard view): validates every pair, then
-  /// hands each chunk's tiles to a sink from `make_sink`. Resolve's request
-  /// body; the whole-matrix RunPrepared overloads are this loop with a
-  /// collecting sink.
+  /// hands every tile to `on_tile`. Resolve's request body; the
+  /// whole-matrix RunPrepared overloads are this loop with a collecting
+  /// function.
   Result<TilePassTiming> RunPreparedTiles(
       const ShardedSideView& left, const ShardedSideView& right,
       const std::vector<RecordPair>& pairs,
-      const TileSinkFactory& make_sink) const;
+      const TileFn& on_tile) const;
 
   /// \brief The tiled pass for one prepared probe record (the pair's left
   /// slot) against candidates of a ShardedSideView — ResolveRecord's body.
   Result<TilePassTiming> RunProbePreparedTiles(
       const PreparedRecord& probe, const ShardedSideView& table,
       const std::vector<size_t>& candidates,
-      const TileSinkFactory& make_sink) const;
+      const TileFn& on_tile) const;
 
   /// \brief Metric rows + classifier probabilities for record pairs indexing
   /// into two PreparedTables built (and kept index-aligned) from the same
@@ -186,8 +173,8 @@ class FeaturePipeline {
   void set_parallelism(size_t parallelism) { parallelism_ = parallelism; }
   size_t parallelism() const { return parallelism_; }
 
-  /// \brief Number of chunks, hence of TileSinks, a tiled pass over `n`
-  /// rows started from this thread uses, so a caller can size per-chunk
+  /// \brief Number of chunks, hence of chunk indexes, a tiled pass over
+  /// `n` rows started from this thread uses, so a caller can size per-chunk
   /// state before the pass. No chunk covers more than ceil(n / chunks)
   /// rows.
   size_t TileChunks(size_t n) const {
@@ -197,13 +184,13 @@ class FeaturePipeline {
  private:
   /// \brief Shared core: chunk-parallel over rows [0, n), featurize row i
   /// via `eval_row(i, out_row, scratch)` tile by tile, classify each tile,
-  /// and hand it to the chunk's sink.
+  /// and hand it to `on_tile`.
   template <typename EvalRow>
   Result<TilePassTiming> RunTiles(size_t n, const EvalRow& eval_row,
-                                  const TileSinkFactory& make_sink) const;
+                                  const TileFn& on_tile) const;
 
-  /// \brief Runs `run_tiles(factory)` with a sink that copies every tile
-  /// into one whole n-row FeaturizedBatch.
+  /// \brief Runs `run_tiles(on_tile)` with a function that copies every
+  /// tile into one whole n-row FeaturizedBatch.
   template <typename RunTilesFn>
   Result<FeaturizedBatch> Collect(size_t n, const RunTilesFn& run_tiles) const;
 
@@ -213,12 +200,12 @@ class FeaturePipeline {
   Result<TilePassTiming> RunPreparedImpl(
       const LeftStore& left, const RightStore& right,
       const std::vector<RecordPair>& pairs,
-      const TileSinkFactory& make_sink) const;
+      const TileFn& on_tile) const;
   template <typename Store>
   Result<TilePassTiming> RunProbePreparedImpl(
       const PreparedRecord& probe, const Store& table,
       const std::vector<size_t>& candidates,
-      const TileSinkFactory& make_sink) const;
+      const TileFn& on_tile) const;
 
   MetricSuite suite_;
   std::shared_ptr<const BinaryClassifier> classifier_;

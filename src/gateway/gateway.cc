@@ -192,18 +192,18 @@ class TopRiskRows {
   size_t size_ = 0;
 };
 
-// One request's tiled serving pass (gateway/feature_pipeline.h). Each
-// chunk's sink checks its tiles' classifier probabilities, scores them
-// against the one snapshot pinned for the request, straight into the
-// response columns, buckets the tiles' metric rows and risks for drift, and
-// keeps the chunk's riskiest rows. Drift buckets are only flushed once the
-// whole request has succeeded. A null scorer (no model published, or one
-// the metric rows are too narrow for) checks probabilities only.
+// One request's tiled serving pass (gateway/feature_pipeline.h). Consume
+// checks a tile's classifier probabilities, scores the tile against the one
+// snapshot pinned for the request, straight into the response columns,
+// buckets its metric rows and risks for drift, and keeps the chunk's
+// riskiest rows. Drift buckets are only flushed once the whole request has
+// succeeded. A null scorer (no model published, or one the metric rows are
+// too narrow for) checks probabilities only.
 //
 // Per-chunk state (drift buckets, timings, kept rows) lives in storage this
 // object allocates on the request's thread, indexed by the chunk index the
-// pass hands each sink: chunk c keeps its rows in slots
-// [c * chunk_slots_, c * chunk_slots_ + kept), so sinks share nothing and
+// pass hands each tile: chunk c keeps its rows in slots
+// [c * chunk_slots_, (c + 1) * chunk_slots_), so chunks share nothing and
 // need no lock. Keeping request-sized buffers off the pool's threads keeps
 // them out of those threads' malloc arenas, which would otherwise hold the
 // memory after the request.
@@ -215,23 +215,53 @@ class ServePass {
       : scorer_(scorer),
         explain_top_k_(explain_top_k),
         top_k_(top_k),
-        cols_(cols),
         scores_(scores),
         chunk_slots_(chunks == 0 ? 0
                                  : std::min(top_k, (rows + chunks - 1) /
                                                        chunks)),
-        chunks_(chunks, Chunk{FeatureBuckets(drift_columns),
-                              FeatureBuckets(observe_risk ? 1 : 0)}),
         top_rows_(chunks * chunk_slots_),
-        top_features_(top_rows_.size() * cols) {}
+        top_features_(top_rows_.size() * cols) {
+    chunks_.reserve(chunks);
+    for (size_t c = 0; c < chunks; ++c) {
+      const size_t offset = c * chunk_slots_;
+      chunks_.push_back(Chunk{FeatureBuckets(drift_columns),
+                              FeatureBuckets(observe_risk ? 1 : 0),
+                              TopRiskRows(chunk_slots_, cols,
+                                          top_rows_.data() + offset,
+                                          top_features_.data() +
+                                              offset * cols)});
+    }
+  }
 
-  std::unique_ptr<TileSink> NewSink(size_t chunk, size_t begin, size_t end) {
-    const size_t offset = chunk * chunk_slots_;
-    return std::make_unique<Sink>(
-        this, &chunks_[chunk],
-        TopRiskRows(std::min(chunk_slots_, end - begin), cols_,
-                    top_rows_.data() + offset,
-                    top_features_.data() + offset * cols_));
+  // The pass's TileFn: called on chunk `c`'s thread for each of its tiles.
+  void Consume(size_t c, const FeatureTile& tile) {
+    Chunk& chunk = chunks_[c];
+    if (chunk.invalid_row != SIZE_MAX) return;
+    const size_t invalid = FirstInvalidProbability(tile.probs, tile.rows);
+    if (invalid < tile.rows) {
+      chunk.invalid_row = tile.begin + invalid;
+      return;
+    }
+    if (scorer_ == nullptr) return;
+    double* risk = scores_->risk.data() + tile.begin;
+    Timer timer;
+    scorer_->ScoreRows(tile.features, tile.cols, tile.probs, tile.rows,
+                       explain_top_k_, &chunk.scratch, risk,
+                       scores_->machine_label.data() + tile.begin,
+                       explain_top_k_ > 0
+                           ? scores_->explanations.data() + tile.begin
+                           : nullptr);
+    chunk.score_ms += timer.ElapsedMillis();
+    timer.Reset();
+    chunk.features.Observe(tile.features, tile.rows, tile.cols);
+    chunk.risk.Observe(risk, tile.rows, 1);
+    if (top_k_ > 0) {
+      for (size_t i = 0; i < tile.rows; ++i) {
+        chunk.top.Offer(tile.begin + i, risk[i], tile.probs[i],
+                        tile.features + i * tile.cols);
+      }
+    }
+    chunk.other_ms += timer.ElapsedMillis();
   }
 
   double score_busy_ms() const {
@@ -256,7 +286,7 @@ class ServePass {
   const std::vector<RankedRow>& TopRows() {
     size_t kept = 0;
     for (size_t c = 0; c < chunks_.size(); ++c) {
-      for (size_t i = 0; i < chunks_[c].kept; ++i) {
+      for (size_t i = 0; i < chunks_[c].top.size(); ++i) {
         top_rows_[kept++] = top_rows_[c * chunk_slots_ + i];
       }
     }
@@ -280,70 +310,25 @@ class ServePass {
   }
 
  private:
-  // What one chunk's sink leaves behind for the request thread.
+  // What one chunk's tiles leave behind for the request thread.
   struct Chunk {
     FeatureBuckets features;
     FeatureBuckets risk;
-    size_t kept = 0;  ///< rows kept in the chunk's top-k slots
+    TopRiskRows top;  ///< the chunk's riskiest rows, in its chunk_slots_
+    ScoreScratch scratch{};
     double score_ms = 0.0;
     double other_ms = 0.0;
     size_t invalid_row = SIZE_MAX;
   };
 
-  class Sink : public TileSink {
-   public:
-    Sink(const ServePass* pass, Chunk* chunk, TopRiskRows top)
-        : pass_(pass), chunk_(chunk), top_(top) {}
-
-    void Consume(const FeatureTile& tile) override {
-      if (chunk_->invalid_row != SIZE_MAX) return;
-      const size_t invalid = FirstInvalidProbability(tile.probs, tile.rows);
-      if (invalid < tile.rows) {
-        chunk_->invalid_row = tile.begin + invalid;
-        return;
-      }
-      const ScorerSnapshot* scorer = pass_->scorer_;
-      if (scorer == nullptr) return;
-      ScoreResponse& scores = *pass_->scores_;
-      double* risk = scores.risk.data() + tile.begin;
-      Timer timer;
-      scorer->ScoreRows(tile.features, tile.cols, tile.probs, tile.rows,
-                        pass_->explain_top_k_, &scratch_, risk,
-                        scores.machine_label.data() + tile.begin,
-                        pass_->explain_top_k_ > 0
-                            ? scores.explanations.data() + tile.begin
-                            : nullptr);
-      chunk_->score_ms += timer.ElapsedMillis();
-      timer.Reset();
-      chunk_->features.Observe(tile.features, tile.rows, tile.cols);
-      chunk_->risk.Observe(risk, tile.rows, 1);
-      if (pass_->top_k_ > 0) {
-        for (size_t i = 0; i < tile.rows; ++i) {
-          top_.Offer(tile.begin + i, risk[i], tile.probs[i],
-                     tile.features + i * tile.cols);
-        }
-      }
-      chunk_->other_ms += timer.ElapsedMillis();
-    }
-
-    void Finish() override { chunk_->kept = top_.size(); }
-
-   private:
-    const ServePass* pass_;
-    Chunk* chunk_;
-    ScoreScratch scratch_;
-    TopRiskRows top_;
-  };
-
   const ScorerSnapshot* scorer_;
   const size_t explain_top_k_;
   const size_t top_k_;
-  const size_t cols_;
   ScoreResponse* scores_;
   const size_t chunk_slots_;  ///< kept-row slots per chunk
+  std::vector<RankedRow> top_rows_;   ///< chunks * chunk_slots_
+  std::vector<double> top_features_;  ///< cols values per kept-row slot
   std::vector<Chunk> chunks_;
-  std::vector<RankedRow> top_rows_;   ///< chunks_.size() * chunk_slots_
-  std::vector<double> top_features_;  ///< cols_ values per kept-row slot
 };
 
 // Checks the serving configuration that registration and recovery both
@@ -1092,8 +1077,8 @@ Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
                  m.feature_values.size(), m.risk_scores != nullptr, top_k,
                  cols, n, s.pipeline.TileChunks(n), scores);
   const Result<TilePassTiming> timing =
-      run_pass([&pass](size_t chunk, size_t begin, size_t end) {
-        return pass.NewSink(chunk, begin, end);
+      run_pass([&pass](size_t chunk, const FeatureTile& tile) {
+        pass.Consume(chunk, tile);
       });
   if (!timing.ok()) return timing.status();
 
@@ -1455,9 +1440,9 @@ Result<ResolveResponse> Gateway::Resolve(const std::string& ns,
   }
   LEARNRISK_RETURN_NOT_OK(ServeBatch(
       ns, s, scope, PairKeys(response.pairs),
-      [&](const TileSinkFactory& make_sink) {
+      [&](const TileFn& on_tile) {
         return s.pipeline.RunPreparedTiles(view.left, view.right,
-                                           response.pairs, make_sink);
+                                           response.pairs, on_tile);
       },
       0.0, request.explain_top_k, s.metrics.resolve_requests,
       &response.scores));
@@ -1496,9 +1481,9 @@ Result<ProbeResponse> Gateway::ResolveRecord(const std::string& ns,
   // The probe's target is the right view (the left side itself when dedup).
   LEARNRISK_RETURN_NOT_OK(ServeBatch(
       ns, s, scope, PairKeys(response.candidates),
-      [&](const TileSinkFactory& make_sink) {
+      [&](const TileFn& on_tile) {
         return s.pipeline.RunProbePreparedTiles(
-            prepared_probe, view.right, response.candidates, make_sink);
+            prepared_probe, view.right, response.candidates, on_tile);
       },
       prepare_ms, explain_top_k, s.metrics.resolve_record_requests,
       &response.scores));

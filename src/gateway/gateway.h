@@ -568,9 +568,8 @@ class Gateway {
   Status Install(const std::string& ns,
                  const std::shared_ptr<NamespaceState>& state);
   /// \brief Runs a request's tiled featurize + classify pass (one of the
-  /// pipeline's Run*Tiles over the request's rows) with the given sinks.
-  using TilePassRunner =
-      std::function<Result<TilePassTiming>(const TileSinkFactory&)>;
+  /// pipeline's Run*Tiles over the request's rows) with the given TileFn.
+  using TilePassRunner = std::function<Result<TilePassTiming>(const TileFn&)>;
   /// \brief The request body shared by Resolve and ResolveRecord: pins
   /// one ScorerSnapshot for the whole request, runs the tiled pass whose
   /// chunks score each tile against it, bucket it for drift and keep their

@@ -5,13 +5,15 @@
 // global id = id % S, local id = id / S; a record at local index l of shard
 // k has global id l * S + k). Each shard owns its own SideStore segments and
 // BlockingIndex over *local* ids. MergedAllCandidates/MergedCandidates are
-// the entry points to BlockingIndex's one candidate-generation algorithm
-// over a shard list (blocking_index.cc): postings are unioned across shards,
-// the document-frequency and block-size caps are applied at the *global*
-// counts, local ids are translated back to global ids, and pairs are
-// emitted in one ordered-set construction. A lone BlockingIndex is the
-// one-shard list, so the output equals batch TokenBlocking over the global
-// tables at any S and any segment layout (enforced by
+// the one candidate-generation algorithm over a shard list, defined in
+// blocking_index.cc as friends of BlockingIndex: postings are unioned
+// across shards, the document-frequency and block-size caps are applied at
+// the *global* counts and local ids are translated back to global ids; a
+// block_all's raw pairs are sorted and deduplicated into the global order
+// once, and a probe's ids ascend through one ordered set. A lone
+// BlockingIndex is the one-shard list (AllCandidates and Candidates call
+// these with {this}), so the output equals batch TokenBlocking over the
+// global tables at any S and any segment layout (enforced by
 // tests/blocking_index_test.cc, and end to end by
 // tests/gateway_shard_test.cc).
 //

@@ -1,8 +1,9 @@
 // Copyright 2026 The LearnRisk Authors
 // Risk-driven review queue (paper Sec. 1, 7.4; r-HUMO's budgeted review
 // loop): the gateway enqueues each request's top-k riskiest decisions here,
-// a ReviewSession drains them highest-risk-first for human labeling, and the
-// labels feed incremental risk-model retraining (active/incremental_retrain).
+// Gateway::DrainReview hands them out highest-risk-first for human labeling,
+// and the labels feed incremental risk-model retraining
+// (active/incremental_retrain).
 //
 // Semantics (full protocol: docs/REVIEW.md):
 //  * Deduplicated by pair key (left, right): re-offering a pair that is

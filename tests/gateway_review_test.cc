@@ -1,6 +1,6 @@
 // Copyright 2026 The LearnRisk Authors
 // End-to-end review loop (paper Sec. 1, 7.4; r-HUMO's budgeted review):
-// Resolve enqueues its riskiest decisions, a ReviewSession drains them
+// Resolve enqueues its riskiest decisions, DrainReview hands them out
 // highest-risk-first, scripted oracle labels feed RetrainFromReview, and the
 // retrained model hot-publishes under the same namespace. The label-
 // efficiency test trains a real risk model (one-sided forest rules + the
@@ -27,7 +27,6 @@
 #include "eval/classification_metrics.h"
 #include "eval/experiment.h"
 #include "gateway/gateway.h"
-#include "review/review_session.h"
 #include "risk/risk_feature.h"
 #include "risk/trainer.h"
 #include "rules/one_sided_tree.h"
@@ -166,14 +165,13 @@ TEST(GatewayReviewTest, RiskOrderedReviewBeatsRandomToTargetF1) {
       << "the weak classifier must make mistakes for review to matter";
   const double target_f1 = base.F1() + 0.5 * (1.0 - base.F1());
 
-  // Risk-ordered strategy: drain the queue one pair at a time through a
-  // ReviewSession, submit the oracle truth, stop at the target.
-  ReviewSession session(&gateway, "ds");
+  // Risk-ordered strategy: drain the queue one pair at a time, submit the
+  // oracle truth, stop at the target.
   std::vector<uint8_t> corrected = f.machine;
   size_t risk_spent = 0;
   double last_risk = std::numeric_limits<double>::infinity();
   while (Confusion(corrected, f.truth).F1() < target_f1) {
-    auto items = session.Next(1);
+    auto items = gateway.DrainReview("ds", 1);
     ASSERT_TRUE(items.ok()) << items.status().ToString();
     ASSERT_FALSE(items->empty()) << "queue dry before reaching target F1";
     const ReviewItem& item = (*items)[0];
@@ -181,7 +179,8 @@ TEST(GatewayReviewTest, RiskOrderedReviewBeatsRandomToTargetF1) {
     last_risk = item.risk;
     const auto it = f.index.find(PairKey(item.left, item.right));
     ASSERT_NE(it, f.index.end());
-    ASSERT_TRUE(session.Submit(item, f.truth[it->second] != 0).ok());
+    ASSERT_TRUE(gateway.SubmitReviewLabel("ds", item.left, item.right,
+                                          f.truth[it->second]).ok());
     corrected[it->second] = f.truth[it->second];
     ++risk_spent;
   }
@@ -208,7 +207,7 @@ TEST(GatewayReviewTest, RiskOrderedReviewBeatsRandomToTargetF1) {
       << " with strictly fewer labels (risk=" << risk_spent
       << ", random=" << random_spent << ")";
 
-  // Queue accounting agrees with what the session did.
+  // Queue accounting agrees with what the drain loop did.
   const auto stats = gateway.ReviewStats("ds");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->labels, risk_spent);
@@ -216,7 +215,6 @@ TEST(GatewayReviewTest, RiskOrderedReviewBeatsRandomToTargetF1) {
   EXPECT_EQ(stats->outstanding, 0u);
   EXPECT_EQ(stats->enqueued + stats->requeued,
             stats->drained + stats->dropped + stats->depth);
-  EXPECT_EQ(session.labels_submitted(), risk_spent);
 }
 
 TEST(GatewayReviewTest, RetrainAndPublishBitIdenticalAcrossReruns) {
@@ -244,7 +242,6 @@ TEST(GatewayReviewTest, RetrainAndPublishBitIdenticalAcrossReruns) {
     EXPECT_TRUE(response.ok());
     const Frontier f = MakeFrontier(*response);
 
-    ReviewSession session(&gateway, "ds");
     size_t mislabeled = 0;
     size_t correct = 0;
     // Drain highest-risk-first until the batch holds both classes (the
@@ -252,19 +249,20 @@ TEST(GatewayReviewTest, RetrainAndPublishBitIdenticalAcrossReruns) {
     // rule is a pure function of the deterministic drain order, so both
     // runs label the exact same set.
     for (;;) {
-      auto items = session.Next(1);
+      auto items = gateway.DrainReview("ds", 1);
       EXPECT_TRUE(items.ok());
       if (!items.ok() || items->empty()) break;
       const ReviewItem& item = (*items)[0];
       const size_t idx = f.index.at(PairKey(item.left, item.right));
-      EXPECT_TRUE(session.Submit(item, f.truth[idx] != 0).ok());
+      EXPECT_TRUE(gateway.SubmitReviewLabel("ds", item.left, item.right,
+                                            f.truth[idx]).ok());
       ++out.labels;
       (f.machine[idx] != f.truth[idx] ? mislabeled : correct) += 1;
       if (mislabeled >= 2 && correct >= 2) break;
     }
     out.mislabeled = mislabeled;
 
-    const auto result = session.RetrainAndPublish();
+    const auto result = gateway.RetrainFromReview("ds");
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     if (result.ok()) {
       out.loss_history = result->loss_history;

@@ -5,10 +5,11 @@
 // that every observable output equals the whole-matrix reference
 // (FeaturePipeline::RunPrepared + ServingEngine::Score + ObserveFeatures +
 // a partial sort of the risk column), bit for bit, at batch sizes that
-// straddle tile boundaries (1, T-1, T, T+1, 3T+5), for a full block_all and
-// for one ResolveRecord — serial (one chunk, many tiles) and on the shared
-// pool (many chunks). Compared: risk bits, machine labels and explanations;
-// the review queue's offered items with their feature rows; the captured
+// straddle tile boundaries (1, T-1, T, T+1, 3T+5), for a full block_all,
+// for one ResolveRecord, and at a review budget above every chunk's row
+// count — serial (one chunk, many tiles) and on the shared pool (many
+// chunks). Compared: risk bits, machine labels and explanations; the
+// review queue's offered items with their feature rows; the captured
 // trace's top-k decisions with their active rules; and every drift
 // histogram and PSI gauge.
 
@@ -83,14 +84,15 @@ const SharedSetup& Shared() {
 
 // A gateway with review, tracing (every request captured) and drift on,
 // serving the shared model with its drift baseline.
-std::unique_ptr<Gateway> MakeGateway(size_t parallelism) {
+std::unique_ptr<Gateway> MakeGateway(size_t parallelism,
+                                     size_t review_budget = kReviewBudget) {
   const SharedSetup& s = Shared();
   GatewayOptions options;
   options.request_parallelism = parallelism;
   options.trace.sample_every = 1;
   options.trace.top_k = kTraceTopK;
   options.review.enabled = true;
-  options.review.per_request_budget = kReviewBudget;
+  options.review.per_request_budget = review_budget;
   options.review.queue_capacity = 1 << 16;
   auto gateway = std::make_unique<Gateway>(options);
   NamespaceSpec spec;
@@ -123,7 +125,8 @@ struct Reference {
   std::vector<size_t> top;  ///< risk descending, then row ascending
 };
 
-Reference WholeMatrix(Result<FeaturizedBatch> batch) {
+Reference WholeMatrix(Result<FeaturizedBatch> batch,
+                      size_t review_budget = kReviewBudget) {
   const SharedSetup& s = Shared();
   EXPECT_TRUE(batch.ok()) << batch.status().ToString();
   Reference ref;
@@ -147,7 +150,7 @@ Reference WholeMatrix(Result<FeaturizedBatch> batch) {
   const std::vector<double>& risk = ref.scores.risk;
   ref.top.resize(risk.size());
   std::iota(ref.top.begin(), ref.top.end(), size_t{0});
-  const size_t k = std::min(kReviewBudget, risk.size());
+  const size_t k = std::min(review_budget, risk.size());
   std::partial_sort(ref.top.begin(), ref.top.begin() + k, ref.top.end(),
                     [&risk](size_t a, size_t b) {
                       if (risk[a] != risk[b]) return risk[a] > risk[b];
@@ -291,9 +294,10 @@ void ExpectSameDrift(const Gateway& gateway, const Reference& ref) {
 
 // One Resolve of `pairs` (block_all when empty) on a fresh gateway, checked
 // against the whole-matrix reference over the pairs it scored.
-void CheckResolve(size_t parallelism, const std::vector<RecordPair>& pairs) {
+void CheckResolve(size_t parallelism, const std::vector<RecordPair>& pairs,
+                  size_t review_budget = kReviewBudget) {
   const SharedSetup& s = Shared();
-  std::unique_ptr<Gateway> gateway = MakeGateway(parallelism);
+  std::unique_ptr<Gateway> gateway = MakeGateway(parallelism, review_budget);
   ResolveRequest request;
   request.pairs = pairs;
   request.block_all = pairs.empty();
@@ -302,8 +306,8 @@ void CheckResolve(size_t parallelism, const std::vector<RecordPair>& pairs) {
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_FALSE(response->pairs.empty());
 
-  const Reference ref =
-      WholeMatrix(s.pipeline.RunPrepared(s.left, s.right, response->pairs));
+  const Reference ref = WholeMatrix(
+      s.pipeline.RunPrepared(s.left, s.right, response->pairs), review_budget);
   ExpectSameScores(response->scores, ref.scores);
   std::vector<size_t> rights;
   for (const RecordPair& pair : response->pairs) rights.push_back(pair.right);
@@ -319,6 +323,12 @@ TEST_P(TileParityTest, ExplicitBatchesAcrossTileBoundaries) {
     SCOPED_TRACE("n=" + std::to_string(n));
     CheckResolve(GetParam(), GridPairs(n));
   }
+  // A review budget above the request's row count: every chunk keeps all of
+  // its rows, and the request-wide merge ranks and offers every row. On the
+  // pool, 301 rows split into chunks of unequal size (76, 76, 76 and 73 on
+  // four threads), so the last chunk keeps fewer rows than its slots.
+  SCOPED_TRACE("n=301, review budget 400");
+  CheckResolve(GetParam(), GridPairs(301), 400);
 }
 
 TEST_P(TileParityTest, BlockAll) {

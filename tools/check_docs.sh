@@ -128,7 +128,7 @@ if [ ! -f "$api_doc" ]; then
 else
   for symbol in Gateway ModelRegistry ServingEngine CompiledRuleSet \
                 MetricSuite PreparedTable NamespaceLog DurabilityOptions \
-                MetricsSnapshot StageTiming ReviewQueue ReviewSession; do
+                MetricsSnapshot StageTiming ReviewQueue; do
     if ! grep -q "$symbol" "$api_doc"; then
       echo "docs/API.md does not document $symbol"
       fail=1
@@ -172,7 +172,7 @@ if [ ! -f "$review_doc" ]; then
   echo "docs/REVIEW.md is missing"
   fail=1
 else
-  for symbol in ReviewQueue ReviewSession ReviewItem ReviewOptions \
+  for symbol in ReviewQueue ReviewItem ReviewOptions \
                 ReviewStats ReviewRetrainOptions ReviewRetrainResult \
                 DrainReview SubmitReviewLabel RetrainFromReview \
                 check_review_bench; do
