@@ -13,6 +13,8 @@
 // the DS scale-0.1 block_all (TokenBlocking pairs, seed 1) evaluated
 // single-threaded over prepared records, reported as CPU time per pair
 // (`per_pair`), so the per-column sum shows where featurization CPU goes.
+// BM_MongeElkanRuns/<DS|SG>/<run length> is the Monge-Elkan column cache's
+// ledger by blocking-run length (see the comment above its definition).
 
 #include <string>
 #include <utility>
@@ -150,27 +152,60 @@ void BM_MongeElkan(benchmark::State& state) {
 BENCHMARK(BM_MongeElkan);
 
 // Monge-Elkan as featurization serves it: both records prepared once, then
-// MetricSuite::EvaluatePrepared per pair.
-void BM_MongeElkanPrepared(benchmark::State& state) {
-  const Schema schema({{"authors", AttributeType::kText}});
-  const MetricSuite suite =
-      MetricSuite::FromSpecs(schema, {MetricSpec{0, MetricKind::kMongeElkan,
-                                                 "authors.monge_elkan"}})
-          .MoveValueOrDie();
+// MetricSuite::EvaluatePrepared per pair. The cold benchmark alternates two
+// left values, so no pair follows one with the same left value and every
+// evaluation runs the uncached kernel; the warm twin repeats one pair, so
+// every right token's column comes from the scratch's column cache.
+struct AuthorsPair {
+  AuthorsPair()
+      : suite(MetricSuite::FromSpecs(
+                  Schema({{"authors", AttributeType::kText}}),
+                  {MetricSpec{0, MetricKind::kMongeElkan,
+                              "authors.monge_elkan"}})
+                  .MoveValueOrDie()) {
+    left.values = {kAuthorsA};
+    other_left.values = {std::string(kAuthorsA) + ", q li"};
+    right.values = {kAuthorsB};
+    prepared_left = suite.PrepareRecord(left);
+    prepared_other_left = suite.PrepareRecord(other_left);
+    prepared_right = suite.PrepareRecord(right);
+  }
+
+  double Evaluate(const PreparedRecord& l, MetricScratch* scratch) const {
+    return suite.EvaluatePrepared(l, prepared_right, 0, scratch);
+  }
+
+  MetricSuite suite;
   Record left;
-  left.values = {kAuthorsA};
+  Record other_left;
   Record right;
-  right.values = {kAuthorsB};
-  const PreparedRecord pl = suite.PrepareRecord(left);
-  const PreparedRecord pr = suite.PrepareRecord(right);
+  PreparedRecord prepared_left;
+  PreparedRecord prepared_other_left;
+  PreparedRecord prepared_right;
+};
+
+void BM_MongeElkanPrepared(benchmark::State& state) {
+  const AuthorsPair p;
   MetricScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(suite.EvaluatePrepared(pl, pr, 0, &scratch));
+    benchmark::DoNotOptimize(p.Evaluate(p.prepared_left, &scratch));
+    benchmark::DoNotOptimize(p.Evaluate(p.prepared_other_left, &scratch));
   }
+  state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_MongeElkanPrepared);
 
-// The DS scale-0.1 block_all in prepared form, built on first use.
+void BM_MongeElkanPreparedWarm(benchmark::State& state) {
+  const AuthorsPair p;
+  MetricScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p.Evaluate(p.prepared_left, &scratch));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MongeElkanPreparedWarm);
+
+// A dataset's scale-0.1 block_all in prepared form, built on first use.
 struct ColumnFixture {
   Workload workload;
   MetricSuite suite;
@@ -179,26 +214,33 @@ struct ColumnFixture {
   PreparedTable right;
 };
 
-GeneratorOptions DsOptions(double scale) {
+GeneratorOptions ScaleOptions(double scale) {
   GeneratorOptions options;
   options.scale = scale;
   options.seed = 1;
   return options;
 }
 
+ColumnFixture* BuildBlockAll(const std::string& dataset) {
+  auto* f = new ColumnFixture;
+  f->workload = GenerateDataset(dataset, ScaleOptions(0.1)).MoveValueOrDie();
+  f->suite = MetricSuite::ForSchema(f->workload.left().schema());
+  f->suite.Fit(f->workload);
+  f->pairs = TokenBlocking(f->workload.left(), f->workload.right(),
+                           BlockingConfig{})
+                 .MoveValueOrDie();
+  f->left = PreparedTable::Build(f->workload.left(), f->suite);
+  f->right = PreparedTable::Build(f->workload.right(), f->suite);
+  return f;
+}
+
 const ColumnFixture& DsBlockAll() {
-  static const ColumnFixture* fixture = [] {
-    auto* f = new ColumnFixture;
-    f->workload = GenerateDataset("DS", DsOptions(0.1)).MoveValueOrDie();
-    f->suite = MetricSuite::ForSchema(f->workload.left().schema());
-    f->suite.Fit(f->workload);
-    f->pairs = TokenBlocking(f->workload.left(), f->workload.right(),
-                             BlockingConfig{})
-                   .MoveValueOrDie();
-    f->left = PreparedTable::Build(f->workload.left(), f->suite);
-    f->right = PreparedTable::Build(f->workload.right(), f->suite);
-    return f;
-  }();
+  static const ColumnFixture* fixture = BuildBlockAll("DS");
+  return *fixture;
+}
+
+const ColumnFixture& SgBlockAll() {
+  static const ColumnFixture* fixture = BuildBlockAll("SG");
   return *fixture;
 }
 
@@ -223,13 +265,101 @@ void BM_Column(benchmark::State& state, size_t column) {
 // One BM_Column/<metric> per DS metric column. The column names depend only
 // on the schema, so a tiny DS names them without building the fixture.
 const bool kColumnsRegistered = [] {
-  const Workload tiny = GenerateDataset("DS", DsOptions(0.01)).MoveValueOrDie();
+  const Workload tiny =
+      GenerateDataset("DS", ScaleOptions(0.01)).MoveValueOrDie();
   const std::vector<std::string> names =
       MetricSuite::ForSchema(tiny.left().schema()).MetricNames();
   for (size_t c = 0; c < names.size(); ++c) {
     benchmark::RegisterBenchmark(("BM_Column/" + names[c]).c_str(), BM_Column,
                                  c)
         ->Unit(benchmark::kMillisecond);
+  }
+  return true;
+}();
+
+// BM_MongeElkanRuns/<dataset>/<run lengths> is the column cache's ledger by
+// run length: the Monge-Elkan columns of the dataset's scale-0.1 block_all
+// over every run (consecutive pairs sharing a left record) whose length is
+// in the bucket, each run through a fresh MetricScratch as a request chunk
+// gets one, reported as CPU time per pair (`per_pair`) with the share of
+// right-token columns served from the cache (`hit_share`).
+struct RunBucket {
+  const char* name;
+  size_t min_len;
+  size_t max_len;
+};
+
+constexpr RunBucket kRunBuckets[] = {
+    {"1", 1, 1}, {"2-4", 2, 4}, {"5-16", 5, 16}, {"17-64", 17, 64},
+    {"65+", 65, static_cast<size_t>(-1)}};
+
+void BM_MongeElkanRuns(benchmark::State& state,
+                       const ColumnFixture& (*fixture)(), RunBucket bucket) {
+  const ColumnFixture& f = fixture();
+  std::vector<size_t> columns;
+  for (size_t m = 0; m < f.suite.num_metrics(); ++m) {
+    if (f.suite.specs()[m].kind == MetricKind::kMongeElkan) {
+      columns.push_back(m);
+    }
+  }
+  std::vector<std::pair<size_t, size_t>> runs;
+  size_t pairs = 0;
+  for (size_t begin = 0, end = 0; begin < f.pairs.size(); begin = end) {
+    end = begin + 1;
+    while (end < f.pairs.size() && f.pairs[end].left == f.pairs[begin].left) {
+      ++end;
+    }
+    if (end - begin >= bucket.min_len && end - begin <= bucket.max_len) {
+      runs.emplace_back(begin, end);
+      pairs += end - begin;
+    }
+  }
+  if (runs.empty()) {
+    state.SkipWithError("no blocking run of this length");
+    return;
+  }
+  size_t hits = 0;
+  size_t misses = 0;
+  for (auto _ : state) {
+    for (const auto& [begin, end] : runs) {
+      MetricScratch scratch;
+      for (size_t i = begin; i < end; ++i) {
+        const PreparedRecord& left = f.left.record(f.pairs[i].left);
+        const PreparedRecord& right = f.right.record(f.pairs[i].right);
+        for (size_t m : columns) {
+          benchmark::DoNotOptimize(
+              f.suite.EvaluatePrepared(left, right, m, &scratch));
+        }
+      }
+      for (const MongeElkanColumnCache& cache : scratch.monge_elkan) {
+        hits += cache.hits;
+        misses += cache.misses;
+      }
+    }
+  }
+  state.counters["runs"] = static_cast<double>(runs.size());
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["hit_share"] =
+      hits + misses == 0 ? 0.0
+                         : static_cast<double>(hits) /
+                               static_cast<double>(hits + misses);
+  state.counters["per_pair"] = benchmark::Counter(
+      static_cast<double>(pairs),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+const bool kRunsRegistered = [] {
+  const std::pair<const char*, const ColumnFixture& (*)()> datasets[] = {
+      {"DS", DsBlockAll}, {"SG", SgBlockAll}};
+  for (const auto& [name, fixture] : datasets) {
+    for (const RunBucket& bucket : kRunBuckets) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_MongeElkanRuns/") + name + "/" + bucket.name)
+              .c_str(),
+          BM_MongeElkanRuns, fixture, bucket)
+          ->Unit(benchmark::kMillisecond);
+    }
   }
   return true;
 }();

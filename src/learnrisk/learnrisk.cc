@@ -28,6 +28,12 @@ Status LearnRiskPipeline::Fit(const Workload& workload,
   }
   LEARNRISK_RETURN_NOT_OK(CheckIndices(train, workload.size()));
   LEARNRISK_RETURN_NOT_OK(CheckIndices(valid, workload.size()));
+  for (const RecordPair& pair : workload.pairs()) {
+    if (pair.left >= workload.left().num_records() ||
+        pair.right >= workload.right().num_records()) {
+      return Status::OutOfRange("pair record index out of range");
+    }
+  }
   fitted_ = false;
   suite_ = MetricSuite::ForSchema(workload.left().schema());
   suite_.Fit(workload);

@@ -62,8 +62,9 @@ class LearnRiskPipeline {
   /// \brief Fits the whole stack: metric suite and classifier on `train`,
   /// risk features from `train`, risk model trained to rank `valid`'s
   /// mislabeled pairs first (left at the prior when `valid` is empty).
-  /// Ground truth is read from the workload. An index outside the workload
-  /// is OutOfRange, checked before anything is fitted.
+  /// Ground truth is read from the workload. An index outside the workload,
+  /// or a pair whose record index is outside its table, is OutOfRange,
+  /// checked before anything is fitted.
   Status Fit(const Workload& workload, const std::vector<size_t>& train,
              const std::vector<size_t>& valid);
 

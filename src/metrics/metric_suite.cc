@@ -329,16 +329,9 @@ double PreparedDistinctEntityCount(const PreparedValue& a,
   return static_cast<double>(unmatched_a + unmatched_b);
 }
 
-/// Mirror of MongeElkan over cached token vectors. The reference evaluates
-/// the |ta| x |tb| Jaro-Winkler matrix twice (once per direction); this
-/// kernel fills per-row and per-column maxima in one fused pass, which is
-/// bit-identical because greedy-window Jaro-Winkler is exactly symmetric
-/// (exhaustively verified in tests/prepared_parity_test.cc; IEEE addition is
-/// commutative, so the swapped-argument formula reassociates nothing) and
-/// the max-accumulation visits entries in the same order either way.
-///
-/// Three exact shortcuts skip the quadratic kernel without changing either
-/// maximum:
+/// Fills row_best/col_best (zeroed, sized |ta| and |tb|) with the per-token
+/// maxima over the whole Jaro-Winkler matrix, in one fused pass. Three exact
+/// shortcuts skip the quadratic kernel without changing either maximum:
 ///  - tokens with disjoint character masks score exactly 0.0 (no matches
 ///    and no shared prefix);
 ///  - equal tokens score exactly 1.0; tokens of equal length up to 16 bytes
@@ -352,16 +345,12 @@ double PreparedDistinctEntityCount(const PreparedValue& a,
 ///    so it is only worth computing once both maxima have reached 0.8.
 /// Pairs of tokens up to 16 bytes run JaroWinklerPacked on the packed
 /// tokens; longer ones JaroWinklerSimilarityFast on the strings.
-double PreparedMongeElkan(const PreparedValue& a, const PreparedValue& b,
-                          MetricScratch* scratch) {
+void MongeElkanMatrix(const PreparedValue& a, const PreparedValue& b,
+                      MetricScratch* scratch) {
   const std::vector<std::string>& ta = a.tokens;
   const std::vector<std::string>& tb = b.tokens;
-  if (ta.empty() && tb.empty()) return 1.0;
-  if (ta.empty() || tb.empty()) return 0.0;
   std::vector<double>& row_best = scratch->row_best;
   std::vector<double>& col_best = scratch->col_best;
-  row_best.assign(ta.size(), 0.0);
-  col_best.assign(tb.size(), 0.0);
   for (size_t i = 0; i < ta.size(); ++i) {
     const PackedToken& pa = a.packed_tokens[i];
     const size_t la = ta[i].size();
@@ -390,6 +379,266 @@ double PreparedMongeElkan(const PreparedValue& a, const PreparedValue& b,
       row_best[i] = std::max(row_best[i], s);
       col_best[j] = std::max(col_best[j], s);
     }
+  }
+}
+
+/// Jaro-Winkler of two Monge-Elkan tokens of lengths `la` and `lb` with
+/// MongeElkanMatrix's disjoint-mask (0.0) and equal-token (1.0) shortcuts;
+/// `ta` and `tb` are read only when a token is longer than 16 bytes. The
+/// matrix pass keeps its own inline copy: it tests the length bound between
+/// the shortcuts and the kernel, and calling this instead measured 1-2%
+/// slower on SG runs.
+double TokenJaroWinkler(const PackedToken& pa, size_t la,
+                        const std::string& ta, const PackedToken& pb,
+                        size_t lb, const std::string& tb,
+                        MetricScratch* scratch) {
+  if ((pa.mask & pb.mask) == 0) return 0.0;
+  const bool packed = la <= kPackedTokenBytes && lb <= kPackedTokenBytes;
+  if (la == lb &&
+      (packed ? std::memcmp(pa.bytes, pb.bytes, kPackedTokenBytes) == 0
+              : ta == tb)) {
+    return 1.0;
+  }
+  return packed && kHavePackedJaroWinkler
+             ? JaroWinklerPacked(pa, la, pb, lb)
+             : JaroWinklerSimilarityFast(ta, tb, scratch);
+}
+
+// --- Monge-Elkan column cache (MongeElkanColumnCache) -----------------------
+//
+// When does a cache pay? A hit saves one Jaro-Winkler per left token; a miss
+// costs a hash probe and a stored column, about one Jaro-Winkler. On the
+// scale-0.1 TokenBlocking runs (bench_micro_metrics' BM_MongeElkanRuns)
+// left values of fewer than four tokens, or runs shorter than five pairs,
+// lose more on misses (and on a fresh scratch's first allocations) than
+// their few hits save, so those never arm.
+
+using ColumnSlot = MongeElkanColumnCache::Slot;
+
+/// Left values with fewer tokens run uncached.
+constexpr size_t kMinCachedLeftTokens = 4;
+
+/// The pair of a left value's run at which its column cache arms.
+constexpr size_t kArmAtPair = 5;
+
+/// A column cache's first table size (slots); it doubles at half load.
+constexpr size_t kInitialColumnSlots = 64;
+
+/// A slot's tag: the cache generation that wrote it, then the right token's
+/// length (at most kPackedTokenBytes, so five bits).
+constexpr uint32_t kTagLengthBits = 5;
+constexpr uint32_t kGenerationLimit = 1u << (32 - kTagLengthBits);
+
+uint32_t SlotTag(uint32_t generation, uint32_t len) {
+  return generation << kTagLengthBits | len;
+}
+
+/// O(1) fingerprint of a left value (token count, first and last token
+/// masks), to count its consecutive pairs without storing (allocating) a
+/// key. A collision only arms the cache early; hits compare full content.
+uint64_t LeftFingerprint(const PreparedValue& a) {
+  const std::vector<PackedToken>& p = a.packed_tokens;
+  return (p.front().mask ^ p.size()) * 0x9E3779B97F4A7C15ULL ^ p.back().mask;
+}
+
+/// Whether `cache` holds the columns of left value `a`: the same tokens in
+/// the same order, compared on length, packed bytes and every byte past
+/// them.
+bool CachedLeftIs(const MongeElkanColumnCache& cache, const PreparedValue& a) {
+  if (cache.left.size() != a.tokens.size()) return false;
+  size_t tail = 0;
+  for (size_t i = 0; i < a.tokens.size(); ++i) {
+    const MongeElkanColumnCache::LeftToken& key = cache.left[i];
+    const std::string& token = a.tokens[i];
+    if (key.len != token.size() ||
+        std::memcmp(key.packed.bytes, a.packed_tokens[i].bytes,
+                    kPackedTokenBytes) != 0) {
+      return false;
+    }
+    if (token.size() > kPackedTokenBytes) {
+      const size_t rest = token.size() - kPackedTokenBytes;
+      if (cache.left_tails.compare(tail, rest, token, kPackedTokenBytes,
+                                   rest) != 0) {
+        return false;
+      }
+      tail += rest;
+    }
+  }
+  return true;
+}
+
+/// Makes `a` the cache's left value with no cached columns. The buffers
+/// keep their storage; bumping the generation empties every slot at once.
+[[gnu::noinline]] void ArmColumnCache(const PreparedValue& a,
+                                      MongeElkanColumnCache* cache) {
+  const size_t na = a.tokens.size();
+  cache->left.resize(na);
+  cache->left_tails.clear();
+  for (size_t i = 0; i < na; ++i) {
+    const std::string& token = a.tokens[i];
+    cache->left[i] = {a.packed_tokens[i], static_cast<uint32_t>(token.size())};
+    if (token.size() > kPackedTokenBytes) {
+      cache->left_tails.append(token, kPackedTokenBytes);
+    }
+  }
+  if (cache->slots.empty()) {
+    cache->slots.resize(kInitialColumnSlots);
+    cache->keys.reserve(kInitialColumnSlots / 2);
+    cache->columns.reserve(kInitialColumnSlots / 2 * (na + 1));
+  }
+  if (++cache->generation == kGenerationLimit) {  // stale tags could match
+    for (ColumnSlot& slot : cache->slots) slot.tag = 0;
+    cache->generation = 1;
+  }
+  cache->keys.clear();
+  cache->columns.clear();
+}
+
+/// Index of the slot in `slots` holding right token (lo, hi, len), or of
+/// the empty slot where it belongs. Tables are at most half full, so the
+/// probe ends.
+size_t FindColumnSlot(const std::vector<ColumnSlot>& slots,
+                      const MongeElkanColumnCache& cache, uint64_t lo,
+                      uint64_t hi, uint32_t len) {
+  const size_t mask = slots.size() - 1;
+  const uint32_t tag = SlotTag(cache.generation, len);
+  // The top bits of a multiplicative hash depend on every key bit.
+  const uint64_t key = lo + (hi ^ len) * 0xC2B2AE3D27D4EB4FULL;
+  const int bits = __builtin_ctzll(slots.size());
+  for (size_t i = (key * 0x9E3779B97F4A7C15ULL) >> (64 - bits);;
+       i = (i + 1) & mask) {
+    const ColumnSlot& slot = slots[i];
+    if (slot.tag >> kTagLengthBits != cache.generation) return i;
+    if (slot.tag == tag && cache.keys[slot.entry].lo == lo &&
+        cache.keys[slot.entry].hi == hi) {
+      return i;
+    }
+  }
+}
+
+/// Doubles the slot table, re-inserting the live slots.
+[[gnu::noinline]] void GrowColumnSlots(MongeElkanColumnCache* cache) {
+  std::vector<ColumnSlot> grown(cache->slots.size() * 2);
+  for (const ColumnSlot& slot : cache->slots) {
+    if (slot.tag >> kTagLengthBits != cache->generation) continue;
+    const MongeElkanColumnCache::RightKey& key = cache->keys[slot.entry];
+    grown[FindColumnSlot(grown, *cache, key.lo, key.hi,
+                         slot.tag & ((1u << kTagLengthBits) - 1))] = slot;
+  }
+  cache->slots.swap(grown);
+}
+
+/// MongeElkanMatrix column by column from the cache armed with left value
+/// `a`: each right token of at most 16 bytes merges its cached column, or
+/// computes and stores it; longer right tokens are computed uncached. Every
+/// stored value is the exact Jaro-Winkler (the length-bound skip, which
+/// leaves values uncomputed, is dropped), so merging a column takes the same
+/// maxima as the matrix pass, in another order, which max ignores.
+[[gnu::noinline]] void MongeElkanFromColumnCache(const PreparedValue& a,
+                                                 const PreparedValue& b,
+                                                 MetricScratch* scratch,
+                                                 MongeElkanColumnCache* cache) {
+  const size_t na = a.tokens.size();
+  const size_t stride = na + 1;
+  double* row_best = scratch->row_best.data();
+  double* col_best = scratch->col_best.data();
+  const MongeElkanColumnCache::LeftToken* left = cache->left.data();
+  for (size_t j = 0; j < b.tokens.size(); ++j) {
+    const PackedToken& pb = b.packed_tokens[j];
+    const std::string& tb = b.tokens[j];
+    const size_t lb = tb.size();
+    if (lb > kPackedTokenBytes) {
+      double best = 0.0;
+      for (size_t i = 0; i < na; ++i) {
+        const double s = TokenJaroWinkler(left[i].packed, left[i].len,
+                                          a.tokens[i], pb, lb, tb, scratch);
+        row_best[i] = std::max(row_best[i], s);
+        best = std::max(best, s);
+      }
+      col_best[j] = best;
+      continue;
+    }
+    uint64_t lo;
+    uint64_t hi;
+    std::memcpy(&lo, pb.bytes, 8);
+    std::memcpy(&hi, pb.bytes + 8, 8);
+    const uint32_t tag_len = static_cast<uint32_t>(lb);
+    size_t at = FindColumnSlot(cache->slots, *cache, lo, hi, tag_len);
+    const double* column;
+    if (cache->slots[at].tag >> kTagLengthBits == cache->generation) {
+      ++cache->hits;
+      column = cache->columns.data() + cache->slots[at].entry * stride;
+    } else {
+      ++cache->misses;
+      if ((cache->keys.size() + 1) * 2 > cache->slots.size()) {
+        GrowColumnSlots(cache);
+        at = FindColumnSlot(cache->slots, *cache, lo, hi, tag_len);
+      }
+      const size_t entry = cache->keys.size();
+      cache->slots[at] = {SlotTag(cache->generation, tag_len),
+                          static_cast<uint32_t>(entry)};
+      cache->keys.push_back({lo, hi});
+      cache->columns.resize((entry + 1) * stride);
+      double* out = cache->columns.data() + entry * stride;
+      double best = 0.0;
+      for (size_t i = 0; i < na; ++i) {
+        out[i] = TokenJaroWinkler(left[i].packed, left[i].len, a.tokens[i],
+                                  pb, lb, tb, scratch);
+        best = std::max(best, out[i]);
+      }
+      out[na] = best;
+      column = out;
+    }
+    for (size_t i = 0; i < na; ++i) {
+      row_best[i] = std::max(row_best[i], column[i]);
+    }
+    col_best[j] = column[na];
+  }
+}
+
+/// Whether `cache` serves left value `a`'s columns: `a` follows a pair
+/// with the same left fingerprint and the cache already holds `a`'s
+/// columns, or this is `a`'s kArmAtPair-th consecutive pair, which arms the
+/// cache with `a`. Until then nothing is stored, so short runs allocate
+/// nothing, and a left value seen once costs one fingerprint.
+bool ColumnCacheServes(const PreparedValue& a, MongeElkanColumnCache* cache) {
+  if (a.tokens.size() < kMinCachedLeftTokens) return false;
+  const uint64_t fingerprint = LeftFingerprint(a);
+  if (fingerprint != cache->last_left) {
+    cache->last_left = fingerprint;
+    cache->repeats = 1;
+    return false;
+  }
+  if (CachedLeftIs(*cache, a)) return true;
+  if (++cache->repeats < kArmAtPair) return false;
+  ArmColumnCache(a, cache);
+  return true;
+}
+
+/// Mirror of MongeElkan over cached token vectors. The reference evaluates
+/// the |ta| x |tb| Jaro-Winkler matrix twice (once per direction); the
+/// prepared kernel fills per-row and per-column maxima in one pass, which is
+/// bit-identical because greedy-window Jaro-Winkler is exactly symmetric
+/// (exhaustively verified in tests/prepared_parity_test.cc; IEEE addition is
+/// commutative, so the swapped-argument formula reassociates nothing) and
+/// max is exact and order-free. The pass is MongeElkanMatrix, or, once a
+/// left value's run has armed `cache` (when given), the column cache; the
+/// sums below run in index order either way.
+double PreparedMongeElkan(const PreparedValue& a, const PreparedValue& b,
+                          MetricScratch* scratch,
+                          MongeElkanColumnCache* cache) {
+  const std::vector<std::string>& ta = a.tokens;
+  const std::vector<std::string>& tb = b.tokens;
+  if (ta.empty() && tb.empty()) return 1.0;
+  if (ta.empty() || tb.empty()) return 0.0;
+  std::vector<double>& row_best = scratch->row_best;
+  std::vector<double>& col_best = scratch->col_best;
+  row_best.assign(ta.size(), 0.0);
+  col_best.assign(tb.size(), 0.0);
+  if (cache != nullptr && ColumnCacheServes(a, cache)) {
+    MongeElkanFromColumnCache(a, b, scratch, cache);
+  } else {
+    MongeElkanMatrix(a, b, scratch);
   }
   double total_a = 0.0;
   for (double best : row_best) total_a += best;
@@ -456,8 +705,13 @@ uint32_t MetricSuite::PrepareNeedsFor(MetricKind kind) {
 
 void MetricSuite::RecomputeNeeds() {
   needs_.assign(schema_.num_attributes(), 0);
-  for (const MetricSpec& spec : specs_) {
-    needs_[spec.attribute] |= PrepareNeedsFor(spec.kind);
+  monge_elkan_rank_.assign(specs_.size(), 0);
+  size_t monge_elkan_columns = 0;
+  for (size_t m = 0; m < specs_.size(); ++m) {
+    needs_[specs_[m].attribute] |= PrepareNeedsFor(specs_[m].kind);
+    if (specs_[m].kind == MetricKind::kMongeElkan) {
+      monge_elkan_rank_[m] = monge_elkan_columns++;
+    }
   }
 }
 
@@ -566,8 +820,14 @@ double MetricSuite::EvaluatePrepared(const PreparedRecord& left,
     case MetricKind::kCosineTfIdf:
       if (missing) return kMissingMetric;
       return idf_[spec.attribute] ? PreparedCosineTfIdf(a, b) : kMissingMetric;
-    case MetricKind::kMongeElkan:
-      return missing ? kMissingMetric : PreparedMongeElkan(a, b, scratch);
+    case MetricKind::kMongeElkan: {
+      if (missing) return kMissingMetric;
+      const size_t rank = monge_elkan_rank_[m];
+      return PreparedMongeElkan(a, b, scratch,
+                                rank < kMongeElkanCachedColumns
+                                    ? &scratch->monge_elkan[rank]
+                                    : nullptr);
+    }
     case MetricKind::kContainment: {
       if (missing) return kMissingMetric;
       if (a.sorted_tokens.empty()) return 1.0;

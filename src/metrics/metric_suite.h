@@ -163,6 +163,9 @@ class MetricSuite {
   std::vector<std::shared_ptr<IdfTable>> idf_;
   std::vector<double> min_key_idf_;
   std::vector<uint32_t> needs_;  ///< per-attribute PrepareNeeds mask
+  /// Per metric: for a Monge-Elkan column, its rank among the suite's
+  /// Monge-Elkan columns, which picks its MetricScratch column cache.
+  std::vector<size_t> monge_elkan_rank_;
 };
 
 /// \brief Dense row-major pair-by-metric matrix.
@@ -200,7 +203,9 @@ class FeatureMatrix {
 /// \brief Evaluates the suite on every pair of the workload (parallelized).
 /// Runs the prepared fast path: each record referenced by the pairs is
 /// prepared once, then pairs evaluate via EvaluatePairPreparedInto —
-/// bit-identical to evaluating each pair from the raw strings.
+/// bit-identical to evaluating each pair from the raw strings. Requires
+/// every pair's `left` and `right` to index a record of the workload's left
+/// and right tables (unchecked; LearnRiskPipeline::Fit checks it first).
 FeatureMatrix ComputeFeatures(const Workload& workload,
                               const MetricSuite& suite);
 

@@ -38,17 +38,79 @@
 #ifndef LEARNRISK_METRICS_STRING_KERNELS_H_
 #define LEARNRISK_METRICS_STRING_KERNELS_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
 namespace learnrisk {
 
+/// \brief The longest token JaroWinklerPacked accepts.
+inline constexpr size_t kPackedTokenBytes = 16;
+
+/// \brief A token packed for the Monge-Elkan kernel: its character-presence
+/// mask (bit c & 63 per byte; disjoint masks prove no shared character) and
+/// its first kPackedTokenBytes bytes, zero-padded. Two tokens of equal
+/// length <= kPackedTokenBytes are equal iff their `bytes` are.
+struct PackedToken {
+  uint64_t mask = 0;
+  char bytes[kPackedTokenBytes] = {};
+};
+
+/// \brief One Monge-Elkan metric column's cache of Jaro-Winkler columns for
+/// the left value whose run of consecutive pairs it is serving. Blocking
+/// emits a left record's candidates as one run of pairs, and the right
+/// tokens of a run repeat, so the column JW(a_i, t) over the left tokens a_i
+/// is computed once per distinct right token t of the run. Keyed by content
+/// only: the left value's tokens (packed bytes, lengths and every byte past
+/// the packed 16) and the right token's packed bytes plus its length; right
+/// tokens longer than kPackedTokenBytes are never cached. Nothing is
+/// allocated before a run arms the cache. The logic lives with the
+/// Monge-Elkan kernel in metric_suite.cc; the fields are plain state.
+struct MongeElkanColumnCache {
+  /// A left token as the column loop reads it: packed form and length.
+  struct LeftToken {
+    PackedToken packed;
+    uint32_t len = 0;
+  };
+  /// A cached right token's packed bytes; its length is in its slot's tag.
+  struct RightKey {
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+  };
+  /// An open-addressing slot: `tag` is the generation that wrote it times 32
+  /// plus the right token's length, and `entry` indexes `keys` (and, times
+  /// left.size() + 1, `columns`). Live iff its generation is the cache's.
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t entry = 0;
+  };
+
+  uint64_t last_left = 0;  ///< fingerprint of the previous pair's left value
+  size_t repeats = 0;      ///< consecutive pairs with that fingerprint
+  std::vector<LeftToken> left;  ///< the cached left value's tokens
+  std::string left_tails;       ///< its tokens' bytes past the packed 16
+  std::vector<Slot> slots;      ///< power-of-two table, at most half full
+  uint32_t generation = 0;      ///< bumped per left value: empties `slots`
+  std::vector<RightKey> keys;   ///< the cached right tokens
+  /// Per cached right token: JW against each left token, then their max.
+  std::vector<double> columns;
+  size_t hits = 0;    ///< columns served from the cache
+  size_t misses = 0;  ///< columns computed and stored
+};
+
+/// \brief How many Monge-Elkan columns of a suite get a column cache (DS
+/// has two, SG three); later ones run uncached.
+inline constexpr size_t kMongeElkanCachedColumns = 4;
+
 /// \brief Per-thread scratch for the prepared metric kernels. One instance
 /// per worker thread; the kernels resize the buffers as needed and leave
 /// `block_masks` zeroed between calls, so a scratch can be reused across any
-/// sequence of kernel invocations.
+/// sequence of kernel invocations. It also holds one Monge-Elkan column
+/// cache per Monge-Elkan metric column, keyed by content, so reusing a
+/// scratch across records, requests or suites never serves a stale value.
 struct MetricScratch {
   std::vector<uint8_t> a_flags;   ///< Jaro match flags, left side (> 64 chars)
   std::vector<uint8_t> b_flags;   ///< Jaro match flags, right side
@@ -62,6 +124,8 @@ struct MetricScratch {
   std::vector<uint64_t> block_masks;
   std::vector<uint64_t> vp;  ///< bit-parallel column state, one per word
   std::vector<uint64_t> vn;  ///< Myers' negative vertical deltas
+  /// Indexed by the column's rank among its suite's Monge-Elkan columns.
+  std::array<MongeElkanColumnCache, kMongeElkanCachedColumns> monge_elkan;
 };
 
 /// \brief Levenshtein distance; same integer as reference::EditDistance().
@@ -85,9 +149,6 @@ double LcsRatioFast(std::string_view a, std::string_view b,
 double JaroWinklerSimilarityFast(std::string_view a, std::string_view b,
                                  MetricScratch* scratch);
 
-/// \brief The longest token JaroWinklerPacked accepts.
-inline constexpr size_t kPackedTokenBytes = 16;
-
 /// \brief Whether JaroWinklerPacked runs on SSE2 byte compares. Without it
 /// the prepared Monge-Elkan kernel calls JaroWinklerSimilarityFast for every
 /// token pair.
@@ -96,15 +157,6 @@ inline constexpr bool kHavePackedJaroWinkler = true;
 #else
 inline constexpr bool kHavePackedJaroWinkler = false;
 #endif
-
-/// \brief A token packed for the Monge-Elkan kernel: its character-presence
-/// mask (bit c & 63 per byte; disjoint masks prove no shared character) and
-/// its first kPackedTokenBytes bytes, zero-padded. Two tokens of equal
-/// length <= kPackedTokenBytes are equal iff their `bytes` are.
-struct PackedToken {
-  uint64_t mask = 0;
-  char bytes[kPackedTokenBytes] = {};
-};
 
 /// \brief Packs `token` (any length; only the first kPackedTokenBytes bytes
 /// are kept, the mask covers every byte).

@@ -113,6 +113,28 @@ TEST(PipelineTest, OutOfRangeFitIndexRejected) {
   EXPECT_FALSE(pipeline.fitted());
 }
 
+// A pair naming a record past the end of its table is rejected before the
+// suite or ComputeFeatures read the tables.
+TEST(PipelineTest, OutOfRangePairRecordRejected) {
+  Fixture f = MakeFixture();
+  std::vector<RecordPair> pairs = f.workload.pairs();
+  pairs[0].left = f.workload.left().num_records() + 1000;
+  const Workload bad_left("bad_left", f.workload.left_ptr(),
+                          f.workload.right_ptr(), pairs);
+  LearnRiskPipeline pipeline(FastOptions());
+  EXPECT_TRUE(pipeline.Fit(bad_left, f.split.train, f.split.valid)
+                  .IsOutOfRange());
+  EXPECT_FALSE(pipeline.fitted());
+
+  pairs = f.workload.pairs();
+  pairs.back().right = f.workload.right().num_records();
+  const Workload bad_right("bad_right", f.workload.left_ptr(),
+                           f.workload.right_ptr(), pairs);
+  EXPECT_TRUE(pipeline.Fit(bad_right, f.split.train, f.split.valid)
+                  .IsOutOfRange());
+  EXPECT_FALSE(pipeline.fitted());
+}
+
 TEST(PipelineTest, FitWithoutValidationUsesPriorModel) {
   Fixture f = MakeFixture();
   LearnRiskPipeline pipeline(FastOptions());

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -18,6 +19,7 @@
 
 #include "classifier/logistic.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/generators.h"
 #include "gateway/gateway.h"
 #include "metrics/metric_suite.h"
@@ -418,6 +420,173 @@ TEST(PreparedParityTest, MongeElkanBoundBitIdentical) {
           << la << "x" << lb;
     }
   }
+}
+
+// reference::MongeElkan over explicit token lists: the reference tokenizes
+// its strings first, and these lists may hold tokens Tokenize never emits
+// (such as "ab\0").
+double ReferenceMongeElkan(const std::vector<std::string>& ta,
+                           const std::vector<std::string>& tb) {
+  if (ta.empty() && tb.empty()) return 1.0;
+  if (ta.empty() || tb.empty()) return 0.0;
+  auto directed = [](const std::vector<std::string>& xs,
+                     const std::vector<std::string>& ys) {
+    double total = 0.0;
+    for (const std::string& x : xs) {
+      double best = 0.0;
+      for (const std::string& y : ys) {
+        best = std::max(best, JaroWinklerSimilarity(x, y));
+      }
+      total += best;
+    }
+    return total / static_cast<double>(xs.size());
+  };
+  return 0.5 * (directed(ta, tb) + directed(tb, ta));
+}
+
+// A one-attribute prepared record holding exactly `tokens`, as PrepareRecord
+// fills a Monge-Elkan attribute.
+PreparedRecord TokensRecord(const std::vector<std::string>& tokens) {
+  PreparedRecord record;
+  PreparedValue& value = record.values.emplace_back();
+  value.missing = false;
+  value.tokens = tokens;
+  for (const std::string& t : tokens) {
+    value.packed_tokens.push_back(PackToken(t));
+  }
+  return record;
+}
+
+// The Monge-Elkan column cache (MongeElkanColumnCache in MetricScratch)
+// serves a left value's run of consecutive pairs from stored Jaro-Winkler
+// columns. Through one scratch, as a request chunk uses one, every value
+// stays bit-identical to the raw reference: for one left value against 240
+// right values drawn from a small token pool (hits dominate), with right
+// tokens of 16 (cached), 17 and 64 bytes (never cached), and two Monge-Elkan
+// columns interleaved pair by pair, each of which must hit its own cache;
+// then for runs of left values that differ from the previous run's only
+// after byte 16 of a long token, only in token order, or only in a token's
+// length ("ab" vs "ab\0", hand-built since Tokenize never emits a NUL), with
+// right tokens "ab" and "ab\0" in one run. Every left value has at least
+// four tokens and every run at least five pairs, so each run arms its
+// cache. Each run's left record is rebuilt in the same stack slot, so a
+// cache keyed on addresses would serve the previous run's columns.
+TEST(PreparedParityTest, MongeElkanColumnCacheBitIdentical) {
+  const Schema schema(
+      {{"title", AttributeType::kText}, {"authors", AttributeType::kText}});
+  const MetricSuite suite =
+      MetricSuite::FromSpecs(
+          schema, {MetricSpec{0, MetricKind::kMongeElkan, "title.monge_elkan"},
+                   MetricSpec{1, MetricKind::kMongeElkan,
+                              "authors.monge_elkan"}})
+          .MoveValueOrDie();
+  MetricScratch scratch;  // reused throughout
+
+  // Both columns of every (left, right) pair, in column order; returns the
+  // title column's reference values so callers can compare runs.
+  auto run = [&](const Record& left, const std::vector<Record>& rights) {
+    const PreparedRecord prepared_left = suite.PrepareRecord(left);
+    std::vector<double> title;
+    for (const Record& right : rights) {
+      const PreparedRecord prepared_right = suite.PrepareRecord(right);
+      for (size_t m = 0; m < suite.num_metrics(); ++m) {
+        const double raw = reference::EvaluateRaw(suite, left, right, m);
+        EXPECT_TRUE(BitEqual(suite.EvaluatePrepared(prepared_left,
+                                                    prepared_right, m,
+                                                    &scratch),
+                             raw))
+            << suite.specs()[m].name << ": '" << left.values[m] << "' vs '"
+            << right.values[m] << "'";
+        if (m == 0) title.push_back(raw);
+      }
+    }
+    return title;
+  };
+
+  const std::string t16 = "abcdefghijklmnop";
+  const std::string t17 = "abcdefghijklmnopq";
+  const std::string t64 = std::string(32, 'e') + std::string(32, 'a');
+  const std::vector<std::string> title_pool = {
+      "alpha", "alpah", "beta",  "betta", "gamma", "delta",
+      "delt",  "eps",   "lmnop", t16,     t17,     t64};
+  const std::vector<std::string> author_pool = {"one", "two",  "three",
+                                                "for", "fore", "onee"};
+  Rng rng(37);
+  auto draw = [&](const std::vector<std::string>& pool) {
+    std::string value;
+    const size_t n = rng.Index(5) + 2;
+    for (size_t t = 0; t < n; ++t) {
+      value += (t == 0 ? "" : " ") + pool[rng.Index(pool.size())];
+    }
+    return value;
+  };
+  std::vector<Record> rights(240);
+  for (Record& right : rights) {
+    right.values = {draw(title_pool), draw(author_pool)};
+  }
+  Record left;
+  left.values = {"alpha beta gamma delta epsilon " + t16 + "qrs",
+                 "one two three four"};
+  run(left, rights);
+  for (size_t column = 0; column < 2; ++column) {
+    EXPECT_GT(scratch.monge_elkan[column].hits,
+              scratch.monge_elkan[column].misses)
+        << suite.specs()[column].name;
+  }
+
+  // Runs of left values that differ from the one before only after byte 16
+  // of the 19-byte token (the same characters, so the same mask), then only
+  // in token order. The right tokens near the tail make the first two runs'
+  // values differ.
+  const std::vector<std::string> tail_pool = {"ijklmnopqrs", "klmnopsrq",
+                                              "mnopqr", "pqrs", "srq",
+                                              "alpha", "beta"};
+  std::vector<Record> tail_rights(10);
+  for (Record& right : tail_rights) {
+    right.values = {draw(tail_pool), draw(author_pool)};
+  }
+  Record tail_b = left;
+  tail_b.values[0] = "alpha beta gamma delta epsilon " + t16 + "srq";
+  Record order_c = tail_b;
+  order_c.values[0] = "beta alpha gamma delta epsilon " + t16 + "srq";
+  const std::vector<double> a_values = run(left, tail_rights);
+  const std::vector<double> b_values = run(tail_b, tail_rights);
+  run(order_c, tail_rights);
+  EXPECT_NE(a_values, b_values);
+
+  // Hand-built values differing only in a token's length: "ab" and "ab\0"
+  // pack to the same 16 bytes. The right runs hold both as well, after the
+  // cache has armed.
+  const Schema one({{"tokens", AttributeType::kText}});
+  const MetricSuite one_column =
+      MetricSuite::FromSpecs(
+          one, {MetricSpec{0, MetricKind::kMongeElkan, "tokens.monge_elkan"}})
+          .MoveValueOrDie();
+  const std::string ab0("ab\0", 3);
+  const std::vector<std::vector<std::string>> nul_rights = {
+      {"cd", "ef"},  {"gh", "abc"}, {"cd", "gh"}, {"ef", "ab"},
+      {"ab", "cd"},  {ab0, "gh"},   {"ab", ab0},  {ab0, "ef", "cd"},
+      {"abc", "ab"}, {ab0}};
+  const std::vector<std::vector<std::string>> nul_lefts = {
+      {"ab", "cd", "ef", "gh"}, {ab0, "cd", "ef", "gh"}};
+  for (const std::vector<std::string>& left_tokens : nul_lefts) {
+    const PreparedRecord prepared_left = TokensRecord(left_tokens);
+    for (const std::vector<std::string>& right_tokens : nul_rights) {
+      EXPECT_TRUE(BitEqual(
+          one_column.EvaluatePrepared(prepared_left, TokensRecord(right_tokens),
+                                      0, &scratch),
+          ReferenceMongeElkan(left_tokens, right_tokens)))
+          << left_tokens[0].size() << "-byte first left token";
+    }
+  }
+  // The helper is the reference formula.
+  Record x;
+  x.values = {"alpha beta"};
+  Record y;
+  y.values = {"alpah betta gamma"};
+  EXPECT_TRUE(BitEqual(ReferenceMongeElkan(Tokenize(x.values[0]),
+                                           Tokenize(y.values[0])),
+                       reference::EvaluateRaw(one_column, x, y, 0)));
 }
 
 TEST(PreparedParityTest, AllKindsBitIdenticalFittedAndUnfitted) {
