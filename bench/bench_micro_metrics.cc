@@ -15,6 +15,13 @@
 // (`per_pair`), so the per-column sum shows where featurization CPU goes.
 // BM_MongeElkanRuns/<DS|SG>/<run length> is the Monge-Elkan column cache's
 // ledger by blocking-run length (see the comment above its definition).
+//
+// BM_ForestGenerate/<DS|SG> and BM_RiskFeatureBuild/<DS|SG> are the fit's
+// rule-stage ledger: Algorithm 1 and RiskFeatureSet::Build with default
+// options over ComputeFeatures of the dataset's scale-0.1 workload (seed 1;
+// 4,142 x 21 for DS, 14,495 x 29 for SG) and its ground-truth labels,
+// reported as process CPU time, since Build runs on the pool. BM_RngWords
+// times one engine word, the unit the risk trainer draws per rank pair.
 
 #include <string>
 #include <utility>
@@ -23,13 +30,16 @@
 #include <benchmark/benchmark.h>
 
 #include "common/math_util.h"
+#include "common/random.h"
 #include "data/blocking.h"
 #include "data/generators.h"
 #include "metrics/metric_suite.h"
 #include "metrics/prepared_record.h"
 #include "metrics/string_kernels.h"
 #include "reference/raw_metrics.h"
+#include "risk/risk_feature.h"
 #include "risk/risk_model.h"
+#include "rules/one_sided_tree.h"
 
 namespace learnrisk {
 namespace {
@@ -363,6 +373,97 @@ const bool kRunsRegistered = [] {
   }
   return true;
 }();
+
+// A dataset's scale-0.1 labeled metric rows and the rules Algorithm 1 finds
+// on them, built on first use.
+struct FitFixture {
+  FeatureMatrix features;
+  std::vector<uint8_t> labels;
+  std::vector<Rule> rules;
+};
+
+FitFixture* BuildFitRows(const std::string& dataset) {
+  auto* f = new FitFixture;
+  const Workload workload =
+      GenerateDataset(dataset, ScaleOptions(0.1)).MoveValueOrDie();
+  MetricSuite suite = MetricSuite::ForSchema(workload.left().schema());
+  suite.Fit(workload);
+  f->features = ComputeFeatures(workload, suite);
+  f->labels = workload.Labels();
+  f->rules =
+      OneSidedForest::Generate(f->features, f->labels, {}).MoveValueOrDie();
+  return f;
+}
+
+const FitFixture& DsFitRows() {
+  static const FitFixture* fixture = BuildFitRows("DS");
+  return *fixture;
+}
+
+const FitFixture& SgFitRows() {
+  static const FitFixture* fixture = BuildFitRows("SG");
+  return *fixture;
+}
+
+void SetFitCounters(benchmark::State& state, const FitFixture& f) {
+  state.counters["rows"] = static_cast<double>(f.features.rows());
+  state.counters["metrics"] = static_cast<double>(f.features.cols());
+  state.counters["rules"] = static_cast<double>(f.rules.size());
+}
+
+void BM_ForestGenerate(benchmark::State& state,
+                       const FitFixture& (*fixture)()) {
+  const FitFixture& f = fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        OneSidedForest::Generate(f.features, f.labels, {}));
+  }
+  SetFitCounters(state, f);
+}
+
+// Includes copying the rules into Build, as GenerateRiskFeatures hands
+// them over by value.
+void BM_RiskFeatureBuild(benchmark::State& state,
+                         const FitFixture& (*fixture)()) {
+  const FitFixture& f = fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        RiskFeatureSet::Build(f.rules, f.features, f.labels));
+  }
+  SetFitCounters(state, f);
+}
+
+const bool kFitRegistered = [] {
+  const std::pair<const char*, const FitFixture& (*)()> datasets[] = {
+      {"DS", DsFitRows}, {"SG", SgFitRows}};
+  for (const auto& [name, fixture] : datasets) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_ForestGenerate/") + name).c_str(), BM_ForestGenerate,
+        fixture)
+        ->Unit(benchmark::kMillisecond)
+        ->MeasureProcessCPUTime();
+    benchmark::RegisterBenchmark(
+        (std::string("BM_RiskFeatureBuild/") + name).c_str(),
+        BM_RiskFeatureBuild, fixture)
+        ->Unit(benchmark::kMillisecond)
+        ->MeasureProcessCPUTime();
+  }
+  return true;
+}();
+
+void BM_RngWords(benchmark::State& state) {
+  Rng rng(42);
+  uint64_t sink = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 1024; ++i) sink ^= rng.engine()();
+    benchmark::DoNotOptimize(sink);
+  }
+  // Seconds per word; the console prints it with an SI prefix (e.g. ns).
+  state.counters["per_word"] = benchmark::Counter(
+      1024.0, benchmark::Counter::kIsIterationInvariantRate |
+                  benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RngWords);
 
 void BM_DistinctEntity(benchmark::State& state) {
   for (auto _ : state) {

@@ -7,11 +7,74 @@
 #define LEARNRISK_COMMON_RANDOM_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 namespace learnrisk {
+
+/// \brief MT19937-64 with std::mt19937_64's seeding and output stream: the
+/// same words for the same seed. The twist selects the xor with the matrix
+/// constant through a mask; libstdc++'s twist compiles it to a
+/// data-dependent branch, which costs most of that engine's time per word.
+class MersenneTwister64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr result_type default_seed = 5489u;
+
+  explicit MersenneTwister64(result_type seed = default_seed) {
+    state_[0] = seed;
+    for (size_t i = 1; i < kN; ++i) {
+      state_[i] = kInitMultiplier * (state_[i - 1] ^ (state_[i - 1] >> 62)) + i;
+    }
+    index_ = kN;
+  }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (index_ >= kN) Twist();
+    uint64_t z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+ private:
+  static constexpr size_t kN = 312;
+  static constexpr size_t kM = 156;
+  static constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
+  static constexpr uint64_t kUpperMask = 0xFFFFFFFF80000000ULL;
+  static constexpr uint64_t kLowerMask = 0x000000007FFFFFFFULL;
+  static constexpr uint64_t kInitMultiplier = 6364136223846793005ULL;
+
+  // One twisted word: the upper bit of `upper`, the lower 31 bits of
+  // `lower`, shifted and xored into the word kM ahead, with kMatrixA applied
+  // when the combined word is odd.
+  static uint64_t Next(uint64_t upper, uint64_t lower, uint64_t ahead) {
+    const uint64_t y = (upper & kUpperMask) | (lower & kLowerMask);
+    return ahead ^ (y >> 1) ^ (kMatrixA & (uint64_t{0} - (y & 1)));
+  }
+
+  void Twist() {
+    size_t i = 0;
+    for (; i < kN - kM; ++i) {
+      state_[i] = Next(state_[i], state_[i + 1], state_[i + kM]);
+    }
+    for (; i < kN - 1; ++i) {
+      state_[i] = Next(state_[i], state_[i + 1], state_[i + kM - kN]);
+    }
+    state_[kN - 1] = Next(state_[kN - 1], state_[0], state_[kM - 1]);
+    index_ = 0;
+  }
+
+  uint64_t state_[kN];
+  size_t index_;
+};
 
 /// \brief Seedable RNG wrapper with the sampling helpers the library needs.
 class Rng {
@@ -81,10 +144,10 @@ class Rng {
   uint64_t Fork() { return engine_(); }
 
   /// \brief Underlying engine, for std::distributions not wrapped here.
-  std::mt19937_64& engine() { return engine_; }
+  MersenneTwister64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  MersenneTwister64 engine_;
   std::uniform_real_distribution<double> unit_{0.0, 1.0};
   std::normal_distribution<double> normal_{0.0, 1.0};
 };

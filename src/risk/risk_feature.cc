@@ -2,6 +2,8 @@
 
 #include "risk/risk_feature.h"
 
+#include <mutex>
+
 #include "common/parallel.h"
 #include "serve/compiled_rules.h"
 
@@ -23,23 +25,44 @@ RiskFeatureSet RiskFeatureSet::Build(std::vector<Rule> rules,
                                      const std::vector<uint8_t>& train_labels) {
   RiskFeatureSet set;
   set.rules_ = std::move(rules);
-  set.expectations_.resize(set.rules_.size());
-  set.train_support_.resize(set.rules_.size());
-  ParallelFor(set.rules_.size(), [&](size_t j) {
-    const Rule& rule = set.rules_[j];
-    size_t covered = 0;
-    size_t matches = 0;
-    for (size_t i = 0; i < train_features.rows(); ++i) {
-      if (!rule.Matches(train_features.row(i))) continue;
-      ++covered;
-      matches += train_labels[i];
-    }
-    set.train_support_[j] = covered;
-    // Add-one smoothing: mu = (m + 1) / (n + 2).
-    set.expectations_[j] = (static_cast<double>(matches) + 1.0) /
-                           (static_cast<double>(covered) + 2.0);
-  });
   set.Compile();
+  const size_t k = set.rules_.size();
+  // Per-rule coverage and match counts through the compiled plan, one
+  // chunk-parallel pass over the rows; each chunk counts into its own
+  // vectors and adds them in under the lock (integer sums, so the chunk
+  // order does not matter).
+  std::vector<size_t> covered(k, 0);
+  std::vector<size_t> matches(k, 0);
+  std::mutex merge;
+  const CompiledRuleSet& plan = set.compiled();
+  if (k > 0) {
+    ParallelForRange(train_features.rows(), [&](size_t begin, size_t end) {
+      std::vector<uint64_t> scratch(plan.num_words());
+      std::vector<uint32_t> active(k);
+      std::vector<size_t> chunk_covered(k, 0);
+      std::vector<size_t> chunk_matches(k, 0);
+      for (size_t i = begin; i < end; ++i) {
+        const size_t count = plan.ActiveRulesInto(
+            train_features.row(i), scratch.data(), active.data());
+        for (size_t a = 0; a < count; ++a) {
+          ++chunk_covered[active[a]];
+          chunk_matches[active[a]] += train_labels[i];
+        }
+      }
+      std::lock_guard<std::mutex> lock(merge);
+      for (size_t j = 0; j < k; ++j) {
+        covered[j] += chunk_covered[j];
+        matches[j] += chunk_matches[j];
+      }
+    });
+  }
+  set.expectations_.resize(k);
+  for (size_t j = 0; j < k; ++j) {
+    // Add-one smoothing: mu = (m + 1) / (n + 2).
+    set.expectations_[j] = (static_cast<double>(matches[j]) + 1.0) /
+                           (static_cast<double>(covered[j]) + 2.0);
+  }
+  set.train_support_ = std::move(covered);
   return set;
 }
 

@@ -29,7 +29,9 @@ class RiskFeatureSet {
   /// \brief Keeps the given rules and estimates each rule's equivalence
   /// expectation mu_f = (matches covered + 1) / (pairs covered + 2) on the
   /// classifier-training data (add-one smoothing keeps expectations off the
-  /// degenerate 0/1 values so RSD stays finite).
+  /// degenerate 0/1 values so RSD stays finite). Coverage is counted through
+  /// the compiled plan in one chunk-parallel pass over the rows; it equals a
+  /// per-rule Rule::Matches scan (tests/forest_parity_test.cc).
   static RiskFeatureSet Build(std::vector<Rule> rules,
                               const FeatureMatrix& train_features,
                               const std::vector<uint8_t>& train_labels);

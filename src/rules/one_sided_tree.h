@@ -50,7 +50,9 @@ class OneSidedForest {
  public:
   /// \brief Runs Algorithm 1 on a metric feature matrix with ground-truth
   /// labels (1 = match). `metric_names` label the predicates (use
-  /// MetricSuite::MetricNames()).
+  /// MetricSuite::MetricNames()). InvalidArgument for a label count other
+  /// than the row count, no rows, lambda outside [0, 1] or NaN, and a
+  /// match_class_weight that is NaN, infinite or negative.
   static Result<std::vector<Rule>> Generate(
       const FeatureMatrix& features, const std::vector<uint8_t>& labels,
       const OneSidedForestOptions& options);

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace learnrisk {
 namespace {
@@ -125,6 +130,85 @@ TEST(RngTest, ForkProducesIndependentStreams) {
     if (child1.Uniform() == child2.Uniform()) ++same;
   }
   EXPECT_LT(same, 3);
+}
+
+// The engine's words equal std::mt19937_64's for the same seed, across
+// thousands of 312-word refills.
+TEST(MersenneTwister64Test, MatchesStdMt19937_64) {
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{42}, uint64_t{5489},
+                        std::numeric_limits<uint64_t>::max()}) {
+    MersenneTwister64 engine(seed);
+    std::mt19937_64 standard(seed);
+    size_t mismatches = 0;
+    for (size_t i = 0; i < 2000000; ++i) {
+      if (engine() != standard()) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+  MersenneTwister64 default_engine;
+  std::mt19937_64 default_standard;
+  EXPECT_EQ(default_engine(), default_standard());
+  EXPECT_EQ(MersenneTwister64::min(), std::mt19937_64::min());
+  EXPECT_EQ(MersenneTwister64::max(), std::mt19937_64::max());
+}
+
+// Rng's helpers on std::mt19937_64, as Rng was written before it got its
+// own engine: Rng must draw the same sequences.
+class StdEngineRng {
+ public:
+  explicit StdEngineRng(uint64_t seed) : engine_(seed) {}
+  double Uniform() { return unit_(engine_); }
+  size_t Index(size_t n) {
+    std::uniform_int_distribution<int64_t> dist(0, static_cast<int64_t>(n) - 1);
+    return static_cast<size_t>(dist(engine_));
+  }
+  double Normal() { return normal_(engine_); }
+  template <typename T>
+  void Shuffle(std::vector<T>* items) {
+    std::shuffle(items->begin(), items->end(), engine_);
+  }
+  std::vector<size_t> SampleIndices(size_t n, size_t k) {
+    std::vector<size_t> idx(n);
+    for (size_t i = 0; i < n; ++i) idx[i] = i;
+    if (k >= n) return idx;
+    for (size_t i = 0; i < k; ++i) {
+      size_t j = i + Index(n - i);
+      std::swap(idx[i], idx[j]);
+    }
+    idx.resize(k);
+    return idx;
+  }
+  uint64_t Fork() { return engine_(); }
+
+ private:
+  std::mt19937_64 engine_;
+  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+  std::normal_distribution<double> normal_{0.0, 1.0};
+};
+
+TEST(RngTest, HelpersMatchStdEngine) {
+  for (uint64_t seed : {uint64_t{1}, uint64_t{42}, uint64_t{20260419}}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    StdEngineRng ref(seed);
+    // Interleave the helpers so each starts mid-stream and the normal
+    // distribution's cached second value carries across calls.
+    for (int round = 0; round < 200; ++round) {
+      for (int i = 0; i < 50; ++i) ASSERT_EQ(rng.Uniform(), ref.Uniform());
+      for (int i = 0; i < 51; ++i) ASSERT_EQ(rng.Normal(), ref.Normal());
+      for (size_t n : {1, 2, 7, 1000, 1 << 20}) {
+        ASSERT_EQ(rng.Index(n), ref.Index(n));
+      }
+      std::vector<int> a(97);
+      for (int i = 0; i < 97; ++i) a[i] = i;
+      std::vector<int> b = a;
+      rng.Shuffle(&a);
+      ref.Shuffle(&b);
+      ASSERT_EQ(a, b);
+      ASSERT_EQ(rng.SampleIndices(500, 37), ref.SampleIndices(500, 37));
+      ASSERT_EQ(rng.Fork(), ref.Fork());
+    }
+  }
 }
 
 }  // namespace

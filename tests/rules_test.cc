@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/random.h"
 #include "rules/cart.h"
 #include "rules/one_sided_tree.h"
@@ -204,6 +206,36 @@ TEST(OneSidedForestTest, InvalidInputsRejected) {
   std::vector<uint8_t> ok_labels(10, 0);
   EXPECT_FALSE(
       OneSidedForest::Generate(features, ok_labels, bad_lambda).ok());
+}
+
+// NaN passes a `< 0 || > 1` range check; a NaN lambda or class weight
+// makes every split score NaN and Generate would return no rules, and a
+// negative weight gives a negative weighted total.
+TEST(OneSidedForestTest, NanLambdaAndBadClassWeightRejected) {
+  FeatureMatrix features;
+  std::vector<uint8_t> labels;
+  MakeRuleData(200, &features, &labels);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  OneSidedForestOptions nan_lambda;
+  nan_lambda.lambda = nan;
+  EXPECT_TRUE(OneSidedForest::Generate(features, labels, nan_lambda)
+                  .status()
+                  .IsInvalidArgument());
+  for (double weight : {nan, inf, -inf, -1.0}) {
+    OneSidedForestOptions bad_weight;
+    bad_weight.match_class_weight = weight;
+    EXPECT_TRUE(OneSidedForest::Generate(features, labels, bad_weight)
+                    .status()
+                    .IsInvalidArgument())
+        << "match_class_weight " << weight;
+  }
+  for (double weight : {0.0, 1.0}) {
+    OneSidedForestOptions ok_weight;
+    ok_weight.match_class_weight = weight;
+    EXPECT_TRUE(OneSidedForest::Generate(features, labels, ok_weight).ok())
+        << "match_class_weight " << weight;
+  }
 }
 
 TEST(OneSidedForestTest, DeterministicOutput) {
