@@ -121,14 +121,4 @@ double Mean(const std::vector<double>& xs) {
   return s / static_cast<double>(xs.size());
 }
 
-double Variance(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double m = Mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size());
-}
-
-double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
-
 }  // namespace learnrisk

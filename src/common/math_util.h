@@ -78,9 +78,6 @@ inline double Softplus(double x) {
   return std::max(x, 0.0) + std::log1p(std::exp(-std::fabs(x)));
 }
 
-/// \brief Derivative of softplus, i.e. Sigmoid(x).
-inline double SoftplusGrad(double x) { return Sigmoid(x); }
-
 /// \brief Inverse of softplus: x such that Softplus(x) == y, for y > 0.
 double SoftplusInverse(double y);
 
@@ -102,12 +99,6 @@ inline double SafeDenominator(double b) {
 
 /// \brief Arithmetic mean; returns 0 for an empty vector.
 double Mean(const std::vector<double>& xs);
-
-/// \brief Population variance; returns 0 for fewer than two elements.
-double Variance(const std::vector<double>& xs);
-
-/// \brief Standard deviation (sqrt of population variance).
-double StdDev(const std::vector<double>& xs);
 
 }  // namespace learnrisk
 

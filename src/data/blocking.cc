@@ -31,6 +31,18 @@ TokenIndex BuildIndex(const Table& table, size_t attr, size_t min_len) {
 
 }  // namespace
 
+Status CheckBlockingConfig(const BlockingConfig& config,
+                           const Schema& schema) {
+  if (config.key_attribute >= schema.num_attributes()) {
+    return Status::InvalidArgument("blocking key attribute out of range");
+  }
+  if (!(config.max_token_df >= 0.0 && config.max_token_df <= 1.0)) {
+    return Status::InvalidArgument(
+        "blocking max_token_df must be a fraction in [0, 1]");
+  }
+  return Status::OK();
+}
+
 std::vector<std::string> BlockingKeyTokens(const Record& record,
                                            size_t key_attribute,
                                            size_t min_token_length) {
@@ -46,10 +58,8 @@ std::vector<std::string> BlockingKeyTokens(const Record& record,
 Result<std::vector<RecordPair>> TokenBlocking(const Table& left,
                                               const Table& right,
                                               const BlockingConfig& config) {
-  if (config.key_attribute >= left.schema().num_attributes() ||
-      config.key_attribute >= right.schema().num_attributes()) {
-    return Status::InvalidArgument("blocking key attribute out of range");
-  }
+  LEARNRISK_RETURN_NOT_OK(CheckBlockingConfig(config, left.schema()));
+  LEARNRISK_RETURN_NOT_OK(CheckBlockingConfig(config, right.schema()));
   const bool dedup = &left == &right;
   TokenIndex left_index = BuildIndex(left, config.key_attribute,
                                      config.min_token_length);

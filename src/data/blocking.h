@@ -30,6 +30,12 @@ struct BlockingConfig {
   size_t max_block_size = 200;
 };
 
+/// \brief Fails unless `config` fits `schema`: the key attribute is one of
+/// its attributes and max_token_df is a fraction in [0, 1] (NaN, negative
+/// and infinite caps would make the df cap undefined). TokenBlocking,
+/// BlockingIndex::Build and gateway registration all check through it.
+Status CheckBlockingConfig(const BlockingConfig& config, const Schema& schema);
+
 /// \brief The deduplicated blocking tokens of one record's key attribute
 /// (tokens shorter than `min_token_length` dropped, first occurrence kept).
 /// Shared by the batch blocker and the gateway's incremental BlockingIndex so

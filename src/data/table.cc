@@ -2,27 +2,9 @@
 
 #include "data/table.h"
 
-#include <cstdlib>
-
 #include "common/string_util.h"
 
 namespace learnrisk {
-
-const char* AttributeTypeToString(AttributeType type) {
-  switch (type) {
-    case AttributeType::kEntityName:
-      return "entity_name";
-    case AttributeType::kEntitySet:
-      return "entity_set";
-    case AttributeType::kText:
-      return "text";
-    case AttributeType::kNumeric:
-      return "numeric";
-    case AttributeType::kCategorical:
-      return "categorical";
-  }
-  return "unknown";
-}
 
 Result<size_t> Schema::IndexOf(const std::string& name) const {
   for (size_t i = 0; i < attributes_.size(); ++i) {
@@ -40,15 +22,6 @@ bool Schema::Equals(const Schema& other) const {
     }
   }
   return true;
-}
-
-std::optional<double> Record::NumericValue(size_t attr) const {
-  const std::string& v = values[attr];
-  if (v.empty()) return std::nullopt;
-  char* end = nullptr;
-  double parsed = std::strtod(v.c_str(), &end);
-  if (end == v.c_str()) return std::nullopt;
-  return parsed;
 }
 
 Status Table::Append(Record record, int64_t entity_id) {

@@ -7,7 +7,6 @@
 #define LEARNRISK_DATA_TABLE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,9 +23,6 @@ enum class AttributeType {
   kNumeric,     ///< numeric value serialized as string (year, price)
   kCategorical  ///< small closed domain (genre)
 };
-
-/// \brief Returns a short name ("entity_name", "numeric", ...).
-const char* AttributeTypeToString(AttributeType type);
 
 /// \brief One column: a name plus its semantic type.
 struct Attribute {
@@ -61,9 +57,6 @@ struct Record {
 
   const std::string& value(size_t attr) const { return values[attr]; }
   bool IsMissing(size_t attr) const { return values[attr].empty(); }
-
-  /// \brief Parses the attribute value as a double, if present and numeric.
-  std::optional<double> NumericValue(size_t attr) const;
 };
 
 /// \brief A table of records plus hidden entity identities.

@@ -74,8 +74,4 @@ Result<WorkloadSplit> StratifiedSplit(const Workload& workload,
   return split;
 }
 
-std::vector<size_t> SamplePairs(const Workload& workload, size_t k, Rng* rng) {
-  return rng->SampleIndices(workload.size(), k);
-}
-
 }  // namespace learnrisk

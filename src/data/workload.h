@@ -83,9 +83,6 @@ Result<WorkloadSplit> StratifiedSplit(const Workload& workload,
                                       double train_ratio, double valid_ratio,
                                       double test_ratio, Rng* rng);
 
-/// \brief Uniformly samples `k` pair indices (no replacement).
-std::vector<size_t> SamplePairs(const Workload& workload, size_t k, Rng* rng);
-
 }  // namespace learnrisk
 
 #endif  // LEARNRISK_DATA_WORKLOAD_H_

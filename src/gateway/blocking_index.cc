@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "common/timer.h"
@@ -14,10 +16,8 @@ namespace learnrisk {
 Result<BlockingIndex> BlockingIndex::Build(const Table& left,
                                            const Table& right,
                                            const BlockingConfig& config) {
-  if (config.key_attribute >= left.schema().num_attributes() ||
-      config.key_attribute >= right.schema().num_attributes()) {
-    return Status::InvalidArgument("blocking key attribute out of range");
-  }
+  LEARNRISK_RETURN_NOT_OK(CheckBlockingConfig(config, left.schema()));
+  LEARNRISK_RETURN_NOT_OK(CheckBlockingConfig(config, right.schema()));
   BlockingIndex index(config, &left == &right);
   auto bulk_load = [&config](Side* side, const Table& table) {
     auto segment = std::make_shared<Segment>();
@@ -54,15 +54,6 @@ Status BlockingIndex::AddRecord(BlockingSide side, const Record& record,
     tail->postings[std::move(tok)].push_back(index);
   }
   tail->entities.push_back(entity_id);
-  for (const auto& [tok, ids] : tail->postings) {
-    (void)ids;
-    for (const auto& segment : s.segments) {
-      if (segment->postings.count(tok) > 0) {
-        tail->prior.insert(tok);
-        break;
-      }
-    }
-  }
   s.segments.push_back(std::move(tail));
   s.num_records = index + 1;
 
@@ -77,14 +68,7 @@ Status BlockingIndex::AddRecord(BlockingSide side, const Record& record,
     auto merged = std::make_shared<Segment>();
     merged->base = a.base;
     merged->postings = a.postings;
-    merged->prior = a.prior;
     for (const auto& [tok, ids] : b.postings) {
-      // A token only b holds predates the merged segment iff it predates a:
-      // b.prior covers "before a, or in a", and "in a" is excluded here. For
-      // tokens a holds, a.prior (already copied) is the answer.
-      if (merged->postings.count(tok) == 0 && b.prior.count(tok) > 0) {
-        merged->prior.insert(tok);
-      }
       // b's ids all exceed a's (higher base), so appending keeps each
       // posting list ascending.
       std::vector<size_t>& list = merged->postings[tok];
@@ -100,13 +84,12 @@ Status BlockingIndex::AddRecord(BlockingSide side, const Record& record,
   return Status::OK();
 }
 
-size_t BlockingIndex::Side::Gather(size_t shard, size_t from,
-                                   const std::string& token,
+size_t BlockingIndex::Side::Gather(size_t shard, const std::string& token,
                                    std::vector<ShardList>* out) const {
   size_t count = 0;
-  for (size_t s = from; s < segments.size(); ++s) {
-    auto it = segments[s]->postings.find(token);
-    if (it == segments[s]->postings.end()) continue;
+  for (const auto& segment : segments) {
+    auto it = segment->postings.find(token);
+    if (it == segment->postings.end()) continue;
     count += it->second.size();
     if (out != nullptr) out->push_back({&it->second, shard});
   }
@@ -175,7 +158,7 @@ std::vector<size_t> MergedCandidates(
     lists.clear();
     size_t target_count = 0;
     for (size_t k = 0; k < num_shards; ++k) {
-      target_count += shards[k]->side_of(target).Gather(k, 0, tok, &lists);
+      target_count += shards[k]->side_of(target).Gather(k, tok, &lists);
     }
     if (target_count == 0) continue;
     // Block sizes with the probe appended: the probe joins its own side's
@@ -184,8 +167,7 @@ std::vector<size_t> MergedCandidates(
     if (!dedup) {
       probe_count = 1;
       for (size_t k = 0; k < num_shards; ++k) {
-        probe_count += shards[k]->side_of(probe_side).Gather(k, 0, tok,
-                                                             nullptr);
+        probe_count += shards[k]->side_of(probe_side).Gather(k, tok, nullptr);
       }
     }
     const size_t target_block = dedup ? target_count + 1 : target_count;
@@ -231,39 +213,34 @@ std::vector<RecordPair> MergedAllCandidates(
   // Mirrors TokenBlocking's batch loop over the live postings: same caps
   // (evaluated at the current global record counts), same dedup semantics,
   // same (left, right)-ordered deterministic output. A token is processed
-  // once, at its first (shard, left segment), with its full per-side lists
-  // gathered across every shard's segments. The segment's prior set
-  // answers "did an earlier segment of this shard index it?" in one
-  // lookup; only earlier shards need searching, so a single index does no
-  // extra lookups.
+  // where this call first meets it in any shard's left segments, with its
+  // full per-side lists gathered across every shard's segments. `handled`
+  // skips it at every later segment that holds it: a second pass would
+  // only repeat its emits, which the final phase drops, at the cost of
+  // redoing the token's gathers and pair loops. Its views point into
+  // postings keys, which the caller's shards keep alive for the call.
   // Raw (li, ri) emits, duplicates included (a pair sharing several tokens
   // is emitted once per token); the final phase sorts and dedups them.
   std::vector<RecordPair> pairs;
   std::vector<ShardList> left_lists;
   std::vector<ShardList> right_lists;
-  for (size_t k = 0; k < num_shards; ++k) {
-    const auto& left = shards[k]->left_;
-    for (size_t s = 0; s < left.segments.size(); ++s) {
-      for (const auto& [token, seg_ids] : left.segments[s]->postings) {
+  std::unordered_set<std::string_view> handled;
+  for (const BlockingIndex* shard : shards) {
+    for (const auto& segment : shard->left_.segments) {
+      for (const auto& [token, seg_ids] : segment->postings) {
         (void)seg_ids;
-        if (left.segments[s]->prior.count(token) > 0) continue;
-        bool seen = false;  // handled at an earlier shard?
-        for (size_t j = 0; j < k && !seen; ++j) {
-          seen = shards[j]->left_.Gather(j, 0, token, nullptr) > 0;
-        }
-        if (seen) continue;
+        if (!handled.insert(token).second) continue;
         left_lists.clear();
         size_t left_count = 0;
-        for (size_t j = k; j < num_shards; ++j) {
-          left_count +=
-              shards[j]->left_.Gather(j, j == k ? s : 0, token, &left_lists);
+        for (size_t j = 0; j < num_shards; ++j) {
+          left_count += shards[j]->left_.Gather(j, token, &left_lists);
         }
         size_t right_count = left_count;
         if (!dedup) {
           right_lists.clear();
           right_count = 0;
           for (size_t j = 0; j < num_shards; ++j) {
-            right_count += shards[j]->right_.Gather(j, 0, token, &right_lists);
+            right_count += shards[j]->right_.Gather(j, token, &right_lists);
           }
         }
         const std::vector<ShardList>& rlists = dedup ? left_lists : right_lists;

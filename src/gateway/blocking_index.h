@@ -16,7 +16,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -132,17 +131,11 @@ class BlockingIndex {
 
   /// \brief One immutable run of indexed records: their token postings
   /// (global record ids, ascending) and entity ids, covering global indices
-  /// [base, base + entities.size()).
+  /// [base, base + entities.size()). A segment holds nothing about other
+  /// segments, so an append or a merge touches only the segments it builds.
   struct Segment {
     size_t base = 0;
     Postings postings;
-    /// Of this segment's postings tokens, the ones that also appear in some
-    /// earlier (lower-base) segment of the same side. Computed once when the
-    /// segment is created (tail append or merge) and immutable like the
-    /// rest, so AllCandidates decides "is this the token's first segment?"
-    /// with one lookup instead of re-walking every earlier segment's
-    /// postings per token.
-    std::unordered_set<std::string> prior;
     std::vector<int64_t> entities;
     size_t num_records() const { return entities.size(); }
   };
@@ -160,9 +153,8 @@ class BlockingIndex {
     size_t num_records = 0;
 
     /// \brief Appends (when `out` is non-null) this side's posting lists of
-    /// `token` from segment `from` on, tagged with `shard`; returns the
-    /// number of ids they hold.
-    size_t Gather(size_t shard, size_t from, const std::string& token,
+    /// `token`, tagged with `shard`; returns the number of ids they hold.
+    size_t Gather(size_t shard, const std::string& token,
                   std::vector<ShardList>* out) const;
   };
 

@@ -809,14 +809,27 @@ Status LoadReviewSegment(const std::string& path, size_t expected_queued,
   if (!payload.ok()) return payload.status();
   const char* p = payload->data();
   const char* end = p + payload->size();
-  auto load_items = [&](const char* section, size_t expected,
-                        std::vector<ReviewItem>* out) -> Status {
-    uint64_t count = 0;
-    if (!GetU64(&p, end, &count) || count != expected) {
+  // Reads a section's item count. It must match the manifest and, before
+  // anything is reserved, fit the bytes left at `item_bytes` or more per
+  // item, so a forged but checksummed count cannot force a huge allocation.
+  auto read_count = [&](const char* section, size_t expected,
+                        size_t item_bytes, uint64_t* count) -> Status {
+    if (!GetU64(&p, end, count) || *count != expected) {
       return Status::IOError("corrupt review segment '" + path + "': " +
                              section +
                              " count does not match the manifest");
     }
+    if (*count > static_cast<uint64_t>(end - p) / item_bytes) {
+      return Status::IOError("corrupt review segment '" + path + "': " +
+                             section + " count exceeds the payload");
+    }
+    return Status::OK();
+  };
+  auto load_items = [&](const char* section, size_t expected,
+                        std::vector<ReviewItem>* out) -> Status {
+    uint64_t count = 0;
+    LEARNRISK_RETURN_NOT_OK(
+        read_count(section, expected, kReviewItemFixedBytes, &count));
     out->clear();
     out->reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
@@ -834,11 +847,8 @@ Status LoadReviewSegment(const std::string& path, size_t expected_queued,
   LEARNRISK_RETURN_NOT_OK(
       load_items("outstanding", expected_outstanding, outstanding));
   uint64_t num_labeled = 0;
-  if (!GetU64(&p, end, &num_labeled) || num_labeled != expected_labeled) {
-    return Status::IOError(
-        "corrupt review segment '" + path +
-        "': labeled count does not match the manifest");
-  }
+  LEARNRISK_RETURN_NOT_OK(read_count("labeled", expected_labeled,
+                                     kReviewItemFixedBytes + 1, &num_labeled));
   labeled->clear();
   labeled->reserve(num_labeled);
   for (uint64_t i = 0; i < num_labeled; ++i) {

@@ -171,7 +171,6 @@ class FeaturePipeline {
   /// across threads instead of queueing on the pool (bit-identical output
   /// either way).
   void set_parallelism(size_t parallelism) { parallelism_ = parallelism; }
-  size_t parallelism() const { return parallelism_; }
 
   /// \brief Number of chunks, hence of chunk indexes, a tiled pass over
   /// `n` rows started from this thread uses, so a caller can size per-chunk

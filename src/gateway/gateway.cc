@@ -347,10 +347,7 @@ Status CheckServingSpec(const Spec& spec, const Schema& schema,
       return Status::InvalidArgument("classifier column out of range");
     }
   }
-  if (spec.blocking.key_attribute >= schema.num_attributes()) {
-    return Status::InvalidArgument("blocking key attribute out of range");
-  }
-  return Status::OK();
+  return CheckBlockingConfig(spec.blocking, schema);
 }
 
 }  // namespace

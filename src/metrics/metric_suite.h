@@ -187,11 +187,6 @@ class FeatureMatrix {
   /// rows in place instead of calling set() per cell).
   double* mutable_row(size_t r) { return data_.data() + r * cols_; }
 
-  /// \brief Copies row r into a vector.
-  std::vector<double> RowVector(size_t r) const {
-    return std::vector<double>(row(r), row(r) + cols_);
-  }
-
   std::vector<std::string> column_names;
 
  private:

@@ -11,43 +11,29 @@ namespace {
 
 constexpr double kSmoothing = 0.5;  // Laplace mass added to every bucket
 
-void BucketValues(const double* values, size_t count, size_t stride,
-                  DriftColumn* out) {
-  out->counts.assign(DriftBaseline::kNumBuckets, 0);
-  out->total = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const double value = values[i * stride];
-    if (!std::isfinite(value)) continue;
-    const uint64_t micro = ValueHistogram::ToMicro(value);
-    ++out->counts[ValueHistogram::BucketIndex(micro)];
-    ++out->total;
-  }
-}
-
 }  // namespace
 
 DriftBaseline DriftBaseline::FromTraining(
     const FeatureMatrix& features, const std::vector<double>& risk_scores) {
+  // The live side's accumulator, run once over the training values; each
+  // column keeps its frozen counts and total.
+  FeatureBuckets buckets(features.cols());
+  buckets.Observe(features.row(0), features.rows(), features.cols());
+  FeatureBuckets risk(1);
+  risk.Observe(risk_scores.data(), risk_scores.size(), 1);
+  auto freeze = [](const FeatureBuckets::Column& column, std::string name) {
+    return DriftColumn{std::move(name),
+                       {std::begin(column.counts), std::end(column.counts)},
+                       column.total};
+  };
   DriftBaseline baseline;
-  baseline.columns_.resize(features.cols());
   for (size_t c = 0; c < features.cols(); ++c) {
-    DriftColumn& column = baseline.columns_[c];
-    column.name = c < features.column_names.size()
-                      ? features.column_names[c]
-                      : "column_" + std::to_string(c);
-    if (features.rows() > 0) {
-      BucketValues(features.row(0) + c, features.rows(), features.cols(),
-                   &column);
-    } else {
-      column.counts.assign(kNumBuckets, 0);
-    }
+    baseline.columns_.push_back(
+        freeze(buckets.columns_[c], c < features.column_names.size()
+                                        ? features.column_names[c]
+                                        : "column_" + std::to_string(c)));
   }
-  baseline.risk_.name = "risk_score";
-  if (!risk_scores.empty()) {
-    BucketValues(risk_scores.data(), risk_scores.size(), 1, &baseline.risk_);
-  } else {
-    baseline.risk_.counts.assign(kNumBuckets, 0);
-  }
+  baseline.risk_ = freeze(risk.columns_[0], "risk_score");
   return baseline;
 }
 

@@ -44,8 +44,8 @@ class DriftBaseline {
   static constexpr size_t kNumBuckets = ValueHistogram::kNumBuckets;
 
   /// \brief Buckets every value of the training feature matrix column-wise
-  /// (non-finite values are dropped, everything else clamped to [0, 1] in
-  /// micro-units — the exact quantization the live side applies). Column
+  /// through FeatureBuckets, the live side's accumulator (non-finite values
+  /// are dropped, everything else clamped to [0, 1] in micro-units). Column
   /// names come from `features.column_names` when present. `risk_scores`,
   /// when non-empty, freezes the training risk-score distribution for
   /// comparison against the live risk-score ValueHistogram.
@@ -99,6 +99,8 @@ class FeatureBuckets {
   void Flush(size_t c, ValueHistogram* histogram) const;
 
  private:
+  friend class DriftBaseline;  // FromTraining freezes the columns' counts
+
   struct Column {
     uint64_t counts[ValueHistogram::kNumBuckets] = {};
     uint64_t total = 0;

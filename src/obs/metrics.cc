@@ -94,13 +94,54 @@ void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
   buckets = std::move(merged);
 }
 
-// --- LatencyHistogram -------------------------------------------------------
+// --- HistogramCells ---------------------------------------------------------
 
-LatencyHistogram::LatencyHistogram() {
-  for (auto& bucket : buckets_) {
-    bucket.store(0, std::memory_order_relaxed);
-  }
+template <size_t N>
+void HistogramCells<N>::Add(size_t bucket, uint64_t value) {
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  AtomicMin(&min_, value);
+  AtomicMax(&max_, value);
 }
+
+template <size_t N>
+void HistogramCells<N>::AddBucketed(const uint64_t* counts, uint64_t total,
+                                    uint64_t sum, uint64_t min, uint64_t max) {
+  if (total == 0) return;
+  for (size_t i = 0; i < N; ++i) {
+    if (counts[i] > 0) {
+      buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
+    }
+  }
+  count_.fetch_add(total, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
+  AtomicMin(&min_, min);
+  AtomicMax(&max_, max);
+}
+
+template <size_t N>
+HistogramSnapshot HistogramCells<N>::Snapshot(
+    uint64_t (*upper_bound)(size_t)) const {
+  HistogramSnapshot snapshot;
+  for (size_t i = 0; i < N; ++i) {
+    const uint64_t count = buckets_[i].load(std::memory_order_relaxed);
+    if (count > 0) {
+      snapshot.buckets.push_back(HistogramBucket{upper_bound(i), count});
+    }
+  }
+  snapshot.count = count_.load(std::memory_order_relaxed);
+  snapshot.sum = sum_.load(std::memory_order_relaxed);
+  const uint64_t min = min_.load(std::memory_order_relaxed);
+  snapshot.min = min == UINT64_MAX ? 0 : min;
+  snapshot.max = max_.load(std::memory_order_relaxed);
+  return snapshot;
+}
+
+template class HistogramCells<LatencyHistogram::kNumBuckets>;
+template class HistogramCells<ValueHistogram::kNumBuckets>;
+
+// --- LatencyHistogram -------------------------------------------------------
 
 size_t LatencyHistogram::BucketIndex(uint64_t value) {
   if (value < kSubBucketCount) return value;
@@ -123,37 +164,7 @@ uint64_t LatencyHistogram::BucketUpperBound(size_t index) {
   return BucketLowerBound(index) + ((uint64_t{1} << shift) - 1);
 }
 
-void LatencyHistogram::Record(uint64_t value) {
-  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
-  AtomicMin(&min_, value);
-  AtomicMax(&max_, value);
-}
-
-HistogramSnapshot LatencyHistogram::Snapshot() const {
-  HistogramSnapshot snapshot;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    const uint64_t count = buckets_[i].load(std::memory_order_relaxed);
-    if (count > 0) {
-      snapshot.buckets.push_back(HistogramBucket{BucketUpperBound(i), count});
-    }
-  }
-  snapshot.count = count_.load(std::memory_order_relaxed);
-  snapshot.sum = sum_.load(std::memory_order_relaxed);
-  const uint64_t min = min_.load(std::memory_order_relaxed);
-  snapshot.min = min == UINT64_MAX ? 0 : min;
-  snapshot.max = max_.load(std::memory_order_relaxed);
-  return snapshot;
-}
-
 // --- ValueHistogram ---------------------------------------------------------
-
-ValueHistogram::ValueHistogram() {
-  for (auto& bucket : buckets_) {
-    bucket.store(0, std::memory_order_relaxed);
-  }
-}
 
 size_t ValueHistogram::BucketIndex(uint64_t micro_value) {
   const size_t index =
@@ -177,42 +188,7 @@ uint64_t ValueHistogram::ToMicro(double value) {
 void ValueHistogram::Record(double value) {
   if (!std::isfinite(value)) return;
   const uint64_t micro = ToMicro(value);
-  buckets_[BucketIndex(micro)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(micro, std::memory_order_relaxed);
-  AtomicMin(&min_, micro);
-  AtomicMax(&max_, micro);
-}
-
-void ValueHistogram::RecordBucketed(const uint64_t* counts, uint64_t total,
-                                    uint64_t micro_sum, uint64_t micro_min,
-                                    uint64_t micro_max) {
-  if (total == 0) return;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    if (counts[i] > 0) {
-      buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(total, std::memory_order_relaxed);
-  sum_.fetch_add(micro_sum, std::memory_order_relaxed);
-  AtomicMin(&min_, micro_min);
-  AtomicMax(&max_, micro_max);
-}
-
-HistogramSnapshot ValueHistogram::Snapshot() const {
-  HistogramSnapshot snapshot;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    const uint64_t count = buckets_[i].load(std::memory_order_relaxed);
-    if (count > 0) {
-      snapshot.buckets.push_back(HistogramBucket{BucketUpperBound(i), count});
-    }
-  }
-  snapshot.count = count_.load(std::memory_order_relaxed);
-  snapshot.sum = sum_.load(std::memory_order_relaxed);
-  const uint64_t min = min_.load(std::memory_order_relaxed);
-  snapshot.min = min == UINT64_MAX ? 0 : min;
-  snapshot.max = max_.load(std::memory_order_relaxed);
-  return snapshot;
+  cells_.Add(BucketIndex(micro), micro);
 }
 
 // --- TraceSpan --------------------------------------------------------------

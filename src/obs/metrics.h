@@ -10,6 +10,9 @@
 //
 //  - ShardedCounter / ShardedGauge: per-thread cache-line-padded atomic
 //    stripes; Add() touches one stripe, Value() sums them.
+//  - HistogramCells<N>: the one lock-free histogram store — N bucket
+//    counters plus count, sum, min and max — that both histogram kinds
+//    below keep; each kind adds only its bucket layout.
 //  - LatencyHistogram: HDR-style log-bucketed histogram over uint64 values
 //    (the gateway records nanoseconds). Fixed bucket layout — values below
 //    32 are exact, above that every power-of-two range splits into 32
@@ -150,12 +153,44 @@ struct HistogramSnapshot {
   void Merge(const HistogramSnapshot& other);
 };
 
+/// \brief Lock-free histogram store over N buckets: one relaxed atomic
+/// counter per bucket plus the sample count, sum, min and max. The bucket
+/// layout (value -> bucket, bucket -> upper bound) belongs to the caller;
+/// LatencyHistogram and ValueHistogram are the two layouts, and metrics.cc
+/// instantiates the store for exactly those two.
+template <size_t N>
+class HistogramCells {
+ public:
+  /// \brief One sample of raw value `value`, which lands in `bucket`:
+  /// relaxed atomic ops on the bucket, count, sum, min and max; no locks.
+  void Add(size_t bucket, uint64_t value);
+
+  /// \brief A batch of pre-bucketed samples: counts[i] samples landed in
+  /// bucket i (N entries), with their total count, sum and observed min and
+  /// max. Equivalent to the corresponding sequence of Add() calls but costs
+  /// one atomic add per non-empty bucket. No-op when total is 0.
+  void AddBucketed(const uint64_t* counts, uint64_t total, uint64_t sum,
+                   uint64_t min, uint64_t max);
+
+  /// \brief Point-in-time copy of the non-empty buckets, each labelled
+  /// `upper_bound(i)`, and the summary stats (name, labels, help and scale
+  /// are filled by the registry). Safe under concurrent Add calls; totals
+  /// are exact once recorders are joined.
+  HistogramSnapshot Snapshot(uint64_t (*upper_bound)(size_t)) const;
+
+ private:
+  std::array<std::atomic<uint64_t>, N> buckets_{};
+  std::atomic<uint64_t> count_{0};
+  std::atomic<uint64_t> sum_{0};
+  std::atomic<uint64_t> min_{UINT64_MAX};
+  std::atomic<uint64_t> max_{0};
+};
+
 /// \brief Lock-free log-bucketed latency histogram over uint64 samples
 /// (record nanoseconds). Fixed HDR-style layout: values < 32 get one bucket
 /// each (exact); above that each power-of-two range [2^e, 2^(e+1)) splits
 /// into 32 linear sub-buckets, bounding relative error by 1/32 (~3.1%).
 /// The layout is identical across instances, so snapshots merge exactly.
-/// Record() is 4 relaxed atomic ops (bucket, count, sum, max-CAS); no locks.
 class LatencyHistogram {
  public:
   static constexpr size_t kSubBucketBits = 5;
@@ -165,11 +200,7 @@ class LatencyHistogram {
   static constexpr size_t kNumBuckets =
       kSubBucketCount + (63 - kSubBucketBits + 1) * kSubBucketCount;
 
-  LatencyHistogram();
-  LatencyHistogram(const LatencyHistogram&) = delete;
-  LatencyHistogram& operator=(const LatencyHistogram&) = delete;
-
-  void Record(uint64_t value);
+  void Record(uint64_t value) { cells_.Add(BucketIndex(value), value); }
 
   /// \brief Bucket index of a value under the fixed layout.
   static size_t BucketIndex(uint64_t value);
@@ -178,45 +209,35 @@ class LatencyHistogram {
   /// \brief Largest value mapping to bucket `index` (inclusive).
   static uint64_t BucketUpperBound(size_t index);
 
-  /// \brief Point-in-time copy of the buckets and summary stats (name,
-  /// labels, help, and scale are filled by the registry). Safe under
-  /// concurrent Record calls; totals are exact once recorders are joined.
-  HistogramSnapshot Snapshot() const;
+  HistogramSnapshot Snapshot() const {
+    return cells_.Snapshot(&BucketUpperBound);
+  }
 
  private:
-  std::array<std::atomic<uint64_t>, kNumBuckets> buckets_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> min_{UINT64_MAX};
-  std::atomic<uint64_t> max_{0};
+  HistogramCells<kNumBuckets> cells_;
 };
 
 /// \brief Lock-free linear histogram over [0, 1] (risk scores, classifier
 /// probabilities). Samples are clamped to [0, 1] and recorded in fixed-point
 /// micro-units (1e6 = 1.0) across 64 equal-width buckets, so snapshots are
 /// integer-exact and merge bucket-for-bucket; non-finite samples are
-/// dropped. Same 4-atomic-op Record cost as LatencyHistogram.
+/// dropped. Same Record cost as LatencyHistogram.
 class ValueHistogram {
  public:
   static constexpr size_t kNumBuckets = 64;
   static constexpr uint64_t kScale = 1000000;  ///< micro-units per 1.0
 
-  ValueHistogram();
-  ValueHistogram(const ValueHistogram&) = delete;
-  ValueHistogram& operator=(const ValueHistogram&) = delete;
-
   void Record(double value);
 
-  /// \brief Merges a batch of pre-bucketed samples in one pass: counts[i]
-  /// samples landed in bucket i (counts has kNumBuckets entries), with their
-  /// total count, micro-unit sum, and observed micro min/max. Equivalent to
-  /// the corresponding sequence of Record() calls but costs one atomic add
-  /// per non-empty bucket instead of four per sample — the drift monitor
+  /// \brief Merges a batch of pre-bucketed samples in one pass
+  /// (HistogramCells::AddBucketed over micro-units) — the drift monitor
   /// uses this to observe every feature value of a batch for the price of a
-  /// local array walk (see obs/drift.h). No-op when total is 0.
+  /// local array walk (see obs/drift.h).
   void RecordBucketed(const uint64_t* counts, uint64_t total,
                       uint64_t micro_sum, uint64_t micro_min,
-                      uint64_t micro_max);
+                      uint64_t micro_max) {
+    cells_.AddBucketed(counts, total, micro_sum, micro_min, micro_max);
+  }
 
   /// \brief Fixed-point micro-units of a finite sample, clamped to [0, 1] —
   /// the exact quantization Record() applies before bucketing.
@@ -225,14 +246,12 @@ class ValueHistogram {
   static size_t BucketIndex(uint64_t micro_value);
   static uint64_t BucketUpperBound(size_t index);  ///< inclusive, micro-units
 
-  HistogramSnapshot Snapshot() const;
+  HistogramSnapshot Snapshot() const {
+    return cells_.Snapshot(&BucketUpperBound);
+  }
 
  private:
-  std::array<std::atomic<uint64_t>, kNumBuckets> buckets_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> min_{UINT64_MAX};
-  std::atomic<uint64_t> max_{0};
+  HistogramCells<kNumBuckets> cells_;
 };
 
 /// \brief One named stage measurement inside a request-scoped trace (see

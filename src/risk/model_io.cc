@@ -22,8 +22,7 @@ std::string EscapeName(const std::string& name) {
 
 }  // namespace
 
-std::string SerializeRiskModel(const RiskModel& model,
-                               const RiskTrainerOptions* trainer) {
+std::string SerializeRiskModel(const RiskModel& model) {
   std::ostringstream out;
   out.precision(17);  // max_digits10: doubles round-trip exactly
   const RiskModelOptions& opts = model.options();
@@ -32,15 +31,6 @@ std::string SerializeRiskModel(const RiskModel& model,
       << static_cast<int>(opts.metric) << ' ' << opts.rsd_max << ' '
       << opts.output_buckets << ' ' << (opts.use_classifier_feature ? 1 : 0)
       << '\n';
-  if (trainer != nullptr) {
-    // The slot between use_adam and the seed is retired: written 0.
-    out << "trainer " << trainer->epochs << ' ' << trainer->learning_rate
-        << ' ' << trainer->l1 << ' ' << trainer->l2 << ' '
-        << trainer->max_mislabeled_per_epoch << ' '
-        << trainer->max_correct_per_epoch << ' ' << trainer->max_rank_pairs
-        << ' ' << (trainer->use_adam ? 1 : 0) << " 0 " << trainer->seed
-        << '\n';
-  }
   out << "params " << model.alpha_raw() << ' ' << model.beta_raw() << '\n';
   out << "phi_out";
   for (double p : model.phi_out()) out << ' ' << p;
@@ -66,8 +56,7 @@ std::string SerializeRiskModel(const RiskModel& model,
   return out.str();
 }
 
-Result<RiskModel> DeserializeRiskModel(const std::string& text,
-                                       RiskTrainerOptions* trainer_out) {
+Result<RiskModel> DeserializeRiskModel(const std::string& text) {
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || Trim(line) != "learnrisk-model v1") {
@@ -106,17 +95,6 @@ Result<RiskModel> DeserializeRiskModel(const std::string& text,
       }
       options.metric = static_cast<RiskMetric>(metric);
       options.use_classifier_feature = use_out != 0;
-    } else if (tag == "trainer") {
-      RiskTrainerOptions trainer;
-      int use_adam = 1;
-      int use_tape = 0;  // retired slot: parsed and discarded
-      ls >> trainer.epochs >> trainer.learning_rate >> trainer.l1 >>
-          trainer.l2 >> trainer.max_mislabeled_per_epoch >>
-          trainer.max_correct_per_epoch >> trainer.max_rank_pairs >>
-          use_adam >> use_tape >> trainer.seed;
-      if (!ls) return Status::InvalidArgument("malformed trainer line");
-      trainer.use_adam = use_adam != 0;
-      if (trainer_out != nullptr) *trainer_out = trainer;
     } else if (tag == "params") {
       ls >> alpha_raw >> beta_raw;
       if (!ls) return Status::InvalidArgument("malformed params line");

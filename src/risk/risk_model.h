@@ -136,8 +136,6 @@ class RiskModel {
   size_t num_params() const {
     return 2 * num_rules() + 2 + phi_out_.size();
   }
-  size_t theta_offset() const { return 0; }
-  size_t phi_offset() const { return num_rules(); }
   size_t alpha_offset() const { return 2 * num_rules(); }
   size_t beta_offset() const { return 2 * num_rules() + 1; }
   size_t phi_out_offset() const { return 2 * num_rules() + 2; }

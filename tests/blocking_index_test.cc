@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -442,6 +443,38 @@ TEST(BlockingIndexTest, ErrorPaths) {
   EXPECT_TRUE(index.AddRecord(BlockingSide::kLeft, narrow, 1)
                   .IsInvalidArgument());
   EXPECT_TRUE(index.Candidates(narrow, BlockingSide::kRight).empty());
+}
+
+// A df cap that is not a fraction in [0, 1] is refused by both blockers,
+// not cast to an undefined (or silently absent) per-token cap.
+TEST(BlockingIndexTest, RejectsDfCapOutsideTheUnitInterval) {
+  const Workload workload = SmallWorkload("DS");
+  for (double df : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::infinity(), 1.5}) {
+    BlockingConfig config;
+    config.max_token_df = df;
+    EXPECT_TRUE(TokenBlocking(workload.left(), workload.right(), config)
+                    .status()
+                    .IsInvalidArgument())
+        << df;
+    EXPECT_TRUE(BlockingIndex::Build(workload.left(), workload.right(), config)
+                    .status()
+                    .IsInvalidArgument())
+        << df;
+  }
+  for (double df : {0.0, 1.0}) {
+    BlockingConfig config;
+    config.max_token_df = df;
+    EXPECT_TRUE(
+        TokenBlocking(workload.left(), workload.right(), config).ok());
+    EXPECT_TRUE(
+        BlockingIndex::Build(workload.left(), workload.right(), config).ok());
+  }
+  BlockingConfig bad_key;
+  bad_key.key_attribute = workload.left().schema().num_attributes();
+  EXPECT_TRUE(TokenBlocking(workload.left(), workload.right(), bad_key)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 }  // namespace

@@ -816,6 +816,59 @@ TEST(NamespaceLogTest, CorruptManifestFailsWithDiagnostic) {
   EXPECT_TRUE(log.status().IsInvalidArgument()) << log.status().ToString();
 }
 
+// A review segment whose queued, outstanding or labeled count matches a
+// forged (checksummed) manifest but could never fit the segment's payload
+// fails recovery with an IOError naming the segment, before anything of
+// that size is reserved.
+TEST(NamespaceLogTest, ReviewSegmentCountBeyondItsPayloadFailsClosed) {
+  const uint64_t forged = uint64_t{1} << 40;
+  for (int section = 0; section < 3; ++section) {
+    SCOPED_TRACE(section);
+    DirectLog d("review_count_forged_" + std::to_string(section));
+    d.log.reset();
+    const std::string ns_dir = d.dir + "/ns";
+    uint64_t counts[3] = {0, 0, 0};
+    counts[section] = forged;
+
+    // The segment: header, u64 payload size, u32 crc, then a payload with
+    // the forged count in its section and a few bytes after it.
+    std::string payload;
+    for (int s = 0; s <= section; ++s) PutLE(&payload, counts[s], 8);
+    payload += std::string(16, '\0');
+    std::string segment = "learnrisk-rev v1\n";
+    PutLE(&segment, payload.size(), 8);
+    PutLE(&segment, Crc32(payload.data(), payload.size()), 4);
+    segment += payload;
+    std::ofstream(ns_dir + "/ckpt_1_review.seg", std::ios::binary) << segment;
+
+    // The manifest gains a review record with the same counts, under a
+    // recomputed crc trailer.
+    std::ifstream in(ns_dir + "/MANIFEST", std::ios::binary);
+    const std::string manifest((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    const size_t crc_pos = manifest.rfind("crc ");
+    ASSERT_NE(crc_pos, std::string::npos);
+    const std::string body =
+        manifest.substr(0, crc_pos) + "review ckpt_1_review.seg " +
+        std::to_string(counts[0]) + " " + std::to_string(counts[1]) + " " +
+        std::to_string(counts[2]) + "\n";
+    char trailer[32];
+    std::snprintf(trailer, sizeof(trailer), "crc %08x\n",
+                  Crc32(body.data(), body.size()));
+    std::ofstream(ns_dir + "/MANIFEST", std::ios::binary | std::ios::trunc)
+        << body << trailer;
+
+    RecoveredNamespace recovered;
+    Result<std::unique_ptr<NamespaceLog>> log =
+        NamespaceLog::Recover(d.options, "ns", d.base.schema(), &recovered);
+    ASSERT_FALSE(log.ok());
+    EXPECT_TRUE(log.status().IsIOError()) << log.status().ToString();
+    EXPECT_NE(log.status().message().find("ckpt_1_review.seg"),
+              std::string::npos)
+        << log.status().ToString();
+  }
+}
+
 TEST(NamespaceLogTest, CreateRefusesExistingStateAndRecoverNeedsState) {
   DirectLog d("create_refuses");
   d.log.reset();

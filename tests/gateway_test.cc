@@ -229,6 +229,28 @@ TEST(GatewayTest, ErrorPaths) {
                   .IsInvalidArgument());
 }
 
+TEST(GatewayTest, RegistrationRejectsAnInvalidBlockingConfig) {
+  const TestNamespace ds = MakeNamespace("DS", 15, false);
+  Gateway gateway;
+  NamespaceSpec nan_df = ds.Spec();
+  nan_df.blocking.max_token_df = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(gateway.RegisterNamespace("nan_df", nan_df).IsInvalidArgument());
+  NamespaceSpec negative_df = ds.Spec();
+  negative_df.blocking.max_token_df = -1.0;
+  EXPECT_TRUE(gateway.RegisterNamespace("negative_df", negative_df)
+                  .IsInvalidArgument());
+  NamespaceSpec infinite_df = ds.Spec();
+  infinite_df.blocking.max_token_df = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(gateway.RegisterNamespace("infinite_df", infinite_df)
+                  .IsInvalidArgument());
+  NamespaceSpec bad_key = ds.Spec();
+  bad_key.blocking.key_attribute = ds.workload.left().schema().num_attributes();
+  EXPECT_TRUE(
+      gateway.RegisterNamespace("bad_key", bad_key).IsInvalidArgument());
+  // Nothing was half-registered: the valid spec still registers.
+  EXPECT_TRUE(gateway.RegisterNamespace("nan_df", ds.Spec()).ok());
+}
+
 // A classifier whose every probability is NaN.
 class NanClassifier : public BinaryClassifier {
  public:

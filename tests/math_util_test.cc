@@ -164,10 +164,6 @@ TEST(SoftplusTest, KnownValuesAndStability) {
   EXPECT_GE(Softplus(-1e6), 0.0);
 }
 
-TEST(SoftplusTest, GradIsSigmoid) {
-  EXPECT_DOUBLE_EQ(SoftplusGrad(1.7), Sigmoid(1.7));
-}
-
 class SoftplusInverseRoundTrip : public ::testing::TestWithParam<double> {};
 
 TEST_P(SoftplusInverseRoundTrip, Inverts) {
@@ -185,17 +181,13 @@ TEST(ClampTest, Basics) {
   EXPECT_EQ(Clamp(2.0, 0.0, 1.0), 1.0);
 }
 
-TEST(StatsTest, MeanVarianceStdDev) {
+TEST(StatsTest, Mean) {
   const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(Mean(xs), 5.0);
-  EXPECT_DOUBLE_EQ(Variance(xs), 4.0);
-  EXPECT_DOUBLE_EQ(StdDev(xs), 2.0);
 }
 
 TEST(StatsTest, DegenerateInputs) {
   EXPECT_EQ(Mean({}), 0.0);
-  EXPECT_EQ(Variance({}), 0.0);
-  EXPECT_EQ(Variance({3.0}), 0.0);
 }
 
 }  // namespace

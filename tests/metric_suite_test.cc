@@ -154,7 +154,6 @@ TEST(FeatureMatrixTest, RowAccessors) {
   m.set(1, 2, 7.0);
   EXPECT_EQ(m.at(1, 2), 7.0);
   EXPECT_EQ(m.row(1)[2], 7.0);
-  EXPECT_EQ(m.RowVector(1), (std::vector<double>{0.0, 0.0, 7.0}));
 }
 
 TEST(MetricKindTest, DifferenceClassification) {

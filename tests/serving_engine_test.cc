@@ -294,6 +294,9 @@ TEST(ServingEngineTest, ConcurrentScoreDuringPublishSeesNoTornState) {
     });
   }
 
+  // Publish only once a reader has scored, so the publishes overlap reads
+  // even when the readers start late on a loaded machine.
+  while (total_reads.load() == 0 && !failed.load()) std::this_thread::yield();
   uint64_t last_version = 1;
   for (size_t p = 1; p <= kPublishes; ++p) {
     const uint64_t v = engine.Publish(models[p % kModels]);

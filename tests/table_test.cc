@@ -35,20 +35,11 @@ TEST(SchemaTest, EqualsComparesNamesAndTypes) {
   EXPECT_FALSE(BibSchema().Equals(renamed));
 }
 
-TEST(AttributeTypeTest, Names) {
-  EXPECT_STREQ(AttributeTypeToString(AttributeType::kEntityName),
-               "entity_name");
-  EXPECT_STREQ(AttributeTypeToString(AttributeType::kNumeric), "numeric");
-}
-
-TEST(RecordTest, MissingAndNumeric) {
+TEST(RecordTest, Missing) {
   Record r;
   r.values = {"title x", "", "1995"};
   EXPECT_FALSE(r.IsMissing(0));
   EXPECT_TRUE(r.IsMissing(1));
-  EXPECT_EQ(*r.NumericValue(2), 1995.0);
-  EXPECT_FALSE(r.NumericValue(0).has_value());
-  EXPECT_FALSE(r.NumericValue(1).has_value());
 }
 
 TEST(TableTest, AppendChecksWidth) {
@@ -167,13 +158,6 @@ TEST(SplitTest, DeterministicGivenSeed) {
   auto s2 = StratifiedSplit(w, 3, 2, 5, &rng2);
   EXPECT_EQ(s1->train, s2->train);
   EXPECT_EQ(s1->test, s2->test);
-}
-
-TEST(SamplePairsTest, BoundedAndDistinct) {
-  Workload w = MakeLabeledWorkload(50, 5);
-  Rng rng(3);
-  auto idx = SamplePairs(w, 10, &rng);
-  EXPECT_EQ(idx.size(), 10u);
 }
 
 }  // namespace
