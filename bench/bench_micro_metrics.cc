@@ -22,6 +22,12 @@
 // 4,142 x 21 for DS, 14,495 x 29 for SG) and its ground-truth labels,
 // reported as process CPU time, since Build runs on the pool. BM_RngWords
 // times one engine word, the unit the risk trainer draws per rank pair.
+//
+// BM_MergedAllCandidates/<S> is sharded block_all candidate generation: the
+// SG scale-0.1 table (seed 1, dedup) split round-robin over S BlockingIndex
+// shards, then 2,000 records of the seed-2 table added through AddRecord to
+// the least-loaded shard, so each shard holds several posting segments —
+// the state a sharded namespace serves block_all from after online adds.
 
 #include <string>
 #include <utility>
@@ -33,6 +39,8 @@
 #include "common/random.h"
 #include "data/blocking.h"
 #include "data/generators.h"
+#include "gateway/blocking_index.h"
+#include "gateway/shard_merge.h"
 #include "metrics/metric_suite.h"
 #include "metrics/prepared_record.h"
 #include "metrics/string_kernels.h"
@@ -450,6 +458,58 @@ const bool kFitRegistered = [] {
   }
   return true;
 }();
+
+// S shard indexes over the SG table, grown past their base segment.
+std::vector<BlockingIndex> BuildShardedSg(size_t num_shards) {
+  const Workload base =
+      GenerateDataset("SG", ScaleOptions(0.1)).MoveValueOrDie();
+  GeneratorOptions added_options = ScaleOptions(0.1);
+  added_options.seed = 2;
+  const Workload added =
+      GenerateDataset("SG", added_options).MoveValueOrDie();
+  const Table& table = base.left();
+  std::vector<BlockingIndex> shards;
+  for (size_t k = 0; k < num_shards; ++k) {
+    Table part(table.schema());
+    for (size_t i = k; i < table.num_records(); i += num_shards) {
+      (void)part.Append(table.record(i), table.entity_id(i));
+    }
+    shards.push_back(
+        BlockingIndex::Build(part, part, BlockingConfig{}).MoveValueOrDie());
+  }
+  // Sequential least-loaded routing continues the round-robin.
+  for (size_t i = 0; i < 2000; ++i) {
+    const size_t k = (table.num_records() + i) % num_shards;
+    (void)shards[k].AddRecord(BlockingSide::kLeft, added.left().record(i));
+  }
+  return shards;
+}
+
+void BM_MergedAllCandidates(benchmark::State& state) {
+  const size_t num_shards = static_cast<size_t>(state.range(0));
+  const std::vector<BlockingIndex> shards = BuildShardedSg(num_shards);
+  std::vector<const BlockingIndex*> list;
+  size_t records = 0;
+  size_t segments = 0;
+  for (const BlockingIndex& shard : shards) {
+    list.push_back(&shard);
+    records += shard.num_records(BlockingSide::kLeft);
+    segments += shard.segment_count(BlockingSide::kLeft);
+  }
+  size_t pairs = 0;
+  for (auto _ : state) {
+    const std::vector<RecordPair> candidates = MergedAllCandidates(list);
+    pairs = candidates.size();
+    benchmark::DoNotOptimize(candidates.data());
+  }
+  state.counters["records"] = static_cast<double>(records);
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["segments"] = static_cast<double>(segments);
+}
+BENCHMARK(BM_MergedAllCandidates)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RngWords(benchmark::State& state) {
   Rng rng(42);

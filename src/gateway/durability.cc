@@ -2,6 +2,7 @@
 
 #include "gateway/durability.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -45,9 +46,8 @@ constexpr char kDeadLogMessage[] =
 
 // --- Little-endian integer framing (byte shifts: host-endian agnostic). ----
 
-// Raw stores write at `p` and return the next position: encoders that size
-// their output first (review items and frames) fill one buffer through a
-// cursor instead of paying a string append per field.
+// Stores write at `p` and return the next position: every encoder sizes
+// its output first and fills one buffer through a cursor.
 char* StoreU32(char* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
   return p + 4;
@@ -56,23 +56,6 @@ char* StoreU32(char* p, uint32_t v) {
 char* StoreU64(char* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
   return p + 8;
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char bytes[4];
-  out->append(bytes, StoreU32(bytes, v) - bytes);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char bytes[8];
-  out->append(bytes, StoreU64(bytes, v) - bytes);
-}
-
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
-
-void PutBytes(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
 }
 
 // Cursor-style readers: advance *p, fail when fewer than the needed bytes
@@ -117,10 +100,24 @@ bool GetBytes(const char** p, const char* end, std::string* s) {
 
 // --- Record payloads (shared by WAL frames and checkpoint segments). -------
 
-void EncodeRecord(std::string* out, const Record& record, int64_t entity_id) {
-  PutI64(out, entity_id);
-  PutU32(out, static_cast<uint32_t>(record.values.size()));
-  for (const std::string& v : record.values) PutBytes(out, v);
+// An encoded record: entity id, value count, then each value's u32 length
+// and bytes.
+size_t RecordBytes(const Record& record) {
+  size_t bytes = sizeof(int64_t) + sizeof(uint32_t);
+  for (const std::string& v : record.values) {
+    bytes += sizeof(uint32_t) + v.size();
+  }
+  return bytes;
+}
+
+char* StoreRecord(char* p, const Record& record, int64_t entity_id) {
+  p = StoreU64(p, static_cast<uint64_t>(entity_id));
+  p = StoreU32(p, static_cast<uint32_t>(record.values.size()));
+  for (const std::string& v : record.values) {
+    p = StoreU32(p, static_cast<uint32_t>(v.size()));
+    p = std::copy(v.begin(), v.end(), p);
+  }
+  return p;
 }
 
 bool DecodeRecord(const char** p, const char* end, Record* record,
@@ -177,12 +174,6 @@ char* StoreReviewItem(char* p, const ReviewItem& item) {
   p = StoreU32(p, static_cast<uint32_t>(item.features.size()));
   for (double f : item.features) p = StoreF64(p, f);
   return p;
-}
-
-void EncodeReviewItem(std::string* out, const ReviewItem& item) {
-  const size_t at = out->size();
-  out->resize(at + ReviewItemBytes(item));
-  StoreReviewItem(&(*out)[at], item);
 }
 
 bool DecodeReviewItem(const char** p, const char* end, ReviewItem* item) {
@@ -477,11 +468,19 @@ Result<Manifest> ParseManifest(const std::string& text,
 // --- Checkpoint segment envelope (table and review segments alike): header
 // line, u64 payload size, u32 CRC32 of the payload, then the payload. ------
 
-std::string SealSegment(const char* header, const std::string& payload) {
-  std::string out(header);
-  PutU64(&out, payload.size());
-  PutU32(&out, Crc32(payload.data(), payload.size()));
-  out += payload;
+// A segment of `payload_bytes` payload bytes, which `store_payload` writes
+// through the cursor it is handed; the envelope is sealed around them.
+template <typename StorePayload>
+std::string SealSegment(const char* header, size_t payload_bytes,
+                        const StorePayload& store_payload) {
+  const size_t header_len = std::strlen(header);
+  const size_t envelope = header_len + sizeof(uint64_t) + sizeof(uint32_t);
+  std::string out(envelope + payload_bytes, '\0');
+  std::copy(header, header + header_len, out.begin());
+  char* payload = &out[envelope];
+  store_payload(payload);
+  char* p = StoreU64(&out[header_len], payload_bytes);
+  StoreU32(p, Crc32(payload, payload_bytes));
   return out;
 }
 
@@ -676,10 +675,11 @@ bool NamespaceLog::Exists(const std::string& dir, const std::string& ns) {
 }
 
 Status NamespaceLog::Append(const WalEntry& entry) {
-  std::string frame(kFrameHeaderBytes, '\0');
-  frame.push_back(entry.side == BlockingSide::kLeft ? kPayloadRecordLeft
-                                                    : kPayloadRecordRight);
-  EncodeRecord(&frame, entry.record, entry.entity_id);
+  std::string frame(kFrameHeaderBytes + 1 + RecordBytes(entry.record), '\0');
+  char* p = &frame[kFrameHeaderBytes];
+  *p++ = entry.side == BlockingSide::kLeft ? kPayloadRecordLeft
+                                           : kPayloadRecordRight;
+  StoreRecord(p, entry.record, entry.entity_id);
   return AppendFrame(&frame, 1);
 }
 
@@ -770,33 +770,42 @@ namespace {
 
 // Serializes one table into the checkpoint segment format.
 std::string EncodeSegment(const Table& table) {
-  std::string payload;
-  PutU64(&payload, table.num_records());
+  size_t bytes = sizeof(uint64_t);
   for (size_t i = 0; i < table.num_records(); ++i) {
-    EncodeRecord(&payload, table.record(i), table.entity_id(i));
+    bytes += RecordBytes(table.record(i));
   }
-  return SealSegment(kSegmentHeader, payload);
+  return SealSegment(kSegmentHeader, bytes, [&table](char* p) {
+    p = StoreU64(p, table.num_records());
+    for (size_t i = 0; i < table.num_records(); ++i) {
+      p = StoreRecord(p, table.record(i), table.entity_id(i));
+    }
+  });
 }
 
 // Serializes the review queue's checkpoint state (resident items, then
 // outstanding items — each in enqueue order — then labeled items) with the
 // same size+CRC framing as a table segment, under its own header.
 std::string EncodeReviewSegment(const ReviewQueue::CheckpointState& state) {
-  std::string payload;
-  PutU64(&payload, state.queued.size());
-  for (const ReviewItem& item : state.queued) {
-    EncodeReviewItem(&payload, item);
+  const std::vector<ReviewItem>* unlabeled[] = {&state.queued,
+                                                &state.outstanding};
+  size_t bytes = 3 * sizeof(uint64_t) + state.labeled.size();
+  for (const std::vector<ReviewItem>* items : unlabeled) {
+    for (const ReviewItem& item : *items) bytes += ReviewItemBytes(item);
   }
-  PutU64(&payload, state.outstanding.size());
-  for (const ReviewItem& item : state.outstanding) {
-    EncodeReviewItem(&payload, item);
-  }
-  PutU64(&payload, state.labeled.size());
   for (const LabeledReview& label : state.labeled) {
-    EncodeReviewItem(&payload, label.item);
-    payload.push_back(static_cast<char>(label.truth));
+    bytes += ReviewItemBytes(label.item);
   }
-  return SealSegment(kReviewSegmentHeader, payload);
+  return SealSegment(kReviewSegmentHeader, bytes, [&](char* p) {
+    for (const std::vector<ReviewItem>* items : unlabeled) {
+      p = StoreU64(p, items->size());
+      for (const ReviewItem& item : *items) p = StoreReviewItem(p, item);
+    }
+    p = StoreU64(p, state.labeled.size());
+    for (const LabeledReview& label : state.labeled) {
+      p = StoreReviewItem(p, label.item);
+      *p++ = static_cast<char>(label.truth);
+    }
+  });
 }
 
 Status LoadReviewSegment(const std::string& path, size_t expected_queued,

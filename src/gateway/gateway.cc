@@ -331,13 +331,22 @@ class ServePass {
   std::vector<Chunk> chunks_;
 };
 
-// Checks the serving configuration that registration and recovery both
-// take (`kind` names the spec in messages) against the namespace schema.
+}  // namespace
+
 template <typename Spec>
-Status CheckServingSpec(const Spec& spec, const Schema& schema,
-                        const std::string& kind) {
+Status Gateway::CheckNewNamespace(const std::string& ns, const Spec& spec,
+                                  const Schema& schema,
+                                  const std::string& kind) const {
+  if (!ModelRegistry::ValidNamespace(ns)) {
+    return Status::InvalidArgument("invalid namespace '" + ns + "'");
+  }
   if (spec.suite.num_metrics() == 0) {
     return Status::InvalidArgument(kind + " spec has an empty metric suite");
+  }
+  if (!spec.suite.schema().Equals(schema)) {
+    // A suite fitted for other attributes would featurize the wrong columns.
+    return Status::InvalidArgument(
+        kind + " spec's metric suite was built for a different schema");
   }
   if (spec.classifier == nullptr) {
     return Status::InvalidArgument(kind + " spec has no classifier");
@@ -347,10 +356,16 @@ Status CheckServingSpec(const Spec& spec, const Schema& schema,
       return Status::InvalidArgument("classifier column out of range");
     }
   }
-  return CheckBlockingConfig(spec.blocking, schema);
+  LEARNRISK_RETURN_NOT_OK(CheckBlockingConfig(spec.blocking, schema));
+  if (HasNamespace(ns)) {
+    // Checked again at Install (the build is lock-free and could race
+    // another registration); this early exit just avoids building the base
+    // segments and the blocking index for a name that's taken.
+    return Status::FailedPrecondition("namespace '" + ns +
+                                      "' already registered");
+  }
+  return Status::OK();
 }
-
-}  // namespace
 
 // The request-scoped stage record: one slot per Stage with a "ran" bit,
 // plus the request's id, trace start and end-to-end latency span. Each
@@ -631,96 +646,63 @@ Gateway::NamespaceMetrics Gateway::CreateNamespaceMetrics(
 
 void Gateway::RegisterStateGauges(
     const std::string& ns, const std::shared_ptr<NamespaceState>& state) {
-  std::weak_ptr<NamespaceState> weak = state;
-  // Record-count gauges report the namespace total (sum over shards);
-  // sharded namespaces additionally expose a per-shard family below, kept
-  // separate so Prometheus sums over either family stay correct.
-  auto records_gauge = [weak](BlockingSide side) {
-    return [weak, side]() -> int64_t {
-      const std::shared_ptr<NamespaceState> s = weak.lock();
-      if (s == nullptr) return 0;
-      int64_t total = 0;
-      for (const auto& shard : s->shards) {
-        total += static_cast<int64_t>(
-            LoadShardSnapshot(*shard)->index.num_records(side));
-      }
-      return total;
-    };
-  };
-  metric_registry_.GaugeCallback(
-      "learnrisk_gateway_records", {{"namespace", ns}, {"side", "left"}},
-      "Records visible in the namespace's current snapshot",
-      records_gauge(BlockingSide::kLeft));
-  if (!state->dedup) {
+  // Every gauge reads the namespace through a weak_ptr, so it outlives
+  // nothing, and reads 0 once the state is gone.
+  auto gauge = [this, weak = std::weak_ptr<NamespaceState>(state)](
+                   const std::string& name, MetricLabels labels,
+                   const std::string& help,
+                   std::function<int64_t(const NamespaceState&)> read) {
     metric_registry_.GaugeCallback(
-        "learnrisk_gateway_records", {{"namespace", ns}, {"side", "right"}},
-        "Records visible in the namespace's current snapshot",
-        records_gauge(BlockingSide::kRight));
-  }
-  if (state->shards.size() > 1) {
-    auto shard_records_gauge = [weak](size_t shard_idx, BlockingSide side) {
-      return [weak, shard_idx, side]() -> int64_t {
-        const std::shared_ptr<NamespaceState> s = weak.lock();
-        if (s == nullptr || shard_idx >= s->shards.size()) return 0;
-        return static_cast<int64_t>(
-            LoadShardSnapshot(*s->shards[shard_idx])
-                ->index.num_records(side));
-      };
-    };
+        name, std::move(labels), help,
+        [weak, read = std::move(read)]() -> int64_t {
+          const std::shared_ptr<NamespaceState> s = weak.lock();
+          return s == nullptr ? 0 : read(*s);
+        });
+  };
+  std::vector<std::pair<BlockingSide, std::string>> sides = {
+      {BlockingSide::kLeft, "left"}};
+  if (!state->dedup) sides.emplace_back(BlockingSide::kRight, "right");
+  // Record-count gauges report the namespace total (sum over shards);
+  // sharded namespaces additionally expose a per-shard family, kept
+  // separate so Prometheus sums over either family stay correct.
+  for (const auto& [side, side_label] : sides) {
+    gauge("learnrisk_gateway_records",
+          {{"namespace", ns}, {"side", side_label}},
+          "Records visible in the namespace's current snapshot",
+          [side = side](const NamespaceState& s) {
+            return static_cast<int64_t>(RecordCount(s, side));
+          });
+    if (state->shards.size() == 1) continue;
     for (size_t k = 0; k < state->shards.size(); ++k) {
-      const std::string shard_label = std::to_string(k);
-      metric_registry_.GaugeCallback(
-          "learnrisk_gateway_shard_records",
-          {{"namespace", ns}, {"shard", shard_label}, {"side", "left"}},
-          "Records visible in one shard's current snapshot",
-          shard_records_gauge(k, BlockingSide::kLeft));
-      if (!state->dedup) {
-        metric_registry_.GaugeCallback(
-            "learnrisk_gateway_shard_records",
-            {{"namespace", ns}, {"shard", shard_label}, {"side", "right"}},
+      gauge("learnrisk_gateway_shard_records",
+            {{"namespace", ns}, {"shard", std::to_string(k)},
+             {"side", side_label}},
             "Records visible in one shard's current snapshot",
-            shard_records_gauge(k, BlockingSide::kRight));
-      }
+            [k, side = side](const NamespaceState& s) {
+              return static_cast<int64_t>(RecordCount(*s.shards[k], side));
+            });
     }
   }
   if (state->review != nullptr) {
-    metric_registry_.GaugeCallback(
-        "learnrisk_gateway_review_queue_depth", {{"namespace", ns}},
-        "Resident (drainable) pairs in the namespace's review queue",
-        [weak]() -> int64_t {
-          const std::shared_ptr<NamespaceState> s = weak.lock();
-          return s == nullptr ? 0
-                              : static_cast<int64_t>(s->review->depth());
-        });
-    metric_registry_.GaugeCallback(
-        "learnrisk_gateway_review_outstanding", {{"namespace", ns}},
-        "Drained review pairs awaiting a label",
-        [weak]() -> int64_t {
-          const std::shared_ptr<NamespaceState> s = weak.lock();
-          return s == nullptr
-                     ? 0
-                     : static_cast<int64_t>(s->review->outstanding());
-        });
+    gauge("learnrisk_gateway_review_queue_depth", {{"namespace", ns}},
+          "Resident (drainable) pairs in the namespace's review queue",
+          [](const NamespaceState& s) {
+            return static_cast<int64_t>(s.review->depth());
+          });
+    gauge("learnrisk_gateway_review_outstanding", {{"namespace", ns}},
+          "Drained review pairs awaiting a label",
+          [](const NamespaceState& s) {
+            return static_cast<int64_t>(s.review->outstanding());
+          });
   }
-  if (state->shards[0]->log != nullptr) {
-    metric_registry_.GaugeCallback(
-        "learnrisk_gateway_wal_entries_since_checkpoint",
-        {{"namespace", ns}},
-        "WAL entries appended since the namespace's last checkpoint "
-        "(sharded: summed over the per-shard WALs)",
-        [weak]() -> int64_t {
-          const std::shared_ptr<NamespaceState> s = weak.lock();
-          if (s == nullptr) return 0;
-          int64_t total = 0;
-          for (const auto& shard : s->shards) {
-            std::lock_guard<std::mutex> writer(shard->writer_mu);
-            if (shard->log != nullptr) {
-              total += static_cast<int64_t>(
-                  shard->log->wal_entries_since_checkpoint());
-            }
-          }
-          return total;
-        });
+  if (!options_.durability.dir.empty()) {
+    gauge("learnrisk_gateway_wal_entries_since_checkpoint",
+          {{"namespace", ns}},
+          "WAL entries appended since the namespace's last checkpoint "
+          "(sharded: summed over the per-shard WALs)",
+          [](const NamespaceState& s) {
+            return static_cast<int64_t>(WalBacklog(s));
+          });
   }
   if (!state->metrics.feature_values.empty()) {
     // Per-column drift divergence, computed at snapshot time from the live
@@ -734,72 +716,75 @@ void Gateway::RegisterStateGauges(
     const size_t num_columns =
         std::min(columns.size(), state->metrics.feature_values.size());
     for (size_t c = 0; c < num_columns; ++c) {
-      metric_registry_.GaugeCallback(
-          "learnrisk_gateway_drift_psi_micros",
-          {{"column", columns[c]}, {"namespace", ns}}, psi_help,
-          [this, weak, ns, c]() -> int64_t {
-            const std::shared_ptr<NamespaceState> s = weak.lock();
-            if (s == nullptr) return 0;
-            const std::shared_ptr<const DriftBaseline> baseline =
-                ServedDriftBaseline(ns);
-            if (baseline == nullptr || c >= baseline->columns().size()) {
-              return 0;
-            }
-            return PsiMicros(baseline->columns()[c],
-                             s->metrics.feature_values[c]->Snapshot());
-          });
+      gauge("learnrisk_gateway_drift_psi_micros",
+            {{"column", columns[c]}, {"namespace", ns}}, psi_help,
+            [this, ns, c](const NamespaceState& s) -> int64_t {
+              const std::shared_ptr<const DriftBaseline> baseline =
+                  ServedDriftBaseline(ns);
+              if (baseline == nullptr || c >= baseline->columns().size()) {
+                return 0;
+              }
+              return PsiMicros(baseline->columns()[c],
+                               s.metrics.feature_values[c]->Snapshot());
+            });
     }
     if (state->metrics.risk_scores != nullptr) {
-      metric_registry_.GaugeCallback(
-          "learnrisk_gateway_drift_psi_micros",
-          {{"column", "risk_score"}, {"namespace", ns}}, psi_help,
-          [this, weak, ns]() -> int64_t {
-            const std::shared_ptr<NamespaceState> s = weak.lock();
-            if (s == nullptr) return 0;
+      gauge("learnrisk_gateway_drift_psi_micros",
+            {{"column", "risk_score"}, {"namespace", ns}}, psi_help,
+            [this, ns](const NamespaceState& s) -> int64_t {
+              const std::shared_ptr<const DriftBaseline> baseline =
+                  ServedDriftBaseline(ns);
+              if (baseline == nullptr || !baseline->has_risk()) return 0;
+              return PsiMicros(baseline->risk(),
+                               s.metrics.risk_scores->Snapshot());
+            });
+    }
+    gauge("learnrisk_gateway_drift_columns_alerted", {{"namespace", ns}},
+          "Metric columns whose PSI vs the training baseline is at or above "
+          "0.2",
+          [this, ns](const NamespaceState& s) -> int64_t {
             const std::shared_ptr<const DriftBaseline> baseline =
                 ServedDriftBaseline(ns);
-            if (baseline == nullptr || !baseline->has_risk()) return 0;
-            return PsiMicros(baseline->risk(),
-                             s->metrics.risk_scores->Snapshot());
-          });
-    }
-    metric_registry_.GaugeCallback(
-        "learnrisk_gateway_drift_columns_alerted", {{"namespace", ns}},
-        "Metric columns whose PSI vs the training baseline is at or above 0.2",
-        [this, weak, ns]() -> int64_t {
-          const std::shared_ptr<NamespaceState> s = weak.lock();
-          if (s == nullptr) return 0;
-          const std::shared_ptr<const DriftBaseline> baseline =
-              ServedDriftBaseline(ns);
-          if (baseline == nullptr) return 0;
-          int64_t alerted = 0;
-          const size_t n = std::min(baseline->columns().size(),
-                                    s->metrics.feature_values.size());
-          for (size_t c = 0; c < n; ++c) {
-            if (Psi(baseline->columns()[c],
-                    s->metrics.feature_values[c]->Snapshot()) >=
-                kDriftAlertPsi) {
-              ++alerted;
+            if (baseline == nullptr) return 0;
+            int64_t alerted = 0;
+            const size_t n = std::min(baseline->columns().size(),
+                                      s.metrics.feature_values.size());
+            for (size_t c = 0; c < n; ++c) {
+              if (Psi(baseline->columns()[c],
+                      s.metrics.feature_values[c]->Snapshot()) >=
+                  kDriftAlertPsi) {
+                ++alerted;
+              }
             }
-          }
-          return alerted;
-        });
+            return alerted;
+          });
   }
+}
+
+Result<Gateway::ServedModel> Gateway::Served(const std::string& ns) {
+  // The registry only knows a namespace once its first publish has begun;
+  // until that publish swaps its snapshot in, the engine serves nothing.
+  ServedModel served;
+  Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
+  if (engine.ok()) {
+    served.engine = engine.MoveValueOrDie();
+    std::tie(served.version, served.snapshot) =
+        served.engine->VersionedSnapshot();
+  }
+  if (served.snapshot == nullptr) {
+    return Status::FailedPrecondition("no model published for namespace '" +
+                                      ns + "'");
+  }
+  return served;
 }
 
 std::shared_ptr<const DriftBaseline> Gateway::ServedDriftBaseline(
     const std::string& ns) {
-  Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
-  if (!engine.ok()) return nullptr;
-  const std::shared_ptr<const ScorerSnapshot> snap =
-      (*engine)->VersionedSnapshot().second;
-  return snap == nullptr ? nullptr : snap->drift_baseline();
+  const Result<ServedModel> served = Served(ns);
+  return served.ok() ? served->snapshot->drift_baseline() : nullptr;
 }
 
 Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
-  if (!ModelRegistry::ValidNamespace(ns)) {
-    return Status::InvalidArgument("invalid namespace '" + ns + "'");
-  }
   if (spec.left == nullptr) {
     return Status::InvalidArgument("namespace spec has no left table");
   }
@@ -809,14 +794,7 @@ Status Gateway::RegisterNamespace(const std::string& ns, NamespaceSpec spec) {
         "left and right tables have different schemas");
   }
   LEARNRISK_RETURN_NOT_OK(
-      CheckServingSpec(spec, spec.left->schema(), "namespace"));
-  if (HasNamespace(ns)) {
-    // Checked again at Install (the build is lock-free and could race
-    // another registration); this early exit just avoids building the base
-    // segments and the blocking index for a name that's taken.
-    return Status::FailedPrecondition("namespace '" + ns +
-                                      "' already registered");
-  }
+      CheckNewNamespace(ns, spec, spec.left->schema(), "namespace"));
 
   // Split the base tables round-robin by global id (record i -> shard
   // i % S at local index i / S, so global ids equal the table indices
@@ -986,20 +964,55 @@ std::vector<std::shared_ptr<const RequestTrace>> Gateway::RecentTraces()
   return traces_->Snapshot();
 }
 
-Result<std::shared_ptr<Gateway::NamespaceState>> Gateway::State(
-    const std::string& ns) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = namespaces_.find(ns);
-  if (it == namespaces_.end()) {
-    return Status::NotFound("unknown namespace '" + ns + "'");
+Status Gateway::CheckMode(Mode mode) const {
+  if (mode == Mode::kReview && !options_.review.enabled) {
+    return Status::FailedPrecondition("review is not enabled on this gateway");
   }
-  return it->second;
+  if (mode == Mode::kDurable && options_.durability.dir.empty()) {
+    return Status::FailedPrecondition(
+        "durability is not enabled on this gateway");
+  }
+  return Status::OK();
+}
+
+Result<std::shared_ptr<Gateway::NamespaceState>> Gateway::State(
+    const std::string& ns, Mode mode) const {
+  std::shared_ptr<NamespaceState> state;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = namespaces_.find(ns);
+    if (it == namespaces_.end()) {
+      return Status::NotFound("unknown namespace '" + ns + "'");
+    }
+    state = it->second;
+  }
+  LEARNRISK_RETURN_NOT_OK(CheckMode(mode));
+  return state;
 }
 
 std::shared_ptr<const Gateway::NamespaceSnapshot> Gateway::LoadShardSnapshot(
     const Shard& shard) {
   return std::atomic_load_explicit(&shard.snapshot,
                                    std::memory_order_acquire);
+}
+
+size_t Gateway::RecordCount(const Shard& shard, BlockingSide side) {
+  return LoadShardSnapshot(shard)->index.num_records(side);
+}
+
+size_t Gateway::RecordCount(const NamespaceState& s, BlockingSide side) {
+  size_t total = 0;
+  for (const auto& shard : s.shards) total += RecordCount(*shard, side);
+  return total;
+}
+
+size_t Gateway::WalBacklog(const NamespaceState& s) {
+  size_t total = 0;
+  for (const auto& shard : s.shards) {
+    std::lock_guard<std::mutex> writer(shard->writer_mu);
+    total += shard->log->wal_entries_since_checkpoint();
+  }
+  return total;
 }
 
 Gateway::PinnedView Gateway::Pin(const NamespaceState& state) {
@@ -1049,10 +1062,11 @@ Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
   // it, whatever publishes land meanwhile. Without one (before the first
   // publish) the pass still featurizes and classifies, so the request fails
   // at scoring exactly as a whole-matrix pass would.
-  Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
-  std::shared_ptr<const ScorerSnapshot> scorer;
-  if (engine.ok()) {
-    std::tie(scores->model_version, scorer) = (*engine)->VersionedSnapshot();
+  const Result<ServedModel> served = Served(ns);
+  const ScorerSnapshot* scorer = nullptr;
+  if (served.ok()) {
+    scorer = served->snapshot.get();
+    scores->model_version = served->version;
   }
   const size_t n = keys.size();
   const size_t cols = s.pipeline.suite().num_metrics();
@@ -1070,7 +1084,7 @@ Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
   const size_t top_k =
       std::max(reviewing ? options_.review.per_request_budget : size_t{0},
                tracing ? options_.trace.top_k : size_t{0});
-  ServePass pass(scorable ? scorer.get() : nullptr, explain_top_k,
+  ServePass pass(scorable ? scorer : nullptr, explain_top_k,
                  m.feature_values.size(), m.risk_scores != nullptr, top_k,
                  cols, n, s.pipeline.TileChunks(n), scores);
   const Result<TilePassTiming> timing =
@@ -1085,18 +1099,7 @@ Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
       prepare_ms + SplitWall(timing->wall_ms, timing->featurize_busy_ms, busy);
   *scope.Slot(kClassify) =
       SplitWall(timing->wall_ms, timing->classify_busy_ms, busy);
-  if (!engine.ok()) {
-    // A registered namespace is only unknown to the registry before its
-    // first publish; surface that as a precondition, not a lookup miss.
-    if (engine.status().IsNotFound()) {
-      return Status::FailedPrecondition("no model published for namespace '" +
-                                        ns + "'");
-    }
-    return engine.status();
-  }
-  if (scorer == nullptr) {
-    return Status::FailedPrecondition("no model published to the engine");
-  }
+  if (!served.ok()) return served.status();
   const double score_ms =
       SplitWall(timing->wall_ms, pass.score_busy_ms(), busy);
   *scope.Slot(kRisk) = score_ms;
@@ -1108,7 +1111,7 @@ Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
     return Status::InvalidArgument(
         "metric_features has fewer columns than the model's rules read");
   }
-  (*engine)->RecordScored(n, static_cast<uint64_t>(score_ms * 1e6));
+  served->engine->RecordScored(n, static_cast<uint64_t>(score_ms * 1e6));
   if (m.pairs_scored != nullptr) m.pairs_scored->Add(n);
   pass.FlushDrift(m.feature_values, m.risk_scores);
 
@@ -1260,12 +1263,9 @@ void Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
 
 Result<std::vector<ReviewItem>> Gateway::DrainReview(const std::string& ns,
                                                      size_t max_items) {
-  Result<std::shared_ptr<NamespaceState>> state = State(ns);
+  Result<std::shared_ptr<NamespaceState>> state = State(ns, Mode::kReview);
   if (!state.ok()) return state.status();
   NamespaceState& s = **state;
-  if (s.review == nullptr) {
-    return Status::FailedPrecondition("review is not enabled on this gateway");
-  }
   Shard& shard0 = *s.shards[0];
   std::lock_guard<std::mutex> writer(shard0.writer_mu);
   if (shard0.log != nullptr) {
@@ -1294,12 +1294,9 @@ Result<std::vector<ReviewItem>> Gateway::DrainReview(const std::string& ns,
 
 Status Gateway::SubmitReviewLabel(const std::string& ns, int64_t left,
                                   int64_t right, uint8_t truth) {
-  Result<std::shared_ptr<NamespaceState>> state = State(ns);
+  Result<std::shared_ptr<NamespaceState>> state = State(ns, Mode::kReview);
   if (!state.ok()) return state.status();
   NamespaceState& s = **state;
-  if (s.review == nullptr) {
-    return Status::FailedPrecondition("review is not enabled on this gateway");
-  }
   Shard& shard0 = *s.shards[0];
   std::lock_guard<std::mutex> writer(shard0.writer_mu);
   // Validate first so the NotFound path never writes a frame, then log,
@@ -1332,12 +1329,9 @@ Status Gateway::SubmitReviewLabel(const std::string& ns, int64_t left,
 
 Result<ReviewRetrainResult> Gateway::RetrainFromReview(
     const std::string& ns, const ReviewRetrainOptions& options) {
-  Result<std::shared_ptr<NamespaceState>> state = State(ns);
+  Result<std::shared_ptr<NamespaceState>> state = State(ns, Mode::kReview);
   if (!state.ok()) return state.status();
   NamespaceState& s = **state;
-  if (s.review == nullptr) {
-    return Status::FailedPrecondition("review is not enabled on this gateway");
-  }
   const std::vector<LabeledReview> labels = s.review->Labeled();
   if (labels.size() < kMinReviewLabels) {
     return Status::FailedPrecondition(
@@ -1347,25 +1341,13 @@ Result<ReviewRetrainResult> Gateway::RetrainFromReview(
   }
   // Seed from the serving snapshot: the retrain is incremental, tuning the
   // live parameters rather than refitting from the prior.
-  Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
-  if (!engine.ok()) {
-    if (engine.status().IsNotFound()) {
-      return Status::FailedPrecondition("no model published for namespace '" +
-                                        ns + "'");
-    }
-    return engine.status();
-  }
-  const std::shared_ptr<const ScorerSnapshot> serving_snap =
-      (*engine)->VersionedSnapshot().second;
-  if (serving_snap == nullptr) {
-    return Status::FailedPrecondition("no model published for namespace '" +
-                                      ns + "'");
-  }
+  const Result<ServedModel> served = Served(ns);
+  if (!served.ok()) return served.status();
 
   ReviewRetrainResult result;
   Timer train_timer;
   Result<IncrementalRetrainOutput> retrained =
-      RetrainFromLabels(serving_snap->model(), labels, options.retrain);
+      RetrainFromLabels(served->snapshot->model(), labels, options.retrain);
   if (!retrained.ok()) return retrained.status();
   result.train_ms = train_timer.ElapsedMillis();
   RecordMs(s.metrics.retrain_latency, result.train_ms);
@@ -1396,11 +1378,8 @@ Result<ReviewRetrainResult> Gateway::RetrainFromReview(
 }
 
 Result<ReviewQueueStats> Gateway::ReviewStats(const std::string& ns) const {
-  Result<std::shared_ptr<NamespaceState>> state = State(ns);
+  Result<std::shared_ptr<NamespaceState>> state = State(ns, Mode::kReview);
   if (!state.ok()) return state.status();
-  if ((*state)->review == nullptr) {
-    return Status::FailedPrecondition("review is not enabled on this gateway");
-  }
   return (*state)->review->Stats();
 }
 
@@ -1586,20 +1565,14 @@ Status Gateway::CheckpointLocked(const std::string& ns, NamespaceState& s,
   ReviewQueue::CheckpointState review_state;
   const ReviewQueue::CheckpointState* review = nullptr;
   if (&shard == s.shards[0].get()) {
-    Result<std::shared_ptr<ServingEngine>> engine = registry_.Engine(ns);
-    if (engine.ok()) {
-      // One consistent read: the saved model file is exactly the version
-      // the manifest records, even if a publish lands mid-checkpoint.
-      std::shared_ptr<const ScorerSnapshot> model_snap;
-      std::tie(model_version, model_snap) = (*engine)->VersionedSnapshot();
-      if (model_snap == nullptr) model_version = 0;
-      if (model_version > 0) {
-        saver = [model_snap](const std::string& path) {
-          return SaveRiskModel(model_snap->model(), path);
-        };
-      }
-    } else if (!engine.status().IsNotFound()) {
-      return engine.status();
+    // One consistent read: the saved model file is exactly the version the
+    // manifest records, even if a publish lands mid-checkpoint.
+    const Result<ServedModel> served = Served(ns);
+    if (served.ok()) {
+      model_version = served->version;
+      saver = [model = served->snapshot](const std::string& path) {
+        return SaveRiskModel(model->model(), path);
+      };
     }
     if (s.review != nullptr) {
       review_state = s.review->Snapshot();
@@ -1611,17 +1584,13 @@ Status Gateway::CheckpointLocked(const std::string& ns, NamespaceState& s,
 }
 
 Status Gateway::Checkpoint(const std::string& ns) {
-  Result<std::shared_ptr<NamespaceState>> state = State(ns);
+  Result<std::shared_ptr<NamespaceState>> state = State(ns, Mode::kDurable);
   if (!state.ok()) return state.status();
   NamespaceState& s = **state;
   // Shard by shard: each commit is atomic on its own manifest, and writers
   // to shards not currently checkpointing proceed untouched.
   for (const auto& shard : s.shards) {
     std::lock_guard<std::mutex> writer(shard->writer_mu);
-    if (shard->log == nullptr) {
-      return Status::FailedPrecondition(
-          "durability is not enabled for namespace '" + ns + "'");
-    }
     LEARNRISK_RETURN_NOT_OK(CheckpointLocked(ns, s, *shard));
   }
   return Status::OK();
@@ -1629,18 +1598,8 @@ Status Gateway::Checkpoint(const std::string& ns) {
 
 Status Gateway::RecoverNamespace(const std::string& ns,
                                  RecoverNamespaceSpec spec) {
-  if (options_.durability.dir.empty()) {
-    return Status::FailedPrecondition(
-        "durability is not enabled on this gateway");
-  }
-  if (!ModelRegistry::ValidNamespace(ns)) {
-    return Status::InvalidArgument("invalid namespace '" + ns + "'");
-  }
-  LEARNRISK_RETURN_NOT_OK(CheckServingSpec(spec, spec.schema, "recover"));
-  if (HasNamespace(ns)) {
-    return Status::FailedPrecondition("namespace '" + ns +
-                                      "' already registered");
-  }
+  LEARNRISK_RETURN_NOT_OK(CheckMode(Mode::kDurable));
+  LEARNRISK_RETURN_NOT_OK(CheckNewNamespace(ns, spec, spec.schema, "recover"));
 
   Timer recover_timer;
   Result<size_t> num_shards = ReadShardsFile(options_.durability, ns);
@@ -1759,30 +1718,16 @@ Status Gateway::RecoverNamespace(const std::string& ns,
 }
 
 Result<size_t> Gateway::WalEntriesSinceCheckpoint(const std::string& ns) {
-  Result<std::shared_ptr<NamespaceState>> state = State(ns);
+  Result<std::shared_ptr<NamespaceState>> state = State(ns, Mode::kDurable);
   if (!state.ok()) return state.status();
-  NamespaceState& s = **state;
-  size_t total = 0;
-  for (const auto& shard : s.shards) {
-    std::lock_guard<std::mutex> writer(shard->writer_mu);
-    if (shard->log == nullptr) {
-      return Status::FailedPrecondition(
-          "durability is not enabled for namespace '" + ns + "'");
-    }
-    total += shard->log->wal_entries_since_checkpoint();
-  }
-  return total;
+  return WalBacklog(**state);
 }
 
 Result<size_t> Gateway::NumRecords(const std::string& ns,
                                    BlockingSide side) const {
   Result<std::shared_ptr<NamespaceState>> state = State(ns);
   if (!state.ok()) return state.status();
-  size_t total = 0;
-  for (const auto& shard : (*state)->shards) {
-    total += LoadShardSnapshot(*shard)->index.num_records(side);
-  }
-  return total;
+  return RecordCount(**state, side);
 }
 
 }  // namespace learnrisk

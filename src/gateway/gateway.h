@@ -72,8 +72,9 @@ struct ResolveRequest {
 };
 
 /// \brief Wall-clock breakdown of one gateway request. Read paths (Resolve /
-/// ResolveRecord) fill the first four stages; AddRecord fills the durability
-/// stages. Each stage is measured once and that same measurement also feeds
+/// ResolveRecord) fill blocking, shard_merge (sharded namespaces only),
+/// featurize, classify, score and review; AddRecord fills wal_append and
+/// publish. Each stage is measured once and that same measurement also feeds
 /// the namespace's stage-latency histograms (see docs/OBSERVABILITY.md), so
 /// per-request timings and aggregate telemetry always agree on boundaries.
 struct StageTiming {
@@ -543,14 +544,47 @@ class Gateway {
   /// \brief One scored request as review and tracing read it (gateway.cc).
   struct Scored;
 
-  Result<std::shared_ptr<NamespaceState>> State(const std::string& ns) const;
+  /// \brief A gateway-wide mode a method needs (set by GatewayOptions, so
+  /// every namespace of the gateway has it or none does).
+  enum class Mode { kAny, kReview, kDurable };
+  /// \brief FailedPrecondition unless `mode` is on for this gateway.
+  Status CheckMode(Mode mode) const;
+  /// \brief The registered namespace (NotFound otherwise), then
+  /// CheckMode(mode): the lookup's status wins.
+  Result<std::shared_ptr<NamespaceState>> State(const std::string& ns,
+                                                Mode mode = Mode::kAny) const;
+  /// \brief The checks a new namespace passes before anything is built:
+  /// a valid name, a serving spec consistent with `schema`, and a name not
+  /// yet registered (`kind` names the spec in messages).
+  template <typename Spec>
+  Status CheckNewNamespace(const std::string& ns, const Spec& spec,
+                           const Schema& schema, const std::string& kind) const;
+
+  /// \brief The model a namespace serves: its engine plus one consistent
+  /// read of the version and snapshot.
+  struct ServedModel {
+    std::shared_ptr<ServingEngine> engine;
+    uint64_t version = 0;
+    std::shared_ptr<const ScorerSnapshot> snapshot;  ///< never null
+  };
+  /// \brief The namespace's served model; FailedPrecondition before its
+  /// first Publish.
+  Result<ServedModel> Served(const std::string& ns);
   /// \brief The drift baseline of the snapshot the namespace serves right
   /// now; null before the first Publish or when that snapshot has none.
   /// The drift gauge callbacks read it at scrape time.
   std::shared_ptr<const DriftBaseline> ServedDriftBaseline(
       const std::string& ns);
+
   static std::shared_ptr<const NamespaceSnapshot> LoadShardSnapshot(
       const Shard& shard);
+  /// \brief Records visible on one side of a shard's current snapshot, or
+  /// of the whole namespace (summed over its shards).
+  static size_t RecordCount(const Shard& shard, BlockingSide side);
+  static size_t RecordCount(const NamespaceState& s, BlockingSide side);
+  /// \brief WAL entries since the last checkpoint, summed over the shard
+  /// logs (each read under its writer_mu); the namespace must be durable.
+  static size_t WalBacklog(const NamespaceState& s);
   static PinnedView Pin(const NamespaceState& state);
   /// \brief Picks the shard for the next AddRecord on a side (least-loaded,
   /// lowest index on ties) and claims the slot under route_mu.
@@ -581,10 +615,10 @@ class Gateway {
                     const TilePassRunner& run_pass, double prepare_ms,
                     size_t explain_top_k, ShardedCounter* requests,
                     ScoreResponse* scores);
-  /// \brief Checkpoint body for one shard; caller holds that shard's
-  /// writer_mu and has verified shard.log is non-null. Shard 0 additionally
-  /// persists the review queue (its mutations serialize on the same mutex,
-  /// so the snapshot is consistent with the WAL being reset).
+  /// \brief Checkpoint body for one shard of a durable namespace; caller
+  /// holds that shard's writer_mu. Shard 0 additionally persists the review
+  /// queue (its mutations serialize on the same mutex, so the snapshot is
+  /// consistent with the WAL being reset).
   Status CheckpointLocked(const std::string& ns, NamespaceState& s,
                           Shard& shard);
   /// \brief Offers the request's top-budget riskiest decisions to the

@@ -4,7 +4,9 @@
 // MetricSuite + ServingEngine stages run by hand, for two concurrently
 // served namespaces; multi-threaded publish/score shows no torn state;
 // unknown-namespace / empty-request error paths and the order of scoring
-// errors; and online AddRecord + ResolveRecord.
+// errors; every method's status for an unknown namespace, a mode the
+// gateway has off and an unpublished model; a metric suite built for
+// another schema; and online AddRecord + ResolveRecord.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +14,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "classifier/logistic.h"
 #include "data/blocking.h"
@@ -249,6 +256,173 @@ TEST(GatewayTest, RegistrationRejectsAnInvalidBlockingConfig) {
       gateway.RegisterNamespace("bad_key", bad_key).IsInvalidArgument());
   // Nothing was half-registered: the valid spec still registers.
   EXPECT_TRUE(gateway.RegisterNamespace("nan_df", ds.Spec()).ok());
+}
+
+// A metric suite built for another dataset's schema would featurize the
+// wrong attributes: registration checks it against the left table's
+// schema, recovery against the spec's schema, both before touching disk.
+TEST(GatewayTest, RejectsAMetricSuiteBuiltForAnotherSchema) {
+  const TestNamespace ds = MakeNamespace("DS", 15, false);
+  const std::string dir =
+      ::testing::TempDir() + "/learnrisk_gateway_suite_schema";
+  std::filesystem::remove_all(dir);
+  GatewayOptions options;
+  options.durability.dir = dir;
+  RecoverNamespaceSpec recover;
+  recover.schema = ds.workload.left().schema();
+  recover.classifier = ds.classifier;
+  recover.blocking = ds.blocking;
+  for (const char* dataset : {"AB", "SG"}) {
+    GeneratorOptions generator;
+    generator.scale = 0.02;
+    generator.seed = 3;
+    Result<Workload> other = GenerateDataset(dataset, generator);
+    ASSERT_TRUE(other.ok()) << other.status().ToString();
+    MetricSuite suite = MetricSuite::ForSchema(other->left().schema());
+    suite.Fit(*other);
+    Gateway gateway(options);
+    NamespaceSpec spec = ds.Spec();
+    spec.suite = suite;
+    EXPECT_TRUE(gateway.RegisterNamespace("ds", spec).IsInvalidArgument())
+        << dataset;
+    recover.suite = suite;
+    EXPECT_TRUE(gateway.RecoverNamespace("ds", recover).IsInvalidArgument())
+        << dataset;
+    EXPECT_FALSE(gateway.HasNamespace("ds")) << dataset;
+  }
+  // The DS suite registers, and recovers on a restarted gateway.
+  {
+    Gateway gateway(options);
+    ASSERT_TRUE(gateway.RegisterNamespace("ds", ds.Spec()).ok());
+  }
+  Gateway restarted(options);
+  recover.suite = ds.suite;
+  EXPECT_TRUE(restarted.RecoverNamespace("ds", recover).ok());
+  std::filesystem::remove_all(dir);
+}
+
+// The status every public method returns for an unknown namespace, for a
+// mode the gateway has off and before the first publish; and the record
+// and WAL-backlog gauges agree with NumRecords / WalEntriesSinceCheckpoint.
+TEST(GatewayTest, StatusesOfUnknownNamespacesModesAndUnpublishedModels) {
+  const TestNamespace ds = MakeNamespace("DS", 15, false);
+  const std::string dir = ::testing::TempDir() + "/learnrisk_gateway_modes";
+  std::filesystem::remove_all(dir);
+  const Record record = ds.workload.left().record(0);
+  ResolveRequest block_all;
+  block_all.block_all = true;
+  using Call = std::function<Status(Gateway&, const std::string&)>;
+  const std::map<std::string, Call> calls = {
+      {"Publish",
+       [&](Gateway& g, const std::string& ns) {
+         return g.Publish(ns, MakeModel(1, 8, ds.suite.num_metrics()))
+             .status();
+       }},
+      {"Resolve",
+       [&](Gateway& g, const std::string& ns) {
+         return g.Resolve(ns, block_all).status();
+       }},
+      {"ResolveRecord",
+       [&](Gateway& g, const std::string& ns) {
+         return g.ResolveRecord(ns, record).status();
+       }},
+      {"AddRecord",
+       [&](Gateway& g, const std::string& ns) {
+         return g.AddRecord(ns, BlockingSide::kLeft, record);
+       }},
+      {"NumRecords",
+       [](Gateway& g, const std::string& ns) {
+         return g.NumRecords(ns, BlockingSide::kLeft).status();
+       }},
+      {"Checkpoint",
+       [](Gateway& g, const std::string& ns) { return g.Checkpoint(ns); }},
+      {"WalEntriesSinceCheckpoint",
+       [](Gateway& g, const std::string& ns) {
+         return g.WalEntriesSinceCheckpoint(ns).status();
+       }},
+      {"DrainReview",
+       [](Gateway& g, const std::string& ns) {
+         return g.DrainReview(ns, 1).status();
+       }},
+      {"SubmitReviewLabel",
+       [](Gateway& g, const std::string& ns) {
+         return g.SubmitReviewLabel(ns, 0, 0, 1);
+       }},
+      {"RetrainFromReview",
+       [](Gateway& g, const std::string& ns) {
+         return g.RetrainFromReview(ns).status();
+       }},
+      {"ReviewStats",
+       [](Gateway& g, const std::string& ns) {
+         return g.ReviewStats(ns).status();
+       }},
+  };
+  // Non-durable with review off, durable with review on: the namespace
+  // lookup runs before either mode check.
+  GatewayOptions plain_options;
+  plain_options.review.enabled = false;
+  GatewayOptions durable_options;
+  durable_options.durability.dir = dir;
+  durable_options.review.enabled = true;
+  Gateway plain(plain_options);
+  Gateway durable(durable_options);
+  for (Gateway* g : {&plain, &durable}) {
+    for (const auto& [name, fn] : calls) {
+      EXPECT_TRUE(fn(*g, "missing").IsNotFound()) << name;
+    }
+  }
+  RecoverNamespaceSpec recover;
+  recover.schema = ds.workload.left().schema();
+  recover.suite = ds.suite;
+  recover.classifier = ds.classifier;
+  recover.blocking = ds.blocking;
+  EXPECT_TRUE(durable.RecoverNamespace("missing", recover).IsNotFound());
+
+  // Durability off: its three methods refuse.
+  ASSERT_TRUE(plain.RegisterNamespace("ds", ds.Spec()).ok());
+  for (const char* method : {"Checkpoint", "WalEntriesSinceCheckpoint"}) {
+    EXPECT_TRUE(calls.at(method)(plain, "ds").IsFailedPrecondition())
+        << method;
+  }
+  EXPECT_TRUE(plain.RecoverNamespace("ds2", recover).IsFailedPrecondition());
+
+  // Before the first publish, on a durable 2-shard namespace.
+  NamespaceSpec sharded = ds.Spec();
+  sharded.shards = 2;
+  ASSERT_TRUE(durable.RegisterNamespace("ds", sharded).ok());
+  for (const char* method :
+       {"Resolve", "ResolveRecord", "RetrainFromReview"}) {
+    EXPECT_TRUE(calls.at(method)(durable, "ds").IsFailedPrecondition())
+        << method;
+  }
+
+  // The gauges count what the methods count.
+  for (size_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(durable
+                    .AddRecord("ds", i % 2 == 0 ? BlockingSide::kLeft
+                                                : BlockingSide::kRight,
+                               ds.workload.right().record(i))
+                    .ok());
+  }
+  const learnrisk::MetricsSnapshot snap = durable.MetricsSnapshot();
+  for (const auto& [side, label] :
+       {std::pair<BlockingSide, const char*>{BlockingSide::kLeft, "left"},
+        {BlockingSide::kRight, "right"}}) {
+    const GaugeSnapshot* records = snap.FindGauge(
+        "learnrisk_gateway_records", {{"namespace", "ds"}, {"side", label}});
+    ASSERT_NE(records, nullptr) << label;
+    EXPECT_EQ(records->value,
+              static_cast<int64_t>(*durable.NumRecords("ds", side)))
+        << label;
+  }
+  const GaugeSnapshot* backlog =
+      snap.FindGauge("learnrisk_gateway_wal_entries_since_checkpoint",
+                     {{"namespace", "ds"}});
+  ASSERT_NE(backlog, nullptr);
+  EXPECT_EQ(backlog->value, 5);
+  EXPECT_EQ(backlog->value,
+            static_cast<int64_t>(*durable.WalEntriesSinceCheckpoint("ds")));
+  std::filesystem::remove_all(dir);
 }
 
 // A classifier whose every probability is NaN.
