@@ -23,11 +23,23 @@
 // reported as process CPU time, since Build runs on the pool. BM_RngWords
 // times one engine word, the unit the risk trainer draws per rank pair.
 //
+// BM_PrepareRecord/<DS|SG> is the prepared-record ledger:
+// MetricSuite::PrepareRecord over every record of the dataset's scale-0.1
+// tables (seed 1; a dedup dataset's one table once), reported as CPU time
+// per record (`per_record`) and the heap bytes one prepared record holds
+// (`bytes_per_record`: glibc's mallinfo2 in-use delta across preparing all
+// of them on this thread, malloc chunk overhead included, divided by the
+// record count; the vector holding the records is allocated beforehand),
+// next to what PreparedRecord::Bytes() counts of the same records
+// (`counted_per_record`, the unit of learnrisk_gateway_prepared_bytes).
+//
 // BM_MergedAllCandidates/<S> is sharded block_all candidate generation: the
 // SG scale-0.1 table (seed 1, dedup) split round-robin over S BlockingIndex
 // shards, then 2,000 records of the seed-2 table added through AddRecord to
 // the least-loaded shard, so each shard holds several posting segments —
 // the state a sharded namespace serves block_all from after online adds.
+
+#include <malloc.h>
 
 #include <string>
 #include <utility>
@@ -381,6 +393,53 @@ const bool kRunsRegistered = [] {
   }
   return true;
 }();
+
+void BM_PrepareRecord(benchmark::State& state,
+                      const ColumnFixture& (*fixture)()) {
+  const ColumnFixture& f = fixture();
+  std::vector<const Record*> records;
+  const Table& left = f.workload.left();
+  const Table& right = f.workload.right();
+  for (size_t i = 0; i < left.num_records(); ++i) {
+    records.push_back(&left.record(i));
+  }
+  if (&right != &left) {
+    for (size_t i = 0; i < right.num_records(); ++i) {
+      records.push_back(&right.record(i));
+    }
+  }
+  const double n = static_cast<double>(records.size());
+  double bytes_per_record = 0.0;
+  double counted_per_record = 0.0;
+  {
+    std::vector<PreparedRecord> held(records.size());
+    const size_t before = mallinfo2().uordblks;
+    for (size_t i = 0; i < records.size(); ++i) {
+      held[i] = f.suite.PrepareRecord(*records[i]);
+    }
+    bytes_per_record =
+        static_cast<double>(mallinfo2().uordblks - before) / n;
+    for (const PreparedRecord& record : held) {
+      counted_per_record += static_cast<double>(record.Bytes()) / n;
+    }
+  }
+  for (auto _ : state) {
+    for (const Record* record : records) {
+      benchmark::DoNotOptimize(f.suite.PrepareRecord(*record));
+    }
+  }
+  state.counters["records"] = n;
+  state.counters["bytes_per_record"] = bytes_per_record;
+  state.counters["counted_per_record"] = counted_per_record;
+  state.counters["per_record"] = benchmark::Counter(
+      n, benchmark::Counter::kIsIterationInvariantRate |
+             benchmark::Counter::kInvert);
+}
+
+BENCHMARK_CAPTURE(BM_PrepareRecord, DS, DsBlockAll)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PrepareRecord, SG, SgBlockAll)
+    ->Unit(benchmark::kMillisecond);
 
 // A dataset's scale-0.1 labeled metric rows and the rules Algorithm 1 finds
 // on them, built on first use.

@@ -672,6 +672,13 @@ void Gateway::RegisterStateGauges(
           [side = side](const NamespaceState& s) {
             return static_cast<int64_t>(RecordCount(s, side));
           });
+    gauge("learnrisk_gateway_prepared_bytes",
+          {{"namespace", ns}, {"side", side_label}},
+          "Bytes the prepared featurization caches hold for the records "
+          "visible in the namespace's current snapshot",
+          [side = side](const NamespaceState& s) {
+            return static_cast<int64_t>(PreparedBytes(s, side));
+          });
     if (state->shards.size() == 1) continue;
     for (size_t k = 0; k < state->shards.size(); ++k) {
       gauge("learnrisk_gateway_shard_records",
@@ -1003,6 +1010,17 @@ size_t Gateway::RecordCount(const Shard& shard, BlockingSide side) {
 size_t Gateway::RecordCount(const NamespaceState& s, BlockingSide side) {
   size_t total = 0;
   for (const auto& shard : s.shards) total += RecordCount(*shard, side);
+  return total;
+}
+
+size_t Gateway::PreparedBytes(const NamespaceState& s, BlockingSide side) {
+  size_t total = 0;
+  for (const auto& shard : s.shards) {
+    const std::shared_ptr<const NamespaceSnapshot> snap =
+        LoadShardSnapshot(*shard);
+    total += (side == BlockingSide::kLeft ? snap->left : s.right_store(*snap))
+                 .prepared_bytes();
+  }
   return total;
 }
 

@@ -582,6 +582,9 @@ class Gateway {
   /// of the whole namespace (summed over its shards).
   static size_t RecordCount(const Shard& shard, BlockingSide side);
   static size_t RecordCount(const NamespaceState& s, BlockingSide side);
+  /// \brief Bytes the prepared caches of one side's visible records hold
+  /// (SideStore::prepared_bytes), summed over the namespace's shards.
+  static size_t PreparedBytes(const NamespaceState& s, BlockingSide side);
   /// \brief WAL entries since the last checkpoint, summed over the shard
   /// logs (each read under its writer_mu); the namespace must be durable.
   static size_t WalBacklog(const NamespaceState& s);

@@ -25,6 +25,9 @@ SideStore SideStore::Build(const Table& table, const MetricSuite& suite) {
   ParallelFor(segment->records.size(), [&](size_t i) {
     segment->prepared[i] = suite.PrepareRecord(segment->records[i]);
   });
+  for (const PreparedRecord& prepared : segment->prepared) {
+    store.prepared_bytes_ += prepared.Bytes();
+  }
   store.size_ = segment->records.size();
   store.bases_.push_back(0);
   store.segments_.push_back(std::move(segment));
@@ -38,6 +41,7 @@ SideStore SideStore::WithAppended(Record record, int64_t entity_id,
   tail->records.push_back(std::move(record));
   tail->entity_ids.push_back(entity_id);
   tail->prepared.push_back(suite.PrepareRecord(tail->records.front()));
+  next.prepared_bytes_ += tail->prepared.front().Bytes();
   next.bases_.push_back(next.size_);
   next.segments_.push_back(std::move(tail));
   ++next.size_;

@@ -69,6 +69,9 @@ class SideStore {
 
   size_t size() const { return size_; }
   size_t segment_count() const { return segments_.size(); }
+  /// \brief Sum of PreparedRecord::Bytes() over the store's records, kept
+  /// as a running total (WithAppended adds the tail's in O(1)).
+  size_t prepared_bytes() const { return prepared_bytes_; }
 
   const Record& record(size_t i) const {
     const Location loc = Locate(i);
@@ -97,6 +100,7 @@ class SideStore {
   std::vector<std::shared_ptr<const SideSegment>> segments_;
   std::vector<size_t> bases_;  ///< bases_[k] = global index of segment k's row 0
   size_t size_ = 0;
+  size_t prepared_bytes_ = 0;
 };
 
 }  // namespace learnrisk

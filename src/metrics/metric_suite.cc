@@ -3,9 +3,12 @@
 #include "metrics/metric_suite.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "common/parallel.h"
@@ -218,10 +221,67 @@ enum PrepareNeeds : uint32_t {
   kNeedNumeric = 1u << 8,
 };
 
-std::vector<std::string> SortedUnique(std::vector<std::string> items) {
-  std::sort(items.begin(), items.end());
-  items.erase(std::unique(items.begin(), items.end()), items.end());
-  return items;
+using Section = PreparedValue::Section;
+
+/// One prepared value and the buffer of the record holding it, through
+/// which the kernels read the value's sections.
+struct ValueRef {
+  ValueRef(const PreparedValue& v, const PreparedRecord& record)
+      : value(v), bytes(reinterpret_cast<const char*>(record.data.data())) {}
+
+  /// A uint32 section's element count.
+  size_t Count(Section s) const {
+    return (value.at[s + 1] - value.at[s]) / sizeof(uint32_t);
+  }
+  /// A uint32 section's elements.
+  const uint32_t* Words(Section s) const {
+    return reinterpret_cast<const uint32_t*>(bytes + value.at[s]);
+  }
+  std::string_view Chars(Section s) const {
+    return {bytes + value.at[s], value.at[s + 1] - value.at[s]};
+  }
+  /// The tf-idf weight of the i-th sorted unique token.
+  double Weight(size_t i) const {
+    double w;
+    std::memcpy(&w, bytes + value.at[Section::kTfidfWeights] + i * sizeof(w),
+                sizeof(w));
+    return w;
+  }
+  const std::string& Token(uint32_t position) const {
+    return value.tokens[position];
+  }
+
+  const PreparedValue& value;
+  const char* bytes;
+};
+
+/// Positions of the unique tokens of `tokens`, sorted by text.
+std::vector<uint32_t> SortedUniquePositions(
+    const std::vector<std::string>& tokens) {
+  std::vector<uint32_t> positions(tokens.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    positions[i] = static_cast<uint32_t>(i);
+  }
+  std::sort(positions.begin(), positions.end(),
+            [&](uint32_t x, uint32_t y) { return tokens[x] < tokens[y]; });
+  positions.erase(std::unique(positions.begin(), positions.end(),
+                              [&](uint32_t x, uint32_t y) {
+                                return tokens[x] == tokens[y];
+                              }),
+                  positions.end());
+  return positions;
+}
+
+/// How many tokens Tokenize(s) returns, without building them.
+size_t CountTokens(std::string_view s) {
+  size_t count = 0;
+  bool in_token = false;
+  for (char c : s) {
+    const bool alnum = std::isalnum(static_cast<unsigned char>(c)) != 0;
+    count += alnum && !in_token;
+    in_token = alnum;
+  }
+  return count;
 }
 
 /// Injective integer key for a char n-gram of length 1..3 (CharNgrams with
@@ -234,15 +294,15 @@ uint32_t NgramKey(const std::string& gram) {
   return (static_cast<uint32_t>(gram.size()) << 24) | bytes;
 }
 
-/// |a ∩ b| for sorted unique key vectors. The merge steps without a
+/// |a ∩ b| for sorted unique key arrays. The merge steps without a
 /// branch: equal keys advance both sides, so the comparison outcomes are
 /// data the loop adds rather than jumps it mispredicts.
-size_t SortedKeyIntersectionCount(const std::vector<uint32_t>& a,
-                                  const std::vector<uint32_t>& b) {
+size_t SortedKeyIntersectionCount(const uint32_t* a, size_t na,
+                                  const uint32_t* b, size_t nb) {
   size_t count = 0;
   size_t i = 0;
   size_t j = 0;
-  while (i < a.size() && j < b.size()) {
+  while (i < na && j < nb) {
     const uint32_t x = a[i];
     const uint32_t y = b[j];
     count += x == y;
@@ -252,15 +312,20 @@ size_t SortedKeyIntersectionCount(const std::vector<uint32_t>& a,
   return count;
 }
 
-/// |a ∩ b| for sorted unique vectors; same integer the unordered_set
-/// reference intersection produces.
-size_t SortedIntersectionCount(const std::vector<std::string>& a,
-                               const std::vector<std::string>& b) {
+/// |A ∩ B| for section `s` of `a` (sorted or key token positions) and
+/// `b`'s sorted unique tokens, compared by text; same integer the
+/// unordered_set reference intersection produces.
+size_t SortedTokenIntersectionCount(const ValueRef& a, Section s,
+                                    const ValueRef& b) {
+  const uint32_t* pa = a.Words(s);
+  const uint32_t* pb = b.Words(Section::kSortedTokens);
+  const size_t na = a.Count(s);
+  const size_t nb = b.Count(Section::kSortedTokens);
   size_t count = 0;
   size_t i = 0;
   size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const int cmp = a[i].compare(b[j]);
+  while (i < na && j < nb) {
+    const int cmp = a.Token(pa[i]).compare(b.Token(pb[j]));
     if (cmp < 0) {
       ++i;
     } else if (cmp > 0) {
@@ -274,25 +339,17 @@ size_t SortedIntersectionCount(const std::vector<std::string>& a,
   return count;
 }
 
-/// |a \ b| for sorted unique vectors.
-size_t SortedAbsentCount(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b) {
-  return a.size() - SortedIntersectionCount(a, b);
-}
-
-/// Mirror of reference::EntityNamesEquivalent over pre-tokenized entities:
-/// same surname edit-similarity threshold, same head-initial compatibility
-/// rule.
-bool PreparedEntitiesEquivalent(const PreparedEntity& a,
-                                const PreparedEntity& b,
+/// Mirror of reference::EntityNamesEquivalent over the token runs [ta,
+/// ta + na) and [tb, tb + nb): same surname edit-similarity threshold, same
+/// head-initial compatibility rule.
+bool PreparedEntitiesEquivalent(const std::string* ta, size_t na,
+                                const std::string* tb, size_t nb,
                                 MetricScratch* scratch) {
-  const std::vector<std::string>& ta = a.tokens;
-  const std::vector<std::string>& tb = b.tokens;
-  if (ta.empty() || tb.empty()) return ta.empty() && tb.empty();
-  if (NormalizedEditSimilarityFast(ta.back(), tb.back(), scratch) < 0.8) {
+  if (na == 0 || nb == 0) return na == 0 && nb == 0;
+  if (NormalizedEditSimilarityFast(ta[na - 1], tb[nb - 1], scratch) < 0.8) {
     return false;
   }
-  const size_t heads = std::min(ta.size(), tb.size()) - 1;
+  const size_t heads = std::min(na, nb) - 1;
   for (size_t i = 0; i < heads; ++i) {
     const std::string& x = ta[i];
     const std::string& y = tb[i];
@@ -304,26 +361,33 @@ bool PreparedEntitiesEquivalent(const PreparedEntity& a,
   return true;
 }
 
-/// Mirror of reference::DistinctEntityCount over prepared entity lists
+/// Mirror of reference::DistinctEntityCount over prepared entity runs
 /// (greedy first-match pairing in the same order).
-double PreparedDistinctEntityCount(const PreparedValue& a,
-                                   const PreparedValue& b,
+double PreparedDistinctEntityCount(const ValueRef& a, const ValueRef& b,
                                    MetricScratch* scratch) {
-  const std::vector<PreparedEntity>& ea = a.entities;
-  const std::vector<PreparedEntity>& eb = b.entities;
-  scratch->used.assign(eb.size(), 0);
+  const uint32_t* ends_a = a.Words(Section::kEntityEnds);
+  const uint32_t* ends_b = b.Words(Section::kEntityEnds);
+  const size_t na = a.Count(Section::kEntityEnds);
+  const size_t nb = b.Count(Section::kEntityEnds);
+  const std::string* ta = a.value.tokens.data();
+  const std::string* tb = b.value.tokens.data();
+  scratch->used.assign(nb, 0);
   size_t matched_a = 0;
-  for (const PreparedEntity& x : ea) {
-    for (size_t j = 0; j < eb.size(); ++j) {
+  for (size_t i = 0; i < na; ++i) {
+    const uint32_t begin_a = i == 0 ? 0 : ends_a[i - 1];
+    for (size_t j = 0; j < nb; ++j) {
       if (scratch->used[j]) continue;
-      if (PreparedEntitiesEquivalent(x, eb[j], scratch)) {
+      const uint32_t begin_b = j == 0 ? 0 : ends_b[j - 1];
+      if (PreparedEntitiesEquivalent(ta + begin_a, ends_a[i] - begin_a,
+                                     tb + begin_b, ends_b[j] - begin_b,
+                                     scratch)) {
         scratch->used[j] = 1;
         ++matched_a;
         break;
       }
     }
   }
-  const size_t unmatched_a = ea.size() - matched_a;
+  const size_t unmatched_a = na - matched_a;
   size_t unmatched_b = 0;
   for (uint8_t used : scratch->used) unmatched_b += used ? 0 : 1;
   return static_cast<double>(unmatched_a + unmatched_b);
@@ -648,22 +712,45 @@ double PreparedMongeElkan(const PreparedValue& a, const PreparedValue& b,
                 total_b / static_cast<double>(tb.size()));
 }
 
-/// Mirror of CosineTfIdf over the cached weight maps. The cached maps were
-/// built with the same insertion sequence the reference builds per call, so
-/// iterating the left map reproduces the reference's summation order and the
-/// dot product is bit-identical.
-double PreparedCosineTfIdf(const PreparedValue& a, const PreparedValue& b) {
-  const auto& wa = a.tfidf;
-  const auto& wb = b.tfidf;
-  if (wa.empty() && wb.empty()) return 1.0;
-  if (wa.empty() || wb.empty()) return 0.0;
-  double dot = 0.0;
-  for (const auto& [t, w] : wa) {
-    const auto it = wb.find(t);
-    if (it != wb.end()) dot += w * it->second;
+/// Mirror of CosineTfIdf over the tf-idf sections. The reference sums
+/// w_a(t) * w_b(t) over the shared tokens t in the iteration order of a's
+/// weight map; the merge over both sorted token sections finds the shared
+/// tokens and files each product under t's rank in that order, and the sum
+/// then runs in rank order. Tokens b lacks add +0.0, which leaves every
+/// partial sum unchanged (the products are positive), so the dot product is
+/// bit-identical.
+double PreparedCosineTfIdf(const ValueRef& a, const ValueRef& b,
+                           MetricScratch* scratch) {
+  const size_t na = a.Count(Section::kTfidfRanks);
+  const size_t nb = b.Count(Section::kTfidfRanks);
+  if (na == 0 && nb == 0) return 1.0;
+  if (na == 0 || nb == 0) return 0.0;
+  const uint32_t* pa = a.Words(Section::kSortedTokens);
+  const uint32_t* pb = b.Words(Section::kSortedTokens);
+  const uint32_t* rank = a.Words(Section::kTfidfRanks);
+  std::vector<double>& products = scratch->tfidf_products;
+  products.assign(na, 0.0);
+  size_t i = 0;
+  size_t j = 0;
+  while (i < na && j < nb) {
+    const int cmp = a.Token(pa[i]).compare(b.Token(pb[j]));
+    if (cmp < 0) {
+      ++i;
+    } else if (cmp > 0) {
+      ++j;
+    } else {
+      products[rank[i]] = a.Weight(i) * b.Weight(j);
+      ++i;
+      ++j;
+    }
   }
-  if (a.tfidf_norm_sq == 0.0 || b.tfidf_norm_sq == 0.0) return 0.0;
-  return dot / (std::sqrt(a.tfidf_norm_sq) * std::sqrt(b.tfidf_norm_sq));
+  double dot = 0.0;
+  for (double p : products) dot += p;
+  if (a.value.tfidf_norm_sq == 0.0 || b.value.tfidf_norm_sq == 0.0) {
+    return 0.0;
+  }
+  return dot / (std::sqrt(a.value.tfidf_norm_sq) *
+                std::sqrt(b.value.tfidf_norm_sq));
 }
 
 }  // namespace
@@ -718,6 +805,7 @@ void MetricSuite::RecomputeNeeds() {
 PreparedRecord MetricSuite::PrepareRecord(const Record& record) const {
   PreparedRecord out;
   out.values.resize(schema_.num_attributes());
+  std::string bytes;  // every value's sections, value after value
   const size_t width = std::min(record.values.size(), out.values.size());
   for (size_t a = 0; a < width; ++a) {
     const uint32_t needs = needs_[a];
@@ -730,9 +818,12 @@ PreparedRecord MetricSuite::PrepareRecord(const Record& record) const {
     // time; skipping the copy otherwise keeps prepared tables from
     // duplicating string data they never touch.
     if (needs & kNeedRaw) v.raw = raw;
-    if (needs & (kNeedNorm | kNeedAbbr)) v.norm = ToLower(trimmed);
-    if (needs & kNeedAbbr) v.abbr = FirstLetterAbbreviation(v.norm);
-    if (needs & (kNeedTokens | kNeedTokenSet | kNeedTfidf | kNeedKeyTokens)) {
+    std::string norm;
+    std::string abbr;
+    if (needs & (kNeedNorm | kNeedAbbr)) norm = ToLower(trimmed);
+    if (needs & kNeedAbbr) abbr = FirstLetterAbbreviation(norm);
+    if (needs & (kNeedTokens | kNeedTokenSet | kNeedTfidf | kNeedKeyTokens |
+                 kNeedEntities)) {
       v.tokens = Tokenize(raw);
     }
     if (needs & kNeedTokens) {
@@ -741,37 +832,59 @@ PreparedRecord MetricSuite::PrepareRecord(const Record& record) const {
         v.packed_tokens.push_back(PackToken(t));
       }
     }
-    if (needs & (kNeedTokenSet | kNeedKeyTokens)) {
-      v.sorted_tokens = SortedUnique(v.tokens);
+    std::vector<uint32_t> sorted;  // key tokens come with a token set
+    if (needs & (kNeedTokenSet | kNeedTfidf)) {
+      sorted = SortedUniquePositions(v.tokens);
     }
+    std::vector<uint32_t> ngrams;
     if (needs & kNeedNgrams) {
       for (const std::string& gram : CharNgrams(ToLower(raw), 3)) {
-        v.sorted_ngrams.push_back(NgramKey(gram));
+        ngrams.push_back(NgramKey(gram));
       }
-      std::sort(v.sorted_ngrams.begin(), v.sorted_ngrams.end());
-      v.sorted_ngrams.erase(
-          std::unique(v.sorted_ngrams.begin(), v.sorted_ngrams.end()),
-          v.sorted_ngrams.end());
+      std::sort(ngrams.begin(), ngrams.end());
+      ngrams.erase(std::unique(ngrams.begin(), ngrams.end()), ngrams.end());
     }
+    std::vector<double> weights;
+    std::vector<uint32_t> ranks;
     if ((needs & kNeedTfidf) && idf_[a] != nullptr) {
       // Same insertion sequence as the reference CosineTfIdf builds per
-      // call, so map iteration order — and thus every summation order —
-      // matches it exactly.
-      for (const std::string& t : v.tokens) v.tfidf[t] += 1.0;
-      for (auto& [t, tf] : v.tfidf) {
+      // call, so the map's iteration order, which the ranks record, is
+      // the reference's summation order.
+      std::unordered_map<std::string, double> tfidf;
+      for (const std::string& t : v.tokens) tfidf[t] += 1.0;
+      weights.resize(sorted.size());
+      ranks.resize(sorted.size());
+      const auto by_text = [&](uint32_t position, const std::string& t) {
+        return v.tokens[position] < t;
+      };
+      uint32_t rank = 0;
+      for (auto& [t, tf] : tfidf) {
         tf *= idf_[a]->Idf(t);
         v.tfidf_norm_sq += tf * tf;
+        const size_t at = static_cast<size_t>(
+            std::lower_bound(sorted.begin(), sorted.end(), t, by_text) -
+            sorted.begin());
+        weights[at] = tf;
+        ranks[at] = rank++;
       }
     }
+    std::vector<uint32_t> keys;
     if ((needs & kNeedKeyTokens) && idf_[a] != nullptr) {
-      for (const std::string& t : v.sorted_tokens) {
-        if (idf_[a]->IsKeyToken(t, min_key_idf_[a])) v.key_tokens.push_back(t);
+      for (uint32_t position : sorted) {
+        if (idf_[a]->IsKeyToken(v.tokens[position], min_key_idf_[a])) {
+          keys.push_back(position);
+        }
       }
     }
+    std::vector<uint32_t> entity_ends;
     if (needs & kNeedEntities) {
+      // Tokenize splits at ',' too, so the tokens of the non-blank parts,
+      // in order, are `tokens`: an element is a run of it.
+      uint32_t end = 0;
       for (const std::string& part : Split(raw, ',')) {
-        const std::string text = ToLower(Trim(part));
-        if (!text.empty()) v.entities.push_back(PreparedEntity{Tokenize(text)});
+        if (Trim(part).empty()) continue;
+        end += static_cast<uint32_t>(CountTokens(part));
+        entity_ends.push_back(end);
       }
     }
     if (needs & kNeedNumeric) {
@@ -779,6 +892,30 @@ PreparedRecord MetricSuite::PrepareRecord(const Record& record) const {
       v.num = std::strtod(raw.c_str(), &end);
       v.num_ok = end != raw.c_str();
     }
+    const std::pair<const void*, size_t> sections[Section::kNumSections] = {
+        {weights.data(), weights.size() * sizeof(double)},
+        {ranks.data(), ranks.size() * sizeof(uint32_t)},
+        {sorted.data(), sorted.size() * sizeof(uint32_t)},
+        {keys.data(), keys.size() * sizeof(uint32_t)},
+        {ngrams.data(), ngrams.size() * sizeof(uint32_t)},
+        {entity_ends.data(), entity_ends.size() * sizeof(uint32_t)},
+        {norm.data(), norm.size()},
+        {abbr.data(), abbr.size()},
+    };
+    for (size_t k = 0; k < Section::kNumSections; ++k) {
+      v.at[k] = static_cast<uint32_t>(bytes.size());
+      bytes.append(static_cast<const char*>(sections[k].first),
+                   sections[k].second);
+    }
+    v.at[Section::kNumSections] = static_cast<uint32_t>(bytes.size());
+    bytes.resize((bytes.size() + 3) / 4 * 4, '\0');  // next value's words
+  }
+  if (bytes.size() > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("prepared record sections exceed 4 GiB");
+  }
+  if (!bytes.empty()) {
+    out.data.resize(bytes.size() / sizeof(uint32_t));
+    std::memcpy(out.data.data(), bytes.data(), bytes.size());
   }
   return out;
 }
@@ -789,6 +926,10 @@ double MetricSuite::EvaluatePrepared(const PreparedRecord& left,
   const MetricSpec& spec = specs_[m];
   const PreparedValue& a = left.values[spec.attribute];
   const PreparedValue& b = right.values[spec.attribute];
+  const ValueRef ra(a, left);
+  const ValueRef rb(b, right);
+  const std::string_view norm_a = ra.Chars(Section::kNorm);
+  const std::string_view norm_b = rb.Chars(Section::kNorm);
   const bool missing = a.missing || b.missing;
   switch (spec.kind) {
     case MetricKind::kEditSim:
@@ -799,19 +940,23 @@ double MetricSuite::EvaluatePrepared(const PreparedRecord& left,
                      : JaroWinklerSimilarityFast(a.raw, b.raw, scratch);
     case MetricKind::kTokenJaccard: {
       if (missing) return kMissingMetric;
-      if (a.sorted_tokens.empty() && b.sorted_tokens.empty()) return 1.0;
+      const size_t na = ra.Count(Section::kSortedTokens);
+      const size_t nb = rb.Count(Section::kSortedTokens);
+      if (na == 0 && nb == 0) return 1.0;
       const size_t inter =
-          SortedIntersectionCount(a.sorted_tokens, b.sorted_tokens);
-      const size_t uni = a.sorted_tokens.size() + b.sorted_tokens.size() - inter;
+          SortedTokenIntersectionCount(ra, Section::kSortedTokens, rb);
+      const size_t uni = na + nb - inter;
       return uni == 0 ? 1.0
                       : static_cast<double>(inter) / static_cast<double>(uni);
     }
     case MetricKind::kNgramJaccard: {
       if (missing) return kMissingMetric;
-      if (a.sorted_ngrams.empty() && b.sorted_ngrams.empty()) return 1.0;
-      const size_t inter =
-          SortedKeyIntersectionCount(a.sorted_ngrams, b.sorted_ngrams);
-      const size_t uni = a.sorted_ngrams.size() + b.sorted_ngrams.size() - inter;
+      const size_t na = ra.Count(Section::kNgrams);
+      const size_t nb = rb.Count(Section::kNgrams);
+      if (na == 0 && nb == 0) return 1.0;
+      const size_t inter = SortedKeyIntersectionCount(
+          ra.Words(Section::kNgrams), na, rb.Words(Section::kNgrams), nb);
+      const size_t uni = na + nb - inter;
       return uni == 0 ? 1.0
                       : static_cast<double>(inter) / static_cast<double>(uni);
     }
@@ -819,7 +964,8 @@ double MetricSuite::EvaluatePrepared(const PreparedRecord& left,
       return missing ? kMissingMetric : LcsRatioFast(a.raw, b.raw, scratch);
     case MetricKind::kCosineTfIdf:
       if (missing) return kMissingMetric;
-      return idf_[spec.attribute] ? PreparedCosineTfIdf(a, b) : kMissingMetric;
+      return idf_[spec.attribute] ? PreparedCosineTfIdf(ra, rb, scratch)
+                                  : kMissingMetric;
     case MetricKind::kMongeElkan: {
       if (missing) return kMissingMetric;
       const size_t rank = monge_elkan_rank_[m];
@@ -830,11 +976,11 @@ double MetricSuite::EvaluatePrepared(const PreparedRecord& left,
     }
     case MetricKind::kContainment: {
       if (missing) return kMissingMetric;
-      if (a.sorted_tokens.empty()) return 1.0;
+      const size_t na = ra.Count(Section::kSortedTokens);
+      if (na == 0) return 1.0;
       const size_t inter =
-          SortedIntersectionCount(a.sorted_tokens, b.sorted_tokens);
-      return static_cast<double>(inter) /
-             static_cast<double>(a.sorted_tokens.size());
+          SortedTokenIntersectionCount(ra, Section::kSortedTokens, rb);
+      return static_cast<double>(inter) / static_cast<double>(na);
     }
     case MetricKind::kNumericSim: {
       if (!a.num_ok || !b.num_ok) return kMissingMetric;
@@ -843,48 +989,55 @@ double MetricSuite::EvaluatePrepared(const PreparedRecord& left,
       return std::max(0.0, 1.0 - std::fabs(a.num - b.num) / denom);
     }
     case MetricKind::kExact:
-      return missing ? kMissingMetric : (a.norm == b.norm ? 1.0 : 0.0);
+      return missing ? kMissingMetric : (norm_a == norm_b ? 1.0 : 0.0);
     case MetricKind::kNonSubstring:
       if (missing) return kMissingMetric;
-      return Contains(a.norm, b.norm) || Contains(b.norm, a.norm) ? 0.0 : 1.0;
+      return Contains(norm_a, norm_b) || Contains(norm_b, norm_a) ? 0.0 : 1.0;
     case MetricKind::kNonPrefix:
       if (missing) return kMissingMetric;
-      return StartsWith(a.norm, b.norm) || StartsWith(b.norm, a.norm) ? 0.0
+      return StartsWith(norm_a, norm_b) || StartsWith(norm_b, norm_a) ? 0.0
                                                                       : 1.0;
     case MetricKind::kNonSuffix:
       if (missing) return kMissingMetric;
-      return EndsWith(a.norm, b.norm) || EndsWith(b.norm, a.norm) ? 0.0 : 1.0;
+      return EndsWith(norm_a, norm_b) || EndsWith(norm_b, norm_a) ? 0.0 : 1.0;
     case MetricKind::kAbbrNonSubstring: {
       if (missing) return kMissingMetric;
-      const bool related = Contains(b.norm, a.abbr) ||
-                           Contains(a.norm, b.abbr) ||
-                           Contains(b.abbr, a.abbr) ||
-                           Contains(a.abbr, b.abbr);
+      const std::string_view abbr_a = ra.Chars(Section::kAbbr);
+      const std::string_view abbr_b = rb.Chars(Section::kAbbr);
+      const bool related = Contains(norm_b, abbr_a) ||
+                           Contains(norm_a, abbr_b) ||
+                           Contains(abbr_b, abbr_a) ||
+                           Contains(abbr_a, abbr_b);
       return related ? 0.0 : 1.0;
     }
     case MetricKind::kDiffCardinality:
       if (missing) return kMissingMetric;
-      return a.entities.size() != b.entities.size() ? 1.0 : 0.0;
+      return ra.Count(Section::kEntityEnds) != rb.Count(Section::kEntityEnds)
+                 ? 1.0
+                 : 0.0;
     case MetricKind::kDistinctEntity: {
       if (missing) return kMissingMetric;
-      const double count = PreparedDistinctEntityCount(a, b, scratch);
-      const double total =
-          static_cast<double>(a.entities.size() + b.entities.size());
+      const double count = PreparedDistinctEntityCount(ra, rb, scratch);
+      const double total = static_cast<double>(
+          ra.Count(Section::kEntityEnds) + rb.Count(Section::kEntityEnds));
       return total == 0.0 ? 0.0 : count / total;
     }
     case MetricKind::kDiffKeyToken: {
       if (idf_[spec.attribute] == nullptr) return kMissingMetric;
       if (missing) return kMissingMetric;
-      const double count =
-          static_cast<double>(SortedAbsentCount(a.key_tokens, b.sorted_tokens) +
-                              SortedAbsentCount(b.key_tokens, a.sorted_tokens));
+      // |keys(a) \ tokens(b)| + |keys(b) \ tokens(a)|.
+      const double count = static_cast<double>(
+          ra.Count(Section::kKeyTokens) -
+          SortedTokenIntersectionCount(ra, Section::kKeyTokens, rb) +
+          rb.Count(Section::kKeyTokens) -
+          SortedTokenIntersectionCount(rb, Section::kKeyTokens, ra));
       return count / (count + 1.0);
     }
     case MetricKind::kNumericUnequal:
       if (!a.num_ok || !b.num_ok) return kMissingMetric;
       return a.num == b.num ? 0.0 : 1.0;
     case MetricKind::kNotEqual:
-      return missing ? kMissingMetric : 1.0 - (a.norm == b.norm ? 1.0 : 0.0);
+      return missing ? kMissingMetric : 1.0 - (norm_a == norm_b ? 1.0 : 0.0);
   }
   return kMissingMetric;
 }

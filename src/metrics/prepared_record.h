@@ -1,27 +1,42 @@
 // Copyright 2026 The LearnRisk Authors
 // Record-level feature preparation: everything a metric suite derives from a
 // *single* record — normalized strings, token lists, sorted token / q-gram
-// sets, tf-idf weight maps, key-token subsets, entity token lists, parsed
+// sets, tf-idf weights, key-token subsets, entity token ranges, parsed
 // numerics — computed once per (record, attribute) and reused across every
 // pair the record participates in. Blocking emits each record in many
 // candidate pairs; MetricSuite::EvaluatePairPreparedInto reads these caches
 // instead of re-deriving them per pair, as the raw reference
 // (tests/reference/raw_metrics.h) does.
 //
+// Layout. A PreparedValue keeps inline only what every token kernel walks
+// (`tokens`, `packed_tokens`), the parsed number and a handful of offsets.
+// Everything else a value derives lives in its record's one buffer,
+// PreparedRecord::data, as sections addressed by byte offsets: the sorted
+// unique tokens and the key tokens are uint32 positions into `tokens` (no
+// second copy of any token string), the trigram keys are uint32s, the
+// tf-idf weights are doubles in sorted-token order next to each token's
+// rank in the reference map's iteration order (so the dot product sums in
+// the reference's order), an entity is a run of `tokens` ending at a stored
+// position, and the normalized and abbreviated strings are raw chars.
+// Offsets rather than pointers keep a PreparedRecord valid when it is moved
+// or copied (vector growth, a SideStore segment's prepared vector).
+//
 // PreparedRecords are plain immutable data once built: safe to share across
 // threads without synchronization. They are only meaningful together with
 // the MetricSuite that prepared them (the suite's specs decide which fields
-// are populated and its IDF tables weight the cached tf-idf maps), and they
-// *borrow* the raw attribute strings of the record they were prepared from
-// (PreparedValue::raw is a view, not a copy), so the source record — or the
-// Table / segment owning it — must outlive them.
+// and sections are populated and its IDF tables weight the tf-idf section),
+// and they *borrow* the raw attribute strings of the record they were
+// prepared from (PreparedValue::raw is a view, not a copy), so the source
+// record — or the Table / segment owning it — must outlive them. Nothing
+// else is borrowed: a value's sections belong to the PreparedRecord that
+// holds the value, and are read only together with that record.
 
 #ifndef LEARNRISK_METRICS_PREPARED_RECORD_H_
 #define LEARNRISK_METRICS_PREPARED_RECORD_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "data/table.h"
@@ -31,54 +46,73 @@ namespace learnrisk {
 
 class MetricSuite;
 
-/// \brief One non-empty element of an entity-set attribute, pre-tokenized
-/// for the abbreviation-aware equivalence test DistinctEntity runs per pair.
-struct PreparedEntity {
-  std::vector<std::string> tokens;  ///< Tokenize(ToLower(Trim(part)))
-};
-
 /// \brief Cached single-record derivations for one attribute. Only the
-/// fields the owning suite's metrics need are populated (the rest stay
-/// empty); `missing` is always valid.
+/// fields and sections the owning suite's metrics need are populated (the
+/// rest stay empty); `missing` is always valid.
 struct PreparedValue {
+  /// The derived sections in the owning PreparedRecord's `data`, in buffer
+  /// order; section s spans bytes [at[s], at[s + 1]).
+  enum Section : uint32_t {
+    /// double per sorted unique token: tf * idf.
+    kTfidfWeights,
+    /// uint32 per sorted unique token: its rank in the iteration order of
+    /// the std::unordered_map the raw CosineTfIdf builds from `tokens`.
+    kTfidfRanks,
+    /// uint32 positions into `tokens` of the unique tokens, sorted by text.
+    kSortedTokens,
+    /// uint32 positions of the high-IDF unique tokens, sorted by text.
+    kKeyTokens,
+    /// uint32 keys of the unique trigrams of ToLower(raw), sorted; set
+    /// cardinalities and intersections equal the string-set ones exactly.
+    kNgrams,
+    /// uint32 per non-empty entity-set element (Split(raw, ',') parts that
+    /// trim non-empty): one past its last token in `tokens`; an element's
+    /// tokens start where the previous element's end.
+    kEntityEnds,
+    /// chars: ToLower(Trim(raw)).
+    kNorm,
+    /// chars: FirstLetterAbbreviation(norm).
+    kAbbr,
+    kNumSections,
+  };
+
   /// View of the source record's attribute value (no copy — the record's
   /// string storage is shared with whoever owns the record: the Table, the
   /// gateway segment, or the probe on the caller's stack). Populated only
   /// when a character-level metric (edit / Jaro-Winkler / LCS) reads it.
   std::string_view raw;
-  bool missing = true;  ///< Trim(value).empty()
 
-  std::string norm;  ///< ToLower(Trim(raw))
-  std::string abbr;  ///< FirstLetterAbbreviation(norm)
-
-  std::vector<std::string> tokens;         ///< Tokenize(raw), original order
+  std::vector<std::string> tokens;  ///< Tokenize(raw), original order
   /// `tokens` packed once for the Monge-Elkan kernel, parallel to `tokens`:
   /// each token's character-presence mask (disjoint masks prove a
   /// Jaro-Winkler similarity of exactly 0.0, so the kernel skips the pair)
   /// and its first 16 bytes, zero-padded, which JaroWinklerPacked matches on
   /// when both tokens fit and the equal-token test compares.
   std::vector<PackedToken> packed_tokens;
-  std::vector<std::string> sorted_tokens;  ///< unique tokens, sorted
-  /// Unique trigrams of ToLower(raw), packed injectively into integer keys
-  /// (length tag + up to 3 bytes) and sorted; set cardinalities and
-  /// intersections equal the string-set ones exactly.
-  std::vector<uint32_t> sorted_ngrams;
-  std::vector<std::string> key_tokens;     ///< sorted high-IDF token subset
 
-  std::vector<PreparedEntity> entities;  ///< split entity-set elements
-
-  /// tf * idf per token, built with the exact insertion order the raw
-  /// CosineTfIdf uses so iteration (and thus summation) order matches.
-  std::unordered_map<std::string, double> tfidf;
+  double num = 0.0;            ///< parsed numeric value
   double tfidf_norm_sq = 0.0;  ///< sum of squared tf-idf weights
 
-  bool num_ok = false;  ///< strtod consumed at least one char
-  double num = 0.0;     ///< parsed numeric value
+  /// Section boundaries, byte offsets into PreparedRecord::data.
+  uint32_t at[kNumSections + 1] = {};
+
+  bool missing = true;   ///< Trim(value).empty()
+  bool num_ok = false;   ///< strtod consumed at least one char
 };
 
-/// \brief One record's cached derivations, indexed by attribute.
+/// \brief One record's cached derivations, indexed by attribute, and the
+/// buffer holding every value's sections.
 struct PreparedRecord {
   std::vector<PreparedValue> values;  ///< one per schema attribute
+  /// The values' sections (see PreparedValue::Section), value after value,
+  /// each value's run padded to a whole word.
+  std::vector<uint32_t> data;
+
+  /// \brief The bytes this record holds: sizeof(PreparedRecord) plus the
+  /// capacity of every heap block it owns (values, data, token vectors and
+  /// token strings too long for in-place storage), without malloc's
+  /// per-block overhead. The borrowed raw strings are not counted.
+  size_t Bytes() const;
 };
 
 /// \brief A table's records in prepared form, index-aligned with the source

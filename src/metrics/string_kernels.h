@@ -117,6 +117,9 @@ struct MetricScratch {
   std::vector<uint8_t> used;      ///< entity-matching "already paired" flags
   std::vector<double> row_best;   ///< Monge-Elkan per-left-token maxima
   std::vector<double> col_best;   ///< Monge-Elkan per-right-token maxima
+  /// tf-idf cosine's per-token products, indexed by the left value's
+  /// weight-map rank.
+  std::vector<double> tfidf_products;
   /// Per-character match bitmasks for the bit-parallel kernels: W words per
   /// character for a W-word pattern, character c's row at [c * W]. Grown to
   /// 256 * W on demand; kernels zero only the words they set, so the table

@@ -6,7 +6,8 @@
 // unknown-namespace / empty-request error paths and the order of scoring
 // errors; every method's status for an unknown namespace, a mode the
 // gateway has off and an unpublished model; a metric suite built for
-// another schema; and online AddRecord + ResolveRecord.
+// another schema; online AddRecord + ResolveRecord; and the prepared-bytes
+// gauge.
 
 #include <gtest/gtest.h>
 
@@ -498,6 +499,46 @@ TEST(GatewayTest, AddRecordMakesProbeFindNewCandidates) {
   for (double risk : response->scores.risk) {
     EXPECT_TRUE(std::isfinite(risk));
   }
+}
+
+// learnrisk_gateway_prepared_bytes reports, per side, the bytes of the
+// prepared caches of every visible record: on a 2-shard namespace it equals
+// PreparedRecord::Bytes() summed over the side's records, and an AddRecord
+// grows it by exactly the added record's.
+TEST(GatewayTest, PreparedBytesGaugeSumsTheVisibleRecords) {
+  const TestNamespace ds = MakeNamespace("DS", 31, false);
+  NamespaceSpec spec = ds.Spec();
+  spec.shards = 2;
+  Gateway gateway;
+  ASSERT_TRUE(gateway.RegisterNamespace("ds", spec).ok());
+  auto gauge = [&](const char* side) {
+    const learnrisk::MetricsSnapshot snap = gateway.MetricsSnapshot();
+    const GaugeSnapshot* bytes = snap.FindGauge(
+        "learnrisk_gateway_prepared_bytes",
+        {{"namespace", "ds"}, {"side", side}});
+    EXPECT_NE(bytes, nullptr) << side;
+    return bytes == nullptr ? int64_t{-1} : bytes->value;
+  };
+  auto table_bytes = [&](const Table& table) {
+    int64_t total = 0;
+    for (size_t i = 0; i < table.num_records(); ++i) {
+      total += static_cast<int64_t>(
+          ds.suite.PrepareRecord(table.record(i)).Bytes());
+    }
+    return total;
+  };
+  const int64_t left = table_bytes(ds.workload.left());
+  EXPECT_GT(left, 0);
+  EXPECT_EQ(gauge("left"), left);
+  EXPECT_EQ(gauge("right"), table_bytes(ds.workload.right()));
+
+  const Record added = ds.workload.right().record(0);
+  ASSERT_TRUE(gateway.AddRecord("ds", BlockingSide::kLeft, added).ok());
+  const int64_t grown = gauge("left");
+  EXPECT_GT(grown, left);
+  EXPECT_EQ(grown,
+            left + static_cast<int64_t>(ds.suite.PrepareRecord(added).Bytes()));
+  EXPECT_EQ(gauge("right"), table_bytes(ds.workload.right()));
 }
 
 // Readers resolve fixed pair batches on two namespaces while the main
