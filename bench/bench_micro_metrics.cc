@@ -38,9 +38,22 @@
 // shards, then 2,000 records of the seed-2 table added through AddRecord to
 // the least-loaded shard, so each shard holds several posting segments —
 // the state a sharded namespace serves block_all from after online adds.
+//
+// BM_ReviewQueue/<offer|drain_label> is the review stage's ledger, on a
+// queue of the default capacity (1,024) and items with 21 features (DS's
+// metric count). `offer` starts each iteration from 960 resident pairs and
+// offers 4,096 pairs drawn from 3,072 keys with uniform risks, so the
+// stream admits, merges, displaces and drops (`admit_share`,
+// `merge_share`, `displace_share`, `drop_share`); `per_op` is CPU time per
+// Offer. `drain_label` starts from 1,024 resident pairs and empties the
+// queue by DrainTop(8) followed by Label of each drained pair; `per_op` is
+// CPU time per drained-and-labeled pair. Building each iteration's queue
+// and item copies, and destroying the queue, are excluded from the timing.
 
 #include <malloc.h>
 
+#include <array>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,6 +71,7 @@
 #include "metrics/string_kernels.h"
 #include "reference/raw_metrics.h"
 #include "risk/risk_feature.h"
+#include "review/review_queue.h"
 #include "risk/risk_model.h"
 #include "rules/one_sided_tree.h"
 
@@ -569,6 +583,92 @@ BENCHMARK(BM_MergedAllCandidates)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// Pairs with uniform risks over `num_keys` keys (left i, right i + 1).
+std::vector<ReviewItem> ReviewStream(size_t count, size_t num_keys,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ReviewItem> items(count);
+  for (ReviewItem& item : items) {
+    item.left = static_cast<int64_t>(rng.Index(num_keys));
+    item.right = item.left + 1;
+    item.risk = rng.Uniform();
+    item.classifier_prob = rng.Uniform();
+    item.features.assign(21, item.risk);
+  }
+  return items;
+}
+
+// Fills a fresh queue with `resident` pairs of uniform risk on keys
+// 0..resident-1, which the offer stream's keys overlap (so some offers
+// merge onto residents).
+std::unique_ptr<ReviewQueue> FilledReviewQueue(size_t resident) {
+  auto queue = std::make_unique<ReviewQueue>(1024);
+  std::vector<ReviewItem> items = ReviewStream(resident, 1, 11);
+  for (size_t i = 0; i < resident; ++i) {
+    items[i].left = static_cast<int64_t>(i);
+    items[i].right = items[i].left + 1;
+    queue->Offer(std::move(items[i]));
+  }
+  return queue;
+}
+
+void BM_ReviewQueue(benchmark::State& state, bool drain_label) {
+  const size_t resident = drain_label ? 1024 : 960;
+  const std::vector<ReviewItem> stream =
+      drain_label ? std::vector<ReviewItem>() : ReviewStream(4096, 3072, 12);
+  size_t ops = 0;
+  // Offer outcomes (indexed by ReviewQueue::Offered) and the drops they
+  // caused, over the last iteration.
+  std::array<size_t, 3> outcomes{};
+  uint64_t dropped = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::unique_ptr<ReviewQueue> queue = FilledReviewQueue(resident);
+    std::vector<ReviewItem> offers = stream;
+    const uint64_t dropped_before = queue->Stats().dropped;
+    outcomes = {};
+    state.ResumeTiming();
+    if (drain_label) {
+      ops = 0;
+      while (queue->depth() > 0) {
+        for (const ReviewItem& item : queue->DrainTop(8)) {
+          queue->Label(item.left, item.right, item.risk > 0.5);
+          ++ops;
+        }
+      }
+    } else {
+      for (ReviewItem& item : offers) {
+        ++outcomes[static_cast<size_t>(queue->Offer(std::move(item)))];
+      }
+      ops = offers.size();
+    }
+    state.PauseTiming();
+    dropped = queue->Stats().dropped - dropped_before;
+    queue.reset();
+    state.ResumeTiming();
+  }
+  if (!drain_label) {
+    // A displacing offer is admitted and drops a resident; a dropped offer
+    // drops itself.
+    const double n = static_cast<double>(ops);
+    const size_t drops = outcomes[static_cast<size_t>(
+        ReviewQueue::Offered::kDropped)];
+    const size_t displaced = dropped - drops;
+    const size_t admitted =
+        outcomes[static_cast<size_t>(ReviewQueue::Offered::kAdmitted)];
+    state.counters["admit_share"] = (admitted - displaced) / n;
+    state.counters["displace_share"] = displaced / n;
+    state.counters["merge_share"] =
+        outcomes[static_cast<size_t>(ReviewQueue::Offered::kMerged)] / n;
+    state.counters["drop_share"] = drops / n;
+  }
+  state.counters["per_op"] = benchmark::Counter(
+      static_cast<double>(ops), benchmark::Counter::kIsIterationInvariantRate |
+                                    benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_ReviewQueue, offer, false);
+BENCHMARK_CAPTURE(BM_ReviewQueue, drain_label, true);
 
 void BM_RngWords(benchmark::State& state) {
   Rng rng(42);

@@ -810,9 +810,7 @@ std::string EncodeReviewSegment(const ReviewQueue::CheckpointState& state) {
 
 Status LoadReviewSegment(const std::string& path, size_t expected_queued,
                          size_t expected_outstanding, size_t expected_labeled,
-                         std::vector<ReviewItem>* queued,
-                         std::vector<ReviewItem>* outstanding,
-                         std::vector<LabeledReview>* labeled) {
+                         ReviewQueue::CheckpointState* state) {
   Result<std::string> payload =
       OpenSegment(path, kReviewSegmentHeader, "review segment");
   if (!payload.ok()) return payload.status();
@@ -852,14 +850,15 @@ Status LoadReviewSegment(const std::string& path, size_t expected_queued,
     }
     return Status::OK();
   };
-  LEARNRISK_RETURN_NOT_OK(load_items("queued", expected_queued, queued));
   LEARNRISK_RETURN_NOT_OK(
-      load_items("outstanding", expected_outstanding, outstanding));
+      load_items("queued", expected_queued, &state->queued));
+  LEARNRISK_RETURN_NOT_OK(
+      load_items("outstanding", expected_outstanding, &state->outstanding));
   uint64_t num_labeled = 0;
   LEARNRISK_RETURN_NOT_OK(read_count("labeled", expected_labeled,
                                      kReviewItemFixedBytes + 1, &num_labeled));
-  labeled->clear();
-  labeled->reserve(num_labeled);
+  state->labeled.clear();
+  state->labeled.reserve(num_labeled);
   for (uint64_t i = 0; i < num_labeled; ++i) {
     LabeledReview label;
     if (!DecodeReviewItem(&p, end, &label.item) || p == end) {
@@ -868,7 +867,7 @@ Status LoadReviewSegment(const std::string& path, size_t expected_queued,
                              std::to_string(i));
     }
     label.truth = static_cast<uint8_t>(*p++);
-    labeled->push_back(std::move(label));
+    state->labeled.push_back(std::move(label));
   }
   if (p != end) {
     return Status::IOError("corrupt review segment '" + path +
@@ -1034,8 +1033,7 @@ Result<std::unique_ptr<NamespaceLog>> NamespaceLog::Recover(
   if (!m.review_file.empty()) {
     LEARNRISK_RETURN_NOT_OK(LoadReviewSegment(
         ns_dir + "/" + m.review_file, m.review_queued, m.review_outstanding,
-        m.review_labeled, &out.review_queued, &out.review_outstanding,
-        &out.review_labeled));
+        m.review_labeled, &out.review));
   }
 
   // WAL tail replay. The first frame that is torn (not enough bytes), has an

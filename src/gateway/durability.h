@@ -146,9 +146,7 @@ struct RecoveredNamespace {
   /// gateway can seed a ReviewQueue with the exact live occupancy before
   /// replaying the events; queued-but-unlabeled pairs and every acked label
   /// survive a restart.
-  std::vector<ReviewItem> review_queued;
-  std::vector<ReviewItem> review_outstanding;
-  std::vector<LabeledReview> review_labeled;
+  ReviewQueue::CheckpointState review;
   std::vector<ReviewWalEvent> review_events;
 };
 

@@ -1681,10 +1681,17 @@ Status Gateway::RecoverNamespace(const std::string& ns,
     // drain/label that still misses (a duplicate frame from an
     // ambiguously-failed append) is tolerated and counted. Finally,
     // still-outstanding items fold back into the queue: their reviewer died
-    // with the process, and re-draining beats losing them.
-    state->review->Seed(std::move(recovered[0].review_queued),
-                        std::move(recovered[0].review_outstanding),
-                        std::move(recovered[0].review_labeled));
+    // with the process, and re-draining beats losing them. A checkpoint
+    // that files one pair twice is refused rather than served.
+    ReviewQueue::CheckpointState& review = recovered[0].review;
+    const Status seeded =
+        state->review->Seed(std::move(review.queued),
+                            std::move(review.outstanding),
+                            std::move(review.labeled));
+    if (!seeded.ok()) {
+      return Status::IOError("corrupt review segment of namespace '" + ns +
+                             "': " + seeded.message());
+    }
     size_t replay_misses = 0;
     for (ReviewWalEvent& event : recovered[0].review_events) {
       switch (event.kind) {

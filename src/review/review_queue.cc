@@ -3,25 +3,20 @@
 #include "review/review_queue.h"
 
 #include <algorithm>
+#include <string>
 
 namespace learnrisk {
 
 ReviewQueue::ReviewQueue(size_t capacity)
     : capacity_(std::max<size_t>(capacity, 1)) {}
 
-void ReviewQueue::InsertResidentLocked(ReviewItem item, uint64_t seq) {
-  const PairKey key = KeyOf(item);
-  rank_.emplace(RankKey{item.risk, seq}, key);
-  resident_.emplace(key, Entry{std::move(item), seq});
-  depth_.store(resident_.size(), std::memory_order_relaxed);
-}
-
-ReviewQueue::Entry ReviewQueue::RemoveResidentLocked(const PairKey& key) {
-  auto it = resident_.find(key);
-  Entry entry = std::move(it->second);
-  rank_.erase(RankKey{entry.item.risk, entry.seq});
-  resident_.erase(it);
-  depth_.store(resident_.size(), std::memory_order_relaxed);
+ReviewQueue::Entry& ReviewQueue::DrainLocked(Rank::iterator ranked) {
+  Entry& entry = ranked->second->second;
+  entry.stage = Stage::kOutstanding;
+  rank_.erase(ranked);
+  depth_.store(rank_.size(), std::memory_order_relaxed);
+  outstanding_count_.fetch_add(1, std::memory_order_relaxed);
+  drained_.fetch_add(1, std::memory_order_relaxed);
   return entry;
 }
 
@@ -37,113 +32,92 @@ ReviewQueue::Offered ReviewQueue::OfferInternal(ReviewItem item, bool replay) {
   std::lock_guard<std::mutex> lock(mu_);
   offered_.fetch_add(1, std::memory_order_relaxed);
   const PairKey key = KeyOf(item);
-
-  // Dedup against every stage of the pipeline: already labeled or awaiting a
-  // label means the human effort is spent/spending — merge (no-op payload).
-  if (labeled_keys_.count(key) != 0 || outstanding_.count(key) != 0) {
-    merged_.fetch_add(1, std::memory_order_relaxed);
-    return Offered::kMerged;
-  }
-  auto it = resident_.find(key);
-  if (it != resident_.end()) {
-    // Keep the higher-risk observation: re-rank in place, same seq.
-    if (item.risk > it->second.item.risk) {
-      rank_.erase(RankKey{it->second.item.risk, it->second.seq});
-      rank_.emplace(RankKey{item.risk, it->second.seq}, key);
-      it->second.item = std::move(item);
+  auto it = entries_.lower_bound(key);
+  if (it != entries_.end() && it->first == key) {
+    // Outstanding or labeled: the human effort is spent (or spending), so
+    // the merge leaves the entry as it is. Resident: keep the higher-risk
+    // observation, re-ranked in place under the same seq.
+    Entry& entry = it->second;
+    if (entry.stage == Stage::kResident && item.risk > entry.item.risk) {
+      rank_.erase(RankOf(entry));
+      entry.item = std::move(item);
+      rank_.emplace(RankOf(entry), it);
     }
     merged_.fetch_add(1, std::memory_order_relaxed);
     return Offered::kMerged;
   }
 
   const uint64_t seq = next_seq_++;
-  if (!replay && resident_.size() >= capacity_) {
-    // rank_ is riskiest-first, so its last entry is the weakest resident.
-    auto weakest = std::prev(rank_.end());
-    if (item.risk > weakest->first.risk) {
-      // Displace: the new offer is admitted, the weakest resident drops.
-      RemoveResidentLocked(weakest->second);
-      InsertResidentLocked(std::move(item), seq);
-      enqueued_.fetch_add(1, std::memory_order_relaxed);
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return Offered::kAdmitted;
-    }
-    // The offer itself is the weakest: admitted-and-immediately-dropped,
-    // keeping `enqueued == drained + dropped + depth` exact.
-    enqueued_.fetch_add(1, std::memory_order_relaxed);
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return Offered::kDropped;
-  }
-  InsertResidentLocked(std::move(item), seq);
   enqueued_.fetch_add(1, std::memory_order_relaxed);
+  if (!replay && rank_.size() >= capacity_) {
+    // The offer is admitted and something drops, keeping
+    // `enqueued == drained + dropped + depth` exact: the weakest resident
+    // (rank_'s last entry) if the offer outranks it, else the offer itself.
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    auto weakest = std::prev(rank_.end());
+    if (!(item.risk > weakest->first.risk)) return Offered::kDropped;
+    if (weakest->second == it) ++it;  // `it` stays a valid insertion hint
+    entries_.erase(weakest->second);
+    rank_.erase(weakest);
+  }
+  it = entries_.emplace_hint(it, key, Entry{std::move(item), seq});
+  rank_.emplace(RankOf(it->second), it);
+  depth_.store(rank_.size(), std::memory_order_relaxed);
   return Offered::kAdmitted;
 }
 
 std::vector<ReviewItem> ReviewQueue::PeekTop(size_t max_items) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<ReviewItem> out;
-  const size_t n = std::min(max_items, resident_.size());
+  const size_t n = std::min(max_items, rank_.size());
   out.reserve(n);
   auto it = rank_.begin();
-  for (size_t i = 0; i < n; ++i, ++it) {
-    out.push_back(resident_.at(it->second).item);
-  }
+  for (size_t i = 0; i < n; ++i, ++it) out.push_back(it->second->second.item);
   return out;
 }
 
 std::vector<ReviewItem> ReviewQueue::DrainTop(size_t max_items) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<ReviewItem> out;
-  const size_t n = std::min(max_items, resident_.size());
+  const size_t n = std::min(max_items, rank_.size());
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const PairKey key = rank_.begin()->second;
-    Entry entry = RemoveResidentLocked(key);
-    out.push_back(entry.item);
-    outstanding_.emplace(key, std::move(entry));
+    out.push_back(DrainLocked(rank_.begin()).item);
   }
-  outstanding_count_.store(outstanding_.size(), std::memory_order_relaxed);
-  drained_.fetch_add(n, std::memory_order_relaxed);
   return out;
 }
 
 bool ReviewQueue::MarkDrained(int64_t left, int64_t right) {
   std::lock_guard<std::mutex> lock(mu_);
-  const PairKey key(left, right);
-  if (resident_.count(key) == 0) return false;
-  outstanding_.emplace(key, RemoveResidentLocked(key));
-  outstanding_count_.store(outstanding_.size(), std::memory_order_relaxed);
-  drained_.fetch_add(1, std::memory_order_relaxed);
+  auto it = entries_.find(PairKey(left, right));
+  if (it == entries_.end() || it->second.stage != Stage::kResident) {
+    return false;
+  }
+  DrainLocked(rank_.find(RankOf(it->second)));
   return true;
 }
 
 bool ReviewQueue::CanLabel(int64_t left, int64_t right) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const PairKey key(left, right);
-  return outstanding_.count(key) != 0 || resident_.count(key) != 0;
+  auto it = entries_.find(PairKey(left, right));
+  return it != entries_.end() && it->second.stage != Stage::kLabeled;
 }
 
 bool ReviewQueue::Label(int64_t left, int64_t right, uint8_t truth) {
   std::lock_guard<std::mutex> lock(mu_);
-  const PairKey key(left, right);
-  Entry entry;
-  auto out = outstanding_.find(key);
-  if (out != outstanding_.end()) {
-    entry = std::move(out->second);
-    outstanding_.erase(out);
-    outstanding_count_.store(outstanding_.size(), std::memory_order_relaxed);
-  } else if (resident_.count(key) != 0) {
-    // Label without a prior drain (direct label, or a replay whose drain
-    // frame was lost): count the implicit drain so the invariant stays
-    // exact.
-    entry = RemoveResidentLocked(key);
-    drained_.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  auto it = entries_.find(PairKey(left, right));
+  if (it == entries_.end() || it->second.stage == Stage::kLabeled) {
     return false;
   }
+  Entry& entry = it->second;
+  // Label without a prior drain (direct label, or a replay whose drain
+  // frame was lost): drain it first so the invariant stays exact.
+  if (entry.stage == Stage::kResident) {
+    DrainLocked(rank_.find(RankOf(entry)));
+  }
+  outstanding_count_.fetch_sub(1, std::memory_order_relaxed);
+  entry.stage = Stage::kLabeled;
   labeled_.push_back(LabeledReview{std::move(entry.item), truth});
-  labeled_keys_.emplace(key, truth);
-  labeled_count_.store(labeled_.size(), std::memory_order_relaxed);
   labels_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -151,61 +125,71 @@ bool ReviewQueue::Label(int64_t left, int64_t right, uint8_t truth) {
 void ReviewQueue::RequeueOutstanding() {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
-  for (auto& [key, entry] : outstanding_) {
-    InsertResidentLocked(std::move(entry.item), entry.seq);
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->second.stage != Stage::kOutstanding) continue;
+    it->second.stage = Stage::kResident;
+    rank_.emplace(RankOf(it->second), it);
     ++n;
   }
-  outstanding_.clear();
+  depth_.store(rank_.size(), std::memory_order_relaxed);
   outstanding_count_.store(0, std::memory_order_relaxed);
   requeued_.fetch_add(n, std::memory_order_relaxed);
 }
 
-void ReviewQueue::Seed(std::vector<ReviewItem> queued,
-                       std::vector<ReviewItem> outstanding,
-                       std::vector<LabeledReview> labeled) {
+Status ReviewQueue::Seed(std::vector<ReviewItem> queued,
+                         std::vector<ReviewItem> outstanding,
+                         std::vector<LabeledReview> labeled) {
   std::lock_guard<std::mutex> lock(mu_);
-  resident_.clear();
+  entries_.clear();
   rank_.clear();
-  outstanding_.clear();
   labeled_.clear();
-  labeled_keys_.clear();
   next_seq_ = 0;
-  for (ReviewItem& item : queued) {
-    if (resident_.count(KeyOf(item)) != 0) continue;  // defensive dedup
-    InsertResidentLocked(std::move(item), next_seq_++);
-  }
+  Status status;
+  // Files `item` under its key in `stage`, or reports the key's repeat.
+  auto install = [&](ReviewItem& item, Stage stage) {
+    auto [it, inserted] = entries_.try_emplace(KeyOf(item));
+    if (!inserted) {
+      if (status.ok()) {
+        status = Status::InvalidArgument(
+            "review pair (" + std::to_string(item.left) + ", " +
+            std::to_string(item.right) + ") repeats in the seeded state");
+      }
+      return false;
+    }
+    it->second.stage = stage;
+    if (stage == Stage::kLabeled) return true;
+    it->second.seq = next_seq_++;
+    it->second.item = std::move(item);
+    if (stage == Stage::kResident) rank_.emplace(RankOf(it->second), it);
+    return true;
+  };
+  for (ReviewItem& item : queued) install(item, Stage::kResident);
   // Outstanding items stay outstanding: they do not occupy resident
   // capacity, so WAL replay over the seeded state reproduces the original
   // run's admission/displacement decisions exactly. The caller returns them
   // to the queue after replay (RequeueOutstanding).
-  for (ReviewItem& item : outstanding) {
-    const PairKey key = KeyOf(item);
-    if (resident_.count(key) != 0 || outstanding_.count(key) != 0) continue;
-    const uint64_t seq = next_seq_++;
-    outstanding_.emplace(key, Entry{std::move(item), seq});
-  }
+  for (ReviewItem& item : outstanding) install(item, Stage::kOutstanding);
   for (LabeledReview& label : labeled) {
-    labeled_keys_.emplace(KeyOf(label.item), label.truth);
-    labeled_.push_back(std::move(label));
+    if (install(label.item, Stage::kLabeled)) {
+      labeled_.push_back(std::move(label));
+    }
   }
   // Reset the counters to a state that satisfies the invariant over the
   // seeded contents: every seeded label (and outstanding item) was once
   // enqueued and drained.
-  const uint64_t n_queued = resident_.size();
-  const uint64_t n_outstanding = outstanding_.size();
+  const uint64_t n_queued = rank_.size();
   const uint64_t n_labeled = labeled_.size();
-  offered_.store(n_queued + n_outstanding + n_labeled,
-                 std::memory_order_relaxed);
-  enqueued_.store(n_queued + n_outstanding + n_labeled,
-                  std::memory_order_relaxed);
+  const uint64_t n_outstanding = entries_.size() - n_queued - n_labeled;
+  offered_.store(entries_.size(), std::memory_order_relaxed);
+  enqueued_.store(entries_.size(), std::memory_order_relaxed);
   merged_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
   drained_.store(n_outstanding + n_labeled, std::memory_order_relaxed);
   labels_.store(n_labeled, std::memory_order_relaxed);
   requeued_.store(0, std::memory_order_relaxed);
-  depth_.store(resident_.size(), std::memory_order_relaxed);
-  outstanding_count_.store(outstanding_.size(), std::memory_order_relaxed);
-  labeled_count_.store(labeled_.size(), std::memory_order_relaxed);
+  depth_.store(n_queued, std::memory_order_relaxed);
+  outstanding_count_.store(n_outstanding, std::memory_order_relaxed);
+  return status;
 }
 
 std::vector<LabeledReview> ReviewQueue::Labeled() const {
@@ -220,10 +204,11 @@ ReviewQueue::CheckpointState ReviewQueue::Snapshot() const {
   // post-checkpoint WAL tail sees the exact occupancy the live queue had
   // and reproduces its admission decisions. Outstanding items return to the
   // queue only after replay (their reviewer died with us).
-  auto collect = [](const std::map<PairKey, Entry>& entries) {
+  auto collect = [this](Stage stage) {
     std::vector<const Entry*> ordered;
-    ordered.reserve(entries.size());
-    for (const auto& [key, entry] : entries) ordered.push_back(&entry);
+    for (const auto& [key, entry] : entries_) {
+      if (entry.stage == stage) ordered.push_back(&entry);
+    }
     std::sort(ordered.begin(), ordered.end(),
               [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
     std::vector<ReviewItem> items;
@@ -232,8 +217,8 @@ ReviewQueue::CheckpointState ReviewQueue::Snapshot() const {
     return items;
   };
   CheckpointState state;
-  state.queued = collect(resident_);
-  state.outstanding = collect(outstanding_);
+  state.queued = collect(Stage::kResident);
+  state.outstanding = collect(Stage::kOutstanding);
   state.labeled = labeled_;
   return state;
 }
@@ -249,7 +234,7 @@ ReviewQueueStats ReviewQueue::Stats() const {
   s.requeued = requeued_.load(std::memory_order_relaxed);
   s.depth = depth_.load(std::memory_order_relaxed);
   s.outstanding = outstanding_count_.load(std::memory_order_relaxed);
-  s.labeled = labeled_count_.load(std::memory_order_relaxed);
+  s.labeled = s.labels;
   s.capacity = capacity_;
   return s;
 }

@@ -6,9 +6,12 @@
 // (active/incremental_retrain).
 //
 // Semantics (full protocol: docs/REVIEW.md):
-//  * Deduplicated by pair key (left, right): re-offering a pair that is
-//    queued, awaiting a label, or already labeled merges instead of
-//    duplicating (a merge keeps the higher-risk observation).
+//  * One entry per pair key (left, right), in one stage: resident
+//    (drainable), outstanding (drained, awaiting a label) or labeled.
+//    Re-offering a pair in any stage merges instead of duplicating (a merge
+//    onto a resident pair keeps the higher-risk observation; outstanding and
+//    labeled pairs keep theirs). A displaced or dropped pair is forgotten,
+//    so a later offer of it is admitted afresh.
 //  * Risk-priority ordered: DrainTop returns the riskiest resident pairs,
 //    ties broken by enqueue order.
 //  * Bounded: at capacity a new offer displaces the lowest-risk resident if
@@ -32,6 +35,8 @@
 #include <mutex>
 #include <utility>
 #include <vector>
+
+#include "common/status.h"
 
 namespace learnrisk {
 
@@ -158,10 +163,12 @@ class ReviewQueue {
   /// pairs land on outstanding entries just as they did live), and
   /// `labeled`, resetting counters so the accounting invariant holds over
   /// the seeded state. The caller requeues outstanding items only *after*
-  /// replay (RequeueOutstanding).
-  void Seed(std::vector<ReviewItem> queued,
-            std::vector<ReviewItem> outstanding,
-            std::vector<LabeledReview> labeled);
+  /// replay (RequeueOutstanding). A pair key may appear once across the
+  /// three lists; a repeat is skipped (the first occurrence stays) and
+  /// reported as InvalidArgument.
+  Status Seed(std::vector<ReviewItem> queued,
+              std::vector<ReviewItem> outstanding,
+              std::vector<LabeledReview> labeled);
 
   /// \brief Copies the labels accumulated so far (label-acceptance order).
   std::vector<LabeledReview> Labeled() const;
@@ -182,12 +189,20 @@ class ReviewQueue {
     return outstanding_count_.load(std::memory_order_relaxed);
   }
   size_t num_labeled() const {
-    return labeled_count_.load(std::memory_order_relaxed);
+    return labels_.load(std::memory_order_relaxed);
   }
   size_t capacity() const { return capacity_; }
 
  private:
   using PairKey = std::pair<int64_t, int64_t>;
+  enum class Stage : uint8_t { kResident, kOutstanding, kLabeled };
+  struct Entry {
+    /// The item; a labeled entry's payload has moved to labeled_.
+    ReviewItem item;
+    uint64_t seq = 0;
+    Stage stage = Stage::kResident;
+  };
+  using Entries = std::map<PairKey, Entry>;
   /// Orders resident pairs riskiest-first; seq breaks ties FIFO.
   struct RankKey {
     double risk = 0.0;
@@ -197,38 +212,33 @@ class ReviewQueue {
       return seq < other.seq;
     }
   };
-  struct Entry {
-    ReviewItem item;
-    uint64_t seq = 0;
-  };
+  using Rank = std::map<RankKey, Entries::iterator>;
 
   static PairKey KeyOf(const ReviewItem& item) {
     return PairKey(item.left, item.right);
   }
+  static RankKey RankOf(const Entry& entry) {
+    return RankKey{entry.item.risk, entry.seq};
+  }
   /// Shared Offer body; `replay` disables the capacity drop.
   Offered OfferInternal(ReviewItem item, bool replay);
-  /// Inserts into the resident maps (caller holds mu_ and has checked the
-  /// key is absent everywhere).
-  void InsertResidentLocked(ReviewItem item, uint64_t seq);
-  /// Removes one resident entry by key, returning it (caller holds mu_).
-  Entry RemoveResidentLocked(const PairKey& key);
+  /// Moves one resident entry to outstanding, counting the drain (caller
+  /// holds mu_).
+  Entry& DrainLocked(Rank::iterator ranked);
 
   const size_t capacity_;
   mutable std::mutex mu_;
   uint64_t next_seq_ = 0;
-  /// Resident items by key; rank_ indexes the same entries riskiest-first.
-  std::map<PairKey, Entry> resident_;
-  std::map<RankKey, PairKey> rank_;
-  /// Drained, awaiting a label.
-  std::map<PairKey, Entry> outstanding_;
+  /// Every pair the queue remembers, each in exactly one stage.
+  Entries entries_;
+  /// The resident entries, riskiest-first.
+  Rank rank_;
+  /// Labels in acceptance order.
   std::vector<LabeledReview> labeled_;
-  /// Keys ever labeled (re-offers of a reviewed pair merge, never re-queue).
-  std::map<PairKey, uint8_t> labeled_keys_;
 
   // Lock-free reader side (metric gauges, accounting asserts).
   std::atomic<size_t> depth_{0};
   std::atomic<size_t> outstanding_count_{0};
-  std::atomic<size_t> labeled_count_{0};
   std::atomic<uint64_t> offered_{0};
   std::atomic<uint64_t> enqueued_{0};
   std::atomic<uint64_t> merged_{0};

@@ -14,7 +14,8 @@
 // advances the WAL entry count by N, malformed-but-checksummed batch frames
 // end replay, and single-event frames from older logs still replay. A WAL
 // write that fails (file-size limit) is rolled back so the next acked
-// append survives recovery, and CRC-32 matches a bitwise reference. The
+// append survives recovery, and CRC-32 matches a bitwise reference. A
+// review segment that files one pair key twice fails recovery. The
 // on-disk layout is one shape for
 // every shard count (SHARDS + shards/s<k>/, the model on shard 0 only):
 // corrupt shard counts, re-registration with another count, interrupted
@@ -866,6 +867,72 @@ TEST(NamespaceLogTest, ReviewSegmentCountBeyondItsPayloadFailsClosed) {
     EXPECT_NE(log.status().message().find("ckpt_1_review.seg"),
               std::string::npos)
         << log.status().ToString();
+  }
+}
+
+// A checksummed review segment whose counts match its manifest but which
+// files one pair key twice — within a section or across two — fails
+// recovery with an IOError instead of serving the pair in two stages (it
+// could be drained and labeled again, and the next retrain would see its
+// label twice). The segment is written through shard 0's own log, so its
+// checksum and manifest counts are genuine.
+TEST(GatewayDurabilityTest, ReviewSegmentRepeatingAPairKeyFailsClosed) {
+  ReviewItem a;
+  a.left = 0;
+  a.right = 1;
+  a.risk = 0.75;
+  a.features.assign(Shared().suite.num_metrics(), 0.5);
+  ReviewItem b = a;
+  b.right = 2;
+  b.risk = 0.25;
+  ReviewItem c = a;
+  c.right = 3;
+  struct Forgery {
+    ReviewQueue::CheckpointState state;
+    bool repeats;
+  };
+  const std::vector<Forgery> forgeries = {
+      {{{a, b}, {}, {LabeledReview{c, 1}}}, false},  // control
+      {{{a, b, a}, {}, {}}, true},
+      {{{a}, {a}, {}}, true},
+      {{{a, b}, {}, {LabeledReview{a, 1}}}, true},
+      {{{b}, {a}, {LabeledReview{a, 0}}}, true},
+      {{{}, {}, {LabeledReview{a, 1}, LabeledReview{a, 1}}}, true},
+  };
+  for (size_t i = 0; i < forgeries.size(); ++i) {
+    SCOPED_TRACE(i);
+    const std::string dir = FreshDir("review_repeat_" + std::to_string(i));
+    GatewayOptions options = DurableOptions(dir);
+    options.review.enabled = true;
+    {
+      Gateway gateway(options);
+      ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+    }
+    {
+      DurabilityOptions shard;
+      shard.dir = dir + "/ds/shards";
+      RecoveredNamespace rec;
+      Result<std::unique_ptr<NamespaceLog>> log = NamespaceLog::Recover(
+          shard, "s0", Shared().workload.left().schema(), &rec);
+      ASSERT_TRUE(log.ok()) << log.status().ToString();
+      ASSERT_TRUE((*log)
+                      ->WriteCheckpoint(rec.left,
+                                        rec.dedup ? nullptr : &rec.right, 0,
+                                        nullptr, &forgeries[i].state)
+                      .ok());
+    }
+    Gateway recovered(options);
+    const Status status = recovered.RecoverNamespace("ds", RecoverSpec());
+    if (!forgeries[i].repeats) {
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(recovered.ReviewStats("ds")->depth, 2u);
+      EXPECT_EQ(recovered.ReviewStats("ds")->labeled, 1u);
+      continue;
+    }
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_NE(status.message().find("(0, 1)"), std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(recovered.ReviewStats("ds").ok());  // nothing is served
   }
 }
 

@@ -4,10 +4,14 @@
 // bounded-capacity displacement policy, the exact accounting invariant
 // `enqueued + requeued == drained + dropped + depth (+ outstanding)`, the
 // replay entry points (MarkDrained, Label-on-resident), and the
-// Seed/Snapshot checkpoint round-trip.
+// Seed/Snapshot checkpoint round-trip. Each pair is one entry in one stage:
+// dropped and displaced pairs are forgotten, outstanding and labeled pairs
+// merge without changing their item, Seed refuses a repeated key, and the
+// label counter always equals the label count.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "review/review_queue.h"
@@ -273,6 +277,155 @@ TEST(ReviewQueueTest, PeekTopMatchesDrainTop) {
     EXPECT_EQ(peeked[i].risk, drained[i].risk);
   }
   ExpectInvariant(queue);
+}
+
+// A pair that drops at capacity, or that a stronger offer displaces, leaves
+// no trace: offering it again once there is room admits it afresh.
+TEST(ReviewQueueTest, DroppedAndDisplacedPairsAreForgotten) {
+  ReviewQueue queue(2);
+  EXPECT_EQ(queue.Offer(Item(0, 0, 0.5)), ReviewQueue::Offered::kAdmitted);
+  EXPECT_EQ(queue.Offer(Item(1, 1, 0.6)), ReviewQueue::Offered::kAdmitted);
+  EXPECT_EQ(queue.Offer(Item(2, 2, 0.1)), ReviewQueue::Offered::kDropped);
+  EXPECT_EQ(queue.Offer(Item(3, 3, 0.9)), ReviewQueue::Offered::kAdmitted);
+  // (0,0) was displaced by (3,3); drain both residents to make room.
+  const std::vector<ReviewItem> drained = queue.DrainTop(2);
+  ASSERT_EQ(drained.size(), 2u);
+  EXPECT_EQ(drained[0].left, 3);
+  EXPECT_EQ(drained[1].left, 1);
+
+  EXPECT_EQ(queue.Offer(Item(2, 2, 0.1)), ReviewQueue::Offered::kAdmitted);
+  EXPECT_EQ(queue.Offer(Item(0, 0, 0.5)), ReviewQueue::Offered::kAdmitted);
+  const ReviewQueueStats s = queue.Stats();
+  EXPECT_EQ(s.depth, 2u);
+  EXPECT_EQ(s.merged, 0u);
+  EXPECT_EQ(s.dropped, 2u);
+  ExpectInvariant(queue);
+  EXPECT_TRUE(queue.CanLabel(0, 0));
+  EXPECT_TRUE(queue.CanLabel(2, 2));
+}
+
+// Outstanding and labeled pairs merge a re-offer, however risky, and keep
+// the item they hold: the reviewer labels what was drained.
+TEST(ReviewQueueTest, OutstandingAndLabeledMergesKeepTheStoredItem) {
+  ReviewQueue queue(8);
+  queue.Offer(Item(1, 1, 0.4));
+  queue.Offer(Item(2, 2, 0.3));
+  ASSERT_EQ(queue.DrainTop(2).size(), 2u);
+  ASSERT_TRUE(queue.Label(2, 2, 1));
+
+  ReviewItem riskier = Item(1, 1, 0.95);
+  riskier.model_version = 9;
+  riskier.features = {5.0, 6.0};
+  EXPECT_EQ(queue.Offer(riskier), ReviewQueue::Offered::kMerged);
+  riskier.left = riskier.right = 2;
+  EXPECT_EQ(queue.Offer(riskier), ReviewQueue::Offered::kMerged);
+
+  const ReviewQueue::CheckpointState state = queue.Snapshot();
+  EXPECT_TRUE(state.queued.empty());
+  ASSERT_EQ(state.outstanding.size(), 1u);
+  EXPECT_EQ(state.outstanding[0].risk, 0.4);
+  EXPECT_EQ(state.outstanding[0].model_version, 3u);
+  EXPECT_EQ(state.outstanding[0].features, Item(1, 1, 0.4).features);
+  ASSERT_EQ(state.labeled.size(), 1u);
+  EXPECT_EQ(state.labeled[0].item.risk, 0.3);
+  EXPECT_EQ(state.labeled[0].item.model_version, 3u);
+  EXPECT_EQ(state.labeled[0].item.features, Item(2, 2, 0.3).features);
+
+  // The outstanding pair's label carries the drained observation.
+  ASSERT_TRUE(queue.Label(1, 1, 0));
+  const std::vector<LabeledReview> labels = queue.Labeled();
+  ASSERT_EQ(labels.size(), 2u);
+  EXPECT_EQ(labels[1].item.risk, 0.4);
+  EXPECT_EQ(labels[1].item.features, Item(1, 1, 0.4).features);
+  EXPECT_EQ(queue.depth(), 0u);
+  ExpectInvariant(queue);
+}
+
+// Stats().labels (labels accepted) and Stats().labeled (labels held) are
+// one number after every way a label arrives.
+TEST(ReviewQueueTest, LabelsEqualLabeledAfterSeedAndLabel) {
+  auto expect_equal = [](const ReviewQueue& queue, size_t want) {
+    const ReviewQueueStats s = queue.Stats();
+    EXPECT_EQ(s.labels, want);
+    EXPECT_EQ(s.labeled, want);
+    EXPECT_EQ(queue.num_labeled(), want);
+    EXPECT_EQ(queue.Labeled().size(), want);
+  };
+  ReviewQueue queue(8);
+  ASSERT_TRUE(queue
+                  .Seed({Item(0, 0, 0.5), Item(1, 1, 0.6)}, {Item(2, 2, 0.7)},
+                        {LabeledReview{Item(3, 3, 0.8), 1}})
+                  .ok());
+  expect_equal(queue, 1);
+  ASSERT_TRUE(queue.Label(2, 2, 0));  // outstanding
+  expect_equal(queue, 2);
+  ASSERT_TRUE(queue.Label(0, 0, 1));  // resident: implicit drain
+  expect_equal(queue, 3);
+  EXPECT_FALSE(queue.Label(3, 3, 1));  // seeded label: refused
+  expect_equal(queue, 3);
+  ExpectInvariant(queue);
+}
+
+// Requeued items rejoin the resident stage under their original enqueue
+// sequence, so a checkpoint lists them in enqueue order, not rank order.
+TEST(ReviewQueueTest, SnapshotIsInEnqueueOrderAfterRequeue) {
+  ReviewQueue queue(8);
+  queue.Offer(Item(0, 0, 0.2));
+  queue.Offer(Item(1, 1, 0.9));
+  queue.Offer(Item(2, 2, 0.5));
+  queue.Offer(Item(3, 3, 0.7));
+  ASSERT_EQ(queue.DrainTop(2).size(), 2u);  // (1,1) and (3,3)
+  auto lefts = [](const std::vector<ReviewItem>& items) {
+    std::vector<int64_t> out;
+    for (const ReviewItem& item : items) out.push_back(item.left);
+    return out;
+  };
+  ReviewQueue::CheckpointState state = queue.Snapshot();
+  EXPECT_EQ(lefts(state.queued), (std::vector<int64_t>{0, 2}));
+  EXPECT_EQ(lefts(state.outstanding), (std::vector<int64_t>{1, 3}));
+
+  queue.RequeueOutstanding();
+  state = queue.Snapshot();
+  EXPECT_EQ(lefts(state.queued), (std::vector<int64_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(state.outstanding.empty());
+  EXPECT_EQ(lefts(queue.PeekTop(4)), (std::vector<int64_t>{1, 3, 2, 0}));
+  ExpectInvariant(queue);
+}
+
+// A pair key may appear once across Seed's three lists. A repeat within a
+// list or across two is reported; the first occurrence stays, and the
+// accounting holds over what was kept.
+TEST(ReviewQueueTest, SeedReportsARepeatedPairKey) {
+  const ReviewItem a = Item(4, 5, 0.6);
+  const ReviewItem b = Item(6, 7, 0.3);
+  struct Case {
+    std::vector<ReviewItem> queued;
+    std::vector<ReviewItem> outstanding;
+    std::vector<LabeledReview> labeled;
+    size_t kept;  ///< distinct pairs
+  };
+  const std::vector<Case> cases = {
+      {{a, b, a}, {}, {}, 2},
+      {{a}, {a}, {}, 1},
+      {{a, b}, {}, {LabeledReview{a, 1}}, 2},
+      {{b}, {a}, {LabeledReview{a, 0}}, 2},
+      {{}, {b}, {LabeledReview{a, 1}, LabeledReview{a, 0}}, 2},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    ReviewQueue queue(8);
+    const Status status = queue.Seed(cases[i].queued, cases[i].outstanding,
+                                     cases[i].labeled);
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.message().find("(4, 5)"), std::string::npos)
+        << status.ToString();
+    const ReviewQueueStats s = queue.Stats();
+    EXPECT_EQ(s.depth + s.outstanding + s.labeled, cases[i].kept);
+    EXPECT_EQ(s.labels, s.labeled);
+    ExpectInvariant(queue);
+  }
+  ReviewQueue queue(8);
+  EXPECT_TRUE(queue.Seed({a}, {b}, {LabeledReview{Item(8, 9, 0.1), 1}}).ok());
 }
 
 }  // namespace
