@@ -176,6 +176,8 @@ char* StoreReviewItem(char* p, const ReviewItem& item) {
   return p;
 }
 
+// False on a truncated item or one the queue cannot order or retrain on
+// (IsOrderableReviewItem).
 bool DecodeReviewItem(const char** p, const char* end, ReviewItem* item) {
   uint32_t width = 0;
   if (!GetI64(p, end, &item->left) || !GetI64(p, end, &item->right) ||
@@ -200,7 +202,7 @@ bool DecodeReviewItem(const char** p, const char* end, ReviewItem* item) {
     if (!GetF64(p, end, &f)) return false;
     item->features.push_back(f);
   }
-  return true;
+  return IsOrderableReviewItem(*item);
 }
 
 // One review event: kind byte, then the full item (offers) or the pair key
@@ -255,7 +257,7 @@ bool DecodeReviewEvent(char kind, const char** p, const char* end,
   event->kind = ReviewWalEvent::Kind::kLabel;
   if (*p == end) return false;
   event->truth = static_cast<uint8_t>(*(*p)++);
-  return true;
+  return event->truth <= 1;
 }
 
 bool IsReviewEventKind(char kind) {
@@ -861,7 +863,8 @@ Status LoadReviewSegment(const std::string& path, size_t expected_queued,
   state->labeled.reserve(num_labeled);
   for (uint64_t i = 0; i < num_labeled; ++i) {
     LabeledReview label;
-    if (!DecodeReviewItem(&p, end, &label.item) || p == end) {
+    if (!DecodeReviewItem(&p, end, &label.item) || p == end ||
+        static_cast<uint8_t>(*p) > 1) {
       return Status::IOError("corrupt review segment '" + path +
                              "': undecodable labeled item " +
                              std::to_string(i));

@@ -571,11 +571,13 @@ Gateway::NamespaceMetrics Gateway::CreateNamespaceMetrics(
     m.review_log_failures = metric_registry_.Counter(
         "learnrisk_gateway_review_log_failures_total", ns_labels,
         "Review-WAL append failures absorbed by a fail-open enqueue "
-        "(request served, offer skipped)");
+        "(request served, offer skipped) or by a drain past its first "
+        "frame (the durable prefix drained)");
     m.review_replay_misses = metric_registry_.Counter(
         "learnrisk_gateway_review_replay_misses_total", ns_labels,
-        "Recovery-replay review events whose pair was not found "
-        "(duplicate frames from ambiguously-failed appends; tolerated)");
+        "Recovery-replay review drains/labels whose pair was not found "
+        "(a WAL an older build wrote after a drain failed partway; "
+        "tolerated)");
     m.retrain_latency = metric_registry_.Latency(
         "learnrisk_gateway_retrain_latency_seconds", ns_labels,
         "Incremental retrain wall time (labels to tuned model)");
@@ -1134,7 +1136,7 @@ Status Gateway::ServeBatch(const std::string& ns, NamespaceState& s,
   pass.FlushDrift(m.feature_values, m.risk_scores);
 
   const Scored scored{keys, *scores, *scorer, pass.TopRows()};
-  if (reviewing) EnqueueReview(s, scope, scored);
+  if (reviewing) EnqueueReview(ns, s, scope, scored);
   const uint64_t total_ns = scope.Finish();
   if (requests != nullptr) requests->Add(1);
   if (tracing) MaybeCaptureTrace(ns, scope, total_ns, &scored);
@@ -1205,8 +1207,8 @@ void Gateway::MaybeCaptureTrace(const std::string& ns,
   traces_->Push(std::move(trace));
 }
 
-void Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
-                            const Scored& scored) {
+void Gateway::EnqueueReview(const std::string& ns, NamespaceState& s,
+                            RequestScope& scope, const Scored& scored) {
   const ReviewOptions& r = options_.review;
   TraceSpan span(nullptr, scope.Slot(kReview));
   // Build the offer batch from the shared ranking: its first (riskiest)
@@ -1227,7 +1229,9 @@ void Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
     item.model_version = scores.model_version;
     item.request_id = scope.request_id();
     item.features.assign(ranked.features, ranked.features + cols);
-    items.push_back(std::move(item));
+    // A risk the queue cannot order is not offered: its frame would end
+    // replay at recovery and take every later review event with it.
+    if (IsOrderableReviewItem(item)) items.push_back(std::move(item));
   }
   if (items.empty()) return;
 
@@ -1245,8 +1249,11 @@ void Gateway::EnqueueReview(NamespaceState& s, RequestScope& scope,
       // applied queue never runs ahead of (or behind) the WAL — a crash or
       // IO error mid-request leaves a durable, applied prefix of whole
       // chunks and replay reconstructs exactly it.
-      const Status append = shard0.log->AppendReviewBatch(
-          ReviewWalEvent::Kind::kOffer, &items[begin], end - begin);
+      Status append = CommitRequeueLocked(ns, s);
+      if (append.ok()) {
+        append = shard0.log->AppendReviewBatch(
+            ReviewWalEvent::Kind::kOffer, &items[begin], end - begin);
+      }
       if (!append.ok()) {
         // The offer is feedback-loop observability, not the serving answer:
         // absorb the IO error — count it, skip the request's remaining
@@ -1286,24 +1293,32 @@ Result<std::vector<ReviewItem>> Gateway::DrainReview(const std::string& ns,
   NamespaceState& s = **state;
   Shard& shard0 = *s.shards[0];
   std::lock_guard<std::mutex> writer(shard0.writer_mu);
+  size_t durable = max_items;
   if (shard0.log != nullptr) {
-    // Write-ahead: log every drain, in batch frames, *before* mutating the
+    // Write-ahead: log the drains, in batch frames, *before* mutating the
     // queue. The writer mutex keeps other review mutations out, so the peek
-    // below is exactly what DrainTop will remove. An append failure
-    // mid-batch then leaves the queue untouched — no item is stranded
-    // outstanding with a reviewer who never received it — and replaying any
-    // durably-logged frames of the failed batch just re-drains resident
-    // pairs that the post-replay requeue returns to the queue.
+    // below is exactly what DrainTop will remove. Like an offer chunk, a
+    // drain is applied if and only if its frame is durable: an append
+    // failure drains (and hands out) exactly the frames before it, and
+    // fails the call only when no frame was written, queue untouched.
+    LEARNRISK_RETURN_NOT_OK(CommitRequeueLocked(ns, s));
     const std::vector<ReviewItem> peeked = s.review->PeekTop(max_items);
-    for (size_t begin = 0; begin < peeked.size();
-         begin += kMaxReviewEventsPerFrame) {
+    for (durable = 0; durable < peeked.size();) {
       const size_t count =
-          std::min(peeked.size() - begin, kMaxReviewEventsPerFrame);
-      LEARNRISK_RETURN_NOT_OK(shard0.log->AppendReviewBatch(
-          ReviewWalEvent::Kind::kDrain, &peeked[begin], count));
+          std::min(peeked.size() - durable, kMaxReviewEventsPerFrame);
+      const Status append = shard0.log->AppendReviewBatch(
+          ReviewWalEvent::Kind::kDrain, &peeked[durable], count);
+      if (!append.ok() && durable == 0) return append;
+      if (!append.ok()) {
+        if (s.metrics.review_log_failures != nullptr) {
+          s.metrics.review_log_failures->Add(1);
+        }
+        break;
+      }
+      durable += count;
     }
   }
-  std::vector<ReviewItem> items = s.review->DrainTop(max_items);
+  std::vector<ReviewItem> items = s.review->DrainTop(durable);
   if (s.metrics.review_drained != nullptr && !items.empty()) {
     s.metrics.review_drained->Add(items.size());
   }
@@ -1315,6 +1330,10 @@ Status Gateway::SubmitReviewLabel(const std::string& ns, int64_t left,
   Result<std::shared_ptr<NamespaceState>> state = State(ns, Mode::kReview);
   if (!state.ok()) return state.status();
   NamespaceState& s = **state;
+  if (truth > 1) {
+    return Status::InvalidArgument("review label truth must be 0 or 1, got " +
+                                   std::to_string(truth));
+  }
   Shard& shard0 = *s.shards[0];
   std::lock_guard<std::mutex> writer(shard0.writer_mu);
   // Validate first so the NotFound path never writes a frame, then log,
@@ -1329,6 +1348,7 @@ Status Gateway::SubmitReviewLabel(const std::string& ns, int64_t left,
                             ") is not awaiting a review label");
   }
   if (shard0.log != nullptr) {
+    LEARNRISK_RETURN_NOT_OK(CommitRequeueLocked(ns, s));
     ReviewWalEvent event;
     event.kind = ReviewWalEvent::Kind::kLabel;
     event.item.left = left;
@@ -1597,8 +1617,15 @@ Status Gateway::CheckpointLocked(const std::string& ns, NamespaceState& s,
       review = &review_state;
     }
   }
-  return shard.log->WriteCheckpoint(left, s.dedup ? nullptr : &right,
-                                    model_version, saver, review);
+  LEARNRISK_RETURN_NOT_OK(shard.log->WriteCheckpoint(
+      left, s.dedup ? nullptr : &right, model_version, saver, review));
+  if (review != nullptr) s.review_requeue_unlogged = false;
+  return Status::OK();
+}
+
+Status Gateway::CommitRequeueLocked(const std::string& ns, NamespaceState& s) {
+  if (!s.review_requeue_unlogged) return Status::OK();
+  return CheckpointLocked(ns, s, *s.shards[0]);
 }
 
 Status Gateway::Checkpoint(const std::string& ns) {
@@ -1674,14 +1701,15 @@ Status Gateway::RecoverNamespace(const std::string& ns,
     // it) with resident and outstanding items in their original stages —
     // outstanding items do not occupy resident capacity, so replay runs
     // against the exact occupancy the live queue had — then replay the
-    // WAL's review events in log order. Offers replay without the capacity
-    // drop (OfferReplay): a durably-logged offer is always admitted or
-    // merged, so every logged drain/label that follows finds its pair and
-    // no acked label can be lost to a replay-time displacement. A
-    // drain/label that still misses (a duplicate frame from an
-    // ambiguously-failed append) is tolerated and counted. Finally,
-    // still-outstanding items fold back into the queue: their reviewer died
-    // with the process, and re-draining beats losing them. A checkpoint
+    // WAL's review events in log order through the live mutations. Every
+    // frame in the log was applied live exactly when it became durable, so
+    // Offer makes the same admit/displace/drop decisions it made then and
+    // every logged drain/label finds its pair. A drain/label that still
+    // misses (only a WAL an older build wrote after a drain failed partway)
+    // is tolerated and counted. Finally, still-outstanding items fold back
+    // into the queue: their reviewer died with the process, and re-draining
+    // beats losing them. The requeue is no WAL event; CommitRequeueLocked
+    // checkpoints it before the next review event is logged. A checkpoint
     // that files one pair twice is refused rather than served.
     ReviewQueue::CheckpointState& review = recovered[0].review;
     const Status seeded =
@@ -1696,7 +1724,7 @@ Status Gateway::RecoverNamespace(const std::string& ns,
     for (ReviewWalEvent& event : recovered[0].review_events) {
       switch (event.kind) {
         case ReviewWalEvent::Kind::kOffer:
-          state->review->OfferReplay(std::move(event.item));
+          state->review->Offer(std::move(event.item));
           break;
         case ReviewWalEvent::Kind::kDrain:
           if (!state->review->MarkDrained(event.item.left, event.item.right)) {
@@ -1711,6 +1739,7 @@ Status Gateway::RecoverNamespace(const std::string& ns,
           break;
       }
     }
+    state->review_requeue_unlogged = state->review->outstanding() > 0;
     state->review->RequeueOutstanding();
     if (replay_misses > 0 && state->metrics.review_replay_misses != nullptr) {
       state->metrics.review_replay_misses->Add(replay_misses);

@@ -365,14 +365,18 @@ class Gateway {
   /// review pairs for labeling (r-HUMO's highest-risk-first order). Drained
   /// pairs stay outstanding until SubmitReviewLabel. Durable namespaces log
   /// each drain so a recovered queue reproduces the same displacement
-  /// decisions. FailedPrecondition when review is off.
+  /// decisions; when a later drain frame fails to append, only the pairs of
+  /// the frames before it are drained and returned, and the error comes
+  /// back only when the first frame fails. FailedPrecondition when review
+  /// is off.
   Result<std::vector<ReviewItem>> DrainReview(const std::string& ns,
                                               size_t max_items);
 
   /// \brief Records a human label for a drained pair. Durable namespaces
   /// WAL the label before acknowledging, so an acked label is never lost
-  /// across a crash. NotFound when the pair is not awaiting a label;
-  /// FailedPrecondition when review is off.
+  /// across a crash. InvalidArgument when `truth` is above 1; NotFound
+  /// when the pair is not awaiting a label; FailedPrecondition when review
+  /// is off.
   Status SubmitReviewLabel(const std::string& ns, int64_t left, int64_t right,
                            uint8_t truth);
 
@@ -464,10 +468,11 @@ class Gateway {
     ShardedCounter* review_labels = nullptr;
     ShardedCounter* review_retrains = nullptr;
     /// Review-WAL appends that failed during a fail-open enqueue (the
-    /// request was served, the offer was skipped).
+    /// request was served, the offer was skipped) or past a drain's first
+    /// frame (the durable prefix was drained).
     ShardedCounter* review_log_failures = nullptr;
-    /// Recovery-replay drain/label events whose pair was not found (e.g. a
-    /// duplicate frame from an ambiguously-failed append); tolerated but
+    /// Recovery-replay drain/label events whose pair was not found (a WAL
+    /// an older build wrote after a drain failed partway); tolerated but
     /// surfaced.
     ShardedCounter* review_replay_misses = nullptr;
     LatencyHistogram* retrain_latency = nullptr;
@@ -522,6 +527,10 @@ class Gateway {
     /// equals apply order (review state is namespace-level, so it rides on
     /// shard 0's log).
     std::shared_ptr<ReviewQueue> review;
+    /// Recovery requeued outstanding pairs and no shard 0 checkpoint has
+    /// committed the queue since (CommitRequeueLocked). Guarded by shard
+    /// 0's writer_mu.
+    bool review_requeue_unlogged = false;
 
     const SideStore& right_store(const NamespaceSnapshot& snap) const {
       return dedup ? snap.left : snap.right;
@@ -624,12 +633,19 @@ class Gateway {
   /// consistent with the WAL being reset).
   Status CheckpointLocked(const std::string& ns, NamespaceState& s,
                           Shard& shard);
+  /// \brief Before the first review event logged after a recovery that
+  /// requeued outstanding pairs, commits the queue as shard 0's checkpoint
+  /// (caller holds shard 0's writer_mu). The requeue is no WAL event, so
+  /// without it the next recovery would replay the new events while those
+  /// pairs were still outstanding, and its offers would decide differently
+  /// than they did live.
+  Status CommitRequeueLocked(const std::string& ns, NamespaceState& s);
   /// \brief Offers the request's top-budget riskiest decisions to the
   /// namespace's review queue; durable namespaces WAL each offer first
   /// under shard 0's writer_mu, and a failed append is counted and ends the
   /// request's offers without failing it. Timed as the review stage.
-  void EnqueueReview(NamespaceState& s, RequestScope& scope,
-                     const Scored& scored);
+  void EnqueueReview(const std::string& ns, NamespaceState& s,
+                     RequestScope& scope, const Scored& scored);
   /// \brief Get-or-creates the namespace's instrument bundle in
   /// metric_registry_. Only called when enable_metrics is on.
   /// `metric_names` labels the per-column drift histograms (one per metric

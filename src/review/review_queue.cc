@@ -21,14 +21,6 @@ ReviewQueue::Entry& ReviewQueue::DrainLocked(Rank::iterator ranked) {
 }
 
 ReviewQueue::Offered ReviewQueue::Offer(ReviewItem item) {
-  return OfferInternal(std::move(item), /*replay=*/false);
-}
-
-ReviewQueue::Offered ReviewQueue::OfferReplay(ReviewItem item) {
-  return OfferInternal(std::move(item), /*replay=*/true);
-}
-
-ReviewQueue::Offered ReviewQueue::OfferInternal(ReviewItem item, bool replay) {
   std::lock_guard<std::mutex> lock(mu_);
   offered_.fetch_add(1, std::memory_order_relaxed);
   const PairKey key = KeyOf(item);
@@ -49,7 +41,7 @@ ReviewQueue::Offered ReviewQueue::OfferInternal(ReviewItem item, bool replay) {
 
   const uint64_t seq = next_seq_++;
   enqueued_.fetch_add(1, std::memory_order_relaxed);
-  if (!replay && rank_.size() >= capacity_) {
+  if (rank_.size() >= capacity_) {
     // The offer is admitted and something drops, keeping
     // `enqueued == drained + dropped + depth` exact: the weakest resident
     // (rank_'s last entry) if the offer outranks it, else the offer itself.

@@ -19,6 +19,12 @@
 //    accounting invariant holds exactly:
 //        enqueued + requeued == drained + dropped + depth
 //    (every admitted item is eventually drained, dropped, or resident).
+//    Offers never shrink the queue: after a restart's RequeueOutstanding,
+//    depth stays above capacity by up to the requeued count until drains
+//    bring it down.
+//  * One offer path: recovery replays logged offers through Offer itself,
+//    so a queue seeded from a checkpoint and replayed from the WAL makes
+//    the same admit/displace/drop decisions the live queue made.
 //  * Lock-free readers: depth/outstanding/counters are relaxed atomics, so
 //    metric gauges and accounting checks never contend with the enqueue path.
 //
@@ -30,6 +36,7 @@
 #define LEARNRISK_REVIEW_REVIEW_QUEUE_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -46,7 +53,8 @@ namespace learnrisk {
 /// ResolveRecord is counted (learnrisk_gateway_review_log_failures_total),
 /// the request's remaining offers are skipped, and the scored response is
 /// still returned. Drains and labels are fail-closed: they acknowledge
-/// reviewer effort, so they never succeed without their WAL frame.
+/// reviewer effort, so they never succeed without their WAL frame (a drain
+/// whose later frame fails hands out only its durable prefix).
 struct ReviewOptions {
   /// Master switch: when false no queue is created and Resolve/ResolveRecord
   /// skip the enqueue hook entirely.
@@ -84,6 +92,15 @@ struct LabeledReview {
   uint8_t truth = 0;  ///< 1 = the pair is equivalent
 };
 
+/// \brief True when the queue can order `item` and retrain on it: a finite
+/// risk (a NaN breaks the rank order), a classifier probability in [0, 1]
+/// and a machine label of 0 or 1. The review WAL's writer and its decoder
+/// both apply it, so the log never holds an item that recovery refuses.
+inline bool IsOrderableReviewItem(const ReviewItem& item) {
+  return std::isfinite(item.risk) && item.classifier_prob >= 0.0 &&
+         item.classifier_prob <= 1.0 && item.machine_label <= 1;
+}
+
 /// \brief Point-in-time accounting snapshot (all readable lock-free).
 struct ReviewQueueStats {
   uint64_t offered = 0;   ///< Offer calls
@@ -112,15 +129,6 @@ class ReviewQueue {
   /// \brief Offers one decision. Admits, merges onto an existing key (the
   /// higher-risk observation wins), or drops per the capacity policy.
   Offered Offer(ReviewItem item);
-
-  /// \brief Recovery-replay offer: like Offer but never capacity-drops —
-  /// a logged offer is admitted (or merged) unconditionally, so every
-  /// logged drain/label that follows it in the WAL always finds its pair
-  /// and no durably-acked label can be lost to a replay-time displacement
-  /// that diverges from the original run. Depth may transiently exceed
-  /// capacity (like RequeueOutstanding); later live offers see the true
-  /// depth.
-  Offered OfferReplay(ReviewItem item);
 
   /// \brief Copies (without removing) the up-to-`max_items` riskiest
   /// resident pairs in DrainTop order. With no interleaved mutation, an
@@ -152,8 +160,10 @@ class ReviewQueue {
   bool Label(int64_t left, int64_t right, uint8_t truth);
 
   /// \brief Returns every outstanding item to the resident queue (the
-  /// reviewer session died, e.g. across a crash/restart). May exceed
-  /// capacity transiently; subsequent offers see the true depth.
+  /// reviewer session died, e.g. across a crash/restart). Depth may then
+  /// exceed capacity by up to the number of requeued items, and stays there
+  /// until drains bring it down: an offer at capacity displaces or drops one
+  /// item, never more.
   void RequeueOutstanding();
 
   /// \brief Recovery seeding from a checkpoint: installs `queued` as
@@ -220,8 +230,6 @@ class ReviewQueue {
   static RankKey RankOf(const Entry& entry) {
     return RankKey{entry.item.risk, entry.seq};
   }
-  /// Shared Offer body; `replay` disables the capacity drop.
-  Offered OfferInternal(ReviewItem item, bool replay);
   /// Moves one resident entry to outstanding, counting the drain (caller
   /// holds mu_).
   Entry& DrainLocked(Rank::iterator ranked);

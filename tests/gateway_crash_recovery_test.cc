@@ -15,15 +15,20 @@
 // re-queue; a torn offer batch frame replays all of its offers or none) and
 // mid-retrain-publish (crash inside the post-publish
 // checkpoint: the recovered namespace serves either the old or the
-// retrained model, bit-identically, never a torn mixture). Runs under
+// retrained model, bit-identically, never a torn mixture). The twin cases
+// drive a durable gateway and an in-memory twin through the same review
+// traffic (scripted, and seeded random) and require each recovered queue
+// to equal the never-restarted one. Runs under
 // ASan+UBSan in CI (the asan-ubsan job): torn files and replay paths are
 // exactly where memory bugs would hide.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <utility>
@@ -32,6 +37,7 @@
 #include "classifier/logistic.h"
 #include "data/blocking.h"
 #include "data/generators.h"
+#include "gateway/durability.h"
 #include "gateway/gateway.h"
 #include "risk/risk_feature.h"
 #include "test_models.h"
@@ -704,6 +710,300 @@ TEST(GatewayCrashRecoveryTest, ReviewRetrainPublishCrashServesOldOrNew) {
       EXPECT_EQ(served->scores.risk, new_risk);
     }
   }
+}
+
+// --- Recovered queue == never-restarted queue -----------------------------
+//
+// A durable gateway and an in-memory twin take the same review traffic;
+// the durable one is dropped at points where no pair is outstanding and
+// recovered from disk. Recovery replays the logged offers, drains and
+// labels through the live queue operations, so the recovered queue must
+// equal the twin's: the same depth, the same labels and the same drain
+// order, even after the capacity has dropped and displaced offers.
+
+std::vector<PairKey> KeysOf(const std::vector<ReviewItem>& items) {
+  std::vector<PairKey> keys;
+  for (const ReviewItem& item : items) keys.emplace_back(item.left, item.right);
+  return keys;
+}
+
+// Drains up to `max_items` from both gateways; both must hand out the same
+// pairs in the same order (and at the same risks).
+std::vector<ReviewItem> DrainBoth(Gateway* durable, Gateway* twin,
+                                  size_t max_items) {
+  const auto got = durable->DrainReview("ds", max_items);
+  const auto want = twin->DrainReview("ds", max_items);
+  EXPECT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(want.ok()) << want.status().ToString();
+  if (!got.ok() || !want.ok()) return {};
+  EXPECT_EQ(KeysOf(*got), KeysOf(*want));
+  for (size_t i = 0; i < std::min(got->size(), want->size()); ++i) {
+    EXPECT_EQ((*got)[i].risk, (*want)[i].risk) << i;
+  }
+  return *want;
+}
+
+// Labels every pending pair on both gateways with the given verdicts.
+void LabelBoth(Gateway* durable, Gateway* twin,
+               const std::vector<ReviewItem>& pending,
+               const std::vector<uint8_t>& truths) {
+  for (size_t i = 0; i < pending.size(); ++i) {
+    const ReviewItem& item = pending[i];
+    EXPECT_TRUE(
+        durable->SubmitReviewLabel("ds", item.left, item.right, truths[i])
+            .ok());
+    EXPECT_TRUE(
+        twin->SubmitReviewLabel("ds", item.left, item.right, truths[i]).ok());
+  }
+}
+
+// Drops `durable` and recovers the namespace from `dir` into a fresh
+// gateway, re-publishing the model when no checkpoint saved it.
+std::unique_ptr<Gateway> Restart(std::unique_ptr<Gateway> durable,
+                                 const GatewayOptions& options) {
+  durable.reset();
+  auto recovered = std::make_unique<Gateway>(options);
+  const Status status = recovered->RecoverNamespace("ds", RecoverSpec());
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  if (!recovered->registry().Contains("ds")) {
+    EXPECT_TRUE(recovered->Publish("ds", Shared().model).ok());
+  }
+  return recovered;
+}
+
+// The recovered queue must equal the twin's: depth and labels, then the
+// whole drain order. Returns the drained pairs, now outstanding on both.
+std::vector<ReviewItem> ExpectSameQueue(Gateway* recovered, Gateway* twin) {
+  const auto got = recovered->ReviewStats("ds");
+  const auto want = twin->ReviewStats("ds");
+  EXPECT_TRUE(got.ok() && want.ok());
+  if (!got.ok() || !want.ok()) return {};
+  EXPECT_EQ(got->depth, want->depth);
+  EXPECT_EQ(got->labels, want->labels);
+  EXPECT_EQ(got->labeled, want->labeled);
+  EXPECT_EQ(got->outstanding, 0u);
+  return DrainBoth(recovered, twin, 1u << 20);
+}
+
+TEST(GatewayCrashRecoveryTest, RecoveredQueueEqualsNeverRestartedTwin) {
+  const SharedSetup& s = Shared();
+  const std::string dir = ::testing::TempDir() + "/learnrisk_review_twin";
+  std::filesystem::remove_all(dir);
+  GatewayOptions options = ReviewDurableOptions(dir);
+  options.review.queue_capacity = 8;
+  GatewayOptions twin_options = options;
+  twin_options.durability.dir.clear();
+
+  auto durable = std::make_unique<Gateway>(options);
+  Gateway twin(twin_options);
+  for (Gateway* g : {durable.get(), &twin}) {
+    ASSERT_TRUE(g->RegisterNamespace("ds", BaseSpec()).ok());
+    ASSERT_TRUE(g->Publish("ds", s.model).ok());
+  }
+  // 40 resolves of 16 pairs offer 4 pairs each into 8 slots, so most
+  // offers displace or drop; every fourth resolve a reviewer drains and
+  // labels 4 pairs.
+  for (size_t r = 0; r < 40; ++r) {
+    ASSERT_TRUE(durable->Resolve("ds", PairWindow(r * 5, 16)).ok());
+    ASSERT_TRUE(twin.Resolve("ds", PairWindow(r * 5, 16)).ok());
+    if (r % 4 == 3) {
+      const std::vector<ReviewItem> pending =
+          DrainBoth(durable.get(), &twin, 4);
+      std::vector<uint8_t> truths;
+      for (const ReviewItem& item : pending) {
+        truths.push_back(item.machine_label ^ (r % 8 == 3 ? 1 : 0));
+      }
+      LabelBoth(durable.get(), &twin, pending, truths);
+    }
+  }
+  ASSERT_GT(twin.ReviewStats("ds")->dropped, 0u);
+
+  durable = Restart(std::move(durable), options);
+  const std::vector<ReviewItem> leftover = ExpectSameQueue(durable.get(), &twin);
+  EXPECT_FALSE(leftover.empty());
+  EXPECT_LE(leftover.size(), options.review.queue_capacity);
+}
+
+// A restart with pairs outstanding requeues them, so the recovered queue
+// is no longer the replay of its own log. Its later traffic must still
+// replay to the queue it was applied to. The durable directory is copied
+// at the crash; the copy recovers into a twin that takes the same traffic
+// and is never restarted again. The traffic runs over capacity, so offers
+// drop, and it drains and labels pairs admitted after those drops. The
+// second recovery must keep every acked label and equal the twin's queue.
+TEST(GatewayCrashRecoveryTest, RestartWithOutstandingPairsRecoversTwice) {
+  const SharedSetup& s = Shared();
+  const std::string dir = ::testing::TempDir() + "/learnrisk_review_requeue";
+  const std::string twin_dir = dir + "_twin";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(twin_dir);
+  GatewayOptions options = ReviewDurableOptions(dir);
+  options.review.queue_capacity = 8;
+  GatewayOptions twin_options = options;
+  twin_options.durability.dir = twin_dir;
+
+  auto durable = std::make_unique<Gateway>(options);
+  ASSERT_TRUE(durable->RegisterNamespace("ds", BaseSpec()).ok());
+  ASSERT_TRUE(durable->Publish("ds", s.model).ok());
+  // Fill the queue, hand all 8 pairs to a reviewer and crash with them
+  // still outstanding: the log alone replays to an empty resident queue.
+  for (size_t r = 0; r < 12; ++r) {
+    ASSERT_TRUE(durable->Resolve("ds", PairWindow(r * 5, 16)).ok());
+  }
+  ASSERT_EQ(durable->DrainReview("ds", 8)->size(), 8u);
+  ASSERT_EQ(durable->ReviewStats("ds")->depth, 0u);
+  durable.reset();
+  std::filesystem::copy(dir, twin_dir,
+                        std::filesystem::copy_options::recursive);
+
+  durable = Restart(std::move(durable), options);
+  std::unique_ptr<Gateway> twin = Restart(nullptr, twin_options);
+  ASSERT_EQ(twin->ReviewStats("ds")->requeued, 8u);
+  ASSERT_EQ(twin->ReviewStats("ds")->depth, 8u);
+  // Every third resolve the reviewer labels what they hold and drains 8
+  // more, emptying the queue, so the labels trail their drains by two
+  // resolves of offers that refill it.
+  std::vector<ReviewItem> pending;
+  for (size_t r = 0; r < 24; ++r) {
+    ASSERT_TRUE(durable->Resolve("ds", PairWindow(100 + r * 7, 16)).ok());
+    ASSERT_TRUE(twin->Resolve("ds", PairWindow(100 + r * 7, 16)).ok());
+    if (r % 3 == 2) {
+      LabelBoth(durable.get(), twin.get(), pending,
+                std::vector<uint8_t>(pending.size(), 1));
+      pending = DrainBoth(durable.get(), twin.get(), 8);
+    }
+  }
+  LabelBoth(durable.get(), twin.get(), pending,
+            std::vector<uint8_t>(pending.size(), 0));
+  ASSERT_GT(twin->ReviewStats("ds")->dropped, 0u);
+  ASSERT_GE(twin->ReviewStats("ds")->labels, 32u);
+
+  durable = Restart(std::move(durable), options);
+  ExpectSameQueue(durable.get(), twin.get());
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(twin_dir);
+}
+
+// Seeded random review traffic against the twin: explicit-pair resolves,
+// drains of random size (some spanning several WAL frames), labels (some
+// for pairs not awaiting one), checkpoints, and restarts whenever nothing
+// is outstanding. Every restart must recover the twin's queue.
+TEST(GatewayCrashRecoveryTest, RandomReviewTrafficRecoversToTheTwin) {
+  const SharedSetup& s = Shared();
+  const std::vector<RecordPair>& blocked = BlockedPairs();
+  constexpr int kSeeds = 24;
+  constexpr size_t kOps = 40;
+  // What the seeds covered, summed over all of them.
+  size_t restarts = 0;
+  size_t multi_frame_drains = 0;
+  size_t seeds_with_drops = 0;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const std::string dir = ::testing::TempDir() +
+                            "/learnrisk_review_twin_seed_" +
+                            std::to_string(seed);
+    std::filesystem::remove_all(dir);
+    GatewayOptions options = ReviewDurableOptions(dir);
+    const size_t kCapacities[] = {8, 64, 400};
+    options.review.queue_capacity = kCapacities[seed % 3];
+    options.review.per_request_budget = seed % 4 == 0 ? 4 : 64;
+    GatewayOptions twin_options = options;
+    twin_options.durability.dir.clear();
+
+    auto durable = std::make_unique<Gateway>(options);
+    Gateway twin(twin_options);
+    for (Gateway* g : {durable.get(), &twin}) {
+      ASSERT_TRUE(g->RegisterNamespace("ds", BaseSpec()).ok());
+      ASSERT_TRUE(g->Publish("ds", s.model).ok());
+    }
+    std::vector<ReviewItem> pending;  // drained, awaiting a label
+    for (size_t op = 0; op < kOps; ++op) {
+      // The first ops fill the queue; then the weights are resolve 5,
+      // drain 2, label 2, checkpoint 1, restart 1.
+      enum Op { kResolve, kDrain, kLabel, kCheckpoint, kRestart };
+      constexpr Op kWeighted[] = {kResolve, kResolve, kResolve,
+                                  kResolve, kResolve, kDrain,
+                                  kDrain,   kLabel,   kLabel,
+                                  kCheckpoint, kRestart};
+      switch (op < 6 ? kResolve : kWeighted[rng() % 11]) {
+        case kResolve: {
+          const ResolveRequest request =
+              PairWindow(rng() % blocked.size(), 1 + rng() % 96);
+          ASSERT_TRUE(durable->Resolve("ds", request).ok());
+          ASSERT_TRUE(twin.Resolve("ds", request).ok());
+          break;
+        }
+        case kDrain: {
+          // Mostly small drains; one in three may span several frames.
+          const size_t max_items = rng() % 3 == 0
+                                       ? 1 + rng() % (3 * kMaxReviewEventsPerFrame)
+                                       : 1 + rng() % 8;
+          const std::vector<ReviewItem> drained =
+              DrainBoth(durable.get(), &twin, max_items);
+          if (drained.size() > kMaxReviewEventsPerFrame) ++multi_frame_drains;
+          pending.insert(pending.end(), drained.begin(), drained.end());
+          break;
+        }
+        case kLabel: {
+          // Label a random prefix of the pending pairs, then one pair that
+          // is probably not awaiting a label (both must agree on either).
+          const size_t n = pending.empty() ? 0 : 1 + rng() % pending.size();
+          std::vector<uint8_t> truths;
+          for (size_t i = 0; i < n; ++i) truths.push_back(rng() % 2);
+          LabelBoth(durable.get(), &twin,
+                    std::vector<ReviewItem>(pending.begin(),
+                                            pending.begin() + n),
+                    truths);
+          pending.erase(pending.begin(), pending.begin() + n);
+          const RecordPair& pair = blocked[rng() % blocked.size()];
+          const int64_t left = static_cast<int64_t>(pair.left);
+          const int64_t right = static_cast<int64_t>(pair.right);
+          const Status labeled = twin.SubmitReviewLabel("ds", left, right, 1);
+          EXPECT_EQ(durable->SubmitReviewLabel("ds", left, right, 1).code(),
+                    labeled.code());
+          if (labeled.ok()) {
+            pending.erase(
+                std::remove_if(pending.begin(), pending.end(),
+                               [&](const ReviewItem& item) {
+                                 return item.left == left &&
+                                        item.right == right;
+                               }),
+                pending.end());
+          }
+          break;
+        }
+        case kCheckpoint:
+          ASSERT_TRUE(durable->Checkpoint("ds").ok());
+          break;
+        case kRestart: {
+          // A clean restart: the reviewer labels what they hold first.
+          std::vector<uint8_t> truths;
+          for (const ReviewItem& item : pending) {
+            truths.push_back(item.machine_label);
+          }
+          LabelBoth(durable.get(), &twin, pending, truths);
+          durable = Restart(std::move(durable), options);
+          ++restarts;
+          pending = ExpectSameQueue(durable.get(), &twin);
+          if (pending.size() > kMaxReviewEventsPerFrame) ++multi_frame_drains;
+          break;
+        }
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    std::vector<uint8_t> truths(pending.size(), 0);
+    LabelBoth(durable.get(), &twin, pending, truths);
+    if (twin.ReviewStats("ds")->dropped > 0) ++seeds_with_drops;
+    durable = Restart(std::move(durable), options);
+    ++restarts;
+    ExpectSameQueue(durable.get(), &twin);
+    if (::testing::Test::HasFailure()) return;
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_GE(restarts, 2u * kSeeds);
+  EXPECT_GT(multi_frame_drains, 0u);
+  EXPECT_GE(seeds_with_drops, kSeeds / 2u);
 }
 
 }  // namespace

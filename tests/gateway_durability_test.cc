@@ -14,8 +14,13 @@
 // advances the WAL entry count by N, malformed-but-checksummed batch frames
 // end replay, and single-event frames from older logs still replay. A WAL
 // write that fails (file-size limit) is rolled back so the next acked
-// append survives recovery, and CRC-32 matches a bitwise reference. A
-// review segment that files one pair key twice fails recovery. The
+// append survives recovery, and CRC-32 matches a bitwise reference; a
+// drain whose second frame fails applies and returns only its first
+// frame's pairs, and recovers to a twin that drained that many. A review
+// segment that files one pair key twice, or holds a value the queue cannot
+// order (non-finite risk, probability outside [0, 1], label or truth
+// above 1), fails recovery, and SubmitReviewLabel refuses such a truth
+// before logging it. The
 // on-disk layout is one shape for
 // every shard count (SHARDS + shards/s<k>/, the model on shard 0 only):
 // corrupt shard counts, re-registration with another count, interrupted
@@ -26,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +41,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "classifier/logistic.h"
@@ -600,6 +607,22 @@ ReviewItem SampleItem() {
   return item;
 }
 
+// An offer event carrying `item` with one field set to a value the review
+// queue cannot hold.
+std::string BadOffer(void (*spoil)(ReviewItem*)) {
+  ReviewItem item = SampleItem();
+  spoil(&item);
+  return BatchPayload(1, OfferEvent(item));
+}
+
+// A single-event label frame (kind 4) with the given truth byte.
+std::string LabelFrame(int64_t left, int64_t right, char truth) {
+  std::string label(1, '\4');
+  label += DrainEvent(left, right).substr(1);
+  label.push_back(truth);
+  return label;
+}
+
 TEST(NamespaceLogTest, MalformedReviewFrameEndsReplayAtThatFrame) {
   const std::string drain = DrainEvent(5, 6);
   const std::string offer = OfferEvent(SampleItem());
@@ -608,6 +631,21 @@ TEST(NamespaceLogTest, MalformedReviewFrameEndsReplayAtThatFrame) {
     std::string payload;
   };
   const Case kCases[] = {
+      {"offer with a NaN risk",
+       BadOffer([](ReviewItem* i) { i->risk = std::nan(""); })},
+      {"offer with an infinite risk",
+       BadOffer([](ReviewItem* i) { i->risk = HUGE_VAL; })},
+      {"offer with a probability below 0",
+       BadOffer([](ReviewItem* i) { i->classifier_prob = -0.125; })},
+      {"offer with a probability above 1",
+       BadOffer([](ReviewItem* i) { i->classifier_prob = 1.5; })},
+      {"offer with a NaN probability",
+       BadOffer([](ReviewItem* i) { i->classifier_prob = std::nan(""); })},
+      {"offer with machine label 2",
+       BadOffer([](ReviewItem* i) { i->machine_label = 2; })},
+      {"label with truth 2", LabelFrame(5, 6, '\2')},
+      {"batched label with truth 255",
+       BatchPayload(1, LabelFrame(5, 6, '\xff'))},
       {"count larger than the bytes left", BatchPayload(1000, drain)},
       {"count one past the events", BatchPayload(2, drain)},
       {"nested record kind 0", BatchPayload(1, '\0' + drain.substr(1))},
@@ -787,6 +825,138 @@ TEST(GatewayDurabilityDeathTest, FailedWalWriteDoesNotHideLaterAckedAppends) {
       },
       ::testing::ExitedWithCode(0), "");
 }
+
+// Keys of `items` in order.
+std::vector<std::pair<int64_t, int64_t>> KeysOf(
+    const std::vector<ReviewItem>& items) {
+  std::vector<std::pair<int64_t, int64_t>> keys;
+  for (const ReviewItem& item : items) keys.emplace_back(item.left, item.right);
+  return keys;
+}
+
+// Drains up to `max_items` from both gateways and labels every drained pair
+// on both; false unless both hand out the same pairs in the same order.
+bool DrainAndLabelBoth(Gateway* durable, Gateway* twin, size_t max_items) {
+  const auto got = durable->DrainReview("ds", max_items);
+  const auto want = twin->DrainReview("ds", max_items);
+  if (!got.ok() || !want.ok() || KeysOf(*got) != KeysOf(*want)) return false;
+  for (const ReviewItem& item : *want) {
+    for (Gateway* g : {durable, twin}) {
+      if (!g->SubmitReviewLabel("ds", item.left, item.right,
+                                item.machine_label)
+               .ok()) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Runs in a death-test child. A file-size limit admits the first drain
+// frame of a DrainReview(300) but not the second: the drain must hand out
+// exactly the first frame's 256 durable items, OK, and apply no more. Once
+// the limit is lifted and more review traffic runs, the recovered queue
+// must equal an in-memory twin whose drain asked for 256 items: the same
+// depth, labels and drain order. The failed frame is counted in
+// learnrisk_gateway_review_log_failures_total. Returns 0 on success,
+// otherwise the number of the failed step.
+int PartlyFailedDrainThenRecover(const std::string& dir) {
+  const SharedSetup& s = Shared();
+  std::signal(SIGXFSZ, SIG_IGN);  // EFBIG from write(2) instead of a kill
+  const std::string wal = dir + "/ds/shards/s0/wal_1.log";
+  GatewayOptions options = DurableOptions(dir);
+  options.review.enabled = true;
+  options.review.per_request_budget = 400;
+  GatewayOptions twin_options = options;
+  twin_options.durability.dir.clear();
+  Gateway twin(twin_options);
+  ResolveRequest block_all;
+  block_all.block_all = true;
+  {
+    Gateway gateway(options);
+    for (Gateway* g : {&gateway, &twin}) {
+      if (!g->RegisterNamespace("ds", BaseSpec()).ok()) return 1;
+      if (!g->Publish("ds", s.model).ok()) return 2;
+      if (!g->Resolve("ds", block_all).ok()) return 3;
+    }
+    if (twin.ReviewStats("ds")->depth < 300) return 4;
+    std::error_code ec;
+    const uintmax_t wal_size = std::filesystem::file_size(wal, ec);
+    if (ec) return 5;
+    // A drain batch frame: 8 header bytes, the kind byte, a u32 count,
+    // then 17 bytes per drain. The limit cuts the second frame short.
+    const uintmax_t first_frame = 8 + 1 + 4 + 17 * kMaxReviewEventsPerFrame;
+    rlimit original{};
+    if (getrlimit(RLIMIT_FSIZE, &original) != 0) return 6;
+    rlimit tight = original;
+    tight.rlim_cur = static_cast<rlim_t>(wal_size + first_frame + 64);
+    if (setrlimit(RLIMIT_FSIZE, &tight) != 0) return 7;
+    const auto drained = gateway.DrainReview("ds", 300);
+    if (setrlimit(RLIMIT_FSIZE, &original) != 0) return 8;
+    if (!drained.ok() || drained->size() != kMaxReviewEventsPerFrame) return 9;
+    if (std::filesystem::file_size(wal, ec) != wal_size + first_frame) {
+      return 10;
+    }
+    const auto twin_drained = twin.DrainReview("ds", kMaxReviewEventsPerFrame);
+    if (!twin_drained.ok() || KeysOf(*drained) != KeysOf(*twin_drained)) {
+      return 11;
+    }
+    if (gateway.ReviewStats("ds")->outstanding != kMaxReviewEventsPerFrame) {
+      return 12;
+    }
+    // The absorbed frame failure is counted, not silent.
+    {
+      const MetricsSnapshot snap = gateway.MetricsSnapshot();
+      const CounterSnapshot* failures =
+          snap.FindCounter("learnrisk_gateway_review_log_failures_total",
+                           {{"namespace", "ds"}});
+      if (failures == nullptr || failures->value != 1) return 19;
+    }
+    // More traffic: label the drained pairs, offer probe pairs, drain and
+    // label again; nothing stays outstanding.
+    for (const ReviewItem& item : *twin_drained) {
+      for (Gateway* g : {&gateway, &twin}) {
+        if (!g->SubmitReviewLabel("ds", item.left, item.right, 1).ok()) {
+          return 13;
+        }
+      }
+    }
+    for (size_t p = 0; p < 4; ++p) {
+      const Record& probe = s.workload.right().record(p);
+      for (Gateway* g : {&gateway, &twin}) {
+        if (!g->ResolveRecord("ds", probe).ok()) return 14;
+      }
+    }
+    if (!DrainAndLabelBoth(&gateway, &twin, 20)) return 15;
+  }
+  Gateway recovered(options);
+  if (!recovered.RecoverNamespace("ds", RecoverSpec()).ok()) return 16;
+  const auto got = recovered.ReviewStats("ds");
+  const auto want = twin.ReviewStats("ds");
+  if (got->depth != want->depth || got->labels != want->labels ||
+      got->outstanding != 0) {
+    return 17;
+  }
+  const auto got_order = recovered.DrainReview("ds", 1u << 20);
+  const auto want_order = twin.DrainReview("ds", 1u << 20);
+  if (!got_order.ok() || !want_order.ok() ||
+      KeysOf(*got_order) != KeysOf(*want_order)) {
+    return 18;
+  }
+  return 0;
+}
+
+TEST(GatewayDurabilityDeathTest, PartlyFailedDrainAppliesItsDurableFrames) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir = FreshDir("drain_failed_frame");
+  EXPECT_EXIT(
+      {
+        const int step = PartlyFailedDrainThenRecover(dir);
+        if (step != 0) std::fprintf(stderr, "step %d failed\n", step);
+        std::exit(step);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
 #endif
 
 TEST(NamespaceLogTest, MissingSegmentFileFailsWithDiagnostic) {
@@ -934,6 +1104,120 @@ TEST(GatewayDurabilityTest, ReviewSegmentRepeatingAPairKeyFailsClosed) {
         << status.ToString();
     EXPECT_FALSE(recovered.ReviewStats("ds").ok());  // nothing is served
   }
+}
+
+// Writes `state` as the review segment of a fresh review-enabled durable
+// namespace under `dir`, through shard 0's own log, so the segment's
+// checksum and the manifest's counts are genuine.
+void ForgeReviewCheckpoint(const GatewayOptions& options,
+                           const ReviewQueue::CheckpointState& state) {
+  {
+    Gateway gateway(options);
+    ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+  }
+  DurabilityOptions shard;
+  shard.dir = options.durability.dir + "/ds/shards";
+  RecoveredNamespace rec;
+  Result<std::unique_ptr<NamespaceLog>> log = NamespaceLog::Recover(
+      shard, "s0", Shared().workload.left().schema(), &rec);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_TRUE((*log)
+                  ->WriteCheckpoint(rec.left, rec.dedup ? nullptr : &rec.right,
+                                    0, nullptr, &state)
+                  .ok());
+}
+
+// A checksummed review segment holding a value the queue cannot order or
+// retrain on — a non-finite risk, a probability outside [0, 1], a machine
+// label or truth above 1 — in any section fails recovery with an IOError
+// naming the segment instead of serving it.
+TEST(GatewayDurabilityTest, ReviewSegmentWithUnorderableValuesFailsClosed) {
+  ReviewItem good;
+  good.left = 0;
+  good.right = 1;
+  good.risk = 0.75;
+  good.classifier_prob = 0.5;
+  good.features.assign(Shared().suite.num_metrics(), 0.5);
+  // `good` under the key (0, right) with one field changed.
+  auto variant = [&](int64_t right, void (*change)(ReviewItem*)) {
+    ReviewItem item = good;
+    item.right = right;
+    change(&item);
+    return item;
+  };
+  const ReviewItem nan_risk =
+      variant(2, [](ReviewItem* i) { i->risk = std::nan(""); });
+  const ReviewItem inf_risk =
+      variant(2, [](ReviewItem* i) { i->risk = -HUGE_VAL; });
+  const ReviewItem big_prob =
+      variant(2, [](ReviewItem* i) { i->classifier_prob = 1.5; });
+  const ReviewItem bad_label =
+      variant(2, [](ReviewItem* i) { i->machine_label = 2; });
+  const ReviewItem edges = variant(3, [](ReviewItem* i) {
+    i->risk = -1e300;
+    i->classifier_prob = 1.0;
+    i->machine_label = 1;
+  });
+  struct Forgery {
+    const char* name;
+    ReviewQueue::CheckpointState state;
+    bool valid;
+  };
+  const std::vector<Forgery> forgeries = {
+      {"control",
+       {{good}, {edges}, {LabeledReview{variant(4, [](ReviewItem*) {}), 1}}},
+       true},
+      {"queued NaN risk", {{good, nan_risk}, {}, {}}, false},
+      {"outstanding infinite risk", {{good}, {inf_risk}, {}}, false},
+      {"queued probability 1.5", {{big_prob}, {}, {}}, false},
+      {"labeled machine label 2", {{}, {}, {LabeledReview{bad_label, 0}}},
+       false},
+      {"labeled truth 2", {{}, {}, {LabeledReview{good, 2}}}, false},
+  };
+  for (size_t i = 0; i < forgeries.size(); ++i) {
+    SCOPED_TRACE(forgeries[i].name);
+    GatewayOptions options =
+        DurableOptions(FreshDir("review_unorderable_" + std::to_string(i)));
+    options.review.enabled = true;
+    ForgeReviewCheckpoint(options, forgeries[i].state);
+    if (::testing::Test::HasFatalFailure()) return;
+    Gateway recovered(options);
+    const Status status = recovered.RecoverNamespace("ds", RecoverSpec());
+    if (forgeries[i].valid) {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      continue;
+    }
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_NE(status.message().find("ckpt_2_review.seg"), std::string::npos)
+        << status.ToString();
+    EXPECT_FALSE(recovered.ReviewStats("ds").ok());  // nothing is served
+  }
+}
+
+// A label the queue cannot count (truth above 1) is refused before any
+// frame is written; a valid label for the same pair is then accepted.
+TEST(GatewayDurabilityTest, SubmitReviewLabelRefusesATruthAboveOne) {
+  GatewayOptions options = DurableOptions(FreshDir("review_bad_truth"));
+  options.review.enabled = true;
+  Gateway gateway(options);
+  ASSERT_TRUE(gateway.RegisterNamespace("ds", BaseSpec()).ok());
+  ASSERT_TRUE(gateway.Publish("ds", Shared().model).ok());
+  ResolveRequest block_all;
+  block_all.block_all = true;
+  ASSERT_TRUE(gateway.Resolve("ds", block_all).ok());
+  const auto drained = gateway.DrainReview("ds", 1);
+  ASSERT_TRUE(drained.ok());
+  ASSERT_EQ(drained->size(), 1u);
+  const ReviewItem& item = (*drained)[0];
+  const size_t wal_entries = *gateway.WalEntriesSinceCheckpoint("ds");
+  for (uint8_t truth : {uint8_t{2}, uint8_t{255}}) {
+    EXPECT_TRUE(gateway.SubmitReviewLabel("ds", item.left, item.right, truth)
+                    .IsInvalidArgument());
+  }
+  EXPECT_EQ(*gateway.WalEntriesSinceCheckpoint("ds"), wal_entries);
+  EXPECT_EQ(gateway.ReviewStats("ds")->labels, 0u);
+  EXPECT_TRUE(gateway.SubmitReviewLabel("ds", item.left, item.right, 1).ok());
+  EXPECT_EQ(*gateway.WalEntriesSinceCheckpoint("ds"), wal_entries + 1);
 }
 
 TEST(NamespaceLogTest, CreateRefusesExistingStateAndRecoverNeedsState) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,27 @@ TEST(ReviewQueueTest, DedupMergesAndKeepsHigherRisk) {
   EXPECT_EQ(queue.Offer(Item(1, 2, 0.99)), ReviewQueue::Offered::kMerged);
   EXPECT_EQ(queue.depth(), 0u);
   ExpectInvariant(queue);
+}
+
+// The predicate the review WAL's writer and decoder share: the queue can
+// order only a finite risk, and retrains only on a probability in [0, 1]
+// and a 0/1 machine label.
+TEST(ReviewQueueTest, OrderableItemsHaveFiniteRiskAndInRangeDecision) {
+  EXPECT_TRUE(IsOrderableReviewItem(Item(0, 0, 0.5)));
+  ReviewItem edge = Item(0, 0, -1e300);
+  edge.classifier_prob = 1.0;
+  EXPECT_TRUE(IsOrderableReviewItem(edge));
+  for (double risk : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_FALSE(IsOrderableReviewItem(Item(0, 0, risk))) << risk;
+  }
+  for (double prob : {-0.01, 1.01, std::nan("")}) {
+    ReviewItem item = Item(0, 0, 0.5);
+    item.classifier_prob = prob;
+    EXPECT_FALSE(IsOrderableReviewItem(item)) << prob;
+  }
+  ReviewItem label = Item(0, 0, 0.5);
+  label.machine_label = 2;
+  EXPECT_FALSE(IsOrderableReviewItem(label));
 }
 
 TEST(ReviewQueueTest, DrainTopIsRiskDescendingFifoOnTies) {
@@ -219,8 +241,8 @@ TEST(ReviewQueueTest, SeedSnapshotRoundTrip) {
 // replay ran against a *fuller* queue than the live one and could
 // capacity-drop an offer that was originally admitted — silently losing the
 // pair's subsequent acked drain/label. Seeding outstanding items as
-// outstanding keeps the replay occupancy exact, and OfferReplay never
-// capacity-drops, so logged drains/labels always find their pair.
+// outstanding keeps the replay occupancy exact, so a replayed Offer makes
+// the live capacity decision and logged drains/labels find their pair.
 TEST(ReviewQueueTest, SeededOutstandingDoesNotStealReplayCapacity) {
   ReviewQueue live(2);
   live.Offer(Item(0, 0, 0.9));
@@ -241,7 +263,7 @@ TEST(ReviewQueueTest, SeededOutstandingDoesNotStealReplayCapacity) {
   // occupy resident capacity — and the acked label must land.
   ReviewQueue recovered(2);
   recovered.Seed(state.queued, state.outstanding, state.labeled);
-  EXPECT_EQ(recovered.OfferReplay(Item(2, 2, 0.5)),
+  EXPECT_EQ(recovered.Offer(Item(2, 2, 0.5)),
             ReviewQueue::Offered::kAdmitted);
   EXPECT_TRUE(recovered.MarkDrained(2, 2));
   EXPECT_TRUE(recovered.Label(2, 2, 1));
@@ -250,15 +272,35 @@ TEST(ReviewQueueTest, SeededOutstandingDoesNotStealReplayCapacity) {
   EXPECT_EQ(recovered.num_labeled(), 1u);
   EXPECT_EQ(recovered.depth(), 2u);  // (1,1) and the requeued (0,0)
 
-  // OfferReplay also never drops at capacity: a logged offer is always
-  // admitted (or merged), transiently exceeding the bound like
-  // RequeueOutstanding does, so its logged drain/label cannot miss.
-  EXPECT_EQ(recovered.OfferReplay(Item(3, 3, 0.01)),
-            ReviewQueue::Offered::kAdmitted);
-  EXPECT_EQ(recovered.depth(), 3u);
-  EXPECT_TRUE(recovered.MarkDrained(3, 3));
-  EXPECT_TRUE(recovered.Label(3, 3, 0));
-  ExpectInvariant(recovered);
+  // A replayed Offer at capacity drops exactly what the live queue
+  // dropped. Live fills its last slot, drops a weaker offer and lets a
+  // stronger one displace; replaying the whole log over the same
+  // checkpoint returns the same verdicts and leaves the same queue.
+  const std::vector<ReviewItem> more = {Item(3, 3, 0.3), Item(4, 4, 0.1),
+                                        Item(5, 5, 0.7)};
+  std::vector<ReviewQueue::Offered> verdicts;
+  for (const ReviewItem& item : more) verdicts.push_back(live.Offer(item));
+  EXPECT_EQ(verdicts, (std::vector<ReviewQueue::Offered>{
+                          ReviewQueue::Offered::kAdmitted,
+                          ReviewQueue::Offered::kDropped,
+                          ReviewQueue::Offered::kAdmitted}));
+  ReviewQueue replayed(2);
+  replayed.Seed(state.queued, state.outstanding, state.labeled);
+  replayed.Offer(Item(2, 2, 0.5));
+  EXPECT_TRUE(replayed.MarkDrained(2, 2));
+  EXPECT_TRUE(replayed.Label(2, 2, 1));
+  for (size_t i = 0; i < more.size(); ++i) {
+    EXPECT_EQ(replayed.Offer(more[i]), verdicts[i]) << i;
+  }
+  EXPECT_EQ(replayed.Stats().dropped, 2u);
+  EXPECT_EQ(replayed.depth(), live.depth());
+  const std::vector<ReviewItem> want = live.PeekTop(8);
+  const std::vector<ReviewItem> got = replayed.PeekTop(8);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].left, want[i].left) << i;
+  }
+  ExpectInvariant(replayed);
 }
 
 TEST(ReviewQueueTest, PeekTopMatchesDrainTop) {
